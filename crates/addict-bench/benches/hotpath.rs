@@ -2,11 +2,11 @@
 //! vs per-block cache accesses, warm data runs vs per-access data walks,
 //! the open-addressed coherence directory, the interned cursor's
 //! delta-varint address decode vs the flat walk, and full
-//! flat-vs-segment-vs-data-run replay under every scheduler.
+//! per-block-vs-fast-path replay under every scheduler.
 //!
 //! Run with `cargo bench --bench hotpath`. The `bench` binary
-//! (`cargo run --release --bin bench`) regenerates `BENCH_1.json` with the
-//! headline events/sec numbers on the TPC-C workload.
+//! (`cargo run --release --bin bench`) regenerates the latest
+//! `BENCH_n.json` with the headline events/sec numbers.
 
 use addict_core::algorithm1::find_migration_points;
 use addict_core::replay::ReplayConfig;
@@ -122,14 +122,9 @@ fn bench_replay_modes(c: &mut Criterion) {
     .with_batch_size(8);
     let map = find_migration_points(&traces, base_cfg.sim.l1i);
     for kind in SchedulerKind::ALL {
-        for (mode, segment, data_run) in [
-            ("flat", false, false),
-            ("segment", true, false),
-            ("data_run", true, true),
-        ] {
+        for (mode, fast_paths) in [("flat", false), ("fast", true)] {
             let cfg = ReplayConfig {
-                segment_exec: segment,
-                data_run_exec: data_run,
+                fast_paths,
                 ..base_cfg.clone()
             };
             let name = format!("replay/{}_{mode}_64_xcts", kind.name().to_lowercase());

@@ -2,31 +2,30 @@
 //!
 //! For every selected benchmark (`--benchmarks`, default: the whole
 //! registry — the TPC trio plus the spec-driven TATP and YCSB mixes),
-//! replays the evaluation traces under all five schedulers, timing four
+//! replays the evaluation traces under all five schedulers, timing three
 //! modes against each other:
 //!
 //! * **flat** — per-block, per-event execution over flat
-//!   `Vec<TraceEvent>` traces (the reference path),
-//! * **segment** — the segment-granular instruction fast path (PR 1),
-//! * **data_run** — segment-granular instructions **plus** run-granular
-//!   data: consecutive data accesses execute whole inside the machine,
-//!   private leading hits consumed without a coherence-directory
-//!   transaction (PR 5),
-//! * **interned** — both fast paths over the arena-backed
+//!   `Vec<TraceEvent>` traces (the reference path,
+//!   `ReplayConfig::fast_paths` off),
+//! * **fast** — the production engine over the same flat traces:
+//!   segment-granular instruction runs plus run-granular data, whose
+//!   private leading hits are consumed without a coherence-directory
+//!   transaction,
+//! * **interned** — the fast paths over the arena-backed
 //!   [`InternedWorkload`] form, whose deduplicated `SlicePool` holds each
-//!   distinct event slice once (PR 3),
+//!   distinct event slice once,
 //!
 //! then times the **full (benchmark × scheduler) grid** through the sweep
 //! engine at one thread vs `--threads N`, with the interned grid sharing
-//! one `Arc`'d pool per workload. Writes `BENCH_10.json` with events/sec
-//! and sim-cycles/sec per workload, scheduler, and mode, the trace-memory
-//! footprint (flat vs interned resident bytes, delta-encoded address
-//! bytes, pool dedup ratio), the parallel-sweep wall times + speedup, a
-//! `service` section timing the same job cold vs warm through the
-//! replay-as-a-service layer's trace-pool cache (PR 7; see SERVICE.md),
-//! and a `shards` section laddering **intra-replay decode sharding**
-//! (`ReplayConfig::shards`) over 1 / 2 / 4 / `--shards` workers per
-//! scheduler (PR 10).
+//! one `Arc`'d pool per workload. Writes `BENCH_11.json` with the host's
+//! parallelism (`nproc`) in the header, events/sec and sim-cycles/sec per
+//! workload, scheduler, and mode, the trace-memory footprint (flat vs
+//! interned resident bytes, delta-encoded address bytes, pool dedup
+//! ratio), the parallel-sweep wall times + speedup, a `service` section
+//! timing the same job cold vs warm through the replay-as-a-service
+//! layer's trace-pool cache (see SERVICE.md), and an `htm` section with
+//! the HTMX scheduler's speculation outcomes.
 //!
 //! The interned evaluation traces come from the **streamed pipeline**
 //! (`generate_interned_chunked`: generate → intern → retire flat traces,
@@ -40,24 +39,22 @@
 //! * the streamed, delta-encoded eval workload must **decode back
 //!   bit-identical** to the flat-generated one (the `streaming-equivalence`
 //!   CI gate),
-//! * flat, segment, **data_run**, and **interned** execution must produce
-//!   bit-identical simulation output (a speedup can never be bought with
-//!   accuracy) — the `data-run-equivalence` CI gate, and
+//! * flat, fast, and **interned** execution must produce bit-identical
+//!   simulation output (a speedup can never be bought with accuracy) —
+//!   the `data-run-equivalence` CI gate,
 //! * the 1-thread and N-thread sweeps must produce bit-identical
 //!   per-scheduler `MachineStats` and makespans (parallelism can never
 //!   change a result) — for the spec-driven workloads exactly as for the
 //!   handwritten ones, and
-//! * every **sharded** replay in the `shards` ladder (and, under
-//!   `--scaling --shards N`, the gated ladder rungs) must be bit-identical
-//!   to the serial engine's — the `shard-equivalence` CI gate.
+//! * the cold and warm service jobs must serialize byte-identical, and
+//!   every job point must match the matrix's own replay.
 //!
 //! Usage: `cargo run --release --bin bench -- [n_xcts] [out.json]
-//! [--xcts N] [--threads N] [--shards N] [--benchmarks tpcb,tatp,...]
-//! [--smoke] [--scaling]` (defaults: 400 transactions, `BENCH_10.json`;
-//! `--smoke` is the CI-sized run: 60 transactions, one rep,
-//! `bench_smoke.json`; `--scaling` caps the fixed-size matrix at 400 and
-//! ladders the first selected benchmark up to `--xcts`, replaying rungs
-//! with `--shards` decode workers).
+//! [--xcts N] [--threads N] [--benchmarks tpcb,tatp,...] [--smoke]
+//! [--scaling]` (defaults: 400 transactions, `BENCH_11.json`; `--smoke`
+//! is the CI-sized run: 60 transactions, one rep, `bench_smoke.json`;
+//! `--scaling` caps the fixed-size matrix at 400 and ladders the first
+//! selected benchmark up to `--xcts`).
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -193,12 +190,12 @@ fn main() {
         if args.smoke {
             "bench_smoke.json".to_owned()
         } else {
-            "BENCH_10.json".to_owned()
+            "BENCH_11.json".to_owned()
         }
     });
-    // Best-of-N per mode: this container is a single shared core whose
-    // attainable throughput drifts on minute timescales, so each mode
-    // samples a wide window and keeps its fastest rep.
+    // Best-of-N per mode: a shared host's attainable throughput drifts on
+    // minute timescales, so each mode samples a wide window and keeps its
+    // fastest rep.
     let reps = if args.smoke { 1 } else { 15 };
     let cfg = ReplayConfig::paper_default();
     let bench_names: Vec<&str> = args.benchmarks.iter().map(|b| b.name()).collect();
@@ -250,18 +247,21 @@ fn main() {
         bench_names.join(", ")
     );
 
+    // Host parallelism, so a reader can tell which figures a second core
+    // could have moved (the sweep) from those it cannot (a single replay).
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut out = String::new();
     out.push_str("{\n");
     let _ = write!(
         out,
-        "  \"artifact\": \"BENCH_10\",\n  \"n_xcts\": {n},\n  \"n_cores\": {},\n  \"reps_best_of\": {reps},\n  \"gen_chunk\": {DEFAULT_GEN_CHUNK},\n  \"workloads\": [\n",
+        "  \"artifact\": \"BENCH_11\",\n  \"nproc\": {nproc},\n  \"n_xcts\": {n},\n  \"n_cores\": {},\n  \"reps_best_of\": {reps},\n  \"gen_chunk\": {DEFAULT_GEN_CHUNK},\n  \"workloads\": [\n",
         cfg.sim.n_cores
     );
 
-    // Per-workload, per-scheduler mode timings with the flat/segment/
-    // data_run/interned equivalence guards. The stored results come from
-    // the data_run mode — the same configuration the sweep below runs —
-    // and anchor its bit-identity assert.
+    // Per-workload, per-scheduler mode timings with the flat/fast/interned
+    // equivalence guards. The stored results come from the fast mode —
+    // the same configuration the sweep below runs — and anchor its
+    // bit-identity assert.
     let mut reference_results: Vec<Vec<ReplayResult>> = Vec::new();
     for (wi, p) in prepared.iter().enumerate() {
         let footprint = p.interned.footprint();
@@ -303,99 +303,77 @@ fn main() {
         );
 
         let iset = p.interned.as_set();
-        let mut run_results = Vec::new();
+        let mut fast_results = Vec::new();
         for (i, kind) in SchedulerKind::ALL.iter().enumerate() {
-            // The reference path disables both fast paths; `segment` adds
-            // instruction runs; `data_run` adds data runs on top; the
-            // interned mode runs with both (the production configuration).
+            // The reference path disables the fast paths; `fast` is the
+            // production configuration, over flat and then interned traces.
             let flat_cfg = ReplayConfig {
-                segment_exec: false,
-                data_run_exec: false,
-                ..cfg.clone()
-            };
-            let seg_cfg = ReplayConfig {
-                segment_exec: true,
-                data_run_exec: false,
-                ..cfg.clone()
-            };
-            let run_cfg = ReplayConfig {
-                segment_exec: true,
-                data_run_exec: true,
+                fast_paths: false,
                 ..cfg.clone()
             };
             // Warm up caches/allocator before timing.
-            let _ = run_scheduler(*kind, &p.eval.xcts, Some(&p.map), &run_cfg);
+            let _ = run_scheduler(*kind, &p.eval.xcts, Some(&p.map), &cfg);
             let (flat_t, flat_r) = time_mode(
                 || run_scheduler(*kind, &p.eval.xcts, Some(&p.map), &flat_cfg),
                 p.events,
                 reps,
             );
-            let (seg_t, seg_r) = time_mode(
-                || run_scheduler(*kind, &p.eval.xcts, Some(&p.map), &seg_cfg),
-                p.events,
-                reps,
-            );
-            let (run_t, run_r) = time_mode(
-                || run_scheduler(*kind, &p.eval.xcts, Some(&p.map), &run_cfg),
+            let (fast_t, fast_r) = time_mode(
+                || run_scheduler(*kind, &p.eval.xcts, Some(&p.map), &cfg),
                 p.events,
                 reps,
             );
             let (int_t, int_r) = time_mode(
-                || run_scheduler(*kind, &iset, Some(&p.map), &run_cfg),
+                || run_scheduler(*kind, &iset, Some(&p.map), &cfg),
                 p.events,
                 reps,
             );
 
             // Equivalence guards: no fast path may change the simulation,
-            // on spec-driven workloads exactly as on the trio. The
-            // data_run assert is CI's `data-run-equivalence` gate.
+            // on spec-driven workloads exactly as on the trio. The fast
+            // assert is CI's `data-run-equivalence` gate.
             let what = |path| format!("{}/{}: {path} path", p.bench.name(), kind.name());
-            assert_identical(&seg_r, &flat_r, &what("segment"));
-            assert_identical(&run_r, &flat_r, &what("data_run"));
+            assert_identical(&fast_r, &flat_r, &what("fast"));
             assert_identical(&int_r, &flat_r, &what("interned"));
 
-            let speedup = flat_t.seconds / seg_t.seconds;
-            let run_speedup = flat_t.seconds / run_t.seconds;
+            let fast_speedup = flat_t.seconds / fast_t.seconds;
             let int_speedup = flat_t.seconds / int_t.seconds;
             eprintln!(
-                "bench: {:<6} {:<9} flat {:>9.0} ev/s | segment {:>9.0} ev/s | data_run {:>9.0} ev/s | interned {:>9.0} ev/s | data_run speedup {:.2}x",
+                "bench: {:<6} {:<9} flat {:>9.0} ev/s | fast {:>9.0} ev/s | interned {:>9.0} ev/s | fast speedup {:.2}x",
                 p.bench.name(),
                 kind.name(),
                 flat_t.events_per_sec,
-                seg_t.events_per_sec,
-                run_t.events_per_sec,
+                fast_t.events_per_sec,
                 int_t.events_per_sec,
-                run_speedup
+                fast_speedup
             );
 
             let _ = write!(
                 out,
                 "      {{\n        \"scheduler\": \"{}\",\n        \"instructions\": {},\n        \"total_sim_cycles\": {:.1},\n",
                 kind.name(),
-                run_r.instructions,
-                run_r.total_cycles
+                fast_r.instructions,
+                fast_r.total_cycles
             );
             json_mode(&mut out, "flat", &flat_t);
             out.push_str(",\n");
-            json_mode(&mut out, "segment", &seg_t);
-            out.push_str(",\n");
-            json_mode(&mut out, "data_run", &run_t);
+            json_mode(&mut out, "fast", &fast_t);
             out.push_str(",\n");
             json_mode(&mut out, "interned", &int_t);
             let _ = write!(
                 out,
-                ",\n        \"segment_speedup\": {speedup:.3},\n        \"data_run_speedup\": {run_speedup:.3},\n        \"interned_speedup\": {int_speedup:.3}\n      }}"
+                ",\n        \"fast_speedup\": {fast_speedup:.3},\n        \"interned_speedup\": {int_speedup:.3}\n      }}"
             );
             out.push_str(if i + 1 < SchedulerKind::ALL.len() {
                 ",\n"
             } else {
                 "\n"
             });
-            run_results.push(run_r);
+            fast_results.push(fast_r);
         }
         out.push_str("    ]\n  }");
         out.push_str(if wi + 1 < prepared.len() { ",\n" } else { "\n" });
-        reference_results.push(run_results);
+        reference_results.push(fast_results);
     }
     out.push_str("  ],\n");
 
@@ -475,8 +453,6 @@ fn main() {
     service_section(&mut out, &args, &prepared[0], n, &reference_results[0]);
     out.push_str(",\n");
     htm_section(&mut out, &prepared, &reference_results);
-    out.push_str(",\n");
-    shards_section(&mut out, &args, &cfg, &prepared[0], reps);
 
     if args.scaling {
         out.push_str(",\n");
@@ -631,97 +607,6 @@ fn htm_section(out: &mut String, prepared: &[Prepared], reference_results: &[Vec
     out.push_str("    ]\n  }");
 }
 
-/// The `shards` section: the intra-replay decode-sharding ladder on the
-/// first selected benchmark. Every scheduler replays the interned eval
-/// traces at 1 / 2 / 4 decode shards (plus `--shards` when it names
-/// another rung), and each sharded result is asserted bit-identical to
-/// the serial engine's — the runtime `shard-equivalence` CI gate, across
-/// all five schedulers. Sharding moves trace *decoding* off the merge
-/// thread but leaves the discrete-event loop serial, so it is a latency
-/// knob, not a semantics knob: on a single shared core the expected
-/// reading is "no slower", with the win appearing on hosts with idle
-/// cores and decode-heavy (interned, delta-encoded) traces.
-fn shards_section(
-    out: &mut String,
-    args: &addict_bench::BenchArgs,
-    cfg: &ReplayConfig,
-    p0: &Prepared,
-    base_reps: usize,
-) {
-    let mut ladder = vec![1usize, 2, 4];
-    if !ladder.contains(&args.shards) {
-        ladder.push(args.shards);
-        ladder.sort_unstable();
-    }
-    // Shard handoff keeps the replay deterministic, not the wall clock;
-    // best-of a few reps is enough to see the trend without re-running
-    // the full matrix budget.
-    let reps = base_reps.min(5);
-    let iset = p0.interned.as_set();
-    let _ = write!(
-        out,
-        "  \"shards\": {{\n    \"workload\": \"{}\",\n    \"ladder\": {ladder:?},\n    \"reps_best_of\": {reps},\n    \"bit_identical\": true,\n    \"schedulers\": [\n",
-        p0.bench.name()
-    );
-    for (i, kind) in SchedulerKind::ALL.iter().enumerate() {
-        let _ = write!(
-            out,
-            "      {{ \"scheduler\": \"{}\", \"points\": [ ",
-            kind.name()
-        );
-        let mut serial: Option<(ModeTiming, ReplayResult)> = None;
-        for (j, &shards) in ladder.iter().enumerate() {
-            let shard_cfg = ReplayConfig {
-                segment_exec: true,
-                data_run_exec: true,
-                shards,
-                ..cfg.clone()
-            };
-            let (timing, r) = time_mode(
-                || run_scheduler(*kind, &iset, Some(&p0.map), &shard_cfg),
-                p0.events,
-                reps,
-            );
-            if let Some((_, base)) = &serial {
-                assert_identical(
-                    &r,
-                    base,
-                    &format!("{}/{}: {shards}-shard replay", p0.bench.name(), kind.name()),
-                );
-            }
-            let _ = write!(
-                out,
-                "{}{{ \"shards\": {shards}, \"seconds\": {:.6}, \"events_per_sec\": {:.1} }}",
-                if j > 0 { ", " } else { "" },
-                timing.seconds,
-                timing.events_per_sec
-            );
-            if serial.is_none() {
-                serial = Some((timing, r));
-            }
-        }
-        let (base_t, _) = serial.expect("ladder starts at 1 shard");
-        eprintln!(
-            "bench: shards {:<6} {:<9} serial {:>9.0} ev/s | ladder {:?} bit-identical ({} reps best-of)",
-            p0.bench.name(),
-            kind.name(),
-            base_t.events_per_sec,
-            ladder,
-            reps
-        );
-        let _ = write!(
-            out,
-            " ] }}{}",
-            if i + 1 < SchedulerKind::ALL.len() {
-                ",\n"
-            } else {
-                "\n"
-            }
-        );
-    }
-    out.push_str("    ]\n  }");
-}
-
 /// The `--scaling` ladder: streamed generate→intern→replay of the first
 /// selected benchmark at 400 / 10k / 100k / ... up to `--xcts`
 /// transactions, recording per-rung trace memory, generation and replay
@@ -730,10 +615,7 @@ fn shards_section(
 /// streamed interned form (at 1M TPC-B transactions the flat form alone
 /// would be ~4 GB of events) — and rungs small enough to afford a flat
 /// reference (≤ 10k) are decoded and replayed against it bit-identically
-/// before being timed. Rung replays run with `--shards` decode workers
-/// (the long single replays are exactly where intra-replay sharding is
-/// aimed), so under `--shards N` the gated rungs double as the
-/// shard-equivalence check at scale: N-shard interned vs serial flat.
+/// before being timed.
 fn scaling_section(
     out: &mut String,
     args: &addict_bench::BenchArgs,
@@ -754,22 +636,14 @@ fn scaling_section(
         bench.name(),
         p0.eval.xcts.len()
     );
-    let run_cfg = ReplayConfig {
-        segment_exec: true,
-        data_run_exec: true,
-        shards: args.shards,
-        ..cfg.clone()
-    };
     let flat_cfg = ReplayConfig {
-        segment_exec: false,
-        data_run_exec: false,
+        fast_paths: false,
         ..cfg.clone()
     };
     let _ = write!(
         out,
-        "  \"scaling\": {{\n    \"workload\": \"{}\",\n    \"gen_chunk\": {DEFAULT_GEN_CHUNK},\n    \"shards\": {},\n    \"rungs\": [\n",
-        bench.name(),
-        args.shards
+        "  \"scaling\": {{\n    \"workload\": \"{}\",\n    \"gen_chunk\": {DEFAULT_GEN_CHUNK},\n    \"rungs\": [\n",
+        bench.name()
     );
     for (ri, &rung) in rungs.iter().enumerate() {
         let t = Instant::now();
@@ -804,7 +678,7 @@ fn scaling_section(
             assert_decodes_to(&iw, &flat, &format!("{} scaling@{rung}", bench.name()));
             for kind in SchedulerKind::ALL {
                 let fr = run_scheduler(kind, &flat.xcts, Some(&p0.map), &flat_cfg);
-                let ir = run_scheduler(kind, &iset, Some(&p0.map), &run_cfg);
+                let ir = run_scheduler(kind, &iset, Some(&p0.map), cfg);
                 assert_identical(
                     &ir,
                     &fr,
@@ -830,7 +704,7 @@ fn scaling_section(
         out.push_str("        \"schedulers\": [\n");
         for (i, kind) in SchedulerKind::ALL.iter().enumerate() {
             let (timing, _) = time_mode(
-                || run_scheduler(*kind, &iset, Some(&p0.map), &run_cfg),
+                || run_scheduler(*kind, &iset, Some(&p0.map), cfg),
                 events,
                 reps,
             );

@@ -16,7 +16,7 @@
 //! | `fig8`   | Figure 8 — deeper hierarchy + power (Sections 4.6, 4.7) |
 //! | `fig9`   | Figure 9 — context switches + overhead breakdown |
 //! | `ablation` | DESIGN.md §3 design-choice ablations (beyond the paper) |
-//! | `bench`  | `BENCH_n.json` — replay throughput (events/sec) per workload and scheduler, flat vs segment-granular vs interned execution + trace-memory footprint (see BENCHMARKS.md) |
+//! | `bench`  | `BENCH_n.json` — replay throughput (events/sec) per workload and scheduler, flat vs fast-path vs interned execution + trace-memory footprint (see BENCHMARKS.md) |
 //!
 //! Every binary accepts the trace count as its first argument (default
 //! 600; the paper uses 1000 for profiling and 1000 for evaluation —
@@ -79,10 +79,6 @@ pub struct BenchArgs {
     /// Sweep worker threads (`--threads N` / `ADDICT_THREADS`, defaulting
     /// to the host parallelism; see [`sweep::default_threads`]).
     pub threads: usize,
-    /// Intra-replay decode shards (`--shards N`, default 1 = the serial
-    /// engine). Sharded replays are byte-identical to serial ones —
-    /// this is purely a latency knob, like `threads`.
-    pub shards: usize,
     /// `--smoke`: a fast CI-sized run (small trace count, single rep).
     pub smoke: bool,
     /// `--scaling`: run the `bench` binary's trace-memory-vs-throughput
@@ -97,7 +93,7 @@ pub struct BenchArgs {
     pub benchmarks_explicit: bool,
 }
 
-/// Parse `[n_xcts] [out] [--xcts N] [--threads N] [--shards N]
+/// Parse `[n_xcts] [out] [--xcts N] [--threads N]
 /// [--benchmarks a,b,...] [--smoke] [--scaling]` in any order, exiting
 /// with a usage message on a malformed flag. `--smoke` shrinks the
 /// default trace count to 60 unless one was given explicitly.
@@ -106,7 +102,7 @@ pub fn parse_bench_args(default_n: usize) -> BenchArgs {
     parse_bench_args_from(&args, default_n).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         eprintln!(
-            "usage: {} [n_xcts] [out] [--xcts N] [--threads N] [--shards N] [--benchmarks name,name,...] [--smoke] [--scaling]",
+            "usage: {} [n_xcts] [out] [--xcts N] [--threads N] [--benchmarks name,name,...] [--smoke] [--scaling]",
             args.first().map(String::as_str).unwrap_or("bench")
         );
         std::process::exit(2);
@@ -123,7 +119,6 @@ pub fn parse_bench_args(default_n: usize) -> BenchArgs {
 /// type ([`SpecError`]) for flags and jobs alike.
 pub fn parse_bench_args_from(args: &[String], default_n: usize) -> Result<BenchArgs, SpecError> {
     let mut threads = None;
-    let mut shards = None;
     let mut benchmarks = None;
     let mut smoke = false;
     let mut scaling = false;
@@ -160,15 +155,6 @@ pub fn parse_bench_args_from(args: &[String], default_n: usize) -> Result<BenchA
             s if s.starts_with("--threads=") => {
                 threads = Some(job::threads_value(&s["--threads=".len()..])?);
             }
-            "--shards" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| SpecError::new("shards", "--shards requires a value"))?;
-                shards = Some(job::shards_value(v)?);
-            }
-            s if s.starts_with("--shards=") => {
-                shards = Some(job::shards_value(&s["--shards=".len()..])?);
-            }
             "--benchmarks" => {
                 let v = it
                     .next()
@@ -183,10 +169,13 @@ pub fn parse_bench_args_from(args: &[String], default_n: usize) -> Result<BenchA
             }
             // Positionals are type-directed so flags can reorder them:
             // a number is the trace count, anything else the output path.
+            // Like the trace count, a second output path is ambiguous.
             s => match s.parse::<usize>() {
                 Ok(n) => set_xcts(n)?,
                 Err(_) => {
-                    out.get_or_insert_with(|| s.to_owned());
+                    if out.replace(s.to_owned()).is_some() {
+                        return Err(SpecError::new("out", "output path given more than once"));
+                    }
                 }
             },
         }
@@ -195,7 +184,6 @@ pub fn parse_bench_args_from(args: &[String], default_n: usize) -> Result<BenchA
         n_xcts: n_xcts.unwrap_or(if smoke { 60 } else { default_n }),
         out,
         threads: threads.unwrap_or_else(sweep::default_threads),
-        shards: shards.unwrap_or(1),
         smoke,
         scaling,
         benchmarks_explicit: benchmarks.is_some(),
@@ -322,31 +310,13 @@ mod tests {
         assert_eq!(d.n_xcts, 60);
         assert_eq!(d.out.as_deref(), Some("/tmp/s.json"));
         assert!(d.smoke);
-    }
-
-    #[test]
-    fn bench_args_parse_shards_flag() {
-        let argv = |v: &[&str]| v.iter().map(|s| (*s).to_owned()).collect::<Vec<_>>();
-        // Default: the serial engine.
-        let a = parse_bench_args_from(&argv(&["bench", "--smoke"]), 600).unwrap();
-        assert_eq!(a.shards, 1);
-        let b = parse_bench_args_from(&argv(&["bench", "--shards", "4", "out.json"]), 600).unwrap();
-        assert_eq!(b.shards, 4);
-        assert_eq!(b.out.as_deref(), Some("out.json"));
-        let c = parse_bench_args_from(&argv(&["bench", "--shards=2", "--smoke"]), 600).unwrap();
-        assert_eq!(c.shards, 2);
-        // Garbage, zero, a missing value, and a flag swallowed as the
-        // value are explicit errors — same contract as --threads.
+        // A second output path is an error, not silently dropped.
         for bad in [
-            vec!["bench", "--shards"],
-            vec!["bench", "--shards", "--smoke"],
-            vec!["bench", "--shards", "4x"],
-            vec!["bench", "--shards=0"],
-            vec!["bench", "--shards=lots"],
+            vec!["bench", "a.json", "b.json"],
+            vec!["bench", "a.json", "--smoke", "400", "b.json"],
         ] {
             let err = parse_bench_args_from(&argv(&bad), 600).unwrap_err();
-            assert_eq!(err.field, "shards", "{bad:?} gave {err:?}");
-            assert!(err.message.contains("--shards"), "{bad:?} gave {err:?}");
+            assert_eq!(err.field, "out", "{bad:?} gave {err:?}");
         }
     }
 

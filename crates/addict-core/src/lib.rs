@@ -26,7 +26,6 @@ pub mod algorithm1;
 pub mod plan;
 pub mod replay;
 pub mod sched;
-mod shard;
 pub mod specialize;
 
 pub use algorithm1::{

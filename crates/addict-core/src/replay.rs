@@ -42,28 +42,15 @@ pub struct ReplayConfig {
     pub slicc_fill_threshold: u64,
     /// Power model for the Figure 8(b) report.
     pub power: PowerModel,
-    /// Execute instruction runs segment-granularly (the allocation-free
-    /// fast path) when the policy allows it. Produces bit-identical results
-    /// to the per-block path; `false` forces per-block execution (kept for
-    /// the equivalence tests and the hot-path benchmarks).
-    pub segment_exec: bool,
-    /// Execute consecutive data accesses run-granularly when the policy
-    /// allows it ([`Policy::data_run_granular`]): whole data runs execute
-    /// inside the machine, private leading hits consumed without touching
-    /// the coherence directory. Produces bit-identical results to the
-    /// per-block path; `false` forces per-event data execution (kept for
-    /// the equivalence tests and the hot-path benchmarks).
-    pub data_run_exec: bool,
-    /// Worker threads one replay's trace decoding is sharded across
-    /// (1 = the serial engine). Cores partition into contiguous shard
-    /// ranges the way blocks partition into LLC banks; each shard's
-    /// worker advances its threads' cursors independently up to a
-    /// conservative decode-ahead horizon, and the merge layer serializes
-    /// every machine effect in exactly the [`Cluster::earliest_of`] total
-    /// order (penalty, then lowest core id) — so N-shard replays
-    /// serialize **byte-identical** [`ReplayResult`]s to 1-shard runs.
-    /// Clamped to the core count.
-    pub shards: usize,
+    /// Execute through the fast paths where the policy allows them: whole
+    /// instruction runs segment-granularly ([`Policy::segment_granular`])
+    /// and consecutive data accesses run-granularly
+    /// ([`Policy::data_run_granular`]), private leading hits consumed
+    /// without touching the coherence directory. Produces bit-identical
+    /// results to per-block execution; `false` forces the per-block
+    /// reference path (kept for the equivalence tests and the hot-path
+    /// benchmarks).
+    pub fast_paths: bool,
 }
 
 impl ReplayConfig {
@@ -76,21 +63,13 @@ impl ReplayConfig {
             strex_miss_threshold: 64,
             slicc_fill_threshold: 48,
             power: PowerModel::default(),
-            segment_exec: true,
-            data_run_exec: true,
-            shards: 1,
+            fast_paths: true,
         }
     }
 
     /// Same configuration with a different batch size (Section 4.5).
     pub fn with_batch_size(mut self, b: usize) -> Self {
         self.batch_size = b.max(1);
-        self
-    }
-
-    /// Same configuration sharded across `s` worker threads.
-    pub fn with_shards(mut self, s: usize) -> Self {
-        self.shards = s.max(1);
         self
     }
 }
@@ -357,7 +336,7 @@ pub fn batch_order<T: TraceSet + ?Sized>(traces: &T, batch_size: usize) -> Vec<V
 /// after that. Generic over the trace storage layout ([`TraceSet`]): the
 /// flat and interned forms replay through the identical engine, so they
 /// are bit-identical by construction.
-pub fn run_des<T: TraceSet + Sync + ?Sized, P: Policy>(
+pub fn run_des<T: TraceSet + ?Sized, P: Policy>(
     machine: &mut Machine,
     traces: &T,
     order: &[usize],
@@ -402,7 +381,7 @@ pub enum Admission {
 /// does not change the data contention patterns"). `None` admits everything
 /// immediately (Baseline dispatch, STREX's overloaded cores).
 #[allow(clippy::too_many_arguments)]
-pub fn run_des_admitted<T: TraceSet + Sync + ?Sized, P: Policy>(
+pub fn run_des_admitted<T: TraceSet + ?Sized, P: Policy>(
     machine: &mut Machine,
     traces: &T,
     order: &[usize],
@@ -413,7 +392,7 @@ pub fn run_des_admitted<T: TraceSet + Sync + ?Sized, P: Policy>(
     admission: Admission,
 ) -> ReplayResult {
     // Admission queue: (tid, initial core, batch id) in dispatch order.
-    let pending: VecDeque<(usize, usize, usize)> = order
+    let mut pending: VecDeque<(usize, usize, usize)> = order
         .iter()
         .enumerate()
         .map(|(dispatch_idx, &tid)| {
@@ -425,47 +404,6 @@ pub fn run_des_admitted<T: TraceSet + Sync + ?Sized, P: Policy>(
         })
         .collect();
 
-    let shards = cfg.shards.clamp(1, machine.n_cores().max(1));
-    if shards > 1 && !pending.is_empty() {
-        crate::shard::run_sharded(
-            machine,
-            traces,
-            pending,
-            policy,
-            scheduler_name,
-            cfg,
-            &admission,
-            shards,
-        )
-    } else {
-        des_loop(
-            machine,
-            traces,
-            pending,
-            policy,
-            scheduler_name,
-            cfg,
-            &admission,
-        )
-    }
-}
-
-/// The serial discrete-event loop over a pre-built admission queue: one
-/// [`TraceSet::fetch`] per step, machine effects applied in exactly the
-/// [`Cluster::earliest_of`] total order. Sharded replays run this same
-/// loop over a [`crate::shard::ShardedView`] — that is the whole
-/// byte-identity argument: only the trace *decoding* moves off-thread,
-/// never the merge.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn des_loop<T: TraceSet + ?Sized, P: Policy>(
-    machine: &mut Machine,
-    traces: &T,
-    mut pending: VecDeque<(usize, usize, usize)>,
-    policy: &mut P,
-    scheduler_name: &str,
-    cfg: &ReplayConfig,
-    admission: &Admission,
-) -> ReplayResult {
     let n_cores = machine.n_cores();
     let mut cluster = Cluster::new(n_cores);
     let mut threads: Vec<Thread<T::Cursor>> = (0..traces.len())
@@ -503,7 +441,7 @@ pub(crate) fn des_loop<T: TraceSet + ?Sized, P: Policy>(
             let Some(&(tid, core, batch)) = pending.front() else {
                 return;
             };
-            let admit_ok = match admission {
+            let admit_ok = match &admission {
                 Admission::All => true,
                 Admission::Bounded(max) => *inflight < (*max).max(1),
                 Admission::BatchSerial { inflight: max, .. } => {
@@ -541,9 +479,9 @@ pub(crate) fn des_loop<T: TraceSet + ?Sized, P: Policy>(
         &mut inflight_of_batch,
     );
 
-    let use_segment = cfg.segment_exec && policy.segment_granular();
+    let use_segment = cfg.fast_paths && policy.segment_granular();
     let stop_on_miss = policy.observes_misses();
-    let use_data_runs = cfg.data_run_exec && policy.data_run_granular();
+    let use_data_runs = cfg.fast_paths && policy.data_run_granular();
     // One run buffer for the whole replay: gather grows it to the longest
     // data run once, after which the hot loop is allocation-free.
     let mut data_run = DataRun::new();

@@ -230,7 +230,7 @@ impl Policy for AddictPolicy<'_> {
 }
 
 /// Replay under ADDICT with the given assignment plan.
-pub fn run<T: TraceSet + Sync + ?Sized>(
+pub fn run<T: TraceSet + ?Sized>(
     traces: &T,
     plan: &AssignmentPlan,
     cfg: &ReplayConfig,
@@ -239,7 +239,7 @@ pub fn run<T: TraceSet + Sync + ?Sized>(
 }
 
 /// Replay with dynamic reassignment switchable (ablation).
-pub fn run_with_options<T: TraceSet + Sync + ?Sized>(
+pub fn run_with_options<T: TraceSet + ?Sized>(
     traces: &T,
     plan: &AssignmentPlan,
     cfg: &ReplayConfig,

@@ -100,7 +100,7 @@ impl std::str::FromStr for SchedulerKind {
 ///
 /// # Panics
 /// Panics if `kind` is [`SchedulerKind::Addict`] and `map` is `None`.
-pub fn run_scheduler<T: TraceSet + Sync + ?Sized>(
+pub fn run_scheduler<T: TraceSet + ?Sized>(
     kind: SchedulerKind,
     traces: &T,
     map: Option<&MigrationMap>,

@@ -95,7 +95,7 @@ impl Policy for SliccPolicy {
 }
 
 /// Replay under SLICC.
-pub fn run<T: TraceSet + Sync + ?Sized>(traces: &T, cfg: &ReplayConfig) -> ReplayResult {
+pub fn run<T: TraceSet + ?Sized>(traces: &T, cfg: &ReplayConfig) -> ReplayResult {
     let mut machine = Machine::new(&cfg.sim);
     let n_cores = cfg.sim.n_cores;
     let batches = batch_order(traces, cfg.batch_size);

@@ -54,15 +54,15 @@ fn interned_replay_is_byte_identical_on_all_benchmarks() {
     }
 }
 
-/// The per-block execution path (segment_exec off) is equivalent too —
-/// interning must not depend on the segment fast path for correctness.
+/// The per-block execution path (fast paths off) is equivalent too —
+/// interning must not depend on the fast paths for correctness.
 #[test]
 fn interned_per_block_path_is_byte_identical() {
     let (profile, eval) = small_eval(Benchmark::TpcC, 24);
     let interned = InternedWorkload::from_flat(&eval);
     let iset = interned.as_set();
     let cfg = ReplayConfig {
-        segment_exec: false,
+        fast_paths: false,
         ..ReplayConfig::paper_default()
     };
     let map = find_migration_points(&profile.xcts, cfg.sim.l1i);

@@ -3,8 +3,8 @@
 //! per-transaction latencies for all five schedulers — on generated
 //! transaction mixes and, via the full matrix gate below, on real trace
 //! sets from **every registry benchmark**, in **both storage layouts**
-//! (flat and interned), with segment-granular instruction execution and
-//! run-granular data execution toggled independently.
+//! (flat and interned), with the fast paths (segment-granular instruction
+//! execution plus run-granular data execution) on and off.
 //!
 //! The engine guarantees bit-equality (not approximate equality): the fast
 //! paths accumulate per-block `f64` charges in the same order as the
@@ -20,14 +20,13 @@ use addict_trace::{InternedWorkload, OpKind, TraceEvent, XctTrace, XctTypeId};
 use addict_workloads::{collect_traces, Benchmark};
 use proptest::prelude::*;
 
-/// The four execution-mode combinations: (segment_exec, data_run_exec).
-/// `(false, false)` is the reference per-block, per-event path.
-const MODES: [(bool, bool); 4] = [(false, false), (true, false), (false, true), (true, true)];
+/// The two execution modes (`ReplayConfig::fast_paths`). `false` is the
+/// reference per-block, per-event path.
+const MODES: [bool; 2] = [false, true];
 
-fn with_modes(cfg: &ReplayConfig, segment: bool, data_run: bool) -> ReplayConfig {
+fn with_fast_paths(cfg: &ReplayConfig, fast_paths: bool) -> ReplayConfig {
     ReplayConfig {
-        segment_exec: segment,
-        data_run_exec: data_run,
+        fast_paths,
         ..cfg.clone()
     }
 }
@@ -59,27 +58,14 @@ fn assert_identical(fast: &ReplayResult, reference: &ReplayResult, what: &str) {
     assert_eq!(fast.instructions, reference.instructions);
 }
 
-/// Run one scheduler in all four mode combinations and assert every fast
-/// combination reproduces the reference path bit-for-bit.
+/// Run one scheduler in both modes and assert the fast paths reproduce
+/// the reference path bit-for-bit.
 fn assert_equivalent(kind: SchedulerKind, traces: &[XctTrace], cfg: &ReplayConfig) {
     let map = find_migration_points(traces, cfg.sim.l1i);
-    let run = |(segment, data_run): (bool, bool)| -> ReplayResult {
-        run_scheduler(
-            kind,
-            traces,
-            Some(&map),
-            &with_modes(cfg, segment, data_run),
-        )
-    };
-    let reference = run(MODES[0]);
-    for mode in &MODES[1..] {
-        let fast = run(*mode);
-        assert_identical(
-            &fast,
-            &reference,
-            &format!("{kind:?} (segment={}, data_run={})", mode.0, mode.1),
-        );
-    }
+    let [reference, fast] = MODES.map(|fast_paths| {
+        run_scheduler(kind, traces, Some(&map), &with_fast_paths(cfg, fast_paths))
+    });
+    assert_identical(&fast, &reference, &format!("{kind:?} (fast paths)"));
 }
 
 /// A transaction with multi-block instruction runs interleaved with data
@@ -129,7 +115,7 @@ fn arb_trace() -> impl Strategy<Value = XctTrace> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Flat/segment equivalence on generated mixes, all five schedulers,
+    /// Flat/fast-path equivalence on generated mixes, all five schedulers,
     /// varying core counts and batch sizes.
     #[test]
     fn segment_replay_is_bit_identical(
@@ -184,9 +170,10 @@ fn serialize(r: &ReplayResult) -> Vec<u8> {
 }
 
 /// The full matrix gate: every scheduler × every registry benchmark ×
-/// both storage layouts × data runs on/off (with segment execution on, the
-/// production configuration) produces `ReplayResult`s byte-identical to
-/// the per-block, per-event reference — and the data-access count is
+/// both storage layouts, with the fast paths on (the production
+/// configuration) and, for the interned layout, off as well, produces
+/// `ReplayResult`s byte-identical to the flat per-block, per-event
+/// reference — and the data-access count is
 /// single-sourced: `MachineStats::data_accesses` equals the traces' own
 /// `Data`-event count on every path, so a miscounted run length can never
 /// silently skew `l1d_mpki`.
@@ -206,12 +193,8 @@ fn data_run_matrix_is_byte_identical_on_all_benchmarks() {
         .with_batch_size(8);
         let map = find_migration_points(&profile.xcts, cfg.sim.l1i);
         for kind in SchedulerKind::ALL {
-            let reference = run_scheduler(
-                kind,
-                &eval.xcts,
-                Some(&map),
-                &with_modes(&cfg, false, false),
-            );
+            let reference =
+                run_scheduler(kind, &eval.xcts, Some(&map), &with_fast_paths(&cfg, false));
             let reference_bytes = serialize(&reference);
             assert_eq!(
                 reference.stats.data_accesses(),
@@ -219,20 +202,20 @@ fn data_run_matrix_is_byte_identical_on_all_benchmarks() {
                 "{kind:?} on {}: reference path lost/duplicated data accesses",
                 bench.name()
             );
-            for (segment, data_run) in [(true, false), (true, true), (false, true)] {
-                let modes = with_modes(&cfg, segment, data_run);
+            for fast_paths in MODES {
+                let modes = with_fast_paths(&cfg, fast_paths);
                 let flat = run_scheduler(kind, &eval.xcts, Some(&map), &modes);
                 assert_eq!(
                     serialize(&flat),
                     reference_bytes,
-                    "{kind:?} on {} (flat, segment={segment}, data_run={data_run}) diverged",
+                    "{kind:?} on {} (flat, fast_paths={fast_paths}) diverged",
                     bench.name()
                 );
                 let int = run_scheduler(kind, &iset, Some(&map), &modes);
                 assert_eq!(
                     serialize(&int),
                     reference_bytes,
-                    "{kind:?} on {} (interned, segment={segment}, data_run={data_run}) diverged",
+                    "{kind:?} on {} (interned, fast_paths={fast_paths}) diverged",
                     bench.name()
                 );
                 // Stats single-source guard, both layouts, every mode.

@@ -42,19 +42,6 @@ const INVALID_LINE: Line = Line {
     dirty: false,
 };
 
-/// Best-effort host prefetch of the cache line holding `*p`. A pure hint:
-/// no architectural load happens, so it cannot change simulated state or
-/// results — only when host memory traffic occurs. No-op off x86_64.
-#[inline(always)]
-pub(crate) fn prefetch_ptr<T>(p: *const T) {
-    #[cfg(target_arch = "x86_64")]
-    unsafe {
-        core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(p as *const i8);
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = p;
-}
-
 /// A set-associative cache with true-LRU replacement, operating on
 /// [`BlockAddr`]s. Stores no payload bytes — only presence, recency, and a
 /// dirty bit (enough for miss accounting and write-back modeling).
@@ -85,25 +72,6 @@ impl SetAssocCache {
     #[inline]
     fn set_index(&self, block: BlockAddr) -> usize {
         (block.0 & self.set_mask) as usize
-    }
-
-    /// Warm the host cache lines holding `block`'s set (best-effort hint;
-    /// issues no observable loads, so simulated state is untouched). The
-    /// replay engine calls this for a data run's coherent tail before
-    /// walking it: at scale the LLC tag arrays outgrow the host L2, and
-    /// the serial walk otherwise eats one demand miss per set probe.
-    #[inline]
-    pub fn prefetch(&self, block: BlockAddr) {
-        let start = self.set_index(block) * self.ways;
-        let set = &self.lines[start..start + self.ways];
-        let base = set.as_ptr() as *const u8;
-        let bytes = std::mem::size_of_val(set);
-        let mut off = 0;
-        while off < bytes {
-            // In-bounds: `off < bytes` and the slice owns `bytes` bytes.
-            prefetch_ptr(unsafe { base.add(off) });
-            off += 64;
-        }
     }
 
     #[inline]

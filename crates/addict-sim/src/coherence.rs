@@ -165,28 +165,16 @@ const EMPTY_SLOT: Slot = Slot {
     state: SlotState::Empty,
 };
 
-/// One address shard of the directory: an open-addressed hash table
-/// (linear probing, tombstone deletion, amortized growth). A block's
-/// entry lives in exactly one shard, so per-block observable behavior is
-/// identical to a single flat table.
+/// Full-map directory for up to 64 cores, backed by an open-addressed hash
+/// table so `on_read` / `on_write` / `on_evict` never allocate except for
+/// amortized table growth.
 #[derive(Debug)]
-struct Table {
+pub struct Directory {
     slots: Vec<Slot>,
     /// Live entries.
     len: usize,
     /// Dead (tombstoned) slots still occupying probe chains.
     tombstones: usize,
-}
-
-/// Full-map directory for up to 64 cores, partitioned by block address
-/// into independent [`Table`] shards the way LLC banks partition blocks:
-/// each shard owns a disjoint address slice, so `on_read` / `on_write` /
-/// `on_evict` on different shards touch disjoint state (the sharded
-/// replay engine's merge layer exploits this), and none of them allocate
-/// except for amortized per-shard table growth.
-#[derive(Debug)]
-pub struct Directory {
-    tables: Vec<Table>,
 }
 
 impl Default for Directory {
@@ -205,23 +193,12 @@ fn hash_block(block: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Shard index for a hashed block. Uses the *high* hash bits so the
-/// shard choice is independent of the slot index (low bits) inside the
-/// shard's table — correlating the two would cluster probe chains.
-#[inline]
-fn shard_of(h: u64, n: usize) -> usize {
-    if n == 1 {
-        0
-    } else {
-        ((h >> 32) as usize) % n
-    }
-}
-
 const INITIAL_CAPACITY: usize = 1024;
 
-impl Table {
-    fn new() -> Self {
-        Table {
+impl Directory {
+    /// Empty directory.
+    pub fn new() -> Self {
+        Directory {
             slots: vec![EMPTY_SLOT; INITIAL_CAPACITY],
             len: 0,
             tombstones: 0,
@@ -233,11 +210,11 @@ impl Table {
         self.slots.len() - 1
     }
 
-    /// Index of the slot holding `block` (pre-hashed as `h`), if present.
+    /// Index of the slot holding `block`, if present.
     #[inline]
-    fn find(&self, block: u64, h: u64) -> Option<usize> {
+    fn find(&self, block: u64) -> Option<usize> {
         let mask = self.mask();
-        let mut i = h as usize & mask;
+        let mut i = hash_block(block) as usize & mask;
         loop {
             let slot = &self.slots[i];
             match slot.state {
@@ -248,16 +225,15 @@ impl Table {
         }
     }
 
-    /// Index of the slot for `block` (pre-hashed as `h`), inserting an
-    /// empty entry if absent.
-    fn find_or_insert(&mut self, block: u64, h: u64) -> usize {
+    /// Index of the slot for `block`, inserting an empty entry if absent.
+    fn find_or_insert(&mut self, block: u64) -> usize {
         // Grow before the probe so the insert below always finds room and
         // chains stay short (max load 7/8 including tombstones).
         if (self.len + self.tombstones + 1) * 8 > self.slots.len() * 7 {
             self.grow();
         }
         let mask = self.mask();
-        let mut i = h as usize & mask;
+        let mut i = hash_block(block) as usize & mask;
         let mut first_tombstone = None;
         loop {
             let slot = &self.slots[i];
@@ -356,8 +332,11 @@ impl Table {
         action
     }
 
-    fn on_read(&mut self, core: usize, block: u64, h: u64) -> CoherenceAction {
-        let i = self.find_or_insert(block, h);
+    /// Core `core` reads `block`. Returns the remote work required.
+    /// After this call the directory records `core` as a sharer.
+    pub fn on_read(&mut self, core: usize, block: BlockAddr) -> CoherenceAction {
+        debug_assert!(core < 64);
+        let i = self.find_or_insert(block.0);
         let entry = &mut self.slots[i];
         let action = Self::read_action(core, entry.owner);
         if action.supplier.is_some() {
@@ -367,8 +346,11 @@ impl Table {
         action
     }
 
-    fn on_write(&mut self, core: usize, block: u64, h: u64) -> CoherenceAction {
-        let i = self.find_or_insert(block, h);
+    /// Core `core` writes `block`. All other copies are invalidated and
+    /// `core` becomes the modified owner.
+    pub fn on_write(&mut self, core: usize, block: BlockAddr) -> CoherenceAction {
+        debug_assert!(core < 64);
+        let i = self.find_or_insert(block.0);
         let entry = &mut self.slots[i];
         let action = Self::write_action(core, entry.sharers, entry.owner);
         entry.sharers = 1 << core;
@@ -376,15 +358,25 @@ impl Table {
         action
     }
 
-    fn peek_read(&self, core: usize, block: u64, h: u64) -> CoherenceAction {
-        match self.find(block, h) {
+    /// The exact [`CoherenceAction`] [`Directory::on_read`] would return
+    /// for this access, **without** performing it. An untracked block is
+    /// silent. This is the speculation subsystem's conflict oracle: a
+    /// policy peeks the action of the access it is about to execute and
+    /// dooms any speculative window the action's victims hold open.
+    pub fn peek_read(&self, core: usize, block: BlockAddr) -> CoherenceAction {
+        debug_assert!(core < 64);
+        match self.find(block.0) {
             Some(i) => Self::read_action(core, self.slots[i].owner),
             None => CoherenceAction::default(),
         }
     }
 
-    fn peek_write(&self, core: usize, block: u64, h: u64) -> CoherenceAction {
-        match self.find(block, h) {
+    /// The exact [`CoherenceAction`] [`Directory::on_write`] would return
+    /// for this access, without performing it (see
+    /// [`Directory::peek_read`]).
+    pub fn peek_write(&self, core: usize, block: BlockAddr) -> CoherenceAction {
+        debug_assert!(core < 64);
+        match self.find(block.0) {
             Some(i) => {
                 let entry = &self.slots[i];
                 Self::write_action(core, entry.sharers, entry.owner)
@@ -393,8 +385,10 @@ impl Table {
         }
     }
 
-    fn on_evict(&mut self, core: usize, block: u64, h: u64) {
-        if let Some(i) = self.find(block, h) {
+    /// Core `core` evicted `block` from its L1-D (silently for clean lines,
+    /// with a writeback for dirty ones — the caller models the writeback).
+    pub fn on_evict(&mut self, core: usize, block: BlockAddr) {
+        if let Some(i) = self.find(block.0) {
             let entry = &mut self.slots[i];
             entry.sharers &= !(1 << core);
             if entry.owner as usize == core {
@@ -405,126 +399,34 @@ impl Table {
             }
         }
     }
-}
-
-impl Directory {
-    /// Empty directory in a single shard (tests and small configs).
-    pub fn new() -> Self {
-        Self::with_shards(1)
-    }
-
-    /// Empty directory partitioned into `shards` independent address
-    /// shards (clamped to at least one). The machine passes its core
-    /// count, mirroring the LLC's one-bank-per-core layout.
-    pub fn with_shards(shards: usize) -> Self {
-        Directory {
-            tables: (0..shards.max(1)).map(|_| Table::new()).collect(),
-        }
-    }
-
-    /// Number of address shards.
-    pub fn shards(&self) -> usize {
-        self.tables.len()
-    }
-
-    /// The shard owning `block`, plus the block's hash (shared with the
-    /// shard's slot probe so it is computed once per access).
-    #[inline]
-    fn shard_for(&self, block: BlockAddr) -> (usize, u64) {
-        let h = hash_block(block.0);
-        (shard_of(h, self.tables.len()), h)
-    }
-
-    /// Warm the host cache line at the head of `block`'s probe chain
-    /// (best-effort hint; no simulated state is read or written). The
-    /// directory's tables grow to the machine's cached-block high-water
-    /// mark, which leaves the host L2 long before the big scaling rungs —
-    /// callers that know a batch of upcoming accesses (a data run's
-    /// coherent tail) hide those demand misses by prefetching the batch
-    /// before the serial walk.
-    #[inline]
-    pub fn prefetch(&self, block: BlockAddr) {
-        let (s, h) = self.shard_for(block);
-        let t = &self.tables[s];
-        crate::cache::prefetch_ptr(&t.slots[h as usize & t.mask()]);
-    }
-
-    /// Core `core` reads `block`. Returns the remote work required.
-    /// After this call the directory records `core` as a sharer.
-    pub fn on_read(&mut self, core: usize, block: BlockAddr) -> CoherenceAction {
-        debug_assert!(core < 64);
-        let (s, h) = self.shard_for(block);
-        self.tables[s].on_read(core, block.0, h)
-    }
-
-    /// Core `core` writes `block`. All other copies are invalidated and
-    /// `core` becomes the modified owner.
-    pub fn on_write(&mut self, core: usize, block: BlockAddr) -> CoherenceAction {
-        debug_assert!(core < 64);
-        let (s, h) = self.shard_for(block);
-        self.tables[s].on_write(core, block.0, h)
-    }
-
-    /// The exact [`CoherenceAction`] [`Directory::on_read`] would return
-    /// for this access, **without** performing it. An untracked block is
-    /// silent. This is the speculation subsystem's conflict oracle: a
-    /// policy peeks the action of the access it is about to execute and
-    /// dooms any speculative window the action's victims hold open.
-    pub fn peek_read(&self, core: usize, block: BlockAddr) -> CoherenceAction {
-        debug_assert!(core < 64);
-        let (s, h) = self.shard_for(block);
-        self.tables[s].peek_read(core, block.0, h)
-    }
-
-    /// The exact [`CoherenceAction`] [`Directory::on_write`] would return
-    /// for this access, without performing it (see
-    /// [`Directory::peek_read`]).
-    pub fn peek_write(&self, core: usize, block: BlockAddr) -> CoherenceAction {
-        debug_assert!(core < 64);
-        let (s, h) = self.shard_for(block);
-        self.tables[s].peek_write(core, block.0, h)
-    }
-
-    /// Core `core` evicted `block` from its L1-D (silently for clean lines,
-    /// with a writeback for dirty ones — the caller models the writeback).
-    pub fn on_evict(&mut self, core: usize, block: BlockAddr) {
-        let (s, h) = self.shard_for(block);
-        self.tables[s].on_evict(core, block.0, h)
-    }
 
     /// Is `core` recorded as holding `block`?
     pub fn is_sharer(&self, core: usize, block: BlockAddr) -> bool {
-        let (s, h) = self.shard_for(block);
-        self.tables[s]
-            .find(block.0, h)
-            .is_some_and(|i| self.tables[s].slots[i].sharers & (1 << core) != 0)
+        self.find(block.0)
+            .is_some_and(|i| self.slots[i].sharers & (1 << core) != 0)
     }
 
     /// The modified owner of `block`, if any.
     pub fn owner(&self, block: BlockAddr) -> Option<usize> {
-        let (s, h) = self.shard_for(block);
-        let t = &self.tables[s];
-        let i = t.find(block.0, h)?;
-        let owner = t.slots[i].owner;
+        let i = self.find(block.0)?;
+        let owner = self.slots[i].owner;
         (owner != NO_OWNER).then_some(owner as usize)
     }
 
-    /// Number of blocks with at least one sharer, summed over shards
-    /// (diagnostics).
+    /// Number of blocks with at least one sharer (diagnostics).
     pub fn tracked_blocks(&self) -> usize {
-        self.tables.iter().map(|t| t.len).sum()
+        self.len
     }
 
-    /// Dead slots still occupying probe chains, summed over shards
-    /// (diagnostics; each shard's 7/8 load-factor rebuild reclaims its
-    /// own, so a fully rebuilt directory reads 0).
+    /// Dead slots still occupying probe chains (diagnostics; the 7/8
+    /// load-factor rebuild reclaims them all, resetting this to 0).
     pub fn tombstone_count(&self) -> usize {
-        self.tables.iter().map(|t| t.tombstones).sum()
+        self.tombstones
     }
 
-    /// Total capacity in slots, summed over shards (diagnostics).
+    /// Table capacity in slots (diagnostics).
     pub fn capacity(&self) -> usize {
-        self.tables.iter().map(|t| t.slots.len()).sum()
+        self.slots.len()
     }
 }
 
@@ -738,68 +640,5 @@ mod tests {
         for (i, &k) in keys.iter().enumerate() {
             assert_eq!(d.is_sharer(1, BlockAddr(k)), i % 3 != 0, "key {k}");
         }
-    }
-
-    #[test]
-    fn sharded_directory_matches_single_shard() {
-        // A block's entry lives in exactly one shard, so every action and
-        // every observable query of a sharded directory must agree with
-        // the flat table under any interleaving. Drive a deterministic
-        // mixed workload (reads, writes, evicts, peeks) with contended
-        // blocks through 1, 2, 4, and 16 shards in lockstep.
-        let mut dirs = [
-            Directory::new(),
-            Directory::with_shards(2),
-            Directory::with_shards(4),
-            Directory::with_shards(16),
-        ];
-        assert_eq!(dirs[0].shards(), 1);
-        let mut state = 0x1234_5678_9abc_def0u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for step in 0..20_000 {
-            let r = next();
-            let block = BlockAddr(r % 768); // few enough blocks to contend
-            let core = (r >> 32) as usize % 8;
-            let (flat, rest) = dirs.split_first_mut().unwrap();
-            match (r >> 40) % 5 {
-                0 | 1 => {
-                    let a = flat.on_read(core, block);
-                    for d in rest.iter_mut() {
-                        assert_eq!(d.on_read(core, block), a, "read @{step}");
-                    }
-                }
-                2 => {
-                    let a = flat.on_write(core, block);
-                    for d in rest.iter_mut() {
-                        assert_eq!(d.on_write(core, block), a, "write @{step}");
-                    }
-                }
-                3 => {
-                    flat.on_evict(core, block);
-                    for d in rest.iter_mut() {
-                        d.on_evict(core, block);
-                    }
-                }
-                _ => {
-                    for d in rest.iter() {
-                        assert_eq!(d.peek_read(core, block), flat.peek_read(core, block));
-                        assert_eq!(d.peek_write(core, block), flat.peek_write(core, block));
-                    }
-                }
-            }
-            let (flat, rest) = dirs.split_first().unwrap();
-            for d in rest {
-                assert_eq!(d.is_sharer(core, block), flat.is_sharer(core, block));
-                assert_eq!(d.owner(block), flat.owner(block));
-                assert_eq!(d.tracked_blocks(), flat.tracked_blocks(), "len @{step}");
-            }
-        }
-        // Enough churn ran to exercise tombstoning in every shard count.
-        assert!(dirs[0].tracked_blocks() > 0);
     }
 }

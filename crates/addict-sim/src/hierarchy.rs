@@ -125,9 +125,7 @@ impl Hierarchy {
         Hierarchy {
             cores,
             llc_banks,
-            // One directory shard per core, mirroring the LLC bank layout
-            // (per-block behavior is shard-count independent).
-            directory: Directory::with_shards(cfg.n_cores),
+            directory: Directory::new(),
             hops,
             bank_shift: n_banks.is_power_of_two().then(|| n_banks.trailing_zeros()),
             next_line_prefetch: cfg.l1i_next_line_prefetch,
@@ -156,27 +154,6 @@ impl Hierarchy {
             Some(s) => ((block.0 & (n - 1)) as usize, BlockAddr(block.0 >> s)),
             None => ((block.0 % n) as usize, BlockAddr(block.0 / n)),
         }
-    }
-
-    /// The LLC bank `block` maps to — pure, for callers that group a data
-    /// run's coherent tail by bank before servicing it.
-    #[inline]
-    pub fn bank_of_block(&self, block: BlockAddr) -> usize {
-        self.bank_of(block).0
-    }
-
-    /// Warm the host cache lines a coherent access to `block` will chase:
-    /// the LLC bank set and the directory probe head (best-effort hints;
-    /// nothing simulated is read or written, so behavior and results are
-    /// bit-identical with or without the call). The per-core L1 tag
-    /// arrays are small enough to stay host-resident on their own; the
-    /// LLC tag arrays and directory tables are the structures that fall
-    /// out of the host cache once the workload's footprint outgrows it.
-    #[inline]
-    pub fn prefetch_data(&self, block: BlockAddr) {
-        let (bank, bank_block) = self.bank_of(block);
-        self.llc_banks[bank].prefetch(bank_block);
-        self.directory.prefetch(block);
     }
 
     /// Precomputed torus hop distance from `core` to `bank`.
@@ -634,7 +611,6 @@ mod tests {
                 (((b % 16) as usize), BlockAddr(b / 16)),
                 "block {b}"
             );
-            assert_eq!(h.bank_of_block(block), (b % 16) as usize);
             assert_eq!(g.bank_of(block), (((b % 6) as usize), BlockAddr(b / 6)));
         }
     }

@@ -282,35 +282,10 @@ impl Machine {
                     break;
                 }
             }
-            // Coherent tail, batched by LLC bank: the access the fast lane
-            // stopped at plus the consecutive accesses mapping to the same
-            // bank go through the full per-block path as one group, without
-            // re-probing the fast lane between them. Bit-identical to
-            // per-access fallback: an access in the group that turns out to
-            // be a private L1 hit charges exactly 0.0 and records the same
-            // stats the fast lane would (the directory transaction it runs
-            // is idempotent for resident lines — see
-            // [`Hierarchy::l1d_run_hits`]); only the `data_run_fast_hits`
-            // diagnostic, deliberately outside [`MachineStats`], can read
-            // lower. The group shares one bank resolution and skips its
-            // failed fast-lane probes.
-            let bank = self.hierarchy.bank_of_block(run[i].block);
-            let mut j = i + 1;
-            while j < run.len() && self.hierarchy.bank_of_block(run[j].block) == bank {
-                j += 1;
-            }
-            // The group's addresses are known before its serial walk:
-            // warm each access's LLC set and directory probe head up
-            // front so the walk's dependent chases overlap instead of
-            // paying one demand miss each once those tables outgrow the
-            // host cache (pure hints — results are bit-identical).
-            for a in &run[i..j] {
-                self.hierarchy.prefetch_data(a.block);
-            }
-            for a in &run[i..j] {
-                now += self.access_data(core, a.block, a.write);
-            }
-            i = j;
+            // First non-private access: full coherent path, exactly what
+            // per-block execution would do.
+            now += self.access_data(core, run[i].block, run[i].write);
+            i += 1;
         }
         now
     }
