@@ -559,8 +559,9 @@ pub struct JobResult {
 /// FNV-1a over a byte string — the digest `result_fnv64` carries so the
 /// serialized point commits to *every* field of the replay result
 /// (per-core counters, power, the full latency vector) without shipping
-/// megabytes of JSON.
-fn fnv64(bytes: &[u8]) -> u64 {
+/// megabytes of JSON. The service keys its result store with it, and the
+/// golden trace digests hash traces with it.
+pub fn fnv64(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);

@@ -47,8 +47,8 @@ pub use gen::{
     DEFAULT_GEN_CHUNK,
 };
 pub use job::{
-    run_job, run_job_with, summary_rows, CancelToken, Interrupt, JobError, JobPoint, JobResult,
-    JobSpec, SpecError, SummaryRow,
+    fnv64, run_job, run_job_with, summary_rows, CancelToken, Interrupt, JobError, JobPoint,
+    JobResult, JobSpec, SpecError, SummaryRow,
 };
 pub use sweep::{
     run_grid, run_grid_abortable, run_point, run_sweep, threads_from, SweepPoint, SweepTraces,

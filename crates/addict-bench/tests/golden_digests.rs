@@ -1,16 +1,23 @@
-//! Golden result digests: every benchmark × scheduler point of a small job
-//! must reproduce the `result_fnv64` committed in `golden_digests.txt`.
+//! Golden digests: every benchmark × scheduler point of a small job must
+//! reproduce the `result_fnv64` committed in `golden_digests.txt`, and
+//! every workload's traces must reproduce the trace digests in
+//! [`TRACE_GOLDEN`].
 //!
 //! The differential gates (flat vs fast paths, flat vs interned, 1 vs N
 //! sweep threads) compare two in-tree paths with each other, so a change
 //! that moves *both* sides — the coherence directory, storage layout,
-//! population — passes them silently. This table anchors the results
-//! themselves. A change that moves a digest on purpose regenerates the
-//! table (the failure message prints the full replacement) and says why.
+//! population — passes them silently. These tables anchor the results
+//! and the traces themselves. A change that moves a digest on purpose
+//! regenerates the table (the failure message prints the full
+//! replacement) and says why.
+
+use std::fmt::Write as _;
 
 use addict_bench::jsontext::JsonValue;
-use addict_bench::{run_job, JobSpec, TracePool};
-use addict_workloads::Benchmark;
+use addict_bench::{fnv64, run_job, JobSpec, TracePool};
+use addict_trace::XctTrace;
+use addict_workloads::tpcb::{TpcB, TpcBConfig};
+use addict_workloads::{collect_traces, Benchmark};
 
 /// The committed table: `benchmark scheduler result_fnv64` per line.
 const GOLDEN: &str = include_str!("golden_digests.txt");
@@ -60,4 +67,88 @@ fn small_job_digests_match_the_committed_table() {
          with:\n{}",
         actual.join("\n")
     );
+}
+
+/// FNV-1a over each trace's Debug form of `(xct_type, events)`, in trace
+/// order.
+fn trace_digest(traces: &[XctTrace]) -> String {
+    let mut text = String::new();
+    for t in traces {
+        let _ = write!(text, "{:?}", (t.xct_type, &t.events));
+    }
+    format!("{:016x}", fnv64(text.as_bytes()))
+}
+
+/// Seed of the per-workload trace digests.
+const TRACE_SEED: u64 = 1;
+
+/// `benchmark trace_digest` of `N_XCTS` transactions at `setup_small`,
+/// seed [`TRACE_SEED`], in [`Benchmark::ALL`] order.
+const TRACE_GOLDEN: &str = "\
+tpcb 02ba8d7a82d555a2
+tpcc d77fb8547f6e5b59
+tpce 00485ccc882a6247
+tatp 8a611ba10f927ce2
+ycsba 965a8bbab1a49296
+ycsbb 4d8de71e5db2e50d";
+
+#[test]
+fn small_trace_digests_match_the_committed_table() {
+    let actual: Vec<String> = Benchmark::ALL
+        .iter()
+        .map(|b| {
+            let (mut engine, mut workload) = b.setup_small();
+            let traces = collect_traces(&mut engine, workload.as_mut(), N_XCTS, TRACE_SEED);
+            format!("{} {}", b.id(), trace_digest(&traces.xcts))
+        })
+        .collect();
+    assert!(
+        actual.iter().eq(TRACE_GOLDEN.lines()),
+        "trace digests moved; if that is intended, replace TRACE_GOLDEN \
+         with:\n{}",
+        actual.join("\n")
+    );
+}
+
+/// TPC-B traces of `n` transactions at `branches × tellers × accounts`.
+fn tpcb_digest(scale: (u64, u64, u64), n: usize, seed: u64) -> String {
+    let (branches, tellers_per_branch, accounts_per_branch) = scale;
+    let (mut engine, mut workload) = TpcB::setup(TpcBConfig {
+        branches,
+        tellers_per_branch,
+        accounts_per_branch,
+    });
+    trace_digest(&collect_traces(&mut engine, &mut workload, n, seed).xcts)
+}
+
+/// TPC-B at the small scale over several seeds, and at an odd scale whose
+/// uneven branch sizes exercise the child-key partition arithmetic and
+/// whose 501 accounts per branch force multi-level B+-tree descents.
+#[test]
+fn tpcb_trace_digests_match_at_small_and_odd_scales() {
+    let cases = [
+        ((2, 4, 100), 40, 1, "0429a0845dc3ba68"),
+        ((2, 4, 100), 40, 2, "2bfe6a82d50eff92"),
+        ((2, 4, 100), 40, 42, "0898fd6e7738185b"),
+        ((3, 7, 501), 60, 7, "ba6a1fef8931f6bd"),
+    ];
+    for (scale, n, seed, golden) in cases {
+        assert_eq!(
+            tpcb_digest(scale, n, seed),
+            golden,
+            "TPC-B {scale:?}, {n} transactions, seed {seed}"
+        );
+    }
+}
+
+/// TPC-B at its default scale (16 × 10 × 8000), 50 transactions, seed 2.
+/// Ignored in the tier-1 run: population takes about 30 s in a release
+/// build and far longer in a debug one. CI runs it with
+/// `cargo test --release -p addict-bench --test golden_digests -- --ignored`.
+#[test]
+#[ignore]
+fn tpcb_default_scale_trace_digest_matches() {
+    let (mut engine, mut workload) = Benchmark::TpcB.setup();
+    let traces = collect_traces(&mut engine, workload.as_mut(), 50, 2);
+    assert_eq!(trace_digest(&traces.xcts), "8195ef7b6bf31ffc");
 }

@@ -36,7 +36,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use addict_bench::{CancelToken, Interrupt, JobSpec};
+use addict_bench::{fnv64, CancelToken, Interrupt, JobSpec};
 
 /// `Retry-After` fallback for a full queue until a job latency has been
 /// observed: queue slots turn over at job granularity, so retrying
@@ -270,16 +270,6 @@ pub struct Registry {
     /// Wakes observers: progress lines and state changes.
     changed: Condvar,
     cfg: RegistryConfig,
-}
-
-/// FNV-1a over the result bytes — the store key and the `result_fnv64`
-/// every status body reports.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 impl Registry {
