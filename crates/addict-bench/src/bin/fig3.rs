@@ -5,7 +5,8 @@
 use addict_analysis::{reuse_profile, ReusePoint};
 use addict_bench::{arg_xcts, header, profile_and_eval};
 use addict_trace::OpKind;
-use addict_workloads::{tpcb, Benchmark};
+use addict_workloads::spec::ACCOUNT_UPDATE;
+use addict_workloads::Benchmark;
 
 fn summarize(title: &str, points: &[ReusePoint]) {
     // Bucket the x-axis (commonality) as the figure's left-to-right order.
@@ -54,12 +55,12 @@ fn main() {
     let (trace, _) = profile_and_eval(Benchmark::TpcB, n, 0);
 
     println!("\nAccountUpdate transaction:");
-    let p = reuse_profile(&trace, tpcb::ACCOUNT_UPDATE, None).expect("traces present");
+    let p = reuse_profile(&trace, ACCOUNT_UPDATE, None).expect("traces present");
     summarize("instruction cache blocks", &p.instr);
     summarize("data cache blocks", &p.data);
 
     println!("\ninsert-tuple operation:");
-    let p = reuse_profile(&trace, tpcb::ACCOUNT_UPDATE, Some(OpKind::Insert))
+    let p = reuse_profile(&trace, ACCOUNT_UPDATE, Some(OpKind::Insert))
         .expect("insert instances present");
     summarize("instruction cache blocks", &p.instr);
     summarize("data cache blocks", &p.data);

@@ -21,7 +21,7 @@ fn main() {
     let cases: [(Benchmark, XctTypeId, &str); 3] = [
         (
             Benchmark::TpcB,
-            addict_workloads::tpcb::ACCOUNT_UPDATE,
+            addict_workloads::spec::ACCOUNT_UPDATE,
             "TPC-B AccountUpdate",
         ),
         (Benchmark::TpcC, tpcc::NEW_ORDER, "TPC-C NewOrder"),

@@ -12,7 +12,7 @@ use addict_core::replay::{ReplayConfig, ReplayResult};
 use addict_core::sched::{run_scheduler, SchedulerKind};
 use addict_sim::SimConfig;
 use addict_trace::{InternedWorkload, SlicePool, TraceSet, WorkloadTrace};
-use addict_workloads::{collect_traces, collect_traces_interned, Benchmark};
+use addict_workloads::{collect_traces, collect_traces_interned_chunked, Benchmark};
 
 /// Canonical byte form of a replay outcome: `Debug` covers every field and
 /// renders `f64` shortest-roundtrip, so byte equality is bit equality.
@@ -80,7 +80,8 @@ fn interned_per_block_path_is_byte_identical() {
 fn collect_interned_matches_collect_then_intern() {
     let (mut engine, mut workload) = Benchmark::TpcC.setup_small();
     let mut pool = SlicePool::new();
-    let streamed = collect_traces_interned(&mut engine, workload.as_mut(), 24, 7, &mut pool);
+    let streamed =
+        collect_traces_interned_chunked(&mut engine, workload.as_mut(), 24, 7, &mut pool, 1);
 
     let (mut engine2, mut workload2) = Benchmark::TpcC.setup_small();
     let flat = collect_traces(&mut engine2, workload2.as_mut(), 24, 7);

@@ -4,25 +4,24 @@
 //! paper's three TPC OLTP mixes (Section 4.1) plus two spec-driven mixes
 //! probing where ADDICT's instruction-chasing wins degrade.
 //!
-//! The handwritten paper trio:
+//! The paper trio:
 //!
-//! * **TPC-B** ([`tpcb`]) — a single transaction type, `AccountUpdate`,
-//!   which probes/updates account, teller, and branch rows and inserts into
-//!   the index-less History table (the source of the `allocate page`
-//!   variety Section 2.2.1 discusses).
-//! * **TPC-C** ([`tpcc`]) — the five-transaction mix at the standard
-//!   45/43/4/4/4 ratios; `NewOrder` inserts into indexed tables (the
-//!   `create index entry` path), `Payment` inserts into the index-less
-//!   History table, `Delivery` exercises `delete tuple`.
-//! * **TPC-E** ([`tpce`]) — a simplified ten-type mix, ~77% read-only,
-//!   with `TradeStatus` the most frequent type at 19%, matching the mix
-//!   skew the paper attributes TPC-E's lower whole-mix overlap to.
+//! * **TPC-B** ([`spec::tpcb_spec`]) — a single transaction type,
+//!   `AccountUpdate`, which probes/updates account, teller, and branch rows
+//!   and inserts into the index-less History table (the source of the
+//!   `allocate page` variety Section 2.2.1 discusses).
+//! * **TPC-C** ([`tpcc`], handwritten) — the five-transaction mix at the
+//!   standard 45/43/4/4/4 ratios; `NewOrder` inserts into indexed tables
+//!   (the `create index entry` path), `Payment` inserts into the
+//!   index-less History table, `Delivery` exercises `delete tuple`.
+//! * **TPC-E** ([`tpce`], handwritten) — a simplified ten-type mix, ~77%
+//!   read-only, with `TradeStatus` the most frequent type at 19%, matching
+//!   the mix skew the paper attributes TPC-E's lower whole-mix overlap to.
 //!
 //! The [`spec`] module turns benchmarks into *data*: a declarative
 //! [`WorkloadSpec`](spec::WorkloadSpec) (tables, typed transaction steps,
-//! and a mix table) interpreted by [`SpecRunner`](spec::SpecRunner) —
-//! proven faithful by a bit-for-bit TPC-B equivalence test — and two
-//! spec-driven registry entries:
+//! and a mix table) interpreted by [`SpecRunner`](spec::SpecRunner). TPC-B
+//! runs through it, and so do two spec-only registry entries:
 //!
 //! * **TATP** ([`spec::tatp_spec`]) — seven short telecom transactions,
 //!   ~80% read: the short-transaction regime where the per-transaction
@@ -31,6 +30,10 @@
 //!   transactions with Zipfian keys: total instruction overlap, skewed
 //!   data overlap.
 //!
+//! Every workload's traces are anchored to committed golden digests
+//! (`addict-bench/tests/golden_digests.rs`); TPC-B's were taken from the
+//! handwritten generator the interpreter replaced.
+//!
 //! Scale factors are configurable; the defaults populate databases large
 //! enough that two transactions rarely touch the same record/leaf blocks
 //! (the property that drives the paper's ≤6% data overlap) while keeping
@@ -38,7 +41,6 @@
 
 pub mod rows;
 pub mod spec;
-pub mod tpcb;
 pub mod tpcc;
 pub mod tpce;
 
@@ -66,7 +68,7 @@ pub trait WorkloadRunner {
 /// entry here threads a workload through the whole harness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Benchmark {
-    /// TPC-B.
+    /// TPC-B (spec-driven): one `AccountUpdate` type, [`spec::tpcb_spec`].
     TpcB,
     /// TPC-C.
     TpcC,
@@ -124,7 +126,7 @@ impl Benchmark {
     pub fn setup(self) -> (Engine, Box<dyn WorkloadRunner>) {
         match self {
             Benchmark::TpcB => {
-                let (e, w) = tpcb::TpcB::setup(tpcb::TpcBConfig::default());
+                let (e, w) = spec::SpecRunner::setup(spec::tpcb_spec(16, 10, 8_000));
                 (e, Box::new(w))
             }
             Benchmark::TpcC => {
@@ -156,7 +158,7 @@ impl Benchmark {
     pub fn setup_small(self) -> (Engine, Box<dyn WorkloadRunner>) {
         match self {
             Benchmark::TpcB => {
-                let (e, w) = tpcb::TpcB::setup(tpcb::TpcBConfig::small());
+                let (e, w) = spec::SpecRunner::setup(spec::tpcb_spec(2, 4, 100));
                 (e, Box::new(w))
             }
             Benchmark::TpcC => {
@@ -253,35 +255,18 @@ pub fn collect_traces(
 }
 
 /// Run `n` transactions of the mix and intern their traces into `pool`
-/// **as they complete**: each transaction's flat trace is drained from the
-/// recorder and interned immediately, so the uncompressed trace set never
-/// materializes — memory stays bounded by one transaction plus the
-/// deduplicated pool, however large `n` grows.
+/// **as they complete**: run `chunk` transactions, drain their flat traces
+/// from the recorder, intern them, repeat. The uncompressed trace set
+/// never materializes — peak flat-trace memory is bounded by one chunk
+/// plus the deduplicated pool, however large `n` grows. Larger chunks
+/// amortize the recorder drain; `chunk == 0` means "drain once at the
+/// end" (the unbounded batch shape, for comparison runs).
 ///
 /// Bit-identical to `collect_traces` followed by
 /// [`InternedTrace::intern`] over each trace (same traces, same order,
-/// same pool layout); deterministic in `seed`. Several collections
-/// (profile + eval) may intern into one shared pool.
-pub fn collect_traces_interned(
-    engine: &mut Engine,
-    workload: &mut dyn WorkloadRunner,
-    n: usize,
-    seed: u64,
-    pool: &mut SlicePool,
-) -> Vec<InternedTrace> {
-    collect_traces_interned_chunked(engine, workload, n, seed, pool, 1)
-}
-
-/// [`collect_traces_interned`] with an explicit drain granularity: run
-/// `chunk` transactions, drain their flat traces from the recorder,
-/// intern them, repeat. Peak flat-trace memory is bounded by one chunk;
-/// larger chunks amortize the recorder drain, `chunk == 0` means "drain
-/// once at the end" (the unbounded batch shape, for comparison runs).
-///
-/// The traces, their order, and the resulting pool layout are
-/// **independent of `chunk`** — transactions run and intern in the same
-/// order regardless of how the drains are batched (asserted by
+/// same pool layout), and **independent of `chunk`** (asserted by
 /// `gen_determinism`'s chunk-invariance test). Deterministic in `seed`.
+/// Several collections (profile + eval) may intern into one shared pool.
 pub fn collect_traces_interned_chunked(
     engine: &mut Engine,
     workload: &mut dyn WorkloadRunner,

@@ -7,7 +7,8 @@
 use addict::analysis::reuse::ReuseProfile;
 use addict::analysis::{overlap_histogram, reuse_profile, OverlapScope};
 use addict::trace::OpKind;
-use addict::workloads::{collect_traces, tpcb, Benchmark};
+use addict::workloads::spec::ACCOUNT_UPDATE;
+use addict::workloads::{collect_traces, Benchmark};
 
 fn main() {
     let (mut engine, mut workload) = Benchmark::TpcB.setup();
@@ -42,7 +43,7 @@ fn main() {
     }
 
     // --- Figure 3 style reuse ------------------------------------------
-    let p = reuse_profile(&trace, tpcb::ACCOUNT_UPDATE, None).expect("instances");
+    let p = reuse_profile(&trace, ACCOUNT_UPDATE, None).expect("instances");
     let (common, rest) = ReuseProfile::common_vs_rest(&p.instr);
     println!(
         "\nwithin-instance instruction reuse: blocks present in ALL instances are\n\
