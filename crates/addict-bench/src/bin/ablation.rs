@@ -8,15 +8,14 @@
 //! All variants form one grid executed by the sweep engine's generic layer
 //! (`run_grid`, `--threads N` / `ADDICT_THREADS`): the plan-level variants
 //! call into `addict::run_with_options` directly, the config sweeps go
-//! through `run_scheduler`, and every run shares the traces, migration
-//! map, and prebuilt plans immutably.
+//! through `run_scheduler`, and every run shares the interned traces,
+//! migration map, and prebuilt plans immutably.
 
-use addict_bench::{header, migration_map, norm, parse_bench_args, profile_and_eval_on, run_grid};
-use addict_core::algorithm1::MigrationMap;
+use addict_bench::{header, norm, parse_bench_args, run_grid, JobSpec, TracePool};
+use addict_core::algorithm1::{find_migration_points_interned, MigrationMap};
 use addict_core::plan::{AssignmentPlan, PlanConfig};
 use addict_core::replay::{ReplayConfig, ReplayResult};
 use addict_core::sched::{addict, run_scheduler, SchedulerKind};
-use addict_trace::XctTrace;
 use addict_workloads::Benchmark;
 
 /// One ablation grid cell.
@@ -64,10 +63,15 @@ fn main() {
         &format!("ADDICT design-choice ablations ({})", bench.name()),
         n,
     );
-    let (profile, eval) = profile_and_eval_on(bench, n, n, args.threads);
+    let spec = JobSpec::new(vec![bench], n);
+    let keys = [spec.profile_key(bench), spec.eval_key(bench)];
+    let pool = TracePool::unbounded();
+    let [profile, eval] = &run_grid(&keys, args.threads, |_, k| pool.get(k, 1).0)[..] else {
+        unreachable!("two keys fetched");
+    };
     let cfg = ReplayConfig::paper_default();
-    let map: MigrationMap = migration_map(&profile, &cfg);
-    let traces: &[XctTrace] = &eval.xcts;
+    let map: MigrationMap = find_migration_points_interned(profile.as_set(), cfg.sim.l1i);
+    let traces = &eval.as_set();
 
     let plan = AssignmentPlan::build(&map, PlanConfig::new(cfg.sim.n_cores));
     let plan_norep = AssignmentPlan::build(

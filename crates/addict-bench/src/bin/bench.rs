@@ -27,18 +27,20 @@
 //! layer's trace-pool cache (see SERVICE.md), and an `htm` section with
 //! the HTMX scheduler's speculation outcomes.
 //!
-//! The interned evaluation traces come from the **streamed pipeline**
-//! (`generate_interned_chunked`: generate → intern → retire flat traces,
-//! chunk by chunk), and `--scaling` appends the trace-memory-vs-throughput
-//! ladder: streamed generation and interned replay at 400 / 10k / 100k /
-//! ... up to `--xcts`, with per-rung footprint, events/s and peak RSS —
-//! the million-transaction run the flat path cannot hold in memory.
+//! The interned profile and evaluation traces come from a trace pool,
+//! whose misses run the **streamed pipeline**
+//! (`collect_traces_interned_chunked`: trace → intern → retire flat
+//! traces, chunk by chunk), and `--scaling` appends the
+//! trace-memory-vs-throughput ladder: streamed generation and interned
+//! replay at 400 / 10k / 100k / ... up to `--xcts`, with per-rung
+//! footprint, events/s and peak RSS — the million-transaction run the
+//! flat path cannot hold in memory.
 //!
 //! Determinism guards run on every invocation (CI's `--smoke` included)
 //! and can fail the process:
 //! * the streamed, delta-encoded eval workload must **decode back
-//!   bit-identical** to the flat-generated one (the `streaming-equivalence`
-//!   CI gate),
+//!   bit-identical** to an independent flat `collect_traces` on a fresh
+//!   engine (the `streaming-equivalence` CI gate),
 //! * flat, fast, and **interned** execution must produce bit-identical
 //!   simulation output (a speedup can never be bought with accuracy) —
 //!   the `data-run-equivalence` CI gate,
@@ -57,19 +59,19 @@
 //! selected benchmark up to `--xcts`).
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::Instant;
 
 use addict_bench::job::total_events_interned;
 use addict_bench::{
-    generate, generate_interned_chunked, migration_map, parse_bench_args, profile_eval_ranges,
-    run_grid, run_job, run_point, run_sweep, GenRange, JobSpec, SweepPoint, SweepTraces, TracePool,
-    DEFAULT_GEN_CHUNK, EVAL_SEED,
+    parse_bench_args, run_grid, run_job, run_point, run_sweep, JobSpec, SweepPoint, SweepTraces,
+    TracePool, DEFAULT_GEN_CHUNK, EVAL_SEED,
 };
-use addict_core::algorithm1::MigrationMap;
+use addict_core::algorithm1::{find_migration_points_interned, MigrationMap};
 use addict_core::replay::{ReplayConfig, ReplayResult};
 use addict_core::sched::{run_scheduler, SchedulerKind};
 use addict_trace::{InternedWorkload, TraceEvent, WorkloadTrace, XctTrace};
-use addict_workloads::Benchmark;
+use addict_workloads::{collect_traces, Benchmark};
 
 /// Block-granular events in a trace set (instruction runs expanded).
 fn total_events(traces: &[XctTrace]) -> u64 {
@@ -83,6 +85,13 @@ fn total_events(traces: &[XctTrace]) -> u64 {
         .sum()
 }
 
+/// The flat evaluation reference: `n` eval-seed traces of `bench` on a
+/// fresh engine, independent of the trace pool.
+fn flat_eval(bench: Benchmark, n: usize) -> WorkloadTrace {
+    let (mut engine, mut workload) = bench.setup();
+    collect_traces(&mut engine, workload.as_mut(), n, EVAL_SEED)
+}
+
 /// Peak resident set size of this process so far (Linux `VmHWM`), if the
 /// platform exposes it.
 fn peak_rss_bytes() -> Option<u64> {
@@ -92,8 +101,8 @@ fn peak_rss_bytes() -> Option<u64> {
     Some(kb * 1024)
 }
 
-/// Assert the streamed generate→intern pipeline's decoded form is
-/// bit-identical to the flat-generated workload — the runtime
+/// Assert the streamed trace→intern pipeline's decoded form is
+/// bit-identical to the flat-collected workload — the runtime
 /// decoded-vs-flat gate (`streaming-equivalence` in CI).
 fn assert_decodes_to(interned: &InternedWorkload, flat: &WorkloadTrace, what: &str) {
     let decoded = interned.flatten();
@@ -171,7 +180,7 @@ fn assert_identical(a: &ReplayResult, b: &ReplayResult, what: &str) {
 struct Prepared {
     bench: Benchmark,
     eval: WorkloadTrace,
-    interned: InternedWorkload,
+    interned: Arc<InternedWorkload>,
     map: MigrationMap,
     events: u64,
 }
@@ -205,40 +214,33 @@ fn main() {
         bench_names.join(", "),
         args.threads
     );
-    // All (benchmark × profile/eval) ranges generate in one parallel wave
-    // (one private storage engine per worker).
-    let ranges: Vec<GenRange> = args
+    // Every benchmark's profile and eval keys fetch from a trace pool in
+    // one parallel wave (one private storage engine per key); the flat
+    // eval references follow in a second wave. Each pool eval must decode
+    // back bit-identical to its flat reference: the runtime
+    // decoded-vs-flat gate.
+    let spec = JobSpec::new(args.benchmarks.clone(), n);
+    let keys: Vec<_> = args
         .benchmarks
         .iter()
-        .flat_map(|&b| profile_eval_ranges(b, n, n))
+        .flat_map(|&b| [spec.profile_key(b), spec.eval_key(b)])
         .collect();
-    let mut generated = generate(&ranges, args.threads).into_iter();
+    let pool = TracePool::unbounded();
+    let fetched = run_grid(&keys, args.threads, |_, k| pool.get(k, 1).0);
+    let flat = run_grid(&args.benchmarks, args.threads, |_, &b| flat_eval(b, n));
     let prepared: Vec<Prepared> = args
         .benchmarks
         .iter()
-        .map(|&bench| {
-            let profile = generated.next().expect("one profile range per benchmark");
-            let eval = generated.next().expect("one eval range per benchmark");
-            // The interned eval comes from the streamed pipeline — its own
-            // engine, chunked generate→intern→retire — and must decode
-            // back bit-identical to the flat-generated eval above: the
-            // runtime decoded-vs-flat gate.
-            let interned = generate_interned_chunked(
-                &[GenRange::new(bench, n, EVAL_SEED)],
-                args.threads,
-                DEFAULT_GEN_CHUNK,
-            )
-            .pop()
-            .expect("one streamed eval range");
-            assert_decodes_to(&interned, &eval, bench.name());
-            let map = migration_map(&profile, &cfg);
-            let events = total_events(&eval.xcts);
+        .zip(fetched.chunks_exact(2))
+        .zip(flat)
+        .map(|((&bench, pair), eval)| {
+            assert_decodes_to(&pair[1], &eval, bench.name());
             Prepared {
                 bench,
+                map: find_migration_points_interned(pair[0].as_set(), cfg.sim.l1i),
+                events: total_events(&eval.xcts),
                 eval,
-                interned,
-                map,
-                events,
+                interned: Arc::clone(&pair[1]),
             }
         })
         .collect();
@@ -647,13 +649,8 @@ fn scaling_section(
     );
     for (ri, &rung) in rungs.iter().enumerate() {
         let t = Instant::now();
-        let iw = generate_interned_chunked(
-            &[GenRange::new(bench, rung, EVAL_SEED)],
-            args.threads,
-            DEFAULT_GEN_CHUNK,
-        )
-        .pop()
-        .expect("one ladder range");
+        let (iw, _) =
+            TracePool::unbounded().get(&JobSpec::new(vec![bench], rung).eval_key(bench), 1);
         let gen_seconds = t.elapsed().as_secs_f64();
         let fp = iw.footprint();
         let events = total_events_interned(&iw);
@@ -672,9 +669,7 @@ fn scaling_section(
         // not depend on scale, only on the transaction stream).
         let verified = rung <= 10_000;
         if verified {
-            let flat = generate(&[GenRange::new(bench, rung, EVAL_SEED)], args.threads)
-                .pop()
-                .expect("one flat reference range");
+            let flat = flat_eval(bench, rung);
             assert_decodes_to(&iw, &flat, &format!("{} scaling@{rung}", bench.name()));
             for kind in SchedulerKind::ALL {
                 let fr = run_scheduler(kind, &flat.xcts, Some(&p0.map), &flat_cfg);

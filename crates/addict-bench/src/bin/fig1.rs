@@ -3,18 +3,26 @@
 //! over transactions of the TPC-C mix.
 
 use addict_analysis::op_flow;
-use addict_bench::{arg_xcts, header, profile_and_eval};
+use addict_bench::{header, parse_bench_args, PROFILE_SEED};
 use addict_trace::OpKind;
-use addict_workloads::Benchmark;
+use addict_workloads::{collect_traces, Benchmark};
 
 fn main() {
-    let n = arg_xcts(1000);
+    let args = parse_bench_args(1000);
+    // A fixed-benchmark figure writes no artifact: a `--benchmarks`
+    // filter or a non-numeric positional (`fig1 5O0`) is a usage error.
+    if args.benchmarks_explicit || args.out.is_some() {
+        eprintln!("error: fig1 traces TPC-C; usage: fig1 [n_xcts] [--smoke]");
+        std::process::exit(2);
+    }
+    let n = args.n_xcts;
     header(
         "Figure 1",
         "operation flow-graph footprint percentages (TPC-C mix)",
         n,
     );
-    let (trace, _) = profile_and_eval(Benchmark::TpcC, n, 0);
+    let (mut engine, mut workload) = Benchmark::TpcC.setup();
+    let trace = collect_traces(&mut engine, workload.as_mut(), n, PROFILE_SEED);
 
     for op in [
         OpKind::Probe,

@@ -3,9 +3,9 @@
 //! the same type, and database operations.
 
 use addict_analysis::{overlap_histogram, OverlapHistogram, OverlapScope};
-use addict_bench::{arg_xcts, header, profile_and_eval};
+use addict_bench::{header, parse_bench_args, PROFILE_SEED};
 use addict_trace::{OpKind, WorkloadTrace, XctTypeId};
-use addict_workloads::{tpcc, tpce, Benchmark};
+use addict_workloads::{collect_traces, tpcc, tpce, Benchmark};
 
 fn row(label: &str, h: Option<(OverlapHistogram, OverlapHistogram)>) {
     let Some((i, d)) = h else {
@@ -50,13 +50,26 @@ fn pies(trace: &WorkloadTrace, scopes: &[(&str, OverlapScope)]) {
     }
 }
 
+/// `n` profiling-seed traces of `bench` on a fresh engine.
+fn trace(bench: Benchmark, n: usize) -> WorkloadTrace {
+    let (mut engine, mut workload) = bench.setup();
+    collect_traces(&mut engine, workload.as_mut(), n, PROFILE_SEED)
+}
+
 fn main() {
-    let n = arg_xcts(1000);
+    let args = parse_bench_args(1000);
+    // A fixed-benchmark figure writes no artifact: a `--benchmarks`
+    // filter or a non-numeric positional (`fig2 5O0`) is a usage error.
+    if args.benchmarks_explicit || args.out.is_some() {
+        eprintln!("error: fig2 traces TPC-B, TPC-C and TPC-E; usage: fig2 [n_xcts] [--smoke]");
+        std::process::exit(2);
+    }
+    let n = args.n_xcts;
     header("Figure 2", "instruction/data footprint overlap pies", n);
 
     // TPC-B: single transaction type; the figure shows its operations and
     // the whole mix.
-    let (tpcb, _) = profile_and_eval(Benchmark::TpcB, n, 0);
+    let tpcb = trace(Benchmark::TpcB, n);
     println!("\nTPC-B (mix = AccountUpdate):");
     pies(
         &tpcb,
@@ -69,7 +82,7 @@ fn main() {
     );
 
     // TPC-C: the figure's NewOrder column plus the mix.
-    let (tpcc_t, _) = profile_and_eval(Benchmark::TpcC, n, 0);
+    let tpcc_t = trace(Benchmark::TpcC, n);
     let no = tpcc::NEW_ORDER;
     println!("\nTPC-C (NewOrder = most frequent type):");
     pies(
@@ -90,7 +103,7 @@ fn main() {
     );
 
     // TPC-E: the figure's TradeStatus column plus the mix.
-    let (tpce_t, _) = profile_and_eval(Benchmark::TpcE, n, 0);
+    let tpce_t = trace(Benchmark::TpcE, n);
     let ts = tpce::TRADE_STATUS;
     println!("\nTPC-E (TradeStatus = most frequent type, 19% of mix):");
     pies(

@@ -3,10 +3,10 @@
 //! operation, ordered by cross-instance commonality.
 
 use addict_analysis::{reuse_profile, ReusePoint};
-use addict_bench::{arg_xcts, header, profile_and_eval};
+use addict_bench::{header, parse_bench_args, PROFILE_SEED};
 use addict_trace::OpKind;
 use addict_workloads::spec::ACCOUNT_UPDATE;
-use addict_workloads::Benchmark;
+use addict_workloads::{collect_traces, Benchmark};
 
 fn summarize(title: &str, points: &[ReusePoint]) {
     // Bucket the x-axis (commonality) as the figure's left-to-right order.
@@ -46,13 +46,21 @@ fn summarize(title: &str, points: &[ReusePoint]) {
 }
 
 fn main() {
-    let n = arg_xcts(1000);
+    let args = parse_bench_args(1000);
+    // A fixed-benchmark figure writes no artifact: a `--benchmarks`
+    // filter or a non-numeric positional (`fig3 5O0`) is a usage error.
+    if args.benchmarks_explicit || args.out.is_some() {
+        eprintln!("error: fig3 traces TPC-B; usage: fig3 [n_xcts] [--smoke]");
+        std::process::exit(2);
+    }
+    let n = args.n_xcts;
     header(
         "Figure 3",
         "per-instance reuse vs cross-instance commonality (TPC-B)",
         n,
     );
-    let (trace, _) = profile_and_eval(Benchmark::TpcB, n, 0);
+    let (mut engine, mut workload) = Benchmark::TpcB.setup();
+    let trace = collect_traces(&mut engine, workload.as_mut(), n, PROFILE_SEED);
 
     println!("\nAccountUpdate transaction:");
     let p = reuse_profile(&trace, ACCOUNT_UPDATE, None).expect("traces present");

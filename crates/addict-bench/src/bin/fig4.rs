@@ -2,18 +2,22 @@
 //! points exactly match the ones ADDICT picked during profiling, as the
 //! number of transaction traces grows (1000 vs 10000 in the paper).
 
-use addict_bench::{header, migration_map, PROFILE_SEED};
+use addict_bench::{header, migration_map, parse_bench_args, PROFILE_SEED};
 use addict_core::replay::ReplayConfig;
 use addict_trace::{OpKind, XctTypeId};
 use addict_workloads::{collect_traces, tpcc, Benchmark};
 
 fn main() {
     // Scaled defaults: the paper profiles on 1000 and validates on up to
-    // 10000 further traces. First argv overrides the smaller count.
-    let base: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(500);
+    // 10000 further traces. The trace count overrides the smaller one.
+    let args = parse_bench_args(500);
+    // A fixed-benchmark figure writes no artifact: a `--benchmarks`
+    // filter or a non-numeric positional (`fig4 5O0`) is a usage error.
+    if args.benchmarks_explicit || args.out.is_some() {
+        eprintln!("error: fig4 traces TPC-B and TPC-C; usage: fig4 [n_xcts] [--smoke]");
+        std::process::exit(2);
+    }
+    let base = args.n_xcts;
     let large = base * 10;
     header("Figure 4", "migration-point stability vs trace count", base);
     let cfg = ReplayConfig::paper_default();

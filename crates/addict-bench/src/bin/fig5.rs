@@ -4,10 +4,8 @@
 //! (`--benchmarks`, default: the whole registry; the paper's figure shows
 //! the TPC trio).
 
-use addict_bench::{
-    generate, header, migration_map, norm, parse_bench_args, profile_eval_ranges, run_all,
-};
-use addict_core::replay::ReplayConfig;
+use addict_bench::{header, norm, parse_bench_args, run_job, JobSpec, TracePool};
+use addict_core::sched::SchedulerKind;
 
 fn main() {
     let args = parse_bench_args(600);
@@ -17,27 +15,19 @@ fn main() {
         "L1-I / L1-D / L2 MPKI normalized over Baseline",
         n,
     );
-    let cfg = ReplayConfig::paper_default();
-
-    // All (benchmark × profile/eval) ranges generate in one parallel wave.
-    let ranges: Vec<_> = args
-        .benchmarks
-        .iter()
-        .flat_map(|&b| profile_eval_ranges(b, n, n))
-        .collect();
-    let mut generated = generate(&ranges, args.threads).into_iter();
+    // One job: every benchmark's profile and eval traces fetch
+    // concurrently, then the (benchmark × scheduler) grid replays.
+    let mut spec = JobSpec::new(args.benchmarks, n);
+    spec.threads = args.threads;
+    let job = run_job(&spec, &TracePool::unbounded(), &|_| {}).expect("Figure 5 job");
 
     println!(
         "\n{:<8} {:<9} {:>10} {:>10} {:>10}   (normalized; Baseline = 1.00)",
         "bench", "sched", "L1-I", "L1-D", "L2"
     );
-    for bench in args.benchmarks.iter().copied() {
-        let profile = generated.next().expect("one profile range per benchmark");
-        let eval = generated.next().expect("one eval range per benchmark");
-        let map = migration_map(&profile, &cfg);
-        let results = run_all(&eval, &map, &cfg);
-        let base = &results[0];
-        for r in &results {
+    for points in job.points.chunks_exact(SchedulerKind::ALL.len()) {
+        let base = &points[0].result;
+        for (bench, r) in points.iter().map(|p| (p.benchmark, &p.result)) {
             println!(
                 "{:<8} {:<9} {:>10.2} {:>10.2} {:>10.2}   (abs: {:.2} / {:.2} / {:.3} mpki)",
                 bench.name(),

@@ -2,18 +2,11 @@
 //! total execution cycles and L1-I MPKI over Baseline, for batch sizes
 //! 2, 4, 8, 16, 32 (Section 4.5).
 //!
-//! The (benchmark × batch size) grid fans out through the sweep engine
-//! (`--threads N` / `ADDICT_THREADS`). Traces are generated in parallel
-//! (one storage engine per worker, all six profile/eval ranges at once)
-//! and replayed **interned**: every grid point of a benchmark borrows the
-//! same `Arc`-shared slice pool, so the sweep's whole working set is the
-//! deduplicated arena, not per-point trace copies.
+//! Two jobs on one trace pool: Baseline at the paper-default config,
+//! then ADDICT at each batch size. The second job's traces are all cache
+//! hits, and every point of a benchmark replays the same interned set.
 
-use addict_bench::{
-    header, norm, parse_bench_args, profile_eval_ranges, run_sweep, SweepPoint, SweepTraces,
-};
-use addict_core::algorithm1::find_migration_points_interned;
-use addict_core::replay::ReplayConfig;
+use addict_bench::{header, norm, parse_bench_args, run_job, JobSpec, TracePool};
 use addict_core::sched::SchedulerKind;
 
 const BATCHES: [usize; 5] = [2, 4, 8, 16, 32];
@@ -23,65 +16,32 @@ fn main() {
     let n = args.n_xcts;
     header("Figure 7", "batch-size sweep: ADDICT over Baseline", n);
 
-    // Every selected benchmark's (profile, eval) ranges generate in one
-    // parallel wave; the interned workloads share a single master pool.
-    let ranges: Vec<_> = args
-        .benchmarks
-        .iter()
-        .flat_map(|&b| profile_eval_ranges(b, n, n))
-        .collect();
-    let workloads = addict_bench::generate_interned(&ranges, args.threads);
-    let data: Vec<_> = args
-        .benchmarks
-        .iter()
-        .zip(workloads.chunks_exact(2))
-        .map(|(&bench, pair)| {
-            let map = find_migration_points_interned(
-                pair[0].as_set(),
-                ReplayConfig::paper_default().sim.l1i,
-            );
-            (bench, &pair[1], map)
-        })
-        .collect();
-
-    // Per benchmark: the Baseline reference, then ADDICT at each batch size.
-    let mut grid: Vec<SweepPoint<'_>> = Vec::new();
-    for (bench, eval, map) in &data {
-        grid.push(SweepPoint {
-            benchmark: *bench,
-            scheduler: SchedulerKind::Baseline,
-            replay_cfg: ReplayConfig::paper_default(),
-            label: "baseline",
-            traces: SweepTraces::Interned(eval.as_set()),
-            map: Some(map),
-        });
-        for batch in BATCHES {
-            grid.push(SweepPoint {
-                benchmark: *bench,
-                scheduler: SchedulerKind::Addict,
-                replay_cfg: ReplayConfig::paper_default().with_batch_size(batch),
-                label: "batch",
-                traces: SweepTraces::Interned(eval.as_set()),
-                map: Some(map),
-            });
-        }
-    }
-    let results = run_sweep(&grid, args.threads);
+    let pool = TracePool::unbounded();
+    let mut baseline = JobSpec::new(args.benchmarks, n);
+    baseline.schedulers = vec![SchedulerKind::Baseline];
+    baseline.threads = args.threads;
+    let mut batched = baseline.clone();
+    batched.schedulers = vec![SchedulerKind::Addict];
+    batched.batch_sizes = BATCHES.to_vec();
+    let base = run_job(&baseline, &pool, &|_| {}).expect("Figure 7 baseline job");
+    let sweep = run_job(&batched, &pool, &|_| {}).expect("Figure 7 batch job");
 
     println!(
         "\n{:<8} {:>6} {:>14} {:>14}",
         "bench", "batch", "exec cycles", "L1-I mpki"
     );
-    let per_bench = 1 + BATCHES.len();
-    for (chunk, (bench, ..)) in results.chunks_exact(per_bench).zip(&data) {
-        let (base, sweeps) = chunk.split_first().expect("baseline plus batch points");
-        for (batch, r) in BATCHES.iter().zip(sweeps) {
+    for (base, sweeps) in base
+        .points
+        .iter()
+        .zip(sweep.points.chunks_exact(BATCHES.len()))
+    {
+        for (batch, p) in BATCHES.iter().zip(sweeps) {
             println!(
                 "{:<8} {:>6} {:>14.2} {:>14.2}",
-                bench.name(),
+                base.benchmark.name(),
                 batch,
-                norm(r.total_cycles, base.total_cycles),
-                norm(r.stats.l1i_mpki(), base.stats.l1i_mpki()),
+                norm(p.result.total_cycles, base.result.total_cycles),
+                norm(p.result.stats.l1i_mpki(), base.result.stats.l1i_mpki()),
             );
         }
         println!();

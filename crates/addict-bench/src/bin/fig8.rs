@@ -3,15 +3,16 @@
 //! (b) ADDICT's impact on average per-core power (Section 4.7).
 //!
 //! The whole (benchmark × hierarchy × scheduler) grid fans out through the
-//! sweep engine (`--threads N` / `ADDICT_THREADS`); trace generation fans
-//! out the same way (one storage engine per worker) and the grid replays
-//! the interned trace form out of one shared slice pool. Algorithm 1's
+//! sweep engine (`--threads N` / `ADDICT_THREADS`); the profile and eval
+//! traces fetch from a trace pool the same way (one storage engine per
+//! key) and the grid replays their interned form. Algorithm 1's
 //! migration map depends only on the L1-I geometry, which the deep
 //! hierarchy does not change, so one map per benchmark is computed up
 //! front and shared by every grid point.
 
 use addict_bench::{
-    header, norm, parse_bench_args, profile_eval_ranges, run_sweep, SweepPoint, SweepTraces,
+    header, norm, parse_bench_args, run_grid, run_sweep, JobSpec, SweepPoint, SweepTraces,
+    TracePool,
 };
 use addict_core::algorithm1::find_migration_points_interned;
 use addict_core::replay::ReplayConfig;
@@ -27,15 +28,16 @@ fn main() {
         n,
     );
 
-    // Every selected benchmark's (profile, eval) ranges generate in one
-    // parallel wave — one storage engine per worker — and the interned
-    // workloads share a single Arc'd slice pool across the whole grid.
-    let ranges: Vec<_> = args
+    // Every selected benchmark's profile and eval keys fetch in one
+    // parallel wave, one storage engine per key.
+    let spec = JobSpec::new(args.benchmarks.clone(), n);
+    let keys: Vec<_> = args
         .benchmarks
         .iter()
-        .flat_map(|&b| profile_eval_ranges(b, n, n))
+        .flat_map(|&b| [spec.profile_key(b), spec.eval_key(b)])
         .collect();
-    let workloads = addict_bench::generate_interned(&ranges, args.threads);
+    let pool = TracePool::unbounded();
+    let workloads = run_grid(&keys, args.threads, |_, k| pool.get(k, 1).0);
     let data: Vec<_> = args
         .benchmarks
         .iter()

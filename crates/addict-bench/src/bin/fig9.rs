@@ -1,10 +1,8 @@
 //! Figure 9: context switches / thread migrations per 1000 instructions
 //! (left) and the execution-cycle share spent on that overhead (right).
 
-use addict_bench::{
-    generate, header, migration_map, parse_bench_args, profile_eval_ranges, run_all,
-};
-use addict_core::replay::ReplayConfig;
+use addict_bench::{header, parse_bench_args, run_job, JobSpec, TracePool};
+use addict_core::sched::SchedulerKind;
 
 fn main() {
     let args = parse_bench_args(600);
@@ -14,15 +12,11 @@ fn main() {
         "switch rate + overhead share of execution cycles",
         n,
     );
-    let cfg = ReplayConfig::paper_default();
-
-    // All (benchmark × profile/eval) ranges generate in one parallel wave.
-    let ranges: Vec<_> = args
-        .benchmarks
-        .iter()
-        .flat_map(|&b| profile_eval_ranges(b, n, n))
-        .collect();
-    let mut generated = generate(&ranges, args.threads).into_iter();
+    // One job: every benchmark's profile and eval traces fetch
+    // concurrently, then the (benchmark × scheduler) grid replays.
+    let mut spec = JobSpec::new(args.benchmarks, n);
+    spec.threads = args.threads;
+    let job = run_job(&spec, &TracePool::unbounded(), &|_| {}).expect("Figure 9 job");
 
     println!(
         "\n{:<8} {:<9} {:>12} {:>8} {:>8} {:>8} {:>8}",
@@ -30,11 +24,8 @@ fn main() {
     );
     let mut avg: std::collections::HashMap<String, (f64, f64, usize)> =
         std::collections::HashMap::new();
-    for bench in args.benchmarks.iter().copied() {
-        let profile = generated.next().expect("one profile range per benchmark");
-        let eval = generated.next().expect("one eval range per benchmark");
-        let map = migration_map(&profile, &cfg);
-        for r in run_all(&eval, &map, &cfg) {
+    for points in job.points.chunks_exact(SchedulerKind::ALL.len()) {
+        for (bench, r) in points.iter().map(|p| (p.benchmark, &p.result)) {
             let (base, istall, dstall, ovh) = r.stats.cycle_breakdown();
             println!(
                 "{:<8} {:<9} {:>12.3} {:>7.1}% {:>7.1}% {:>7.1}% {:>7.2}%",

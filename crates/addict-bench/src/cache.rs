@@ -7,6 +7,12 @@
 //! `(benchmark, seed, n_xcts, chunk, small)` pays for it, every later
 //! job reuses the shared [`InternedWorkload`] behind an `Arc`.
 //!
+//! A miss is the one trace-generation path of the harness: a fresh
+//! storage engine (`setup`/`setup_small`) traced by
+//! [`collect_traces_interned_chunked`] into a private slice pool. The
+//! job layer, the server, `fig5`–`fig9`, `ablation` and `bench` all fetch
+//! their interned traces here.
+//!
 //! Concurrency: one `Mutex` over the table plus a `Condvar`. A miss
 //! installs a *pending* slot and generates **outside the lock**; a second
 //! request for the same key meanwhile blocks on the condvar and counts as
@@ -26,15 +32,20 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 
-use addict_trace::InternedWorkload;
-use addict_workloads::Benchmark;
+use addict_trace::{InternedWorkload, SlicePool};
+use addict_workloads::{collect_traces_interned_chunked, Benchmark};
 
-use crate::gen::{generate_interned_chunked, GenRange};
+/// Default recorder-drain granularity of a [`TraceKey`]: large enough to
+/// amortize the per-drain engine round trip, small enough that a chunk of
+/// flat traces stays a rounding error next to the interned set it feeds.
+pub const DEFAULT_GEN_CHUNK: usize = 64;
 
 /// Cache identity of one generated trace range. Two jobs agreeing on all
 /// five fields replay byte-identical traces (generation is a pure
-/// function of the key — see `gen`'s determinism contract), so sharing
-/// the interned set is invisible to results.
+/// function of the key: a fresh engine and a freshly seeded transaction
+/// stream, with `chunk` changing only peak memory —
+/// `tests/trace_determinism.rs`), so sharing the interned set is
+/// invisible to results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TraceKey {
     /// Benchmark to build and trace.
@@ -59,15 +70,6 @@ impl TraceKey {
             self.n_xcts,
             if self.small { "/small" } else { "" }
         )
-    }
-
-    fn range(&self) -> GenRange {
-        GenRange {
-            bench: self.bench,
-            n: self.n_xcts,
-            seed: self.seed,
-            small: self.small,
-        }
     }
 
     /// Predicted resident bytes of this key's interned workload,
@@ -217,12 +219,14 @@ impl TracePool {
         TracePool::new(usize::MAX)
     }
 
-    /// Fetch (or generate, on `threads` workers) the traces for `key`.
-    /// Returns the shared workload and whether this was a cache hit. A
-    /// request that waited for another request's in-flight generation
-    /// counts as a hit: the generation happened once, which is the thing
-    /// the counters measure.
-    pub fn get(&self, key: &TraceKey, threads: usize) -> (Arc<InternedWorkload>, bool) {
+    /// Fetch (or generate) the traces for `key`. Returns the shared
+    /// workload and whether this was a cache hit. A request that waited
+    /// for another request's in-flight generation counts as a hit: the
+    /// generation happened once, which is the thing the counters measure.
+    ///
+    /// `_threads` is ignored: one key is one engine, generated on the
+    /// calling thread. Callers fetch several keys concurrently instead.
+    pub fn get(&self, key: &TraceKey, _threads: usize) -> (Arc<InternedWorkload>, bool) {
         {
             let mut inner = self.inner.lock().expect("trace pool lock");
             loop {
@@ -275,8 +279,30 @@ impl TracePool {
         {
             panic!("injected generation fault for {}", key.describe());
         }
-        let mut out = generate_interned_chunked(&[key.range()], threads, key.chunk);
-        let workload = Arc::new(out.pop().expect("one range generated"));
+        // The engine and runner drop at the end of this block, before the
+        // entry is published.
+        let workload = Arc::new({
+            let (mut engine, mut runner) = if key.small {
+                key.bench.setup_small()
+            } else {
+                key.bench.setup()
+            };
+            let mut slices = SlicePool::new();
+            let xcts = collect_traces_interned_chunked(
+                &mut engine,
+                runner.as_mut(),
+                key.n_xcts,
+                key.seed,
+                &mut slices,
+                key.chunk,
+            );
+            InternedWorkload {
+                name: runner.name().to_owned(),
+                xct_type_names: runner.xct_type_names(),
+                pool: Arc::new(slices),
+                xcts,
+            }
+        });
         let bytes = workload.resident_bytes();
         guard.armed = false;
 

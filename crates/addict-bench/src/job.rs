@@ -1,10 +1,10 @@
 //! The job layer: grid/sweep execution as a reusable library.
 //!
-//! Before PR 7 the (benchmark × scheduler × config) sweep recipe — fetch
-//! traces, build the migration map, construct the grid, fan it out, and
-//! serialize the outcome — lived inline in `src/bin/*`. This module
-//! extracts it so the batch binaries and the resident evaluation server
-//! (`addict-service`) share **one code path**:
+//! The (benchmark × scheduler × config) sweep recipe — fetch traces,
+//! build the migration map, construct the grid, fan it out, and serialize
+//! the outcome — lives here, so the figure binaries (`fig5`, `fig6`,
+//! `fig7`, `fig9`) and the resident evaluation server (`addict-service`)
+//! share **one code path**:
 //!
 //! * [`JobSpec`] — a declarative job: benchmark selection × scheduler set
 //!   × config grid (batch sizes) × transaction count, with a hand-rolled
@@ -15,10 +15,11 @@
 //!   malformed flag *and* every malformed job field reports through it,
 //!   tagged with the offending field, so CLI and server strictness cannot
 //!   drift;
-//! * [`run_job`] — the executor: traces come from a
-//!   [`TracePool`](crate::cache::TracePool) (cache hit or generate), the
-//!   migration map from Algorithm 1 over the cached profile set, and the
-//!   grid fans out through [`run_grid`](crate::sweep::run_grid);
+//! * [`run_job`] — the executor: the job's profile and eval keys come
+//!   from a [`TracePool`] (cache hit or
+//!   generate, several keys at once), the migration map from Algorithm 1
+//!   over the cached profile set, and the grid fans out through
+//!   [`run_grid`](crate::sweep::run_grid);
 //! * [`JobResult`] — the serialized outcome. Its [`JobResult::to_json`]
 //!   output is a pure function of the spec — wall-clock timings travel in
 //!   progress callbacks, never in the result — so a job executed via the
@@ -27,7 +28,7 @@
 //!   and re-checked on every `bench` run).
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use addict_core::algorithm1::{find_migration_points_interned, MigrationMap};
@@ -714,10 +715,11 @@ pub fn total_events_interned(iw: &InternedWorkload) -> u64 {
 /// `progress` (called from worker threads; the callback must tolerate
 /// concurrent invocation — the server serializes writes with a lock).
 ///
-/// The executor is the shared code path of the batch binaries and the
+/// The executor is the shared code path of the figure binaries and the
 /// server: traces come from the trace-pool cache (hit or generate), the
 /// ADDICT migration map from Algorithm 1 over the cached profile set,
-/// and the grid fans out through [`run_grid`] on `spec.threads` workers.
+/// and both the key fetches and the grid fan out on `spec.threads`
+/// workers.
 /// The returned result's serialized form depends only on the spec —
 /// never on cache state, thread count, or timing.
 pub fn run_job(
@@ -750,35 +752,57 @@ pub fn run_job_with(
     spec.validate()?;
     let cfg = ReplayConfig::paper_default();
 
+    // Generation is the expensive phase, so every distinct key fetches
+    // concurrently, and the token is polled before each claim: a
+    // cancelled job never starts another engine population (an in-flight
+    // generation finishes — it may be shared with concurrent jobs via the
+    // pool's pending slot).
+    let mut keys: Vec<TraceKey> = Vec::with_capacity(2 * spec.benchmarks.len());
+    for &bench in &spec.benchmarks {
+        for key in [spec.profile_key(bench), spec.eval_key(bench)] {
+            if !keys.contains(&key) {
+                keys.push(key);
+            }
+        }
+    }
+    let fetched = run_grid_abortable(&keys, spec.threads, &|| token.check().is_err(), |_, k| {
+        pool.get(k, 1)
+    });
+    if fetched.iter().any(Option::is_none) {
+        let interrupt = token.check().expect_err("aborted fetch with a quiet token");
+        return Err(JobError::Interrupted(interrupt));
+    }
+    let fetched: Vec<(Arc<InternedWorkload>, bool)> = fetched.into_iter().flatten().collect();
+    let lookup = |key: TraceKey| &fetched[keys.iter().position(|k| *k == key).expect("fetched")];
+
     struct Traces {
-        eval: std::sync::Arc<InternedWorkload>,
+        eval: Arc<InternedWorkload>,
         map: MigrationMap,
         events: u64,
     }
-    let mut sets: Vec<Traces> = Vec::with_capacity(spec.benchmarks.len());
-    for &bench in &spec.benchmarks {
-        // Generation is the expensive phase: poll before committing to
-        // each range so a cancelled job never starts another engine
-        // population (an in-flight generation finishes — it may be
-        // shared with concurrent jobs via the pool's pending slot).
-        token.check().map_err(JobError::Interrupted)?;
-        let (profile, profile_hit) = pool.get(&spec.profile_key(bench), spec.threads);
-        token.check().map_err(JobError::Interrupted)?;
-        let (eval, eval_hit) = pool.get(&spec.eval_key(bench), spec.threads);
-        progress(&format!(
-            "traces {}: profile {} | eval {}",
-            bench.id(),
-            if profile_hit {
-                "cache hit"
-            } else {
-                "generated"
-            },
-            if eval_hit { "cache hit" } else { "generated" },
-        ));
-        let map = find_migration_points_interned(profile.as_set(), cfg.sim.l1i);
-        let events = total_events_interned(&eval);
-        sets.push(Traces { eval, map, events });
-    }
+    let status = |hit: bool| if hit { "cache hit" } else { "generated" };
+    let sets: Vec<Traces> = spec
+        .benchmarks
+        .iter()
+        .map(|&bench| {
+            let (profile, profile_hit) = lookup(spec.profile_key(bench));
+            let (eval, eval_hit) = lookup(spec.eval_key(bench));
+            progress(&format!(
+                "traces {}: profile {} | eval {}",
+                bench.id(),
+                status(*profile_hit),
+                status(*eval_hit),
+            ));
+            Traces {
+                eval: Arc::clone(eval),
+                map: find_migration_points_interned(profile.as_set(), cfg.sim.l1i),
+                events: total_events_interned(eval),
+            }
+        })
+        .collect();
+    // Unpin the profile sets before the replay: only the eval sets stay
+    // in use.
+    drop(fetched);
 
     let shape = spec.grid_shape();
     let grid: Vec<SweepPoint<'_>> = shape
@@ -1060,12 +1084,30 @@ mod tests {
     #[test]
     fn job_runs_and_serializes_deterministically() {
         use crate::cache::TracePool;
-        let mut s = JobSpec::new(vec![Benchmark::TpcB], 12);
+        let mut s = JobSpec::new(vec![Benchmark::TpcB, Benchmark::Tatp], 12);
         s.small = true;
         s.threads = 2;
         let pool = TracePool::unbounded();
+        let lines = Mutex::new(Vec::<String>::new());
+        let progress = |l: &str| lines.lock().unwrap().push(l.to_owned());
         let quiet = |_: &str| {};
-        let a = run_job(&s, &pool, &quiet).unwrap();
+        // Cold at two threads: all four keys fetch concurrently, yet the
+        // trace lines report in benchmark order.
+        let a = run_job(&s, &pool, &progress).unwrap();
+        let traces: Vec<String> = lines
+            .into_inner()
+            .unwrap()
+            .into_iter()
+            .filter(|l| l.starts_with("traces "))
+            .collect();
+        assert_eq!(
+            traces,
+            [
+                "traces tpcb: profile generated | eval generated",
+                "traces tatp: profile generated | eval generated",
+            ]
+        );
+        assert_eq!(pool.stats().generations, 4);
         // A repeat on a warm pool and a cold pool serialize identically:
         // the result is a pure function of the spec.
         let b = run_job(&s, &pool, &quiet).unwrap();
@@ -1082,12 +1124,13 @@ mod tests {
             json[at..].to_owned()
         };
         assert_eq!(points(&a), points(&c), "thread count leaked into points");
-        assert_eq!(a.points.len(), SchedulerKind::ALL.len());
+        assert_eq!(a.points.len(), 2 * SchedulerKind::ALL.len());
         // And the summary parses back out.
         let rows = summary_rows(&a.to_json()).unwrap();
-        assert_eq!(rows.len(), SchedulerKind::ALL.len());
+        assert_eq!(rows.len(), 2 * SchedulerKind::ALL.len());
         assert_eq!(rows[0].workload, "TPC-B");
         assert_eq!(rows[0].scheduler, "Baseline");
+        assert_eq!(rows[SchedulerKind::ALL.len()].workload, "TATP");
         assert!(rows.iter().all(|r| r.total_cycles > 0.0));
     }
 }

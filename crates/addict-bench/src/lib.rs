@@ -18,57 +18,50 @@
 //! | `ablation` | DESIGN.md §3 design-choice ablations (beyond the paper) |
 //! | `bench`  | `BENCH_n.json` — replay throughput (events/sec) per workload and scheduler, flat vs fast-path vs interned execution + trace-memory footprint (see BENCHMARKS.md) |
 //!
-//! Every binary accepts the trace count as its first argument (default
-//! 600; the paper uses 1000 for profiling and 1000 for evaluation —
-//! Section 4.2 shows results are stable from 1000 up). The sweep-capable
-//! binaries (`fig5`–`fig9`, `ablation`, `bench`) additionally accept
-//! `--benchmarks name,name,...` to select registry entries (default: all
-//! six — the TPC trio plus the spec-driven TATP and YCSB mixes) and
-//! `--threads N` for worker count. Runs are deterministic: seed 1
-//! profiles, seed 2 evaluates, matching the paper's disjoint trace
-//! ranges.
+//! Every binary but `table1` parses one command line
+//! ([`parse_bench_args`]): the trace count as its first argument (default
+//! 1000 for `fig1`–`fig3`, 500 for `fig4`, 600 for `fig5`–`fig9`; the
+//! paper uses 1000 for profiling and 1000 for evaluation — Section 4.2
+//! shows results are stable from 1000 up) and `--threads N` for worker
+//! count. The sweep-capable binaries (`fig5`–`fig9`, `ablation`, `bench`)
+//! also take `--benchmarks name,name,...` to select registry entries
+//! (default: all six — the TPC trio plus the spec-driven TATP and YCSB
+//! mixes); `fig1`–`fig4` trace fixed benchmarks and reject it. Runs are
+//! deterministic: seed 1 profiles, seed 2 evaluates, matching the paper's
+//! disjoint trace ranges.
+//!
+//! Traces come from one path: a fresh storage engine traced by
+//! `collect_traces` (`fig1`–`fig3`, `fig4`'s one engine, `bench`'s flat
+//! reference) or, interned, by a [`TracePool`] miss (one engine per
+//! [`TraceKey`]). `fig5`, `fig6`, `fig7` and `fig9` run whole
+//! [`JobSpec`]s through [`run_job`], the executor the replay server uses
+//! too; `fig8`, `ablation` and `bench` fetch their keys from a pool and
+//! build their own grids.
 
 pub mod cache;
-pub mod gen;
 pub mod job;
 pub mod jsontext;
 pub mod sweep;
 
 use addict_core::algorithm1::MigrationMap;
 use addict_core::find_migration_points;
-use addict_core::replay::{ReplayConfig, ReplayResult};
-use addict_core::sched::{run_scheduler, SchedulerKind};
+use addict_core::replay::ReplayConfig;
 use addict_trace::WorkloadTrace;
 use addict_workloads::Benchmark;
 
-pub use cache::{CacheStats, TraceKey, TracePool};
-pub use gen::{
-    generate, generate_interned, generate_interned_chunked, profile_eval_ranges, GenRange,
-    DEFAULT_GEN_CHUNK,
-};
+pub use cache::{CacheStats, TraceKey, TracePool, DEFAULT_GEN_CHUNK};
 pub use job::{
     fnv64, run_job, run_job_with, summary_rows, CancelToken, Interrupt, JobError, JobPoint,
     JobResult, JobSpec, SpecError, SummaryRow,
 };
-pub use sweep::{
-    run_grid, run_grid_abortable, run_point, run_sweep, threads_from, SweepPoint, SweepTraces,
-};
+pub use sweep::{run_grid, run_grid_abortable, run_point, run_sweep, SweepPoint, SweepTraces};
 
 /// Profiling seed (the paper's traces 1–1000).
 pub const PROFILE_SEED: u64 = 1;
 /// Evaluation seed (the paper's traces 1001–2000).
 pub const EVAL_SEED: u64 = 2;
 
-/// Trace count from argv (first positional argument), default 600.
-pub fn arg_xcts(default: usize) -> usize {
-    std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Parsed command line of the sweep-capable binaries
-/// (`fig5`/`fig6`/`fig7`/`fig8`/`fig9`/`ablation`/`bench`).
+/// Parsed command line of the figure binaries, `ablation` and `bench`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BenchArgs {
     /// Trace count per workload (first positional argument).
@@ -191,60 +184,9 @@ pub fn parse_bench_args_from(args: &[String], default_n: usize) -> Result<BenchA
     })
 }
 
-/// Build a benchmark and collect disjoint profiling and evaluation traces.
-///
-/// The two ranges generate **in parallel** (one private storage engine
-/// each — see [`gen`]) on the thread count of [`threads_from`] over the
-/// process arguments, so the flag-less figure binaries (`fig1`–`fig4`)
-/// lose their sequential generation prefix without parsing anything
-/// themselves. This is deliberately argv/env-driven — binaries that parse
-/// `--threads` should pass it to [`profile_and_eval_on`] explicitly
-/// instead. An `n_eval` of 0 skips the second engine entirely.
-pub fn profile_and_eval(
-    bench: Benchmark,
-    n_profile: usize,
-    n_eval: usize,
-) -> (WorkloadTrace, WorkloadTrace) {
-    let args: Vec<String> = std::env::args().collect();
-    profile_and_eval_on(bench, n_profile, n_eval, threads_from(&args))
-}
-
-/// [`profile_and_eval`] with an explicit generation thread count.
-pub fn profile_and_eval_on(
-    bench: Benchmark,
-    n_profile: usize,
-    n_eval: usize,
-    threads: usize,
-) -> (WorkloadTrace, WorkloadTrace) {
-    if n_eval == 0 {
-        // One range only: don't pay a second engine population just to
-        // learn the (identical) workload metadata.
-        let mut out = generate(&[GenRange::new(bench, n_profile, PROFILE_SEED)], 1);
-        let profile = out.pop().expect("one range generated");
-        let eval = WorkloadTrace {
-            name: profile.name.clone(),
-            xct_type_names: profile.xct_type_names.clone(),
-            xcts: Vec::new(),
-        };
-        return (profile, eval);
-    }
-    let mut out = generate(&profile_eval_ranges(bench, n_profile, n_eval), threads);
-    let eval = out.pop().expect("two ranges generated");
-    let profile = out.pop().expect("two ranges generated");
-    (profile, eval)
-}
-
 /// Run Algorithm 1 on the profiling traces with the config's L1-I.
 pub fn migration_map(profile: &WorkloadTrace, cfg: &ReplayConfig) -> MigrationMap {
     find_migration_points(&profile.xcts, cfg.sim.l1i)
-}
-
-/// Replay the evaluation traces under all five schedulers, Baseline first.
-pub fn run_all(eval: &WorkloadTrace, map: &MigrationMap, cfg: &ReplayConfig) -> Vec<ReplayResult> {
-    SchedulerKind::ALL
-        .iter()
-        .map(|&kind| run_scheduler(kind, &eval.xcts, Some(map), cfg))
-        .collect()
 }
 
 /// Normalize `value` over the baseline's, guarding degenerate baselines.
@@ -270,6 +212,7 @@ pub fn header(artifact: &str, what: &str, n: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use addict_core::sched::{run_scheduler, SchedulerKind};
     use addict_workloads::collect_traces;
 
     #[test]
@@ -440,8 +383,10 @@ mod tests {
         let eval = collect_traces(&mut engine, workload.as_mut(), 20, EVAL_SEED);
         let cfg = ReplayConfig::paper_default();
         let map = migration_map(&profile, &cfg);
-        let results = run_all(&eval, &map, &cfg);
-        assert_eq!(results.len(), SchedulerKind::ALL.len());
+        let results: Vec<_> = SchedulerKind::ALL
+            .iter()
+            .map(|&kind| run_scheduler(kind, &eval.xcts, Some(&map), &cfg))
+            .collect();
         assert_eq!(results[0].scheduler, "Baseline");
         assert!(results.iter().all(|r| r.n_xcts == 20));
         assert!(results.iter().all(|r| r.total_cycles > 0.0));

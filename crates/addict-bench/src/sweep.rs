@@ -146,57 +146,24 @@ pub fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Number of worker threads for sweeps: the `--threads N` flag if present
-/// in `args`, else [`default_threads`]. Anything unparseable falls back
-/// to 1 (the sequential path), never to a panic — this is the lenient
-/// argv/env probe the flag-less figure binaries use; binaries that parse
-/// their arguments go through `parse_bench_args`, which rejects malformed
-/// values explicitly.
-pub fn threads_from(args: &[String]) -> usize {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if let Some(v) = a.strip_prefix("--threads=") {
-            return v.parse().unwrap_or(1).max(1);
-        }
-        if a == "--threads" {
-            return it.next().and_then(|v| v.parse().ok()).unwrap_or(1).max(1);
-        }
-    }
-    default_threads()
-}
-
 /// Run `work` over every item of `items` on `threads` OS threads,
 /// returning results in item order regardless of completion order.
 ///
 /// `threads <= 1` (or a grid of one) runs sequentially on the calling
 /// thread — the fallback path spawns nothing. Workers claim items from a
 /// single atomic cursor; a panic in any run propagates to the caller when
-/// the scope joins.
+/// the scope joins. This is [`run_grid_abortable`] with a probe that
+/// never fires.
 pub fn run_grid<T, R, F>(items: &[T], threads: usize, work: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    if threads <= 1 || items.len() <= 1 {
-        return items.iter().enumerate().map(|(i, t)| work(i, t)).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let done: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(items.len()));
-    std::thread::scope(|s| {
-        for _ in 0..threads.min(items.len()) {
-            s.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                let r = work(i, item);
-                done.lock().expect("no poisoned result lock").push((i, r));
-            });
-        }
-    });
-    let mut out = done.into_inner().expect("scope joined all workers");
-    debug_assert_eq!(out.len(), items.len());
-    out.sort_unstable_by_key(|&(i, _)| i);
-    out.into_iter().map(|(_, r)| r).collect()
+    run_grid_abortable(items, threads, &|| false, work)
+        .into_iter()
+        .map(|r| r.expect("a quiet probe never skips an item"))
+        .collect()
 }
 
 /// [`run_grid`] with a cooperative abort probe: before *claiming* each
@@ -204,15 +171,13 @@ where
 /// item yields `None` instead of running (claimed items finish — the
 /// unit of cooperation is one grid point). Result order is item order
 /// either way, with `None` holes where the abort landed. This is the
-/// sweep half of job cancellation/deadlines: [`run_job_with`]
-/// (`crate::job`) maps a fired token to an aborted grid, then discards
-/// the partial results.
+/// sweep half of job cancellation/deadlines:
+/// [`run_job_with`](crate::job::run_job_with) maps a fired token to an
+/// aborted grid, then discards the partial results.
 ///
 /// The probe must be *sticky* (once true, true forever) — workers poll
 /// it independently, and a flapping probe would produce an arbitrary
-/// subset rather than a prefix-closed cut. The determinism contract of
-/// [`run_grid`] is preserved for completed runs: `abort` never firing
-/// reproduces `run_grid` exactly.
+/// subset rather than a prefix-closed cut.
 pub fn run_grid_abortable<T, R, F>(
     items: &[T],
     threads: usize,
@@ -328,15 +293,5 @@ mod tests {
             assert!(ran >= 4, "abort fired before it could have: {out:?}");
             assert!(ran < items.len(), "abort never cut the grid: {out:?}");
         }
-    }
-
-    #[test]
-    fn threads_flag_parsing() {
-        let s = |v: &[&str]| v.iter().map(|s| (*s).to_owned()).collect::<Vec<_>>();
-        assert_eq!(threads_from(&s(&["bench", "--threads", "4"])), 4);
-        assert_eq!(threads_from(&s(&["bench", "--threads=8", "400"])), 8);
-        // Unparseable values fall back to sequential, not to a panic.
-        assert_eq!(threads_from(&s(&["bench", "--threads", "zap"])), 1);
-        assert_eq!(threads_from(&s(&["bench", "--threads=0"])), 1);
     }
 }

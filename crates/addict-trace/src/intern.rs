@@ -386,23 +386,6 @@ impl InternedTrace {
         }
     }
 
-    /// Re-intern into another pool (range-parallel generation merges
-    /// worker-local pools into one master arena in range order).
-    pub fn reintern(&self, from: &SlicePool, to: &mut SlicePool) -> InternedTrace {
-        InternedTrace {
-            xct_type: self.xct_type,
-            slices: self
-                .slices
-                .iter()
-                .map(|&r| to.intern(from.resolve(r)))
-                .collect(),
-            // The encoded side table is pool-independent: copy verbatim.
-            data: self.data.clone(),
-            n_data: self.n_data,
-            instructions: self.instructions,
-        }
-    }
-
     /// Slice references of this trace.
     pub fn slice_refs(&self) -> &[SliceRef] {
         &self.slices
@@ -1016,21 +999,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn reintern_merges_pools_losslessly() {
-        let mut a = SlicePool::new();
-        let mut b = SlicePool::new();
-        let ta = InternedTrace::intern(&sample(0x9000), &mut a);
-        let tb = InternedTrace::intern(&sample(0xb000), &mut b);
-        let mut master = SlicePool::new();
-        let ma = ta.reintern(&a, &mut master);
-        let mb = tb.reintern(&b, &mut master);
-        assert_eq!(ma.flatten(&master).events, sample(0x9000).events);
-        assert_eq!(mb.flatten(&master).events, sample(0xb000).events);
-        // The shared control flow deduped across the merged pools.
-        assert_eq!(master.n_events(), a.n_events());
     }
 
     #[test]

@@ -104,21 +104,6 @@ proptest! {
         }
     }
 
-    /// Pool merging (worker-local pool → master arena) is lossless too.
-    #[test]
-    fn reintern_roundtrips(traces in prop::collection::vec(arb_trace(), 1..8)) {
-        let mut local = SlicePool::new();
-        let interned: Vec<InternedTrace> = traces
-            .iter()
-            .map(|t| InternedTrace::intern(t, &mut local))
-            .collect();
-        let mut master = SlicePool::new();
-        for (it, t) in interned.iter().zip(&traces) {
-            let merged = it.reintern(&local, &mut master);
-            prop_assert_eq!(&merged.flatten(&master).events, &t.events);
-        }
-    }
-
     /// The delta-varint address encoding round-trips adversarial
     /// streams: arbitrary `u64` addresses (non-monotone, negative and
     /// >32-bit deltas, region-boundary values) with occasional immediate

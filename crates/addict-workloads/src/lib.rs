@@ -265,7 +265,7 @@ pub fn collect_traces(
 /// Bit-identical to `collect_traces` followed by
 /// [`InternedTrace::intern`] over each trace (same traces, same order,
 /// same pool layout), and **independent of `chunk`** (asserted by
-/// `gen_determinism`'s chunk-invariance test). Deterministic in `seed`.
+/// `addict-bench`'s `trace_determinism` test). Deterministic in `seed`.
 /// Several collections (profile + eval) may intern into one shared pool.
 pub fn collect_traces_interned_chunked(
     engine: &mut Engine,
