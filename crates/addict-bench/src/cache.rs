@@ -422,6 +422,17 @@ mod tests {
     }
 
     #[test]
+    fn grid_fetch_orders_results_by_key() {
+        let pool = TracePool::unbounded();
+        let keys = [key(3, 1), key(5, 2)];
+        let out = crate::run_grid(&keys, 2, |_, k| pool.get(k, 1).0);
+        assert_eq!(out.len(), 2);
+        assert_eq!(out[0].xcts.len(), 3);
+        assert_eq!(out[1].xcts.len(), 5);
+        assert_eq!(out[0].name, "TPC-B");
+    }
+
+    #[test]
     fn hit_and_miss_counters_track_sharing() {
         let pool = TracePool::unbounded();
         let (a, hit_a) = pool.get(&key(6, 1), 1);

@@ -116,17 +116,44 @@ fn each_range_matches_direct_sequential_collection() {
 
 #[test]
 fn generation_is_bit_identical_across_thread_counts() {
+    // Flat traces collected on fresh engines fanned out over the worker
+    // pool (the reference `bench` checks its fast paths against) come back
+    // byte-identical and in key order at any thread count.
+    let keys = keys();
+    let collect_all = |threads: usize| -> Vec<String> {
+        run_grid(&keys, threads, |_, k| {
+            let (mut engine, mut workload) = k.bench.setup_small();
+            format!(
+                "{:?}",
+                collect_traces(&mut engine, workload.as_mut(), k.n_xcts, k.seed)
+            )
+        })
+    };
+    let sequential = collect_all(1);
+    for threads in [2, 3, 8] {
+        assert_eq!(
+            sequential,
+            collect_all(threads),
+            "generation changed at {threads} threads"
+        );
+    }
+}
+
+#[test]
+fn interned_generation_is_bit_identical_across_thread_counts() {
+    // Fetching every key through one pool concurrently gives the same
+    // interned sets as fetching them one by one.
     let keys = keys();
     let fetch_all = |threads: usize| -> Vec<String> {
         let pool = TracePool::unbounded();
         run_grid(&keys, threads, |_, k| canon(&pool.get(k, 1).0))
     };
     let sequential = fetch_all(1);
-    for threads in [2, 3] {
+    for threads in [2, 4] {
         assert_eq!(
             sequential,
             fetch_all(threads),
-            "fetching changed at {threads} threads"
+            "interned generation changed at {threads} threads"
         );
     }
 }
