@@ -1,4 +1,4 @@
-//! Ablation bench for the DESIGN.md §3 design choices (beyond the paper):
+//! Ablation bench for ADDICT's design choices (beyond the paper):
 //!
 //! * dynamic core reassignment on/off (Section 3.2.3),
 //! * frequency-proportional replication on/off,
@@ -43,6 +43,12 @@ const _: () = {
 
 fn main() {
     let args = parse_bench_args(400);
+    // A figure writes no artifact: a non-numeric positional (`ablation 5O0`)
+    // is a usage error, not a silent run at the default trace count.
+    if args.out.is_some() {
+        eprintln!("error: ablation writes no artifact; usage: ablation [n_xcts] [--smoke] [--threads N] [--benchmarks name]");
+        std::process::exit(2);
+    }
     let n = args.n_xcts;
     // Ablations run on one workload: TPC-C by default (the paper's main
     // evaluation mix), or the single benchmark named by `--benchmarks`.

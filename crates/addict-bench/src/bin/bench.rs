@@ -40,10 +40,10 @@
 //! and can fail the process:
 //! * the streamed, delta-encoded eval workload must **decode back
 //!   bit-identical** to an independent flat `collect_traces` on a fresh
-//!   engine (the `streaming-equivalence` CI gate),
+//!   engine (the `--xcts 2000` TPC-B step of CI's `release-gates` job),
 //! * flat, fast, and **interned** execution must produce bit-identical
 //!   simulation output (a speedup can never be bought with accuracy) —
-//!   the `data-run-equivalence` CI gate,
+//!   the YCSB-A data-run step of CI's `release-gates` job,
 //! * the 1-thread and N-thread sweeps must produce bit-identical
 //!   per-scheduler `MachineStats` and makespans (parallelism can never
 //!   change a result) — for the spec-driven workloads exactly as for the
@@ -103,7 +103,7 @@ fn peak_rss_bytes() -> Option<u64> {
 
 /// Assert the streamed trace→intern pipeline's decoded form is
 /// bit-identical to the flat-collected workload — the runtime
-/// decoded-vs-flat gate (`streaming-equivalence` in CI).
+/// decoded-vs-flat gate (CI's `release-gates` job runs it at `--xcts 2000`).
 fn assert_decodes_to(interned: &InternedWorkload, flat: &WorkloadTrace, what: &str) {
     let decoded = interned.flatten();
     assert_eq!(
@@ -333,7 +333,7 @@ fn main() {
 
             // Equivalence guards: no fast path may change the simulation,
             // on spec-driven workloads exactly as on the trio. The fast
-            // assert is CI's `data-run-equivalence` gate.
+            // assert is the data-run gate of CI's `release-gates` job.
             let what = |path| format!("{}/{}: {path} path", p.bench.name(), kind.name());
             assert_identical(&fast_r, &flat_r, &what("fast"));
             assert_identical(&int_r, &flat_r, &what("interned"));

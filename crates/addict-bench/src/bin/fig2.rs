@@ -146,7 +146,7 @@ fn main() {
     println!("  probe/update op overlap >=90% (TPC-B), >=70% (TPC-C NewOrder)");
     println!("  insert op overlap ~50-60%  |  data overlap at most 6%");
 
-    // Machine-checkable summary for EXPERIMENTS.md.
+    // One-line machine-checkable summary.
     let ts_overlap = overlap_histogram(&tpce_t, OverlapScope::XctType(ts))
         .map(|(i, _)| i.common_share(0.9) * 100.0)
         .unwrap_or(0.0);

@@ -9,6 +9,12 @@ use addict_core::sched::SchedulerKind;
 
 fn main() {
     let args = parse_bench_args(600);
+    // A figure writes no artifact: a non-numeric positional (`fig5 5O0`)
+    // is a usage error, not a silent run at the default trace count.
+    if args.out.is_some() {
+        eprintln!("error: fig5 writes no artifact; usage: fig5 [n_xcts] [--smoke] [--threads N] [--benchmarks name,...]");
+        std::process::exit(2);
+    }
     let n = args.n_xcts;
     header(
         "Figure 5",
@@ -44,5 +50,5 @@ fn main() {
     }
     println!("Paper: L1-I reduction ADDICT 85% > SLICC 60% > STREX 20%;");
     println!("L1-D increase SLICC ~40% / ADDICT ~25%, STREX slightly better;");
-    println!("L2 ADDICT/SLICC ~-20%, STREX ~+50% (needs >LLC-sized data; see EXPERIMENTS.md).");
+    println!("L2 ADDICT/SLICC ~-20%, STREX ~+50% (needs >LLC-sized data).");
 }

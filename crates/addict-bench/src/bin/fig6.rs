@@ -7,6 +7,12 @@ use addict_core::sched::SchedulerKind;
 
 fn main() {
     let args = parse_bench_args(600);
+    // A figure writes no artifact: a non-numeric positional (`fig6 5O0`)
+    // is a usage error, not a silent run at the default trace count.
+    if args.out.is_some() {
+        eprintln!("error: fig6 writes no artifact; usage: fig6 [n_xcts] [--smoke] [--threads N] [--benchmarks name,...]");
+        std::process::exit(2);
+    }
     let n = args.n_xcts;
     header(
         "Figure 6",
@@ -41,5 +47,5 @@ fn main() {
     println!("Paper: exec-time reduction ADDICT 45% > SLICC 35% > STREX 17%;");
     println!("latency increase: STREX 7-8x worst, ADDICT lowest (~1.6x).");
     println!("Note: our Baseline latency contains no queueing by construction,");
-    println!("so mechanism/Baseline latency ratios overstate (EXPERIMENTS.md).");
+    println!("so mechanism/Baseline latency ratios overstate.");
 }

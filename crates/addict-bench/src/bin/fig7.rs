@@ -13,6 +13,12 @@ const BATCHES: [usize; 5] = [2, 4, 8, 16, 32];
 
 fn main() {
     let args = parse_bench_args(600);
+    // A figure writes no artifact: a non-numeric positional (`fig7 5O0`)
+    // is a usage error, not a silent run at the default trace count.
+    if args.out.is_some() {
+        eprintln!("error: fig7 writes no artifact; usage: fig7 [n_xcts] [--smoke] [--threads N] [--benchmarks name,...]");
+        std::process::exit(2);
+    }
     let n = args.n_xcts;
     header("Figure 7", "batch-size sweep: ADDICT over Baseline", n);
 

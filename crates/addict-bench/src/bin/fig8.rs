@@ -21,6 +21,12 @@ use addict_sim::SimConfig;
 
 fn main() {
     let args = parse_bench_args(600);
+    // A figure writes no artifact: a non-numeric positional (`fig8 5O0`)
+    // is a usage error, not a silent run at the default trace count.
+    if args.out.is_some() {
+        eprintln!("error: fig8 writes no artifact; usage: fig8 [n_xcts] [--smoke] [--threads N] [--benchmarks name,...]");
+        std::process::exit(2);
+    }
     let n = args.n_xcts;
     header(
         "Figure 8",

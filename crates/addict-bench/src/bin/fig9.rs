@@ -6,6 +6,12 @@ use addict_core::sched::SchedulerKind;
 
 fn main() {
     let args = parse_bench_args(600);
+    // A figure writes no artifact: a non-numeric positional (`fig9 5O0`)
+    // is a usage error, not a silent run at the default trace count.
+    if args.out.is_some() {
+        eprintln!("error: fig9 writes no artifact; usage: fig9 [n_xcts] [--smoke] [--threads N] [--benchmarks name,...]");
+        std::process::exit(2);
+    }
     let n = args.n_xcts;
     header(
         "Figure 9",

@@ -15,7 +15,7 @@
 //! | `fig7`   | Figure 7 — batch-size sweep (Section 4.5) |
 //! | `fig8`   | Figure 8 — deeper hierarchy + power (Sections 4.6, 4.7) |
 //! | `fig9`   | Figure 9 — context switches + overhead breakdown |
-//! | `ablation` | DESIGN.md §3 design-choice ablations (beyond the paper) |
+//! | `ablation` | design-choice ablations beyond the paper (core reassignment, replication, OoO miss hiding, batching) |
 //! | `bench`  | `BENCH_n.json` — replay throughput (events/sec) per workload and scheduler, flat vs fast-path vs interned execution + trace-memory footprint (see BENCHMARKS.md) |
 //!
 //! Every binary but `table1` parses one command line

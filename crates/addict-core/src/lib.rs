@@ -19,14 +19,11 @@
 //!   per transaction, start to finish), STREX (time-multiplexing a batch
 //!   on one core), SLICC (hardware-heuristic computation spreading), and
 //!   ADDICT (software-guided migration at the planned points).
-//! * [`specialize`] — the Section 6 outlook: per-action instruction
-//!   profiles for heterogeneous-core specialization.
 
 pub mod algorithm1;
 pub mod plan;
 pub mod replay;
 pub mod sched;
-pub mod specialize;
 
 pub use algorithm1::{
     find_migration_points, find_migration_points_interned, MigrationMap, Profiler,

@@ -274,11 +274,6 @@ impl SetAssocCache {
     pub fn capacity_blocks(&self) -> usize {
         self.lines.len()
     }
-
-    /// Iterate over all resident blocks (diagnostics, tests).
-    pub fn resident_blocks(&self) -> impl Iterator<Item = BlockAddr> + '_ {
-        self.lines.iter().filter(|l| l.valid).map(|l| l.block)
-    }
 }
 
 #[cfg(test)]

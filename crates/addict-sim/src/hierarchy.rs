@@ -2,8 +2,7 @@
 //! L2 in the deep configuration), a shared banked NUCA LLC, directory
 //! coherence for L1-D, and main memory.
 //!
-//! Simplifications, applied equally to every scheduler (documented here and
-//! in DESIGN.md):
+//! Simplifications, applied equally to every scheduler:
 //!
 //! * the LLC is non-inclusive; LLC evictions do not back-invalidate L1s,
 //! * LLC bank conflicts and NoC contention are not modeled,

@@ -153,9 +153,7 @@ impl Engine {
         self.rec.begin_xct(id.0, ty);
         self.rec.exec(Routine::XctBegin);
         self.touch_xct_state(id, 4, true);
-        let (_, off) = self.log.append(id.0, LogPayload::XctBegin);
-        self.rec.exec(Routine::LogInsert);
-        self.rec.data(layout::log_block(off), true);
+        self.log_emit(LogPayload::XctBegin);
         id
     }
 
@@ -165,9 +163,7 @@ impl Engine {
         self.rec.switch_to(xct.0);
         self.rec.exec(Routine::XctCommit);
         self.touch_xct_state(xct, 4, false);
-        let (_, off) = self.log.append(xct.0, LogPayload::XctCommit);
-        self.rec.exec(Routine::LogInsert);
-        self.rec.data(layout::log_block(off), true);
+        self.log_emit(LogPayload::XctCommit);
         self.log.flush();
         let released = self.locks.release_all(xct.0);
         self.rec.exec(Routine::LockRelease);
@@ -187,9 +183,7 @@ impl Engine {
     pub fn abort(&mut self, xct: XctId) -> StorageResult<()> {
         self.check_active(xct)?;
         self.rec.switch_to(xct.0);
-        let (_, off) = self.log.append(xct.0, LogPayload::XctAbort);
-        self.rec.exec(Routine::LogInsert);
-        self.rec.data(layout::log_block(off), true);
+        self.log_emit(LogPayload::XctAbort);
         self.locks.release_all(xct.0);
         self.rec.exec(Routine::LockRelease);
         self.rec.end_xct(xct.0);
@@ -260,8 +254,8 @@ impl Engine {
     }
 
     /// Append a log record, emitting the log-insert walk and tail write.
-    fn log_emit(&mut self, xct: XctId, payload: LogPayload) {
-        let (_, off) = self.log.append(xct.0, payload);
+    fn log_emit(&mut self, payload: LogPayload) {
+        let (_, off) = self.log.append(payload);
         self.rec.exec(Routine::LogInsert);
         self.rec.data(layout::log_block(off), true);
     }
@@ -321,7 +315,7 @@ impl Engine {
     }
 
     /// Emit structural-modification work (splits, new roots, merges).
-    fn emit_smo(&mut self, xct: XctId, index: IndexId, smo: &SmoStats) {
+    fn emit_smo(&mut self, smo: &SmoStats) {
         if !smo.any() {
             return;
         }
@@ -333,12 +327,12 @@ impl Engine {
         for _ in 0..smo.pages_allocated {
             self.rec.exec(Routine::AllocatePage);
             self.rec.exec(Routine::BpFix);
-            self.log_emit(xct, LogPayload::PageAlloc { page: 0 });
+            self.log_emit(LogPayload::PageAlloc);
         }
         if smo.new_root || smo.root_collapsed || smo.borrows > 0 {
             self.rec.exec_part(Routine::StructuralModification, 1, 2);
         }
-        self.log_emit(xct, LogPayload::Smo { index: index.0 });
+        self.log_emit(LogPayload::Smo);
     }
 
     /// Emit record-page touches covering the record's full block span
@@ -617,13 +611,7 @@ impl Engine {
         };
         self.emit_record_touch(rid, offset, bytes.len(), true);
         self.emit_tuple_layout(bytes.len());
-        self.log_emit(
-            xct,
-            LogPayload::Update {
-                table: table.0,
-                rid,
-            },
-        );
+        self.log_emit(LogPayload::Update);
         let lsn = self.log.next_lsn() - 1;
         if let Some(page) = self.catalog.table_mut(table)?.heap.page_mut(rid.page) {
             page.set_page_lsn(lsn);
@@ -692,7 +680,7 @@ impl Engine {
             self.rec.exec(Routine::AllocatePage);
             self.rec.exec(Routine::BpFix);
             self.rec.data(layout::page_block(ins.rid.page, 0), true);
-            self.log_emit(xct, LogPayload::PageAlloc { page: ins.rid.page });
+            self.log_emit(LogPayload::PageAlloc);
         }
         let cr_n = CodeMap::global().n_blocks(Routine::CreateRecord);
         let cr_variant = u64::from(table.0) % 2;
@@ -705,13 +693,7 @@ impl Engine {
         let offset = self.catalog.table(table)?.heap.record_offset(ins.rid)?;
         self.emit_record_touch(ins.rid, offset, bytes.len(), true);
         self.emit_tuple_layout(bytes.len());
-        self.log_emit(
-            xct,
-            LogPayload::Insert {
-                table: table.0,
-                rid: ins.rid,
-            },
-        );
+        self.log_emit(LogPayload::Insert);
         self.bp_unfix(ins.rid.page, true);
         self.rec.exec_part(Routine::CreateRecord, 2, 3);
 
@@ -738,14 +720,8 @@ impl Engine {
             self.emit_descent(&path)?;
             self.rec
                 .data(layout::page_block(leaf_page, 128 + (key * 16) % 4096), true);
-            self.emit_smo(xct, index, &smo);
-            self.log_emit(
-                xct,
-                LogPayload::Insert {
-                    table: table.0,
-                    rid: ins.rid,
-                },
-            );
+            self.emit_smo(&smo);
+            self.log_emit(LogPayload::Insert);
             let cie_n = CodeMap::global().n_blocks(Routine::CreateIndexEntry);
             let cie_variant = leaf_page % 2;
             self.rec.exec_slice(
@@ -820,13 +796,7 @@ impl Engine {
             let t = self.catalog.table_mut(table)?;
             t.heap.delete(rid)?;
         }
-        self.log_emit(
-            xct,
-            LogPayload::Delete {
-                table: table.0,
-                rid,
-            },
-        );
+        self.log_emit(LogPayload::Delete);
         self.bp_unfix(rid.page, true);
 
         // Remove every index entry.
@@ -838,14 +808,8 @@ impl Engine {
                 (r.path, r.smo)
             };
             self.emit_descent(&path)?;
-            self.emit_smo(xct, index, &smo);
-            self.log_emit(
-                xct,
-                LogPayload::Delete {
-                    table: table.0,
-                    rid,
-                },
-            );
+            self.emit_smo(&smo);
+            self.log_emit(LogPayload::Delete);
             self.rec.exec_part(Routine::DeleteIndexEntry, 1, 2);
         }
         self.rec.exec_part(Routine::DeleteTupleApi, 1, 2);

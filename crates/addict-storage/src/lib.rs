@@ -14,7 +14,6 @@
 //! * [`lock`] — a 2PL lock manager (S/X/IS/IX modes, upgrade, waits-for
 //!   deadlock detection),
 //! * [`wal`] — a write-ahead log with monotone LSNs,
-//! * [`recovery`] — an ARIES-style analysis/redo/undo pass over the log,
 //! * [`engine`] — the transaction manager exposing the paper's five
 //!   database operations (index probe, index scan, update tuple, insert
 //!   tuple, delete tuple).
@@ -42,7 +41,6 @@ pub mod error;
 pub mod heap;
 pub mod lock;
 pub mod page;
-pub mod recovery;
 pub mod rid;
 pub mod wal;
 

@@ -1,13 +1,12 @@
-//! The write-ahead log: monotone LSNs, an in-memory tail window, and flush
+//! The write-ahead log: monotone LSNs, the log-tail byte offset, and flush
 //! accounting.
 //!
 //! The log tail is one of the few *written* shared data structures in the
 //! system — every transaction appends to it, which is why log-buffer blocks
 //! show up among the commonly accessed data of Section 2.2.2. The engine
 //! maps each append's byte offset to a log-buffer block via
-//! `addict_trace::layout::log_block`.
-
-use crate::rid::Rid;
+//! `addict_trace::layout::log_block`, so only the record kinds and their
+//! sizes are kept, not the records themselves.
 
 /// What a log record describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,36 +18,15 @@ pub enum LogPayload {
     /// Transaction abort.
     XctAbort,
     /// Record update (before/after images elided; size accounted).
-    Update {
-        /// Table updated.
-        table: u32,
-        /// Record updated.
-        rid: Rid,
-    },
+    Update,
     /// Record insertion.
-    Insert {
-        /// Table inserted into.
-        table: u32,
-        /// New record's location.
-        rid: Rid,
-    },
+    Insert,
     /// Record deletion.
-    Delete {
-        /// Table deleted from.
-        table: u32,
-        /// Old record's location.
-        rid: Rid,
-    },
+    Delete,
     /// Heap/index page allocation.
-    PageAlloc {
-        /// The new page.
-        page: u64,
-    },
+    PageAlloc,
     /// B+-tree structural modification (split/merge/root change).
-    Smo {
-        /// Index undergoing the SMO.
-        index: u32,
-    },
+    Smo,
 }
 
 impl LogPayload {
@@ -56,75 +34,30 @@ impl LogPayload {
     pub fn size(&self) -> u64 {
         match self {
             LogPayload::XctBegin | LogPayload::XctCommit | LogPayload::XctAbort => 24,
-            LogPayload::Update { .. } => 120,
-            LogPayload::Insert { .. } => 140,
-            LogPayload::Delete { .. } => 96,
-            LogPayload::PageAlloc { .. } => 48,
-            LogPayload::Smo { .. } => 160,
+            LogPayload::Update => 120,
+            LogPayload::Insert => 140,
+            LogPayload::Delete => 96,
+            LogPayload::PageAlloc => 48,
+            LogPayload::Smo => 160,
         }
     }
-}
-
-/// One log record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LogRecord {
-    /// Log sequence number (monotone from 1).
-    pub lsn: u64,
-    /// Owning transaction.
-    pub xct: u64,
-    /// Payload.
-    pub payload: LogPayload,
-    /// Byte offset of this record in the log stream.
-    pub offset: u64,
 }
 
 /// The log manager.
 #[derive(Debug)]
 pub struct LogManager {
-    records: Vec<LogRecord>,
     next_lsn: u64,
     tail_bytes: u64,
     durable_lsn: u64,
-    appended_total: u64,
-    /// Resident-window bound: older records are dropped once flushed so
-    /// population runs do not grow memory without bound.
-    max_resident: usize,
 }
 
 impl LogManager {
-    /// A log manager keeping at most `max_resident` records in memory.
-    pub fn new(max_resident: usize) -> Self {
-        assert!(max_resident > 0);
-        LogManager {
-            records: Vec::new(),
-            next_lsn: 1,
-            tail_bytes: 0,
-            durable_lsn: 0,
-            appended_total: 0,
-            max_resident,
-        }
-    }
-
     /// Append a record; returns `(lsn, byte offset of the record)`.
-    pub fn append(&mut self, xct: u64, payload: LogPayload) -> (u64, u64) {
+    pub fn append(&mut self, payload: LogPayload) -> (u64, u64) {
         let lsn = self.next_lsn;
         self.next_lsn += 1;
         let offset = self.tail_bytes;
         self.tail_bytes += payload.size();
-        self.appended_total += 1;
-        self.records.push(LogRecord {
-            lsn,
-            xct,
-            payload,
-            offset,
-        });
-        if self.records.len() > self.max_resident {
-            // Simulate archiving the flushed prefix.
-            let drop_to = self.records.len() - self.max_resident / 2;
-            let dropped_last = self.records[drop_to - 1].lsn;
-            self.durable_lsn = self.durable_lsn.max(dropped_last);
-            self.records.drain(..drop_to);
-        }
         (lsn, offset)
     }
 
@@ -143,31 +76,15 @@ impl LogManager {
     pub fn next_lsn(&self) -> u64 {
         self.next_lsn
     }
-
-    /// Byte offset of the current tail.
-    pub fn tail_bytes(&self) -> u64 {
-        self.tail_bytes
-    }
-
-    /// Total records ever appended.
-    pub fn appended_total(&self) -> u64 {
-        self.appended_total
-    }
-
-    /// In-memory (unarchived) records.
-    pub fn resident(&self) -> &[LogRecord] {
-        &self.records
-    }
-
-    /// Records of one transaction still resident (newest run only).
-    pub fn records_of(&self, xct: u64) -> impl Iterator<Item = &LogRecord> {
-        self.records.iter().filter(move |r| r.xct == xct)
-    }
 }
 
 impl Default for LogManager {
     fn default() -> Self {
-        Self::new(65_536)
+        LogManager {
+            next_lsn: 1,
+            tail_bytes: 0,
+            durable_lsn: 0,
+        }
     }
 }
 
@@ -178,66 +95,43 @@ mod tests {
     #[test]
     fn lsns_are_monotone_and_dense() {
         let mut log = LogManager::default();
-        let (l1, o1) = log.append(1, LogPayload::XctBegin);
-        let (l2, o2) = log.append(
-            1,
-            LogPayload::Update {
-                table: 0,
-                rid: Rid::new(1, 2),
-            },
-        );
-        let (l3, _) = log.append(2, LogPayload::XctBegin);
+        let (l1, o1) = log.append(LogPayload::XctBegin);
+        let (l2, o2) = log.append(LogPayload::Update);
+        let (l3, o3) = log.append(LogPayload::XctBegin);
         assert_eq!((l1, l2, l3), (1, 2, 3));
         assert_eq!(o1, 0);
         assert_eq!(o2, LogPayload::XctBegin.size());
-        assert_eq!(log.appended_total(), 3);
+        assert_eq!(o3, o2 + LogPayload::Update.size());
+        assert_eq!(log.next_lsn(), 4);
     }
 
     #[test]
     fn flush_advances_durable_lsn() {
         let mut log = LogManager::default();
-        log.append(1, LogPayload::XctBegin);
-        log.append(1, LogPayload::XctCommit);
+        log.append(LogPayload::XctBegin);
+        log.append(LogPayload::XctCommit);
         assert_eq!(log.durable_lsn(), 0);
         assert_eq!(log.flush(), 2);
         assert_eq!(log.durable_lsn(), 2);
     }
 
-    #[test]
-    fn resident_window_is_bounded() {
-        let mut log = LogManager::new(100);
-        for i in 0..1000 {
-            log.append(i % 7, LogPayload::XctBegin);
-        }
-        assert!(log.resident().len() <= 100);
-        assert_eq!(log.appended_total(), 1000);
-        // Archived records became durable.
-        assert!(log.durable_lsn() >= 900);
-        // LSNs keep counting past the window.
-        assert_eq!(log.next_lsn(), 1001);
-    }
-
-    #[test]
-    fn per_xct_filter() {
-        let mut log = LogManager::default();
-        log.append(1, LogPayload::XctBegin);
-        log.append(2, LogPayload::XctBegin);
-        log.append(1, LogPayload::XctCommit);
-        assert_eq!(log.records_of(1).count(), 2);
-        assert_eq!(log.records_of(2).count(), 1);
-    }
-
+    /// The sizes fix every append's byte offset, and through
+    /// `layout::log_block` the traced log-buffer addresses: pin them.
     #[test]
     fn payload_sizes_positive() {
-        for p in [
-            LogPayload::XctBegin,
-            LogPayload::Update {
-                table: 0,
-                rid: Rid::new(0, 0),
-            },
-            LogPayload::Smo { index: 1 },
-        ] {
-            assert!(p.size() > 0);
+        use LogPayload::*;
+        let sizes = [
+            (XctBegin, 24),
+            (XctCommit, 24),
+            (XctAbort, 24),
+            (Update, 120),
+            (Insert, 140),
+            (Delete, 96),
+            (PageAlloc, 48),
+            (Smo, 160),
+        ];
+        for (p, bytes) in sizes {
+            assert_eq!(p.size(), bytes, "{p:?}");
         }
     }
 }

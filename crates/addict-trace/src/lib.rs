@@ -5,8 +5,7 @@
 //!
 //! The paper collects x86 instruction/data traces of Shore-MT with Pin and
 //! replays them on a timing simulator. We cannot trace native instruction
-//! addresses portably, so this crate supplies the substitution documented in
-//! DESIGN.md:
+//! addresses portably, so this crate supplies a substitute:
 //!
 //! * a [`codemap`] assigns every storage-manager routine a stable synthetic
 //!   code region (a range of 64-byte instruction blocks) whose size is

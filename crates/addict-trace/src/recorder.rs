@@ -60,11 +60,6 @@ impl TraceRecorder {
         }
     }
 
-    /// Is this recorder capturing?
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Turn capturing on or off (population runs are untraced).
     ///
     /// # Panics

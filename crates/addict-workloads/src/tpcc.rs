@@ -12,7 +12,7 @@
 //!   the `create index entry` + `structural modification` paths;
 //! * Delivery consumes NewOrder rows with real `delete tuple` operations.
 //!
-//! Simplification (documented in DESIGN.md): Delivery reads order lines
+//! Simplification: Delivery reads order lines
 //! and credits the customer but does not rewrite each order line's
 //! delivery date; the per-line updates would quintuple the transaction
 //! with no new code paths.
@@ -135,7 +135,6 @@ const OL_AMOUNT: usize = 4;
 const I_ROW: usize = 100;
 const S_ROW: usize = 120;
 const S_QTY: usize = 1;
-const S_YTD: usize = 2;
 
 /// Table/index handles plus run state.
 #[derive(Debug)]
@@ -540,11 +539,6 @@ impl TpcC {
     /// The configured scale.
     pub fn config(&self) -> &TpcCConfig {
         &self.cfg
-    }
-
-    /// Stock YTD field index (tests).
-    pub fn stock_ytd_field() -> usize {
-        S_YTD
     }
 }
 

@@ -23,8 +23,8 @@
 //! * [`core`] — ADDICT itself plus the Baseline/STREX/SLICC comparators,
 //! * [`analysis`] — the Section 2 memory-characterization analyses.
 //!
-//! See `examples/quickstart.rs` for an end-to-end tour, and `DESIGN.md` /
-//! `EXPERIMENTS.md` for the experiment inventory.
+//! See `examples/quickstart.rs` for an end-to-end tour; the `addict-bench`
+//! binaries regenerate the paper's tables and figures.
 
 pub use addict_analysis as analysis;
 pub use addict_core as core;
