@@ -139,14 +139,48 @@ fn tpcb_odd_scale_trace_digest_matches() {
     assert_eq!(tpcb_digest((3, 7, 501), 60, 7), "ba6a1fef8931f6bd");
 }
 
-/// TPC-B at its default scale (16 × 10 × 8000), 50 transactions, seed 2.
-/// Ignored in the tier-1 run: population takes about 30 s in a release
-/// build and far longer in a debug one. CI runs it with
+/// Traces of 50 transactions at `bench`'s default (figure-binary) scale,
+/// seed 2. The default scales descend deeper B+-trees than `setup_small`,
+/// so these rows pin page and node ids the small digests never reach.
+fn default_scale_digest(bench: Benchmark) -> String {
+    let (mut engine, mut workload) = bench.setup();
+    trace_digest(&collect_traces(&mut engine, workload.as_mut(), 50, 2).xcts)
+}
+
+/// TPC-B at its default scale (16 × 10 × 8000). Ignored in the tier-1
+/// run: population takes about 30 s in a release build and far longer in
+/// a debug one. CI runs it with
 /// `cargo test --release -p addict-bench --test golden_digests -- --ignored`.
 #[test]
 #[ignore]
 fn tpcb_default_scale_trace_digest_matches() {
-    let (mut engine, mut workload) = Benchmark::TpcB.setup();
-    let traces = collect_traces(&mut engine, workload.as_mut(), 50, 2);
-    assert_eq!(trace_digest(&traces.xcts), "8195ef7b6bf31ffc");
+    assert_eq!(default_scale_digest(Benchmark::TpcB), "8195ef7b6bf31ffc");
+}
+
+#[test]
+fn tpcc_default_scale_trace_digest_matches() {
+    assert_eq!(default_scale_digest(Benchmark::TpcC), "bd14ed3332250df0");
+}
+
+/// Ignored in the tier-1 run: population takes about 80 s in a debug
+/// build.
+#[test]
+#[ignore]
+fn tpce_default_scale_trace_digest_matches() {
+    assert_eq!(default_scale_digest(Benchmark::TpcE), "ee276c18776128ea");
+}
+
+#[test]
+fn tatp_default_scale_trace_digest_matches() {
+    assert_eq!(default_scale_digest(Benchmark::Tatp), "4e3f74dc1a8d3856");
+}
+
+#[test]
+fn ycsba_default_scale_trace_digest_matches() {
+    assert_eq!(default_scale_digest(Benchmark::YcsbA), "564237cf95b67a00");
+}
+
+#[test]
+fn ycsbb_default_scale_trace_digest_matches() {
+    assert_eq!(default_scale_digest(Benchmark::YcsbB), "904a98847060a770");
 }
