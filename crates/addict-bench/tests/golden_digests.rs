@@ -147,12 +147,8 @@ fn default_scale_digest(bench: Benchmark) -> String {
     trace_digest(&collect_traces(&mut engine, workload.as_mut(), 50, 2).xcts)
 }
 
-/// TPC-B at its default scale (16 × 10 × 8000). Ignored in the tier-1
-/// run: population takes about 30 s in a release build and far longer in
-/// a debug one. CI runs it with
-/// `cargo test --release -p addict-bench --test golden_digests -- --ignored`.
+/// TPC-B at its default scale (16 × 10 × 8000).
 #[test]
-#[ignore]
 fn tpcb_default_scale_trace_digest_matches() {
     assert_eq!(default_scale_digest(Benchmark::TpcB), "8195ef7b6bf31ffc");
 }
@@ -162,10 +158,7 @@ fn tpcc_default_scale_trace_digest_matches() {
     assert_eq!(default_scale_digest(Benchmark::TpcC), "bd14ed3332250df0");
 }
 
-/// Ignored in the tier-1 run: population takes about 80 s in a debug
-/// build.
 #[test]
-#[ignore]
 fn tpce_default_scale_trace_digest_matches() {
     assert_eq!(default_scale_digest(Benchmark::TpcE), "ee276c18776128ea");
 }

@@ -1,6 +1,7 @@
 //! Heap files: an append-friendly collection of slotted pages per table,
-//! with a free-space hint and explicit page allocation (the `allocate page`
-//! path of Figure 1 — taken only when no existing page fits the record).
+//! with first-fit placement sped up by per-length free-space hints, and
+//! explicit page allocation (the `allocate page` path of Figure 1 — taken
+//! only when no existing page fits the record).
 
 use std::collections::HashMap;
 
@@ -51,9 +52,10 @@ pub struct HeapFile {
     pages: Vec<(u64, SlottedPage)>,
     /// page id -> index in `pages`.
     by_id: HashMap<u64, usize>,
-    /// Index of the first page that might have free space (monotone hint;
-    /// records are near-uniform per table so this stays accurate).
-    free_hint: usize,
+    /// `(record length, page index)`: no page before the index fits a
+    /// record of that length, so an insert's first-fit scan starts there.
+    /// Placement is exactly a first-fit scan from page 0.
+    hints: Vec<(usize, usize)>,
 }
 
 impl HeapFile {
@@ -81,33 +83,38 @@ impl HeapFile {
         if record.len() > crate::page::PAGE_BYTES - 64 {
             return Err(StorageError::RecordTooLarge { size: record.len() });
         }
-        // Try from the hint forward.
-        for i in self.free_hint..self.pages.len() {
-            let (pid, page) = &mut self.pages[i];
-            if page.fits(record.len()) {
-                let slot = page.insert(record).expect("fits() checked");
-                return Ok(HeapInsert {
-                    rid: Rid::new(*pid, slot),
-                    allocated_page: false,
-                });
+        let len = record.len();
+        let h = match self.hints.iter().position(|&(l, _)| l == len) {
+            Some(h) => h,
+            None => {
+                self.hints.push((len, 0));
+                self.hints.len() - 1
             }
-            if i == self.free_hint && page.total_free() < 64 {
-                // Page essentially full: advance the hint past it.
-                self.free_hint += 1;
-            }
-        }
-        // Allocate a fresh page.
-        let pid = alloc.alloc();
-        let mut page = SlottedPage::new();
+        };
+        let found = (self.hints[h].1..self.pages.len()).find(|&i| self.pages[i].1.fits(len));
+        let allocated_page = found.is_none();
+        let idx = found.unwrap_or_else(|| {
+            let pid = alloc.alloc();
+            self.by_id.insert(pid, self.pages.len());
+            self.pages.push((pid, SlottedPage::new()));
+            self.pages.len() - 1
+        });
+        self.hints[h].1 = idx;
+        let (pid, page) = &mut self.pages[idx];
         let slot = page
             .insert(record)
-            .expect("fresh page fits any legal record");
-        self.by_id.insert(pid, self.pages.len());
-        self.pages.push((pid, page));
+            .expect("fits() checked, and a fresh page fits any legal record");
         Ok(HeapInsert {
-            rid: Rid::new(pid, slot),
-            allocated_page: true,
+            rid: Rid::new(*pid, slot),
+            allocated_page,
         })
+    }
+
+    /// Space was freed on page `idx`: no hint may stay past it.
+    fn freed(&mut self, idx: usize) {
+        for (_, first) in &mut self.hints {
+            *first = (*first).min(idx);
+        }
     }
 
     /// Read a record.
@@ -126,11 +133,18 @@ impl HeapFile {
 
     /// Overwrite a record in place (may relocate within its page).
     pub fn update(&mut self, rid: Rid, record: &[u8]) -> StorageResult<()> {
-        let page = self
-            .page_mut(rid.page)
+        let idx = *self
+            .by_id
+            .get(&rid.page)
             .ok_or(StorageError::InvalidRid(rid))?;
+        let page = &mut self.pages[idx].1;
+        let old_len = page.get(rid.slot).map_or(0, <[u8]>::len);
         page.update(rid.slot, record)
-            .map_err(|_| StorageError::RecordTooLarge { size: record.len() })
+            .map_err(|_| StorageError::RecordTooLarge { size: record.len() })?;
+        if record.len() < old_len {
+            self.freed(idx);
+        }
+        Ok(())
     }
 
     /// Delete a record.
@@ -140,8 +154,7 @@ impl HeapFile {
             .get(&rid.page)
             .ok_or(StorageError::InvalidRid(rid))?;
         if self.pages[idx].1.delete(rid.slot) {
-            // Freed space: the hint may move back to reuse it.
-            self.free_hint = self.free_hint.min(idx);
+            self.freed(idx);
             Ok(())
         } else {
             Err(StorageError::InvalidRid(rid))
@@ -153,7 +166,8 @@ impl HeapFile {
         self.by_id.get(&page_id).map(|&i| &self.pages[i].1)
     }
 
-    /// Mutably borrow a page by id.
+    /// Mutably borrow a page by id. Space freed through it stays invisible
+    /// to placement: delete and shrink records through the heap.
     pub fn page_mut(&mut self, page_id: u64) -> Option<&mut SlottedPage> {
         let i = *self.by_id.get(&page_id)?;
         Some(&mut self.pages[i].1)

@@ -1,11 +1,13 @@
-//! Property-based tests: the B+-tree against a `BTreeMap` model, and
-//! slotted pages against a vector-of-records model.
+//! Property-based tests: the B+-tree against a `BTreeMap` model, slotted
+//! pages against a vector-of-records model, and heap placement against a
+//! naive first-fit scan.
 
 use std::collections::BTreeMap;
 
 use addict_storage::btree::BTree;
-use addict_storage::heap::PageAllocator;
+use addict_storage::heap::{HeapFile, HeapInsert, PageAllocator};
 use addict_storage::page::SlottedPage;
+use addict_storage::Rid;
 use proptest::prelude::*;
 
 /// Operations the B+-tree model understands.
@@ -158,6 +160,54 @@ proptest! {
             prop_assert_eq!(page.n_records(), live);
             for (slot, expect) in model.iter().enumerate() {
                 prop_assert_eq!(page.get(slot as u16), expect.as_deref(), "slot {}", slot);
+            }
+        }
+    }
+
+    /// Heap placement is exactly a first-fit scan from page 0: under mixed
+    /// widths, deletes and resizing updates, every insert lands on the same
+    /// rid, allocating a page exactly when the naive scan does.
+    #[test]
+    fn heap_placement_matches_first_fit(
+        ops in prop::collection::vec((0u8..4, 0usize..1000, 0usize..8), 1..400),
+    ) {
+        const WIDTHS: [usize; 8] = [16, 50, 60, 100, 101, 104, 200, 1500];
+        let mut alloc = PageAllocator::new();
+        let mut heap = HeapFile::new();
+        let mut model_alloc = PageAllocator::new();
+        let mut model: Vec<(u64, SlottedPage)> = Vec::new();
+        let mut live: Vec<Rid> = Vec::new();
+        for (kind, target, width) in ops {
+            let record = vec![(width * 37 % 251) as u8; WIDTHS[width]];
+            match kind {
+                0 | 1 => {
+                    let got = heap.insert(&mut alloc, &record).unwrap();
+                    let fit = model.iter().position(|(_, p)| p.fits(record.len()));
+                    let idx = fit.unwrap_or_else(|| {
+                        model.push((model_alloc.alloc(), SlottedPage::new()));
+                        model.len() - 1
+                    });
+                    let (pid, page) = &mut model[idx];
+                    let want = HeapInsert {
+                        rid: Rid::new(*pid, page.insert(&record).unwrap()),
+                        allocated_page: fit.is_none(),
+                    };
+                    prop_assert_eq!(got, want);
+                    live.push(got.rid);
+                }
+                2 if !live.is_empty() => {
+                    let rid = live.swap_remove(target % live.len());
+                    heap.delete(rid).unwrap();
+                    let page = &mut model.iter_mut().find(|(p, _)| *p == rid.page).unwrap().1;
+                    prop_assert!(page.delete(rid.slot));
+                }
+                3 if !live.is_empty() => {
+                    let rid = live[target % live.len()];
+                    let got = heap.update(rid, &record).is_ok();
+                    let page = &mut model.iter_mut().find(|(p, _)| *p == rid.page).unwrap().1;
+                    prop_assert_eq!(got, page.update(rid.slot, &record).is_ok());
+                }
+                _ => {}
             }
         }
     }
