@@ -362,8 +362,6 @@ pub fn run_des<T: TraceSet + ?Sized, P: Policy>(
 pub enum Admission {
     /// Everything dispatches immediately (Baseline, STREX).
     All,
-    /// At most this many transactions in flight.
-    Bounded(usize),
     /// At most `inflight` transactions in flight AND batches drain before
     /// the next batch enters (ADDICT/SLICC batch semantics; `batch_of`
     /// maps dispatch index to batch id).
@@ -375,11 +373,12 @@ pub enum Admission {
     },
 }
 
-/// [`run_des`] with an in-flight bound: at most `max_inflight` transactions
-/// are admitted at once (Section 3.2.5: ADDICT "does not batch more
-/// transactions than the number of available cores in the system, [so] it
-/// does not change the data contention patterns"). `None` admits everything
-/// immediately (Baseline dispatch, STREX's overloaded cores).
+/// [`run_des`] under an [`Admission`] policy. [`Admission::BatchSerial`]
+/// admits at most one batch's worth of transactions at once (Section 3.2.5:
+/// ADDICT "does not batch more transactions than the number of available
+/// cores in the system, [so] it does not change the data contention
+/// patterns"); [`Admission::All`] admits everything immediately (Baseline
+/// dispatch, STREX's overloaded cores).
 #[allow(clippy::too_many_arguments)]
 pub fn run_des_admitted<T: TraceSet + ?Sized, P: Policy>(
     machine: &mut Machine,
@@ -443,7 +442,6 @@ pub fn run_des_admitted<T: TraceSet + ?Sized, P: Policy>(
             };
             let admit_ok = match &admission {
                 Admission::All => true,
-                Admission::Bounded(max) => *inflight < (*max).max(1),
                 Admission::BatchSerial { inflight: max, .. } => {
                     // Batches run one after another: a new batch may
                     // only trickle in once the previous one is nearly
