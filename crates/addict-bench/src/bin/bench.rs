@@ -1,7 +1,7 @@
 //! `bench`: the replay-throughput trajectory artifact.
 //!
 //! For every selected benchmark (`--benchmarks`, default: the whole
-//! registry — the TPC trio plus the spec-driven TATP and YCSB mixes),
+//! registry — the TPC trio plus the TATP and YCSB mixes),
 //! replays the evaluation traces under all five schedulers, timing three
 //! modes against each other:
 //!
@@ -46,8 +46,8 @@
 //!   the YCSB-A data-run step of CI's `release-gates` job,
 //! * the 1-thread and N-thread sweeps must produce bit-identical
 //!   per-scheduler `MachineStats` and makespans (parallelism can never
-//!   change a result) — for the spec-driven workloads exactly as for the
-//!   handwritten ones, and
+//!   change a result) — for TATP and YCSB exactly as for the TPC trio,
+//!   and
 //! * the cold and warm service jobs must serialize byte-identical, and
 //!   every job point must match the matrix's own replay.
 //!
@@ -332,7 +332,7 @@ fn main() {
             );
 
             // Equivalence guards: no fast path may change the simulation,
-            // on spec-driven workloads exactly as on the trio. The fast
+            // on TATP and YCSB exactly as on the trio. The fast
             // assert is the data-run gate of CI's `release-gates` job.
             let what = |path| format!("{}/{}: {path} path", p.bench.name(), kind.name());
             assert_identical(&fast_r, &flat_r, &what("fast"));

@@ -5,7 +5,7 @@
 use addict_analysis::{reuse_profile, ReusePoint};
 use addict_bench::{header, parse_bench_args, PROFILE_SEED};
 use addict_trace::OpKind;
-use addict_workloads::spec::ACCOUNT_UPDATE;
+use addict_workloads::tpcb::ACCOUNT_UPDATE;
 use addict_workloads::{collect_traces, Benchmark};
 
 fn summarize(title: &str, points: &[ReusePoint]) {

@@ -25,7 +25,7 @@ fn main() {
     let cases: [(Benchmark, XctTypeId, &str); 3] = [
         (
             Benchmark::TpcB,
-            addict_workloads::spec::ACCOUNT_UPDATE,
+            addict_workloads::tpcb::ACCOUNT_UPDATE,
             "TPC-B AccountUpdate",
         ),
         (Benchmark::TpcC, tpcc::NEW_ORDER, "TPC-C NewOrder"),

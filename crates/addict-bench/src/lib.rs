@@ -25,8 +25,7 @@
 //! shows results are stable from 1000 up) and `--threads N` for worker
 //! count. The sweep-capable binaries (`fig5`–`fig9`, `ablation`, `bench`)
 //! also take `--benchmarks name,name,...` to select registry entries
-//! (default: all six — the TPC trio plus the spec-driven TATP and YCSB
-//! mixes); `fig1`–`fig4` trace fixed benchmarks and reject it. Runs are
+//! (default: all six — the TPC trio plus the TATP and YCSB mixes); `fig1`–`fig4` trace fixed benchmarks and reject it. Runs are
 //! deterministic: seed 1 profiles, seed 2 evaluates, matching the paper's
 //! disjoint trace ranges.
 //!

@@ -16,7 +16,7 @@ use std::fmt::Write as _;
 use addict_bench::jsontext::JsonValue;
 use addict_bench::{fnv64, run_job, JobSpec, TracePool};
 use addict_trace::XctTrace;
-use addict_workloads::spec::{tpcb_spec, SpecRunner};
+use addict_workloads::tpcb::TpcB;
 use addict_workloads::{collect_traces, Benchmark};
 
 /// The committed table: `benchmark scheduler result_fnv64` per line.
@@ -111,10 +111,10 @@ fn small_trace_digests_match_the_committed_table() {
 }
 
 /// TPC-B traces of `n` transactions at `branches × tellers × accounts`.
-/// Every TPC-B digest below was generated from the handwritten TPC-B
-/// generator that `tpcb_spec` replaced, so these cases prove the switch.
+/// Every TPC-B digest in this file dates from an earlier TPC-B
+/// implementation; each rewrite since has had to reproduce them.
 fn tpcb_digest(scale: (u64, u64, u64), n: usize, seed: u64) -> String {
-    let (mut engine, mut workload) = SpecRunner::setup(tpcb_spec(scale.0, scale.1, scale.2));
+    let (mut engine, mut workload) = TpcB::setup(scale.0, scale.1, scale.2);
     trace_digest(&collect_traces(&mut engine, &mut workload, n, seed).xcts)
 }
 

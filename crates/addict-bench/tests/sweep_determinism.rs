@@ -113,7 +113,7 @@ fn sweep_is_bit_identical_across_thread_counts() {
     }
 }
 
-/// The spec-driven benchmarks ride the same contract: a fig7-style
+/// TATP and YCSB ride the same contract: a fig7-style
 /// (benchmark × scheduler × batch-size) grid over TATP and YCSB-B traces
 /// is bit-identical across thread counts, flat and interned alike.
 #[test]
@@ -167,7 +167,7 @@ fn spec_driven_sweep_is_bit_identical_across_thread_counts() {
         assert_eq!(
             sequential,
             serialize(&run_sweep(&grid, threads)),
-            "spec-driven sweep output changed at {threads} threads"
+            "TATP/YCSB-B sweep output changed at {threads} threads"
         );
     }
     // Flat and interned layouts agree point-for-point (each benchmark

@@ -9,8 +9,8 @@ use addict_bench::{run_grid, TraceKey, TracePool, DEFAULT_GEN_CHUNK, EVAL_SEED, 
 use addict_trace::{InternedWorkload, SlicePool};
 use addict_workloads::{collect_traces, collect_traces_interned_chunked, Benchmark};
 
-/// Profile and eval keys of handwritten and spec-driven benchmarks side
-/// by side, at test scale: the contract is layout-independent.
+/// Profile and eval keys of TPC-B, TPC-C, TATP and YCSB-A side by side,
+/// at test scale: the contract is layout-independent.
 fn keys() -> Vec<TraceKey> {
     [
         Benchmark::TpcB,

@@ -2,7 +2,7 @@
 //! byte-identical serialized `ReplayResult`s — `MachineStats`, makespan,
 //! per-transaction latencies, power — for all five schedulers on real
 //! trace sets from **every registry benchmark** (the TPC trio plus the
-//! spec-driven TATP and YCSB mixes), in both the segment-granular and the
+//! TATP and YCSB mixes), in both the segment-granular and the
 //! per-block execution mode. The interned form may change memory layout, never a
 //! single simulated bit (the operational-equivalence obligation the
 //! refactor carries, in the style of `segment_equivalence.rs`).

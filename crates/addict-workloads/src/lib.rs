@@ -1,38 +1,39 @@
 //! # addict-workloads
 //!
 //! The benchmarks the reproduction characterizes and evaluates on: the
-//! paper's three TPC OLTP mixes (Section 4.1) plus two spec-driven mixes
-//! probing where ADDICT's instruction-chasing wins degrade.
+//! paper's three TPC OLTP mixes (Section 4.1) plus two mixes probing where
+//! ADDICT's instruction-chasing wins degrade.
 //!
 //! The paper trio:
 //!
-//! * **TPC-B** ([`spec::tpcb_spec`]) — a single transaction type,
-//!   `AccountUpdate`, which probes/updates account, teller, and branch rows
-//!   and inserts into the index-less History table (the source of the
-//!   `allocate page` variety Section 2.2.1 discusses).
-//! * **TPC-C** ([`tpcc`], handwritten) — the five-transaction mix at the
-//!   standard 45/43/4/4/4 ratios; `NewOrder` inserts into indexed tables
-//!   (the `create index entry` path), `Payment` inserts into the
-//!   index-less History table, `Delivery` exercises `delete tuple`.
-//! * **TPC-E** ([`tpce`], handwritten) — a simplified ten-type mix, ~77%
-//!   read-only, with `TradeStatus` the most frequent type at 19%, matching
-//!   the mix skew the paper attributes TPC-E's lower whole-mix overlap to.
+//! * **TPC-B** ([`tpcb`]) — a single transaction type, `AccountUpdate`,
+//!   which probes/updates account, teller, and branch rows and inserts into
+//!   the index-less History table (the source of the `allocate page`
+//!   variety Section 2.2.1 discusses).
+//! * **TPC-C** ([`tpcc`]) — the five-transaction mix at the standard
+//!   45/43/4/4/4 ratios; `NewOrder` inserts into indexed tables (the
+//!   `create index entry` path), `Payment` inserts into the index-less
+//!   History table, `Delivery` exercises `delete tuple`.
+//! * **TPC-E** ([`tpce`]) — a simplified ten-type mix, ~77% read-only,
+//!   with `TradeStatus` the most frequent type at 19%, matching the mix
+//!   skew the paper attributes TPC-E's lower whole-mix overlap to.
 //!
-//! The [`spec`] module turns benchmarks into *data*: a declarative
-//! [`WorkloadSpec`](spec::WorkloadSpec) (tables, typed transaction steps,
-//! and a mix table) interpreted by [`SpecRunner`](spec::SpecRunner). TPC-B
-//! runs through it, and so do two spec-only registry entries:
+//! The degradation probes:
 //!
-//! * **TATP** ([`spec::tatp_spec`]) — seven short telecom transactions,
-//!   ~80% read: the short-transaction regime where the per-transaction
-//!   wrapper dominates the instruction stream.
-//! * **YCSB-A / YCSB-B** ([`spec::ycsb_spec`]) — one-operation key-value
-//!   transactions with Zipfian keys: total instruction overlap, skewed
-//!   data overlap.
+//! * **TATP** ([`tatp`]) — seven short telecom transactions, ~80% read:
+//!   the short-transaction regime where the per-transaction wrapper
+//!   dominates the instruction stream.
+//! * **YCSB-A / YCSB-B** ([`ycsb`]) — one-operation key-value transactions
+//!   with Zipfian keys: total instruction overlap, skewed data overlap.
 //!
+//! Every benchmark is plain code behind one trait, [`WorkloadRunner`], the
+//! way the paper's TPC workloads run as code on Shore-MT: a module creates
+//! its tables through one small private helper (a table plus its primary
+//! index), populates them untraced, and runs each transaction by drawing
+//! its random values and then calling the engine's traced operations.
 //! Every workload's traces are anchored to committed golden digests
-//! (`addict-bench/tests/golden_digests.rs`); TPC-B's were taken from the
-//! handwritten generator the interpreter replaced.
+//! (`addict-bench/tests/golden_digests.rs`) at both test and default
+//! scale.
 //!
 //! Scale factors are configurable; the defaults populate databases large
 //! enough that two transactions rarely touch the same record/leaf blocks
@@ -40,9 +41,12 @@
 //! population fast. Transaction streams are deterministic given a seed.
 
 pub mod rows;
-pub mod spec;
+mod table;
+pub mod tatp;
+pub mod tpcb;
 pub mod tpcc;
 pub mod tpce;
+pub mod ycsb;
 
 use addict_storage::{Engine, StorageResult};
 use addict_trace::{InternedTrace, SlicePool, WorkloadTrace, XctTypeId};
@@ -51,7 +55,7 @@ use rand::SeedableRng;
 
 /// A benchmark that can execute one transaction from its mix.
 pub trait WorkloadRunner {
-    /// Benchmark name ("TPC-B", "TPC-C", "TPC-E").
+    /// Benchmark name ("TPC-B", "TATP", "YCSB-A", ...).
     fn name(&self) -> &'static str;
 
     /// Names of the transaction types, indexed by [`XctTypeId`].
@@ -62,29 +66,29 @@ pub trait WorkloadRunner {
     fn run_one(&mut self, engine: &mut Engine, rng: &mut StdRng) -> StorageResult<XctTypeId>;
 }
 
-/// The benchmark registry: the paper's TPC trio plus the spec-driven
+/// The benchmark registry: the paper's TPC trio plus the TATP and YCSB
 /// mixes. Every consumer — figure binaries, sweep grids, parallel
 /// generation, Algorithm 1 profiling — speaks this enum, so adding an
 /// entry here threads a workload through the whole harness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Benchmark {
-    /// TPC-B (spec-driven): one `AccountUpdate` type, [`spec::tpcb_spec`].
+    /// TPC-B: one `AccountUpdate` type, [`tpcb::TpcB`].
     TpcB,
-    /// TPC-C.
+    /// TPC-C, [`tpcc::TpcC`].
     TpcC,
-    /// TPC-E.
+    /// TPC-E, [`tpce::TpcE`].
     TpcE,
-    /// TATP (spec-driven): seven short telecom transactions, ~80% read.
+    /// TATP: seven short telecom transactions, ~80% read, [`tatp::Tatp`].
     Tatp,
-    /// YCSB-A style (spec-driven): 50/50 Zipfian read/update.
+    /// YCSB-A style: 50/50 Zipfian read/update, [`ycsb::Ycsb`].
     YcsbA,
-    /// YCSB-B style (spec-driven): 95/5 Zipfian read/update.
+    /// YCSB-B style: 95/5 Zipfian read/update, [`ycsb::Ycsb`].
     YcsbB,
 }
 
 impl Benchmark {
     /// Every registered benchmark: the paper trio first (the order its
-    /// figures list them), then the spec-driven mixes.
+    /// figures list them), then TATP and YCSB.
     pub const ALL: [Benchmark; 6] = [
         Benchmark::TpcB,
         Benchmark::TpcC,
@@ -124,68 +128,37 @@ impl Benchmark {
     /// Build and populate the benchmark at its default (paper-shaped)
     /// scale, returning the engine and a runner.
     pub fn setup(self) -> (Engine, Box<dyn WorkloadRunner>) {
-        match self {
-            Benchmark::TpcB => {
-                let (e, w) = spec::SpecRunner::setup(spec::tpcb_spec(16, 10, 8_000));
-                (e, Box::new(w))
-            }
-            Benchmark::TpcC => {
-                let (e, w) = tpcc::TpcC::setup(tpcc::TpcCConfig::default());
-                (e, Box::new(w))
-            }
-            Benchmark::TpcE => {
-                let (e, w) = tpce::TpcE::setup(tpce::TpcEConfig::default());
-                (e, Box::new(w))
-            }
-            Benchmark::Tatp => {
-                let (e, w) = spec::SpecRunner::setup(spec::tatp_spec(spec::TATP_SUBSCRIBERS));
-                (e, Box::new(w))
-            }
-            Benchmark::YcsbA => {
-                let (e, w) =
-                    spec::SpecRunner::setup(spec::ycsb_spec(spec::YcsbMix::A, spec::YCSB_ROWS));
-                (e, Box::new(w))
-            }
-            Benchmark::YcsbB => {
-                let (e, w) =
-                    spec::SpecRunner::setup(spec::ycsb_spec(spec::YcsbMix::B, spec::YCSB_ROWS));
-                (e, Box::new(w))
-            }
-        }
+        self.build(false)
     }
 
     /// Build at a reduced scale for fast tests.
     pub fn setup_small(self) -> (Engine, Box<dyn WorkloadRunner>) {
+        self.build(true)
+    }
+
+    fn build(self, small: bool) -> (Engine, Box<dyn WorkloadRunner>) {
+        fn boxed<W: WorkloadRunner + 'static>(
+            (e, w): (Engine, W),
+        ) -> (Engine, Box<dyn WorkloadRunner>) {
+            (e, Box::new(w))
+        }
         match self {
-            Benchmark::TpcB => {
-                let (e, w) = spec::SpecRunner::setup(spec::tpcb_spec(2, 4, 100));
-                (e, Box::new(w))
-            }
-            Benchmark::TpcC => {
-                let (e, w) = tpcc::TpcC::setup(tpcc::TpcCConfig::small());
-                (e, Box::new(w))
-            }
-            Benchmark::TpcE => {
-                let (e, w) = tpce::TpcE::setup(tpce::TpcEConfig::small());
-                (e, Box::new(w))
-            }
-            Benchmark::Tatp => {
-                let (e, w) = spec::SpecRunner::setup(spec::tatp_spec(spec::TATP_SUBSCRIBERS_SMALL));
-                (e, Box::new(w))
-            }
-            Benchmark::YcsbA => {
-                let (e, w) = spec::SpecRunner::setup(spec::ycsb_spec(
-                    spec::YcsbMix::A,
-                    spec::YCSB_ROWS_SMALL,
-                ));
-                (e, Box::new(w))
-            }
-            Benchmark::YcsbB => {
-                let (e, w) = spec::SpecRunner::setup(spec::ycsb_spec(
-                    spec::YcsbMix::B,
-                    spec::YCSB_ROWS_SMALL,
-                ));
-                (e, Box::new(w))
+            Benchmark::TpcB if small => boxed(tpcb::TpcB::setup(2, 4, 100)),
+            Benchmark::TpcB => boxed(tpcb::TpcB::setup(16, 10, 8_000)),
+            Benchmark::TpcC if small => boxed(tpcc::TpcC::setup(tpcc::TpcCConfig::small())),
+            Benchmark::TpcC => boxed(tpcc::TpcC::setup(tpcc::TpcCConfig::default())),
+            Benchmark::TpcE if small => boxed(tpce::TpcE::setup(tpce::TpcEConfig::small())),
+            Benchmark::TpcE => boxed(tpce::TpcE::setup(tpce::TpcEConfig::default())),
+            Benchmark::Tatp if small => boxed(tatp::Tatp::setup(tatp::SUBSCRIBERS_SMALL)),
+            Benchmark::Tatp => boxed(tatp::Tatp::setup(tatp::SUBSCRIBERS)),
+            Benchmark::YcsbA | Benchmark::YcsbB => {
+                let mix = if self == Benchmark::YcsbA {
+                    ycsb::YcsbMix::A
+                } else {
+                    ycsb::YcsbMix::B
+                };
+                let rows = if small { ycsb::ROWS_SMALL } else { ycsb::ROWS };
+                boxed(ycsb::Ycsb::setup(mix, rows))
             }
         }
     }

@@ -19,12 +19,13 @@
 
 use std::collections::HashMap;
 
-use addict_storage::{Engine, EngineConfig, IndexId, StorageResult, TableId, XctId};
+use addict_storage::{Engine, EngineConfig, IndexId, StorageResult, TableId};
 use addict_trace::XctTypeId;
 use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::rows::{encode_row, get_field, get_field_i64, set_field, set_field_i64};
+use crate::table::Table;
 use crate::{pick_mix, WorkloadRunner};
 
 /// Transaction type ids, in mix order.
@@ -140,24 +141,16 @@ const S_QTY: usize = 1;
 #[derive(Debug)]
 pub struct TpcC {
     cfg: TpcCConfig,
-    warehouse: TableId,
-    warehouse_pk: IndexId,
-    district: TableId,
-    district_pk: IndexId,
-    customer: TableId,
-    customer_pk: IndexId,
+    warehouse: Table,
+    district: Table,
+    customer: Table,
     history: TableId,
-    order: TableId,
-    order_pk: IndexId,
+    order: Table,
     order_by_cust: IndexId,
-    new_order: TableId,
-    new_order_pk: IndexId,
-    order_line: TableId,
-    order_line_pk: IndexId,
-    item: TableId,
-    item_pk: IndexId,
-    stock: TableId,
-    stock_pk: IndexId,
+    new_order: Table,
+    order_line: Table,
+    item: Table,
+    stock: Table,
     /// Oldest possibly-undelivered order per (warehouse, district).
     delivery_cursor: HashMap<(u64, u64), u64>,
     mix: [(u32, XctTypeId); 5],
@@ -167,45 +160,31 @@ impl TpcC {
     /// Create the schema and populate (untraced).
     pub fn setup(cfg: TpcCConfig) -> (Engine, TpcC) {
         let mut e = Engine::new(EngineConfig::default());
-        let warehouse = e.create_table("warehouse");
-        let warehouse_pk = e.create_index(warehouse, "warehouse_pk").expect("exists");
-        let district = e.create_table("district");
-        let district_pk = e.create_index(district, "district_pk").expect("exists");
-        let customer = e.create_table("customer");
-        let customer_pk = e.create_index(customer, "customer_pk").expect("exists");
+        let warehouse = Table::create(&mut e, "warehouse");
+        let district = Table::create(&mut e, "district");
+        let customer = Table::create(&mut e, "customer");
         let history = e.create_table("history"); // no index (spec)
-        let order = e.create_table("order");
-        let order_pk = e.create_index(order, "order_pk").expect("exists");
-        let order_by_cust = e.create_index(order, "order_by_customer").expect("exists");
-        let new_order = e.create_table("new_order");
-        let new_order_pk = e.create_index(new_order, "new_order_pk").expect("exists");
-        let order_line = e.create_table("order_line");
-        let order_line_pk = e.create_index(order_line, "order_line_pk").expect("exists");
-        let item = e.create_table("item");
-        let item_pk = e.create_index(item, "item_pk").expect("exists");
-        let stock = e.create_table("stock");
-        let stock_pk = e.create_index(stock, "stock_pk").expect("exists");
+        let order = Table::create(&mut e, "order");
+        let order_by_cust = e
+            .create_index(order.id, "order_by_customer")
+            .expect("exists");
+        let new_order = Table::create(&mut e, "new_order");
+        let order_line = Table::create(&mut e, "order_line");
+        let item = Table::create(&mut e, "item");
+        let stock = Table::create(&mut e, "stock");
 
         let mut w = TpcC {
             cfg,
             warehouse,
-            warehouse_pk,
             district,
-            district_pk,
             customer,
-            customer_pk,
             history,
             order,
-            order_pk,
             order_by_cust,
             new_order,
-            new_order_pk,
             order_line,
-            order_line_pk,
             item,
-            item_pk,
             stock,
-            stock_pk,
             delivery_cursor: HashMap::new(),
             mix: [
                 (45, NEW_ORDER),
@@ -224,48 +203,31 @@ impl TpcC {
         let mut rng: StdRng = rand::SeedableRng::seed_from_u64(0xC0FFEE);
         let x = e.begin(NEW_ORDER);
         for i in 0..self.cfg.items {
-            e.insert_tuple(
-                x,
-                self.item,
-                &[(self.item_pk, i)],
-                &encode_row(I_ROW, &[i, 100 + i % 900]),
-            )
-            .expect("populate item");
+            self.item
+                .populate(e, x, i, &encode_row(I_ROW, &[i, 100 + i % 900]));
         }
         for w in 0..self.cfg.warehouses {
-            e.insert_tuple(
-                x,
-                self.warehouse,
-                &[(self.warehouse_pk, w)],
-                &encode_row(W_ROW, &[w, 0]),
-            )
-            .expect("populate warehouse");
+            self.warehouse
+                .populate(e, x, w, &encode_row(W_ROW, &[w, 0]));
             for i in 0..self.cfg.items {
-                e.insert_tuple(
+                self.stock.populate(
+                    e,
                     x,
-                    self.stock,
-                    &[(self.stock_pk, k_stock(w, i))],
+                    k_stock(w, i),
                     &encode_row(S_ROW, &[i, 50 + (i * 7) % 50, 0]),
-                )
-                .expect("populate stock");
+                );
             }
             for d in 0..self.cfg.districts {
                 let next_o = self.cfg.initial_orders + 1;
-                e.insert_tuple(
-                    x,
-                    self.district,
-                    &[(self.district_pk, k_district(w, d))],
-                    &encode_row(D_ROW, &[d, 0, next_o]),
-                )
-                .expect("populate district");
+                self.district
+                    .populate(e, x, k_district(w, d), &encode_row(D_ROW, &[d, 0, next_o]));
                 for c in 0..self.cfg.customers {
-                    e.insert_tuple(
+                    self.customer.populate(
+                        e,
                         x,
-                        self.customer,
-                        &[(self.customer_pk, k_customer(w, d, c))],
+                        k_customer(w, d, c),
                         &encode_row(C_ROW, &[c, 0, 0, 0]),
-                    )
-                    .expect("populate customer");
+                    );
                 }
                 // Pre-loaded orders; the newest third remain "new".
                 for o in 1..=self.cfg.initial_orders {
@@ -273,9 +235,9 @@ impl TpcC {
                     let ol_cnt = rng.gen_range(5..=15u64);
                     e.insert_tuple(
                         x,
-                        self.order,
+                        self.order.id,
                         &[
-                            (self.order_pk, k_order(w, d, o)),
+                            (self.order.pk, k_order(w, d, o)),
                             (self.order_by_cust, k_order_by_customer(w, d, c, o)),
                         ],
                         &encode_row(O_ROW, &[o, c, ol_cnt, 0]),
@@ -283,22 +245,16 @@ impl TpcC {
                     .expect("populate order");
                     for ol in 0..ol_cnt {
                         let i = rng.gen_range(0..self.cfg.items);
-                        e.insert_tuple(
+                        self.order_line.populate(
+                            e,
                             x,
-                            self.order_line,
-                            &[(self.order_line_pk, k_orderline(w, d, o, ol))],
+                            k_orderline(w, d, o, ol),
                             &encode_row(OL_ROW, &[o, ol, i, rng.gen_range(1..=10), 500]),
-                        )
-                        .expect("populate order line");
+                        );
                     }
                     if o > self.cfg.initial_orders * 2 / 3 {
-                        e.insert_tuple(
-                            x,
-                            self.new_order,
-                            &[(self.new_order_pk, k_order(w, d, o))],
-                            &encode_row(NO_ROW, &[o]),
-                        )
-                        .expect("populate new order");
+                        self.new_order
+                            .populate(e, x, k_order(w, d, o), &encode_row(NO_ROW, &[o]));
                     }
                 }
                 self.delivery_cursor
@@ -309,28 +265,6 @@ impl TpcC {
         e.set_tracing(true);
     }
 
-    /// Probe by key, patch one i64 field by `delta`, write back. Returns
-    /// the rid.
-    fn adjust_field(
-        &self,
-        e: &mut Engine,
-        x: XctId,
-        index: IndexId,
-        table: TableId,
-        key: u64,
-        field: usize,
-        delta: i64,
-    ) -> StorageResult<addict_storage::Rid> {
-        let rid = e
-            .index_probe_rid(x, index, key)?
-            .unwrap_or_else(|| panic!("populated key {key:#x} missing"));
-        let mut row = e.peek(table, rid)?;
-        let new_val = get_field_i64(&row, field) + delta;
-        set_field_i64(&mut row, field, new_val);
-        e.update_tuple(x, table, rid, &row)?;
-        Ok(rid)
-    }
-
     /// The NewOrder transaction.
     pub fn new_order(&mut self, e: &mut Engine, rng: &mut StdRng) -> StorageResult<()> {
         let w = rng.gen_range(0..self.cfg.warehouses);
@@ -339,47 +273,48 @@ impl TpcC {
         let ol_cnt = rng.gen_range(5..=15u64);
 
         let x = e.begin(NEW_ORDER);
-        e.index_probe(x, self.warehouse_pk, w)?
+        e.index_probe(x, self.warehouse.pk, w)?
             .expect("warehouse exists");
 
         // District: read and bump next_o_id.
         let d_key = k_district(w, d);
         let d_rid = e
-            .index_probe_rid(x, self.district_pk, d_key)?
+            .index_probe_rid(x, self.district.pk, d_key)?
             .expect("district exists");
-        let mut d_row = e.peek(self.district, d_rid)?;
+        let mut d_row = e.peek(self.district.id, d_rid)?;
         let o = get_field(&d_row, D_NEXT_O);
         set_field(&mut d_row, D_NEXT_O, o + 1);
-        e.update_tuple(x, self.district, d_rid, &d_row)?;
+        e.update_tuple(x, self.district.id, d_rid, &d_row)?;
 
-        e.index_probe(x, self.customer_pk, k_customer(w, d, c))?
+        e.index_probe(x, self.customer.pk, k_customer(w, d, c))?
             .expect("customer exists");
 
         e.insert_tuple(
             x,
-            self.order,
+            self.order.id,
             &[
-                (self.order_pk, k_order(w, d, o)),
+                (self.order.pk, k_order(w, d, o)),
                 (self.order_by_cust, k_order_by_customer(w, d, c, o)),
             ],
             &encode_row(O_ROW, &[o, c, ol_cnt, 0]),
         )?;
         e.insert_tuple(
             x,
-            self.new_order,
-            &[(self.new_order_pk, k_order(w, d, o))],
+            self.new_order.id,
+            &[(self.new_order.pk, k_order(w, d, o))],
             &encode_row(NO_ROW, &[o]),
         )?;
 
         for ol in 0..ol_cnt {
             let i = rng.gen_range(0..self.cfg.items);
             let qty = rng.gen_range(1..=10i64);
-            e.index_probe(x, self.item_pk, i)?.expect("item exists");
-            self.adjust_field(e, x, self.stock_pk, self.stock, k_stock(w, i), S_QTY, -qty)?;
+            e.index_probe(x, self.item.pk, i)?.expect("item exists");
+            let stock = self.stock.add_to_field(e, x, k_stock(w, i), S_QTY, -qty)?;
+            assert!(stock, "populated stock {i} missing");
             e.insert_tuple(
                 x,
-                self.order_line,
-                &[(self.order_line_pk, k_orderline(w, d, o, ol))],
+                self.order_line.id,
+                &[(self.order_line.pk, k_orderline(w, d, o, ol))],
                 &encode_row(OL_ROW, &[o, ol, i, qty as u64, 500]),
             )?;
         }
@@ -394,28 +329,24 @@ impl TpcC {
         let amount = rng.gen_range(100..=500_000i64);
 
         let x = e.begin(PAYMENT);
-        self.adjust_field(e, x, self.warehouse_pk, self.warehouse, w, W_YTD, amount)?;
-        self.adjust_field(
-            e,
-            x,
-            self.district_pk,
-            self.district,
-            k_district(w, d),
-            D_YTD,
-            amount,
-        )?;
+        let warehouse = self.warehouse.add_to_field(e, x, w, W_YTD, amount)?;
+        assert!(warehouse, "populated warehouse {w} missing");
+        let district = self
+            .district
+            .add_to_field(e, x, k_district(w, d), D_YTD, amount)?;
+        assert!(district, "populated district {w}/{d} missing");
         let c_key = k_customer(w, d, c);
         let c_rid = e
-            .index_probe_rid(x, self.customer_pk, c_key)?
+            .index_probe_rid(x, self.customer.pk, c_key)?
             .expect("customer exists");
-        let mut c_row = e.peek(self.customer, c_rid)?;
+        let mut c_row = e.peek(self.customer.id, c_rid)?;
         let new_val = get_field_i64(&c_row, C_BALANCE) - amount;
         set_field_i64(&mut c_row, C_BALANCE, new_val);
         let new_val = get_field_i64(&c_row, C_YTD) + amount;
         set_field_i64(&mut c_row, C_YTD, new_val);
         let new_val = get_field(&c_row, C_PAYMENTS) + 1;
         set_field(&mut c_row, C_PAYMENTS, new_val);
-        e.update_tuple(x, self.customer, c_rid, &c_row)?;
+        e.update_tuple(x, self.customer.id, c_rid, &c_row)?;
         // History has no index: the paper's index-less insert.
         e.insert_tuple(
             x,
@@ -433,7 +364,7 @@ impl TpcC {
         let c = rng.gen_range(0..self.cfg.customers);
 
         let x = e.begin(ORDER_STATUS);
-        e.index_probe(x, self.customer_pk, k_customer(w, d, c))?
+        e.index_probe(x, self.customer.pk, k_customer(w, d, c))?
             .expect("customer exists");
         // Most recent order of this customer.
         let lo = k_order_by_customer(w, d, c, 0);
@@ -444,7 +375,7 @@ impl TpcC {
             let ol_cnt = get_field(o_row, O_OL_CNT);
             let lo = k_orderline(w, d, o, 0);
             let hi = k_orderline(w, d, o, ol_cnt.max(1) - 1);
-            e.index_scan(x, self.order_line_pk, lo, true, hi, true)?;
+            e.index_scan(x, self.order_line.pk, lo, true, hi, true)?;
         }
         e.commit(x)
     }
@@ -459,27 +390,27 @@ impl TpcC {
             // Find the oldest undelivered order in a bounded window.
             let lo = k_order(w, d, cursor);
             let hi = k_order(w, d, cursor + 32);
-            let pending = e.index_scan(x, self.new_order_pk, lo, true, hi, true)?;
+            let pending = e.index_scan(x, self.new_order.pk, lo, true, hi, true)?;
             let Some((no_key, _)) = pending.first() else {
                 continue;
             };
             let no_key = *no_key;
             let o = no_key & 0xF_FFFF_FFFF; // low 36 bits: the order number
                                             // Consume the NewOrder row.
-            e.delete_tuple(x, self.new_order, &[(self.new_order_pk, no_key)])?;
+            e.delete_tuple(x, self.new_order.id, &[(self.new_order.pk, no_key)])?;
             self.delivery_cursor.insert((w, d), o + 1);
             // Mark the order delivered.
             let o_rid = e
-                .index_probe_rid(x, self.order_pk, k_order(w, d, o))?
+                .index_probe_rid(x, self.order.pk, k_order(w, d, o))?
                 .expect("order exists");
-            let mut o_row = e.peek(self.order, o_rid)?;
+            let mut o_row = e.peek(self.order.id, o_rid)?;
             set_field(&mut o_row, O_CARRIER, rng.gen_range(1..=10));
-            e.update_tuple(x, self.order, o_rid, &o_row)?;
+            e.update_tuple(x, self.order.id, o_rid, &o_row)?;
             // Total the order lines and credit the customer.
             let ol_cnt = get_field(&o_row, O_OL_CNT);
             let lines = e.index_scan(
                 x,
-                self.order_line_pk,
+                self.order_line.pk,
                 k_orderline(w, d, o, 0),
                 true,
                 k_orderline(w, d, o, ol_cnt.max(1) - 1),
@@ -487,15 +418,10 @@ impl TpcC {
             )?;
             let total: i64 = lines.iter().map(|(_, r)| get_field_i64(r, OL_AMOUNT)).sum();
             let c = get_field(&o_row, 1);
-            self.adjust_field(
-                e,
-                x,
-                self.customer_pk,
-                self.customer,
-                k_customer(w, d, c),
-                C_BALANCE,
-                total,
-            )?;
+            let customer =
+                self.customer
+                    .add_to_field(e, x, k_customer(w, d, c), C_BALANCE, total)?;
+            assert!(customer, "populated customer {w}/{d}/{c} missing");
         }
         e.commit(x)
     }
@@ -508,13 +434,13 @@ impl TpcC {
 
         let x = e.begin(STOCK_LEVEL);
         let d_rid = e
-            .index_probe_rid(x, self.district_pk, k_district(w, d))?
+            .index_probe_rid(x, self.district.pk, k_district(w, d))?
             .expect("district exists");
-        let next_o = get_field(&e.peek(self.district, d_rid)?, D_NEXT_O);
+        let next_o = get_field(&e.peek(self.district.id, d_rid)?, D_NEXT_O);
         let first = next_o.saturating_sub(10).max(1);
         let lines = e.index_scan(
             x,
-            self.order_line_pk,
+            self.order_line.pk,
             k_orderline(w, d, first, 0),
             true,
             k_orderline(w, d, next_o.max(1) - 1, 255),
@@ -526,7 +452,7 @@ impl TpcC {
         items.dedup();
         let mut low_stock = 0;
         for &i in items.iter().take(20) {
-            if let Some(s_row) = e.index_probe(x, self.stock_pk, k_stock(w, i))? {
+            if let Some(s_row) = e.index_probe(x, self.stock.pk, k_stock(w, i))? {
                 if get_field_i64(&s_row, S_QTY) < threshold {
                     low_stock += 1;
                 }
@@ -588,28 +514,31 @@ mod tests {
         let c = e.catalog();
         let cfg = w.config();
         assert_eq!(
-            c.table(w.warehouse).unwrap().heap.n_records() as u64,
+            c.table(w.warehouse.id).unwrap().heap.n_records() as u64,
             cfg.warehouses
         );
         assert_eq!(
-            c.table(w.district).unwrap().heap.n_records() as u64,
+            c.table(w.district.id).unwrap().heap.n_records() as u64,
             cfg.warehouses * cfg.districts
         );
         assert_eq!(
-            c.table(w.customer).unwrap().heap.n_records() as u64,
+            c.table(w.customer.id).unwrap().heap.n_records() as u64,
             cfg.warehouses * cfg.districts * cfg.customers
         );
-        assert_eq!(c.table(w.item).unwrap().heap.n_records() as u64, cfg.items);
         assert_eq!(
-            c.table(w.stock).unwrap().heap.n_records() as u64,
+            c.table(w.item.id).unwrap().heap.n_records() as u64,
+            cfg.items
+        );
+        assert_eq!(
+            c.table(w.stock.id).unwrap().heap.n_records() as u64,
             cfg.warehouses * cfg.items
         );
         assert_eq!(
-            c.table(w.order).unwrap().heap.n_records() as u64,
+            c.table(w.order.id).unwrap().heap.n_records() as u64,
             cfg.warehouses * cfg.districts * cfg.initial_orders
         );
         // A third of the orders are new.
-        let new_orders = c.table(w.new_order).unwrap().heap.n_records() as u64;
+        let new_orders = c.table(w.new_order.id).unwrap().heap.n_records() as u64;
         assert!(new_orders > 0);
         assert!(new_orders < cfg.warehouses * cfg.districts * cfg.initial_orders / 2);
     }
@@ -618,9 +547,9 @@ mod tests {
     fn new_order_creates_rows_and_ops() {
         let (mut e, mut w) = small();
         let mut rng = StdRng::seed_from_u64(1);
-        let orders_before = e.catalog().table(w.order).unwrap().heap.n_records();
+        let orders_before = e.catalog().table(w.order.id).unwrap().heap.n_records();
         w.new_order(&mut e, &mut rng).unwrap();
-        let orders_after = e.catalog().table(w.order).unwrap().heap.n_records();
+        let orders_after = e.catalog().table(w.order.id).unwrap().heap.n_records();
         assert_eq!(orders_after, orders_before + 1);
         let traces = e.take_traces();
         let ops = traces[0].op_slices();
@@ -653,9 +582,9 @@ mod tests {
     fn delivery_deletes_new_orders() {
         let (mut e, mut w) = small();
         let mut rng = StdRng::seed_from_u64(3);
-        let no_before = e.catalog().table(w.new_order).unwrap().heap.n_records();
+        let no_before = e.catalog().table(w.new_order.id).unwrap().heap.n_records();
         w.delivery(&mut e, &mut rng).unwrap();
-        let no_after = e.catalog().table(w.new_order).unwrap().heap.n_records();
+        let no_after = e.catalog().table(w.new_order.id).unwrap().heap.n_records();
         assert!(no_after < no_before, "delivery must consume new orders");
         let traces = e.take_traces();
         let deletes = traces[0]
@@ -707,12 +636,12 @@ mod tests {
         let (mut e, mut w) = small();
         let mut rng = StdRng::seed_from_u64(6);
         let key = k_district(0, 0);
-        let rid = e.peek_index(w.district_pk, key).unwrap().unwrap();
-        let before = get_field(&e.peek(w.district, rid).unwrap(), D_NEXT_O);
+        let rid = e.peek_index(w.district.pk, key).unwrap().unwrap();
+        let before = get_field(&e.peek(w.district.id, rid).unwrap(), D_NEXT_O);
         for _ in 0..30 {
             w.new_order(&mut e, &mut rng).unwrap();
         }
-        let after = get_field(&e.peek(w.district, rid).unwrap(), D_NEXT_O);
+        let after = get_field(&e.peek(w.district.id, rid).unwrap(), D_NEXT_O);
         assert!(after >= before);
         assert!(after <= before + 30);
     }

@@ -15,12 +15,13 @@
 
 use std::collections::VecDeque;
 
-use addict_storage::{Engine, EngineConfig, IndexId, StorageResult, TableId, XctId};
+use addict_storage::{Engine, EngineConfig, IndexId, StorageResult, XctId};
 use addict_trace::XctTypeId;
 use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::rows::{encode_row, get_field, get_field_i64, set_field, set_field_i64};
+use crate::table::Table;
 use crate::{pick_mix, WorkloadRunner};
 
 /// BrokerVolume (read-only).
@@ -147,28 +148,18 @@ const WATCH_SEC: usize = 2;
 #[derive(Debug)]
 pub struct TpcE {
     cfg: TpcEConfig,
-    customer: TableId,
-    customer_pk: IndexId,
-    account: TableId,
-    account_pk: IndexId,
+    customer: Table,
+    account: Table,
     account_by_cust: IndexId,
-    broker: TableId,
-    broker_pk: IndexId,
-    security: TableId,
-    security_pk: IndexId,
-    company: TableId,
-    company_pk: IndexId,
-    last_trade: TableId,
-    last_trade_pk: IndexId,
-    trade: TableId,
-    trade_pk: IndexId,
+    broker: Table,
+    security: Table,
+    company: Table,
+    last_trade: Table,
+    trade: Table,
     trade_by_acct: IndexId,
-    trade_history: TableId,
-    trade_history_pk: IndexId,
-    holding: TableId,
-    holding_pk: IndexId,
-    watch_list: TableId,
-    watch_pk: IndexId,
+    trade_history: Table,
+    holding: Table,
+    watch_list: Table,
     next_trade: u64,
     /// Trades submitted by TradeOrder awaiting TradeResult: `(t, a, s)`.
     pending: VecDeque<(u64, u64, u64)>,
@@ -179,57 +170,37 @@ impl TpcE {
     /// Create the schema and populate (untraced).
     pub fn setup(cfg: TpcEConfig) -> (Engine, TpcE) {
         let mut e = Engine::new(EngineConfig::default());
-        let customer = e.create_table("customer");
-        let customer_pk = e.create_index(customer, "customer_pk").expect("exists");
-        let account = e.create_table("account");
-        let account_pk = e.create_index(account, "account_pk").expect("exists");
+        let customer = Table::create(&mut e, "customer");
+        let account = Table::create(&mut e, "account");
         let account_by_cust = e
-            .create_index(account, "account_by_customer")
+            .create_index(account.id, "account_by_customer")
             .expect("exists");
-        let broker = e.create_table("broker");
-        let broker_pk = e.create_index(broker, "broker_pk").expect("exists");
-        let security = e.create_table("security");
-        let security_pk = e.create_index(security, "security_pk").expect("exists");
-        let company = e.create_table("company");
-        let company_pk = e.create_index(company, "company_pk").expect("exists");
-        let last_trade = e.create_table("last_trade");
-        let last_trade_pk = e.create_index(last_trade, "last_trade_pk").expect("exists");
-        let trade = e.create_table("trade");
-        let trade_pk = e.create_index(trade, "trade_pk").expect("exists");
-        let trade_by_acct = e.create_index(trade, "trade_by_account").expect("exists");
-        let trade_history = e.create_table("trade_history");
-        let trade_history_pk = e
-            .create_index(trade_history, "trade_history_pk")
+        let broker = Table::create(&mut e, "broker");
+        let security = Table::create(&mut e, "security");
+        let company = Table::create(&mut e, "company");
+        let last_trade = Table::create(&mut e, "last_trade");
+        let trade = Table::create(&mut e, "trade");
+        let trade_by_acct = e
+            .create_index(trade.id, "trade_by_account")
             .expect("exists");
-        let holding = e.create_table("holding");
-        let holding_pk = e.create_index(holding, "holding_pk").expect("exists");
-        let watch_list = e.create_table("watch_list");
-        let watch_pk = e.create_index(watch_list, "watch_list_pk").expect("exists");
+        let trade_history = Table::create(&mut e, "trade_history");
+        let holding = Table::create(&mut e, "holding");
+        let watch_list = Table::create(&mut e, "watch_list");
 
         let mut w = TpcE {
             cfg,
             customer,
-            customer_pk,
             account,
-            account_pk,
             account_by_cust,
             broker,
-            broker_pk,
             security,
-            security_pk,
             company,
-            company_pk,
             last_trade,
-            last_trade_pk,
             trade,
-            trade_pk,
             trade_by_acct,
             trade_history,
-            trade_history_pk,
             holding,
-            holding_pk,
             watch_list,
-            watch_pk,
             next_trade: 1,
             pending: VecDeque::new(),
             mix: [
@@ -258,66 +229,40 @@ impl TpcE {
         let mut rng: StdRng = rand::SeedableRng::seed_from_u64(0xE);
         let x = e.begin(TRADE_STATUS);
         for co in 0..self.cfg.companies {
-            e.insert_tuple(
-                x,
-                self.company,
-                &[(self.company_pk, co)],
-                &encode_row(COMPANY_ROW, &[co]),
-            )
-            .expect("populate company");
+            self.company
+                .populate(e, x, co, &encode_row(COMPANY_ROW, &[co]));
         }
         for s in 0..self.cfg.securities {
             let co = s % self.cfg.companies;
-            e.insert_tuple(
-                x,
-                self.security,
-                &[(self.security_pk, s)],
-                &encode_row(SEC_ROW, &[s, co]),
-            )
-            .expect("populate security");
-            e.insert_tuple(
-                x,
-                self.last_trade,
-                &[(self.last_trade_pk, s)],
-                &encode_row(LT_ROW, &[s, 1_000 + s % 500, 0]),
-            )
-            .expect("populate last_trade");
+            self.security
+                .populate(e, x, s, &encode_row(SEC_ROW, &[s, co]));
+            self.last_trade
+                .populate(e, x, s, &encode_row(LT_ROW, &[s, 1_000 + s % 500, 0]));
         }
         for b in 0..self.cfg.brokers {
-            e.insert_tuple(
-                x,
-                self.broker,
-                &[(self.broker_pk, b)],
-                &encode_row(BROKER_ROW, &[b, 0, 0]),
-            )
-            .expect("populate broker");
+            self.broker
+                .populate(e, x, b, &encode_row(BROKER_ROW, &[b, 0, 0]));
         }
         for c in 0..self.cfg.customers {
-            e.insert_tuple(
-                x,
-                self.customer,
-                &[(self.customer_pk, c)],
-                &encode_row(CUST_ROW, &[c, c % 3]),
-            )
-            .expect("populate customer");
+            self.customer
+                .populate(e, x, c, &encode_row(CUST_ROW, &[c, c % 3]));
             for seq in 0..self.cfg.watch_per_customer {
                 let s = rng.gen_range(0..self.cfg.securities);
-                e.insert_tuple(
+                self.watch_list.populate(
+                    e,
                     x,
-                    self.watch_list,
-                    &[(self.watch_pk, k_watch(c, seq))],
+                    k_watch(c, seq),
                     &encode_row(WATCH_ROW, &[c, seq, s]),
-                )
-                .expect("populate watch list");
+                );
             }
             for a_local in 0..self.cfg.accounts_per_customer {
                 let a = c * self.cfg.accounts_per_customer + a_local;
                 let b = rng.gen_range(0..self.cfg.brokers);
                 e.insert_tuple(
                     x,
-                    self.account,
+                    self.account.id,
                     &[
-                        (self.account_pk, a),
+                        (self.account.pk, a),
                         (self.account_by_cust, k_account_by_customer(c, a)),
                     ],
                     &encode_row(ACCT_ROW, &[a, c, b, 100_000]),
@@ -329,13 +274,12 @@ impl TpcE {
                     let s = rng.gen_range(0..self.cfg.securities);
                     if !held.contains(&s) {
                         held.push(s);
-                        e.insert_tuple(
+                        self.holding.populate(
+                            e,
                             x,
-                            self.holding,
-                            &[(self.holding_pk, k_holding(a, s))],
+                            k_holding(a, s),
                             &encode_row(HOLD_ROW, &[a, s, rng.gen_range(10..500), 1_000]),
-                        )
-                        .expect("populate holding");
+                        );
                     }
                 }
                 for _ in 0..self.cfg.trades_per_account {
@@ -344,21 +288,20 @@ impl TpcE {
                     let s = rng.gen_range(0..self.cfg.securities);
                     e.insert_tuple(
                         x,
-                        self.trade,
+                        self.trade.id,
                         &[
-                            (self.trade_pk, t),
+                            (self.trade.pk, t),
                             (self.trade_by_acct, k_trade_by_account(a, t)),
                         ],
                         &encode_row(TRADE_ROW, &[t, a, s, rng.gen_range(1..100), 1_000, 1]),
                     )
                     .expect("populate trade");
-                    e.insert_tuple(
+                    self.trade_history.populate(
+                        e,
                         x,
-                        self.trade_history,
-                        &[(self.trade_history_pk, k_trade_history(t, 0))],
+                        k_trade_history(t, 0),
                         &encode_row(TH_ROW, &[t, 0, 1]),
-                    )
-                    .expect("populate trade history");
+                    );
                 }
             }
         }
@@ -384,17 +327,17 @@ impl TpcE {
         let a = rng.gen_range(0..self.n_accounts());
         let x = e.begin(TRADE_STATUS);
         let acct = e
-            .index_probe(x, self.account_pk, a)?
+            .index_probe(x, self.account.pk, a)?
             .expect("account exists");
         let c = get_field(&acct, 1);
         let b = get_field(&acct, 2);
-        e.index_probe(x, self.customer_pk, c)?
+        e.index_probe(x, self.customer.pk, c)?
             .expect("customer exists");
-        e.index_probe(x, self.broker_pk, b)?.expect("broker exists");
+        e.index_probe(x, self.broker.pk, b)?.expect("broker exists");
         let trades = self.scan_account_trades(e, x, a)?;
         for (_, t_row) in trades.iter().rev().take(10) {
             let s = get_field(t_row, TRADE_SEC);
-            e.index_probe(x, self.security_pk, s)?
+            e.index_probe(x, self.security.pk, s)?
                 .expect("security exists");
         }
         e.commit(x)
@@ -406,17 +349,17 @@ impl TpcE {
         let s = rng.gen_range(0..self.cfg.securities);
         let x = e.begin(TRADE_ORDER);
         let acct = e
-            .index_probe(x, self.account_pk, a)?
+            .index_probe(x, self.account.pk, a)?
             .expect("account exists");
         let c = get_field(&acct, 1);
         let b = get_field(&acct, 2);
-        e.index_probe(x, self.customer_pk, c)?
+        e.index_probe(x, self.customer.pk, c)?
             .expect("customer exists");
-        e.index_probe(x, self.broker_pk, b)?.expect("broker exists");
-        e.index_probe(x, self.security_pk, s)?
+        e.index_probe(x, self.broker.pk, b)?.expect("broker exists");
+        e.index_probe(x, self.security.pk, s)?
             .expect("security exists");
         let lt = e
-            .index_probe(x, self.last_trade_pk, s)?
+            .index_probe(x, self.last_trade.pk, s)?
             .expect("last trade exists");
         let price = get_field(&lt, LT_PRICE);
 
@@ -424,17 +367,17 @@ impl TpcE {
         self.next_trade += 1;
         e.insert_tuple(
             x,
-            self.trade,
+            self.trade.id,
             &[
-                (self.trade_pk, t),
+                (self.trade.pk, t),
                 (self.trade_by_acct, k_trade_by_account(a, t)),
             ],
             &encode_row(TRADE_ROW, &[t, a, s, rng.gen_range(1..100), price, 0]),
         )?;
         e.insert_tuple(
             x,
-            self.trade_history,
-            &[(self.trade_history_pk, k_trade_history(t, 0))],
+            self.trade_history.id,
+            &[(self.trade_history.pk, k_trade_history(t, 0))],
             &encode_row(TH_ROW, &[t, 0, 0]),
         )?;
         self.pending.push_back((t, a, s));
@@ -457,10 +400,10 @@ impl TpcE {
         let x = e.begin(TRADE_RESULT);
         // Settle the trade row (it may not belong to `a` in the fallback
         // path; the row knows its own account).
-        let Some(t_rid) = e.index_probe_rid(x, self.trade_pk, t)? else {
+        let Some(t_rid) = e.index_probe_rid(x, self.trade.pk, t)? else {
             return e.commit(x);
         };
-        let mut t_row = e.peek(self.trade, t_rid)?;
+        let mut t_row = e.peek(self.trade.id, t_rid)?;
         let a = if get_field(&t_row, TRADE_ACCT) != a {
             get_field(&t_row, TRADE_ACCT)
         } else {
@@ -472,49 +415,44 @@ impl TpcE {
             s
         };
         set_field(&mut t_row, TRADE_STATUS_F, 1);
-        e.update_tuple(x, self.trade, t_rid, &t_row)?;
+        e.update_tuple(x, self.trade.id, t_rid, &t_row)?;
         e.insert_tuple(
             x,
-            self.trade_history,
+            self.trade_history.id,
             &[(
-                self.trade_history_pk,
+                self.trade_history.pk,
                 k_trade_history(t, rng.gen_range(1..16)),
             )],
             &encode_row(TH_ROW, &[t, 1, 1]),
         )?;
         // Adjust the holding (update if present, else create).
         let hold_key = k_holding(a, s);
-        if let Some(h_rid) = e.index_probe_rid(x, self.holding_pk, hold_key)? {
-            let mut h_row = e.peek(self.holding, h_rid)?;
-            let new_val = get_field(&h_row, HOLD_QTY) + 10;
-            set_field(&mut h_row, HOLD_QTY, new_val);
-            e.update_tuple(x, self.holding, h_rid, &h_row)?;
-        } else {
+        if !self.holding.add_to_field(e, x, hold_key, HOLD_QTY, 10)? {
             e.insert_tuple(
                 x,
-                self.holding,
-                &[(self.holding_pk, hold_key)],
+                self.holding.id,
+                &[(self.holding.pk, hold_key)],
                 &encode_row(HOLD_ROW, &[a, s, 10, 1_000]),
             )?;
         }
         // Account balance and broker commission.
         let a_rid = e
-            .index_probe_rid(x, self.account_pk, a)?
+            .index_probe_rid(x, self.account.pk, a)?
             .expect("account exists");
-        let mut a_row = e.peek(self.account, a_rid)?;
+        let mut a_row = e.peek(self.account.id, a_rid)?;
         let new_val = get_field_i64(&a_row, ACCT_BALANCE) - 500;
         set_field_i64(&mut a_row, ACCT_BALANCE, new_val);
         let b = get_field(&a_row, 2);
-        e.update_tuple(x, self.account, a_rid, &a_row)?;
+        e.update_tuple(x, self.account.id, a_rid, &a_row)?;
         let b_rid = e
-            .index_probe_rid(x, self.broker_pk, b)?
+            .index_probe_rid(x, self.broker.pk, b)?
             .expect("broker exists");
-        let mut b_row = e.peek(self.broker, b_rid)?;
+        let mut b_row = e.peek(self.broker.id, b_rid)?;
         let new_val = get_field(&b_row, BROKER_TRADES) + 1;
         set_field(&mut b_row, BROKER_TRADES, new_val);
         let new_val = get_field(&b_row, BROKER_COMMISSION) + 5;
         set_field(&mut b_row, BROKER_COMMISSION, new_val);
-        e.update_tuple(x, self.broker, b_rid, &b_row)?;
+        e.update_tuple(x, self.broker.id, b_rid, &b_row)?;
         e.commit(x)
     }
 
@@ -524,14 +462,14 @@ impl TpcE {
         for _ in 0..5 {
             let s = rng.gen_range(0..self.cfg.securities);
             let rid = e
-                .index_probe_rid(x, self.last_trade_pk, s)?
+                .index_probe_rid(x, self.last_trade.pk, s)?
                 .expect("last trade exists");
-            let mut row = e.peek(self.last_trade, rid)?;
+            let mut row = e.peek(self.last_trade.id, rid)?;
             let new_price = (get_field(&row, LT_PRICE) as i64 + rng.gen_range(-50i64..=50)).max(1);
             set_field(&mut row, LT_PRICE, new_price as u64);
             let new_val = get_field(&row, LT_VOLUME) + 100;
             set_field(&mut row, LT_VOLUME, new_val);
-            e.update_tuple(x, self.last_trade, rid, &row)?;
+            e.update_tuple(x, self.last_trade.id, rid, &row)?;
         }
         e.commit(x)
     }
@@ -540,10 +478,17 @@ impl TpcE {
     pub fn market_watch(&mut self, e: &mut Engine, rng: &mut StdRng) -> StorageResult<()> {
         let c = rng.gen_range(0..self.cfg.customers);
         let x = e.begin(MARKET_WATCH);
-        let entries = e.index_scan(x, self.watch_pk, k_watch(c, 0), true, k_watch(c, 255), true)?;
+        let entries = e.index_scan(
+            x,
+            self.watch_list.pk,
+            k_watch(c, 0),
+            true,
+            k_watch(c, 255),
+            true,
+        )?;
         for (_, row) in entries.iter().take(10) {
             let s = get_field(row, WATCH_SEC);
-            e.index_probe(x, self.last_trade_pk, s)?
+            e.index_probe(x, self.last_trade.pk, s)?
                 .expect("last trade exists");
         }
         e.commit(x)
@@ -554,16 +499,16 @@ impl TpcE {
         let s = rng.gen_range(0..self.cfg.securities);
         let x = e.begin(SECURITY_DETAIL);
         let sec = e
-            .index_probe(x, self.security_pk, s)?
+            .index_probe(x, self.security.pk, s)?
             .expect("security exists");
         let co = get_field(&sec, SEC_COMPANY);
-        e.index_probe(x, self.company_pk, co)?
+        e.index_probe(x, self.company.pk, co)?
             .expect("company exists");
-        e.index_probe(x, self.last_trade_pk, s)?
+        e.index_probe(x, self.last_trade.pk, s)?
             .expect("last trade exists");
         for _ in 0..5 {
             let peer = rng.gen_range(0..self.cfg.securities);
-            e.index_probe(x, self.last_trade_pk, peer)?
+            e.index_probe(x, self.last_trade.pk, peer)?
                 .expect("last trade exists");
         }
         e.commit(x)
@@ -576,10 +521,10 @@ impl TpcE {
         let trades = self.scan_account_trades(e, x, a)?;
         for (_, t_row) in trades.iter().take(3) {
             let t = get_field(t_row, 0);
-            e.index_probe(x, self.trade_pk, t)?.expect("trade exists");
+            e.index_probe(x, self.trade.pk, t)?.expect("trade exists");
             e.index_scan(
                 x,
-                self.trade_history_pk,
+                self.trade_history.pk,
                 k_trade_history(t, 0),
                 true,
                 k_trade_history(t, 15),
@@ -596,10 +541,10 @@ impl TpcE {
         let trades = self.scan_account_trades(e, x, a)?;
         for (_, t_row) in trades.iter().take(3) {
             let t = get_field(t_row, 0);
-            if let Some(rid) = e.index_probe_rid(x, self.trade_pk, t)? {
-                let mut row = e.peek(self.trade, rid)?;
+            if let Some(rid) = e.index_probe_rid(x, self.trade.pk, t)? {
+                let mut row = e.peek(self.trade.id, rid)?;
                 set_field(&mut row, TRADE_STATUS_F, 2);
-                e.update_tuple(x, self.trade, rid, &row)?;
+                e.update_tuple(x, self.trade.id, rid, &row)?;
             }
         }
         e.commit(x)
@@ -609,7 +554,7 @@ impl TpcE {
     pub fn customer_position(&mut self, e: &mut Engine, rng: &mut StdRng) -> StorageResult<()> {
         let c = rng.gen_range(0..self.cfg.customers);
         let x = e.begin(CUSTOMER_POSITION);
-        e.index_probe(x, self.customer_pk, c)?
+        e.index_probe(x, self.customer.pk, c)?
             .expect("customer exists");
         let accounts = e.index_scan(
             x,
@@ -623,7 +568,7 @@ impl TpcE {
             let a = get_field(a_row, 0);
             let holdings = e.index_scan(
                 x,
-                self.holding_pk,
+                self.holding.pk,
                 k_holding(a, 0),
                 true,
                 k_holding(a, (1 << 16) - 1),
@@ -631,7 +576,7 @@ impl TpcE {
             )?;
             for (_, h_row) in holdings.iter().take(8) {
                 let s = get_field(h_row, 1);
-                e.index_probe(x, self.last_trade_pk, s)?
+                e.index_probe(x, self.last_trade.pk, s)?
                     .expect("last trade exists");
             }
         }
@@ -643,9 +588,9 @@ impl TpcE {
         let x = e.begin(BROKER_VOLUME);
         for _ in 0..5 {
             let b = rng.gen_range(0..self.cfg.brokers);
-            e.index_probe(x, self.broker_pk, b)?.expect("broker exists");
+            e.index_probe(x, self.broker.pk, b)?.expect("broker exists");
             let s = rng.gen_range(0..self.cfg.securities);
-            e.index_probe(x, self.last_trade_pk, s)?
+            e.index_probe(x, self.last_trade.pk, s)?
                 .expect("last trade exists");
         }
         e.commit(x)
@@ -713,19 +658,19 @@ mod tests {
         let c = e.catalog();
         let cfg = w.config();
         assert_eq!(
-            c.table(w.customer).unwrap().heap.n_records() as u64,
+            c.table(w.customer.id).unwrap().heap.n_records() as u64,
             cfg.customers
         );
         assert_eq!(
-            c.table(w.account).unwrap().heap.n_records() as u64,
+            c.table(w.account.id).unwrap().heap.n_records() as u64,
             cfg.customers * cfg.accounts_per_customer
         );
         assert_eq!(
-            c.table(w.security).unwrap().heap.n_records() as u64,
+            c.table(w.security.id).unwrap().heap.n_records() as u64,
             cfg.securities
         );
         assert_eq!(
-            c.table(w.trade).unwrap().heap.n_records() as u64,
+            c.table(w.trade.id).unwrap().heap.n_records() as u64,
             w.n_accounts() * cfg.trades_per_account
         );
     }
@@ -748,10 +693,10 @@ mod tests {
     fn trade_order_then_result_settles() {
         let (mut e, mut w) = small();
         let mut rng = StdRng::seed_from_u64(2);
-        let trades_before = e.catalog().table(w.trade).unwrap().heap.n_records();
+        let trades_before = e.catalog().table(w.trade.id).unwrap().heap.n_records();
         w.trade_order(&mut e, &mut rng).unwrap();
         assert_eq!(
-            e.catalog().table(w.trade).unwrap().heap.n_records(),
+            e.catalog().table(w.trade.id).unwrap().heap.n_records(),
             trades_before + 1
         );
         assert_eq!(w.pending.len(), 1);

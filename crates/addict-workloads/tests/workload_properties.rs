@@ -1,11 +1,11 @@
-//! Behaviour of the spec-driven workloads through the `Benchmark` entry
-//! points the harness uses: determinism in the seed, the mix shapes the
-//! TATP and YCSB entries exist to probe, and the RNG contract at the
-//! runner boundary. TPC-B's bit-for-bit trace content is pinned by the
-//! golden trace digests in `addict-bench/tests/golden_digests.rs`.
+//! Behaviour of the TPC-B, TATP and YCSB workloads through the
+//! `Benchmark` entry points the harness uses: determinism in the seed, the
+//! mix shapes the TATP and YCSB entries exist to probe, and the RNG
+//! contract at the runner boundary. Bit-for-bit trace content is pinned by
+//! the golden trace digests in `addict-bench/tests/golden_digests.rs`.
 
 use addict_trace::XctTrace;
-use addict_workloads::spec::{tpcb_spec, SpecRunner};
+use addict_workloads::tpcb::TpcB;
 use addict_workloads::{collect_traces, Benchmark, WorkloadRunner};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -22,17 +22,17 @@ fn assert_bit_identical(a: &[XctTrace], b: &[XctTrace], what: &str) {
 }
 
 #[test]
-fn spec_tpcb_metadata_matches() {
-    let (_, spec) = SpecRunner::setup(tpcb_spec(2, 4, 100));
-    assert_eq!(spec.name(), "TPC-B");
-    assert_eq!(spec.xct_type_names(), ["AccountUpdate"]);
+fn tpcb_metadata_matches() {
+    let (_, tpcb) = TpcB::setup(2, 4, 100);
+    assert_eq!(tpcb.name(), "TPC-B");
+    assert_eq!(tpcb.xct_type_names(), ["AccountUpdate"]);
 }
 
-/// The spec-driven registry entries satisfy the same determinism contract
-/// as the handwritten TPC-C and TPC-E: identical seed, identical traces —
-/// through the same `Benchmark` entry points the harness uses.
+/// TPC-B, TATP and YCSB satisfy the same determinism contract as TPC-C
+/// and TPC-E: identical seed, identical traces — through the same
+/// `Benchmark` entry points the harness uses.
 #[test]
-fn registry_spec_benchmarks_are_deterministic() {
+fn registry_benchmarks_are_deterministic() {
     for bench in [
         Benchmark::TpcB,
         Benchmark::Tatp,
@@ -97,11 +97,11 @@ fn ycsb_zipfian_concentrates_data_accesses() {
 }
 
 /// Seed-stream check at the boundary the runner owns: `collect_traces`
-/// hands one `StdRng` to the runner for the whole stream, and the spec
-/// runner must consume draws exactly as declared (no hidden draws), so a
+/// hands one `StdRng` to the runner for the whole stream, and the runner
+/// must consume exactly its own draws (no hidden draws), so a
 /// manually-driven run reproduces `collect_traces`.
 #[test]
-fn spec_runner_consumes_no_hidden_randomness() {
+fn runner_consumes_no_hidden_randomness() {
     let (mut e1, mut w1) = Benchmark::Tatp.setup_small();
     let via_collect = collect_traces(&mut e1, w1.as_mut(), 25, 9).xcts;
 

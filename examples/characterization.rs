@@ -7,7 +7,7 @@
 use addict::analysis::reuse::ReuseProfile;
 use addict::analysis::{overlap_histogram, reuse_profile, OverlapScope};
 use addict::trace::OpKind;
-use addict::workloads::spec::ACCOUNT_UPDATE;
+use addict::workloads::tpcb::ACCOUNT_UPDATE;
 use addict::workloads::{collect_traces, Benchmark};
 
 fn main() {

@@ -7,11 +7,11 @@
 //! oldest (scan + delete) and bump a per-topic counter (probe + update) —
 //! a mix deliberately unlike the TPC benchmarks.
 //!
-//! This example drives the engine by hand for full control; for a mix
-//! expressible as tables + typed steps, prefer declaring an
-//! `addict::workloads::spec::WorkloadSpec` and letting `SpecRunner`
-//! interpret it (that path inherits the registry, sweep, and determinism
-//! machinery for free — see the TATP and YCSB entries).
+//! This example drives the engine inline for a quick experiment. To make a
+//! mix a registry benchmark (and so inherit the sweep, trace-pool and
+//! determinism machinery), write it as a `WorkloadRunner` module the way
+//! `crates/addict-workloads/src/tatp.rs` does: create the tables, populate
+//! them untraced, and draw every random value before `begin`.
 //!
 //! Run with: `cargo run --release --example custom_workload`
 
