@@ -5,14 +5,15 @@
 //! * OoO data-miss hiding factor sweep,
 //! * batching by type vs mixed batches (via batch size 1 grouping).
 //!
-//! All variants form one grid executed by the sweep engine's generic layer
-//! (`run_grid`, `--threads N` / `ADDICT_THREADS`): the plan-level variants
-//! call into `addict::run_with_options` directly, the config sweeps go
-//! through `run_scheduler`, and every run shares the interned traces,
-//! migration map, and prebuilt plans immutably.
+//! All variants form one grid executed by `run_grid` on `--threads N`
+//! workers: the plan-level variants call into `addict::run_with_options`
+//! directly, the config sweeps go through `run_scheduler`, and every run
+//! shares the interned traces, migration map (both from `fetch_traces`),
+//! and prebuilt plans immutably.
 
-use addict_bench::{header, norm, parse_bench_args, run_grid, JobSpec, TracePool};
-use addict_core::algorithm1::{find_migration_points_interned, MigrationMap};
+use addict_bench::{
+    fetch_traces, header, norm, parse_bench_args, run_grid, CancelToken, JobSpec, TracePool,
+};
 use addict_core::plan::{AssignmentPlan, PlanConfig};
 use addict_core::replay::{ReplayConfig, ReplayResult};
 use addict_core::sched::{addict, run_scheduler, SchedulerKind};
@@ -69,19 +70,17 @@ fn main() {
         &format!("ADDICT design-choice ablations ({})", bench.name()),
         n,
     );
-    let spec = JobSpec::new(vec![bench], n);
-    let keys = [spec.profile_key(bench), spec.eval_key(bench)];
-    let pool = TracePool::unbounded();
-    let [profile, eval] = &run_grid(&keys, args.threads, |_, k| pool.get(k, 1).0)[..] else {
-        unreachable!("two keys fetched");
-    };
+    let mut spec = JobSpec::new(vec![bench], n);
+    spec.threads = args.threads;
+    let sets = fetch_traces(&spec, &TracePool::unbounded(), &|_| {}, &CancelToken::new())
+        .expect("an un-armed token never fires");
     let cfg = ReplayConfig::paper_default();
-    let map: MigrationMap = find_migration_points_interned(profile.as_set(), cfg.sim.l1i);
-    let traces = &eval.as_set();
+    let map = &sets[0].map;
+    let traces = &sets[0].eval.as_set();
 
-    let plan = AssignmentPlan::build(&map, PlanConfig::new(cfg.sim.n_cores));
+    let plan = AssignmentPlan::build(map, PlanConfig::new(cfg.sim.n_cores));
     let plan_norep = AssignmentPlan::build(
-        &map,
+        map,
         PlanConfig {
             n_cores: cfg.sim.n_cores,
             replicate: false,
@@ -151,9 +150,7 @@ fn main() {
         Variant::Planned { plan, steal, .. } => {
             addict::run_with_options(traces, plan, &cfg, *steal)
         }
-        Variant::Configured { scheduler, cfg } => {
-            run_scheduler(*scheduler, traces, Some(&map), cfg)
-        }
+        Variant::Configured { scheduler, cfg } => run_scheduler(*scheduler, traces, Some(map), cfg),
     });
 
     let base = &results[0];

@@ -64,10 +64,10 @@ use std::time::Instant;
 
 use addict_bench::job::total_events_interned;
 use addict_bench::{
-    parse_bench_args, run_grid, run_job, run_point, run_sweep, JobSpec, SweepPoint, SweepTraces,
-    TracePool, DEFAULT_GEN_CHUNK, EVAL_SEED,
+    fetch_traces, parse_bench_args, run_grid, run_job, CancelToken, JobSpec, TracePool,
+    DEFAULT_GEN_CHUNK, EVAL_SEED,
 };
-use addict_core::algorithm1::{find_migration_points_interned, MigrationMap};
+use addict_core::algorithm1::MigrationMap;
 use addict_core::replay::{ReplayConfig, ReplayResult};
 use addict_core::sched::{run_scheduler, SchedulerKind};
 use addict_trace::{InternedWorkload, TraceEvent, WorkloadTrace, XctTrace};
@@ -219,28 +219,22 @@ fn main() {
     // eval references follow in a second wave. Each pool eval must decode
     // back bit-identical to its flat reference: the runtime
     // decoded-vs-flat gate.
-    let spec = JobSpec::new(args.benchmarks.clone(), n);
-    let keys: Vec<_> = args
-        .benchmarks
-        .iter()
-        .flat_map(|&b| [spec.profile_key(b), spec.eval_key(b)])
-        .collect();
-    let pool = TracePool::unbounded();
-    let fetched = run_grid(&keys, args.threads, |_, k| pool.get(k, 1).0);
+    let mut spec = JobSpec::new(args.benchmarks.clone(), n);
+    spec.threads = args.threads;
+    let sets = fetch_traces(&spec, &TracePool::unbounded(), &|_| {}, &CancelToken::new())
+        .expect("an un-armed token never fires");
     let flat = run_grid(&args.benchmarks, args.threads, |_, &b| flat_eval(b, n));
-    let prepared: Vec<Prepared> = args
-        .benchmarks
-        .iter()
-        .zip(fetched.chunks_exact(2))
+    let prepared: Vec<Prepared> = sets
+        .into_iter()
         .zip(flat)
-        .map(|((&bench, pair), eval)| {
-            assert_decodes_to(&pair[1], &eval, bench.name());
+        .map(|(set, eval)| {
+            assert_decodes_to(&set.eval, &eval, set.bench.name());
             Prepared {
-                bench,
-                map: find_migration_points_interned(pair[0].as_set(), cfg.sim.l1i),
+                bench: set.bench,
+                map: set.map,
                 events: total_events(&eval.xcts),
                 eval,
-                interned: Arc::clone(&pair[1]),
+                interned: set.eval,
             }
         })
         .collect();
@@ -385,42 +379,40 @@ fn main() {
     // so N workers replay out of read-only arenas. Bit-identical checks
     // against both the 1-thread sweep and the sequentially timed flat
     // runs above.
-    let grid: Vec<SweepPoint<'_>> = prepared
+    let grid: Vec<(&Prepared, SchedulerKind)> = prepared
         .iter()
         .flat_map(|p| {
-            SchedulerKind::ALL.iter().map(|&scheduler| SweepPoint {
-                benchmark: p.bench,
-                scheduler,
-                replay_cfg: cfg.clone(),
-                label: "interned-grid",
-                traces: SweepTraces::Interned(p.interned.as_set()),
-                map: Some(&p.map),
-            })
+            SchedulerKind::ALL
+                .iter()
+                .map(move |&scheduler| (p, scheduler))
         })
         .collect();
+    let replay = |&(p, scheduler): &(&Prepared, SchedulerKind)| {
+        run_scheduler(scheduler, &p.interned.as_set(), Some(&p.map), &cfg)
+    };
     let t = Instant::now();
-    let seq = run_sweep(&grid, 1);
+    let seq = run_grid(&grid, 1, |_, point| replay(point));
     let seq_seconds = t.elapsed().as_secs_f64();
     // The parallel leg times each point inside its worker, so the artifact
     // records per-scheduler throughput *as achieved under the sweep* (on a
     // contended host this is lower than the isolated timings above — that
     // contention is exactly what the artifact should show).
     let t = Instant::now();
-    let timed_par: Vec<(f64, ReplayResult)> = run_grid(&grid, args.threads, |_, p| {
+    let timed_par: Vec<(f64, ReplayResult)> = run_grid(&grid, args.threads, |_, point| {
         let t = Instant::now();
-        let r = run_point(p);
+        let r = replay(point);
         (t.elapsed().as_secs_f64(), r)
     });
     let par_seconds = t.elapsed().as_secs_f64();
     let references = reference_results.iter().flatten();
-    for (((point, s), (_, par)), reference) in grid.iter().zip(&seq).zip(&timed_par).zip(references)
+    for ((((p, scheduler), s), (_, par)), reference) in
+        grid.iter().zip(&seq).zip(&timed_par).zip(references)
     {
-        assert_identical(s, par, &format!("{}: parallel sweep", point.describe()));
+        let what = format!("{} / {}", p.bench.name(), scheduler.name());
+        assert_identical(s, par, &format!("{what}: parallel sweep"));
         assert_eq!(
-            s.stats,
-            reference.stats,
-            "{}: interned sweep drifted from direct flat run",
-            point.describe()
+            s.stats, reference.stats,
+            "{what}: interned sweep drifted from direct flat run"
         );
     }
     let sweep_speedup = seq_seconds / par_seconds;
@@ -439,14 +431,13 @@ fn main() {
         grid.len(),
         args.threads
     );
-    for (i, (point, (secs, _))) in grid.iter().zip(&timed_par).enumerate() {
-        let events = prepared[i / SchedulerKind::ALL.len()].events;
+    for (i, ((p, scheduler), (secs, _))) in grid.iter().zip(&timed_par).enumerate() {
         let _ = write!(
             out,
             "      {{ \"workload\": \"{}\", \"scheduler\": \"{}\", \"seconds\": {secs:.6}, \"events_per_sec\": {:.1} }}{}",
-            point.benchmark.name(),
-            point.scheduler.name(),
-            events as f64 / secs,
+            p.bench.name(),
+            scheduler.name(),
+            p.events as f64 / secs,
             if i + 1 < timed_par.len() { ",\n" } else { "\n" }
         );
     }

@@ -2,7 +2,8 @@
 //! points exactly match the ones ADDICT picked during profiling, as the
 //! number of transaction traces grows (1000 vs 10000 in the paper).
 
-use addict_bench::{header, migration_map, parse_bench_args, PROFILE_SEED};
+use addict_bench::{header, parse_bench_args, PROFILE_SEED};
+use addict_core::find_migration_points;
 use addict_core::replay::ReplayConfig;
 use addict_trace::{OpKind, XctTypeId};
 use addict_workloads::{collect_traces, tpcc, Benchmark};
@@ -42,7 +43,7 @@ fn main() {
     for (bench, ty, label) in cases {
         let (mut engine, mut workload) = bench.setup();
         let profile = collect_traces(&mut engine, workload.as_mut(), base, PROFILE_SEED);
-        let map = migration_map(&profile, &cfg);
+        let map = find_migration_points(&profile.xcts, cfg.sim.l1i);
         // Fresh traces after the profiling window, evaluated in two sizes
         // (streamed in chunks to bound memory, like the paper's 10k runs).
         let small = collect_traces(&mut engine, workload.as_mut(), base, PROFILE_SEED + 100);

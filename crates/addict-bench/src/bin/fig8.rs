@@ -2,21 +2,18 @@
 //! private L2 per core, the shared cache becoming an L3 (Section 4.6);
 //! (b) ADDICT's impact on average per-core power (Section 4.7).
 //!
-//! The whole (benchmark × hierarchy × scheduler) grid fans out through the
-//! sweep engine (`--threads N` / `ADDICT_THREADS`); the profile and eval
-//! traces fetch from a trace pool the same way (one storage engine per
-//! key) and the grid replays their interned form. Algorithm 1's
-//! migration map depends only on the L1-I geometry, which the deep
-//! hierarchy does not change, so one map per benchmark is computed up
-//! front and shared by every grid point.
+//! The whole (benchmark × hierarchy × scheduler) grid fans out through
+//! `run_grid` on `--threads N` workers. The profile and eval traces come
+//! from `fetch_traces`, which fetches them from a trace pool (one storage
+//! engine per key) and runs Algorithm 1 once per benchmark. The migration
+//! map depends only on the L1-I geometry, which the deep hierarchy does
+//! not change, so every grid point of a benchmark shares its map.
 
 use addict_bench::{
-    header, norm, parse_bench_args, run_grid, run_sweep, JobSpec, SweepPoint, SweepTraces,
-    TracePool,
+    fetch_traces, header, norm, parse_bench_args, run_grid, CancelToken, JobSpec, TracePool,
 };
-use addict_core::algorithm1::find_migration_points_interned;
 use addict_core::replay::ReplayConfig;
-use addict_core::sched::SchedulerKind;
+use addict_core::sched::{run_scheduler, SchedulerKind};
 use addict_sim::SimConfig;
 
 fn main() {
@@ -34,57 +31,32 @@ fn main() {
         n,
     );
 
-    // Every selected benchmark's profile and eval keys fetch in one
-    // parallel wave, one storage engine per key.
-    let spec = JobSpec::new(args.benchmarks.clone(), n);
-    let keys: Vec<_> = args
-        .benchmarks
-        .iter()
-        .flat_map(|&b| [spec.profile_key(b), spec.eval_key(b)])
-        .collect();
-    let pool = TracePool::unbounded();
-    let workloads = run_grid(&keys, args.threads, |_, k| pool.get(k, 1).0);
-    let data: Vec<_> = args
-        .benchmarks
-        .iter()
-        .zip(workloads.chunks_exact(2))
-        .map(|(&bench, pair)| {
-            let map = find_migration_points_interned(
-                pair[0].as_set(),
-                ReplayConfig::paper_default().sim.l1i,
-            );
-            (bench, &pair[1], map)
-        })
-        .collect();
+    let mut spec = JobSpec::new(args.benchmarks.clone(), n);
+    spec.threads = args.threads;
+    let sets = fetch_traces(&spec, &TracePool::unbounded(), &|_| {}, &CancelToken::new())
+        .expect("an un-armed token never fires");
 
-    let mut grid: Vec<SweepPoint<'_>> = Vec::new();
-    for (bench, eval, map) in &data {
-        for (label, sim) in [
-            ("shallow", SimConfig::paper_default()),
-            ("deep", SimConfig::paper_deep()),
-        ] {
+    let mut grid = Vec::new();
+    for set in &sets {
+        for sim in [SimConfig::paper_default(), SimConfig::paper_deep()] {
+            let cfg = ReplayConfig {
+                sim,
+                ..ReplayConfig::paper_default()
+            };
             for scheduler in [SchedulerKind::Baseline, SchedulerKind::Addict] {
-                grid.push(SweepPoint {
-                    benchmark: *bench,
-                    scheduler,
-                    replay_cfg: ReplayConfig {
-                        sim: sim.clone(),
-                        ..ReplayConfig::paper_default()
-                    },
-                    label,
-                    traces: SweepTraces::Interned(eval.as_set()),
-                    map: Some(map),
-                });
+                grid.push((set, scheduler, cfg.clone()));
             }
         }
     }
-    let results = run_sweep(&grid, args.threads);
+    let results = run_grid(&grid, args.threads, |_, (set, scheduler, cfg)| {
+        run_scheduler(*scheduler, &set.eval.as_set(), Some(&set.map), cfg)
+    });
 
     println!(
         "\n{:<8} {:>16} {:>16} {:>15} {:>12}",
         "bench", "shallow cycles", "deep cycles", "power (shallow)", "power (deep)"
     );
-    for (chunk, (bench, ..)) in results.chunks_exact(4).zip(&data) {
+    for (chunk, set) in results.chunks_exact(4).zip(&sets) {
         // Grid order is fixed by construction; destructure it directly
         // rather than matching on labels.
         let [base_shallow, addict_shallow, base_deep, addict_deep] = chunk else {
@@ -92,7 +64,7 @@ fn main() {
         };
         println!(
             "{:<8} {:>16.2} {:>16.2} {:>15.2} {:>12.2}",
-            bench.name(),
+            set.bench.name(),
             norm(addict_shallow.total_cycles, base_shallow.total_cycles),
             norm(addict_deep.total_cycles, base_deep.total_cycles),
             norm(

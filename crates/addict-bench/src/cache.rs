@@ -77,28 +77,31 @@ impl TraceKey {
     /// can refuse a job whose traces would not fit the pool budget
     /// without first paying seconds of generation to find out.
     ///
-    /// The model is linear per benchmark, `pool + slope × n_xcts`, with
-    /// constants measured from the BENCH_6 scaling ladder and the
-    /// BENCH_7 per-workload `trace_memory` sections: the shared slice
-    /// pool is constant in `n_xcts` (BENCH_6 measured it flat from 400
-    /// to 1M transactions), and per-trace bytes grow linearly (the
-    /// delta-varint address share dominates at ~1.5 B/address).
-    /// Slopes are the measured 400-transaction values rounded **up** —
-    /// the 1M-rung slope is slightly smaller (281 vs 305 B/xct on
-    /// TPC-B), so the estimate is conservative at scale, which is the
-    /// right direction for admission control. `small` populations
-    /// produce traces of comparable shape (fewer *distinct* pages, not
-    /// shorter transactions), so they share the full-scale constants.
+    /// The model is linear per benchmark, `pool + slope × n_xcts`. The
+    /// shared slice pool is *not* constant in `n_xcts` for every
+    /// benchmark: TPC-C, TPC-E and TATP keep meeting distinct pages (TPC-C's
+    /// pool grows from 0.47 MB at 400 transactions to 5.8 MB at 10,000),
+    /// so the slope absorbs the pool's growth as well as the per-trace
+    /// bytes. Both constants are fitted to `resident_bytes()` measured in
+    /// a release build for seeds 1 and 2, at small and default scale, for
+    /// `n_xcts` in {1, 12, 40, 50, 400} and, at default scale, {1,000,
+    /// 2,000, 10,000}:
+    /// - `slope` is the steepest secant between consecutive measured sizes
+    ///   from 400 up, plus 5%, rounded up to a whole byte;
+    /// - `pool` is the smallest intercept that puts every measured point
+    ///   at least 5% under the estimate, rounded up to 1,000 bytes.
+    ///
+    /// The 5% covers seeds that were not measured; seeds 1 and 2 differ
+    /// by up to 4% at 400 TPC-C transactions.
     pub fn estimated_resident_bytes(&self) -> usize {
-        // (pool bytes, per-transaction slope in bytes) per registry
-        // entry, from BENCH_7.json `trace_memory` at n_xcts = 400.
+        // (pool bytes, per-transaction slope in bytes) per registry entry.
         let (pool, slope) = match self.bench {
-            Benchmark::TpcB => (10_336, 280),
-            Benchmark::TpcC => (470_704, 1_151),
-            Benchmark::TpcE => (298_544, 481),
-            Benchmark::Tatp => (46_576, 139),
-            Benchmark::YcsbA => (14_080, 143),
-            Benchmark::YcsbB => (12_608, 136),
+            Benchmark::TpcB => (11_000, 302),
+            Benchmark::TpcC => (123_000, 2_252),
+            Benchmark::TpcE => (223_000, 742),
+            Benchmark::Tatp => (39_000, 190),
+            Benchmark::YcsbA => (15_000, 159),
+            Benchmark::YcsbB => (11_000, 157),
         };
         pool + slope * self.n_xcts
     }
@@ -507,25 +510,40 @@ mod tests {
     fn estimate_is_conservative_for_small_keys() {
         // The admission model must never under-predict (a job admitted on
         // an optimistic estimate defeats the point of admission control).
-        // Generate a couple of real small-scale workloads and compare.
-        let pool = TracePool::unbounded();
-        for (bench, n) in [(Benchmark::TpcB, 12), (Benchmark::TpcB, 40)] {
-            let k = TraceKey {
-                bench,
-                seed: 1,
-                n_xcts: n,
-                chunk: 4,
-                small: true,
-            };
-            let (w, _) = pool.get(&k, 1);
-            assert!(
-                k.estimated_resident_bytes() >= w.resident_bytes(),
-                "{}: estimated {} < actual {}",
-                k.describe(),
-                k.estimated_resident_bytes(),
-                w.resident_bytes()
-            );
+        // Generate every benchmark's profile and eval ranges at small and
+        // default scale, from one transaction up, and compare.
+        let mut keys = Vec::new();
+        for bench in Benchmark::ALL {
+            for small in [true, false] {
+                for n_xcts in [1, 12, 40, 400] {
+                    for seed in [crate::PROFILE_SEED, crate::EVAL_SEED] {
+                        keys.push(TraceKey {
+                            bench,
+                            seed,
+                            n_xcts,
+                            chunk: DEFAULT_GEN_CHUNK,
+                            small,
+                        });
+                    }
+                }
+            }
         }
+        let actual = crate::run_grid(&keys, 2, |_, k| {
+            TracePool::unbounded().get(k, 1).0.resident_bytes()
+        });
+        let under: Vec<String> = keys
+            .iter()
+            .zip(actual)
+            .filter(|(k, actual)| k.estimated_resident_bytes() < *actual)
+            .map(|(k, actual)| {
+                format!(
+                    "{}: estimated {} < actual {actual}",
+                    k.describe(),
+                    k.estimated_resident_bytes()
+                )
+            })
+            .collect();
+        assert!(under.is_empty(), "under-predicted: {under:#?}");
         // And the model is monotone in n_xcts.
         let at = |n| {
             TraceKey {

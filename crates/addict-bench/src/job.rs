@@ -15,11 +15,13 @@
 //!   malformed flag *and* every malformed job field reports through it,
 //!   tagged with the offending field, so CLI and server strictness cannot
 //!   drift;
-//! * [`run_job`] — the executor: the job's profile and eval keys come
-//!   from a [`TracePool`] (cache hit or
-//!   generate, several keys at once), the migration map from Algorithm 1
-//!   over the cached profile set, and the grid fans out through
-//!   [`run_grid`](crate::sweep::run_grid);
+//! * [`fetch_traces`] — the prologue of every grid: the job's profile
+//!   and eval keys come from a [`TracePool`] (cache hit or generate,
+//!   several keys at once) and the migration maps from Algorithm 1 over
+//!   the cached profile sets. `fig8`, `ablation` and `bench` call it
+//!   directly;
+//! * [`run_job`] — the executor: [`fetch_traces`], then the grid fans
+//!   out through [`run_grid_abortable`] and `run_scheduler`;
 //! * [`JobResult`] — the serialized outcome. Its [`JobResult::to_json`]
 //!   output is a pure function of the spec — wall-clock timings travel in
 //!   progress callbacks, never in the result — so a job executed via the
@@ -33,13 +35,13 @@ use std::time::{Duration, Instant};
 
 use addict_core::algorithm1::{find_migration_points_interned, MigrationMap};
 use addict_core::replay::{ReplayConfig, ReplayResult};
-use addict_core::sched::SchedulerKind;
+use addict_core::sched::{run_scheduler, SchedulerKind};
 use addict_trace::{InternedWorkload, TraceEvent};
 use addict_workloads::Benchmark;
 
 use crate::cache::{TraceKey, TracePool};
 use crate::jsontext::{escape, JsonValue};
-use crate::sweep::{run_grid_abortable, run_point, SweepPoint, SweepTraces};
+use crate::sweep::run_grid_abortable;
 use crate::{EVAL_SEED, PROFILE_SEED};
 
 /// A job-spec or argument error: the single strictness policy shared by
@@ -526,6 +528,21 @@ impl JobSpec {
             small: self.small,
         }
     }
+
+    /// The distinct profile and eval keys of this job, in benchmark order
+    /// (a key shared by two benchmarks, or a profile key equal to an eval
+    /// key, appears once).
+    pub fn trace_keys(&self) -> Vec<TraceKey> {
+        let mut keys: Vec<TraceKey> = Vec::with_capacity(2 * self.benchmarks.len());
+        for &bench in &self.benchmarks {
+            for key in [self.profile_key(bench), self.eval_key(bench)] {
+                if !keys.contains(&key) {
+                    keys.push(key);
+                }
+            }
+        }
+        keys
+    }
 }
 
 /// One grid point's outcome. `seconds` is wall clock as achieved in this
@@ -735,6 +752,72 @@ pub fn run_job(
     }
 }
 
+/// One benchmark's replay inputs, as [`fetch_traces`] returns them.
+#[derive(Debug)]
+pub struct BenchTraces {
+    /// The benchmark these traces belong to.
+    pub bench: Benchmark,
+    /// Interned evaluation traces, shared with the trace pool.
+    pub eval: Arc<InternedWorkload>,
+    /// Algorithm 1's migration map over the profiling traces.
+    pub map: MigrationMap,
+    /// Block-granular events in `eval`.
+    pub events: u64,
+}
+
+/// Fetch every benchmark's profile and eval traces of `spec` from `pool`
+/// and run Algorithm 1 on each profile set: the one prologue of a job,
+/// a figure grid and `bench`. Results are in `spec.benchmarks` order.
+///
+/// Generation is the expensive phase, so every distinct key
+/// ([`JobSpec::trace_keys`]) fetches concurrently on `spec.threads`
+/// workers, and the token is polled before each claim: a cancelled job
+/// never starts another engine population (an in-flight generation
+/// finishes — it may be shared with concurrent jobs via the pool's
+/// pending slot). One `traces <id>: …` line per benchmark goes to
+/// `progress`. The profile sets' pins drop on return; only the eval sets
+/// stay in use.
+pub fn fetch_traces(
+    spec: &JobSpec,
+    pool: &TracePool,
+    progress: &(dyn Fn(&str) + Sync),
+    token: &CancelToken,
+) -> Result<Vec<BenchTraces>, JobError> {
+    let l1i = ReplayConfig::paper_default().sim.l1i;
+    let keys = spec.trace_keys();
+    let fetched = run_grid_abortable(&keys, spec.threads, &|| token.check().is_err(), |_, k| {
+        pool.get(k, 1)
+    });
+    if fetched.iter().any(Option::is_none) {
+        let interrupt = token.check().expect_err("aborted fetch with a quiet token");
+        return Err(JobError::Interrupted(interrupt));
+    }
+    let fetched: Vec<(Arc<InternedWorkload>, bool)> = fetched.into_iter().flatten().collect();
+    let lookup = |key: TraceKey| &fetched[keys.iter().position(|k| *k == key).expect("fetched")];
+
+    let status = |hit: bool| if hit { "cache hit" } else { "generated" };
+    Ok(spec
+        .benchmarks
+        .iter()
+        .map(|&bench| {
+            let (profile, profile_hit) = lookup(spec.profile_key(bench));
+            let (eval, eval_hit) = lookup(spec.eval_key(bench));
+            progress(&format!(
+                "traces {}: profile {} | eval {}",
+                bench.id(),
+                status(*profile_hit),
+                status(*eval_hit),
+            ));
+            BenchTraces {
+                bench,
+                eval: Arc::clone(eval),
+                map: find_migration_points_interned(profile.as_set(), l1i),
+                events: total_events_interned(eval),
+            }
+        })
+        .collect())
+}
+
 /// [`run_job`] under a cooperative [`CancelToken`]: the token is polled
 /// between trace fetches and between sweep points, so a cancellation or
 /// an expired deadline stops the job at the next point boundary — the
@@ -750,91 +833,33 @@ pub fn run_job_with(
     token: &CancelToken,
 ) -> Result<JobResult, JobError> {
     spec.validate()?;
+    let sets = fetch_traces(spec, pool, progress, token)?;
     let cfg = ReplayConfig::paper_default();
-
-    // Generation is the expensive phase, so every distinct key fetches
-    // concurrently, and the token is polled before each claim: a
-    // cancelled job never starts another engine population (an in-flight
-    // generation finishes — it may be shared with concurrent jobs via the
-    // pool's pending slot).
-    let mut keys: Vec<TraceKey> = Vec::with_capacity(2 * spec.benchmarks.len());
-    for &bench in &spec.benchmarks {
-        for key in [spec.profile_key(bench), spec.eval_key(bench)] {
-            if !keys.contains(&key) {
-                keys.push(key);
-            }
-        }
-    }
-    let fetched = run_grid_abortable(&keys, spec.threads, &|| token.check().is_err(), |_, k| {
-        pool.get(k, 1)
-    });
-    if fetched.iter().any(Option::is_none) {
-        let interrupt = token.check().expect_err("aborted fetch with a quiet token");
-        return Err(JobError::Interrupted(interrupt));
-    }
-    let fetched: Vec<(Arc<InternedWorkload>, bool)> = fetched.into_iter().flatten().collect();
-    let lookup = |key: TraceKey| &fetched[keys.iter().position(|k| *k == key).expect("fetched")];
-
-    struct Traces {
-        eval: Arc<InternedWorkload>,
-        map: MigrationMap,
-        events: u64,
-    }
-    let status = |hit: bool| if hit { "cache hit" } else { "generated" };
-    let sets: Vec<Traces> = spec
-        .benchmarks
-        .iter()
-        .map(|&bench| {
-            let (profile, profile_hit) = lookup(spec.profile_key(bench));
-            let (eval, eval_hit) = lookup(spec.eval_key(bench));
-            progress(&format!(
-                "traces {}: profile {} | eval {}",
-                bench.id(),
-                status(*profile_hit),
-                status(*eval_hit),
-            ));
-            Traces {
-                eval: Arc::clone(eval),
-                map: find_migration_points_interned(profile.as_set(), cfg.sim.l1i),
-                events: total_events_interned(eval),
-            }
-        })
-        .collect();
-    // Unpin the profile sets before the replay: only the eval sets stay
-    // in use.
-    drop(fetched);
-
     let shape = spec.grid_shape();
-    let grid: Vec<SweepPoint<'_>> = shape
-        .iter()
-        .map(|&(bi, scheduler, batch)| SweepPoint {
-            benchmark: spec.benchmarks[bi],
-            scheduler,
-            replay_cfg: match batch {
+    let total = shape.len();
+    let done = AtomicUsize::new(0);
+    let timed: Vec<Option<(f64, ReplayResult)>> = run_grid_abortable(
+        &shape,
+        spec.threads,
+        &|| token.check().is_err(),
+        |_, &(bi, scheduler, batch)| {
+            let set = &sets[bi];
+            let replay_cfg = match batch {
                 Some(b) => cfg.clone().with_batch_size(b),
                 None => cfg.clone(),
-            },
-            label: "job",
-            traces: SweepTraces::Interned(sets[bi].eval.as_set()),
-            map: Some(&sets[bi].map),
-        })
-        .collect();
-
-    let total = grid.len();
-    let done = AtomicUsize::new(0);
-    let timed: Vec<Option<(f64, ReplayResult)>> =
-        run_grid_abortable(&grid, spec.threads, &|| token.check().is_err(), |i, p| {
+            };
             let t = Instant::now();
-            let r = run_point(p);
+            let r = run_scheduler(scheduler, &set.eval.as_set(), Some(&set.map), &replay_cfg);
             let seconds = t.elapsed().as_secs_f64();
             let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
             progress(&format!(
-                "point {finished}/{total} {} in {seconds:.3}s",
-                p.describe()
+                "point {finished}/{total} {} / {} in {seconds:.3}s",
+                set.bench.name(),
+                scheduler.name()
             ));
-            let _ = i;
             (seconds, r)
-        });
+        },
+    );
     if timed.iter().any(Option::is_none) {
         // At least one point was skipped by the abort probe: report why.
         let interrupt = token.check().expect_err("aborted grid with a quiet token");

@@ -30,30 +30,28 @@
 //! disjoint trace ranges.
 //!
 //! Traces come from one path: a fresh storage engine traced by
-//! `collect_traces` (`fig1`–`fig3`, `fig4`'s one engine, `bench`'s flat
-//! reference) or, interned, by a [`TracePool`] miss (one engine per
-//! [`TraceKey`]). `fig5`, `fig6`, `fig7` and `fig9` run whole
-//! [`JobSpec`]s through [`run_job`], the executor the replay server uses
-//! too; `fig8`, `ablation` and `bench` fetch their keys from a pool and
-//! build their own grids.
+//! `collect_traces` (`fig1`–`fig4`, and `bench`'s flat reference) or,
+//! interned, by a [`TracePool`] miss (one engine per [`TraceKey`]).
+//! Every grid fetches its interned traces and Algorithm 1's migration
+//! maps through one prologue, [`fetch_traces`], and replays through
+//! [`run_grid`] plus `run_scheduler`. `fig5`, `fig6`, `fig7` and `fig9`
+//! run whole [`JobSpec`]s through [`run_job`], the executor the replay
+//! server uses too; `fig8`, `ablation` and `bench` call [`fetch_traces`]
+//! and build their own grids.
 
 pub mod cache;
 pub mod job;
 pub mod jsontext;
 pub mod sweep;
 
-use addict_core::algorithm1::MigrationMap;
-use addict_core::find_migration_points;
-use addict_core::replay::ReplayConfig;
-use addict_trace::WorkloadTrace;
 use addict_workloads::Benchmark;
 
 pub use cache::{CacheStats, TraceKey, TracePool, DEFAULT_GEN_CHUNK};
 pub use job::{
-    fnv64, run_job, run_job_with, summary_rows, CancelToken, Interrupt, JobError, JobPoint,
-    JobResult, JobSpec, SpecError, SummaryRow,
+    fetch_traces, fnv64, run_job, run_job_with, summary_rows, BenchTraces, CancelToken, Interrupt,
+    JobError, JobPoint, JobResult, JobSpec, SpecError, SummaryRow,
 };
-pub use sweep::{run_grid, run_grid_abortable, run_point, run_sweep, SweepPoint, SweepTraces};
+pub use sweep::{run_grid, run_grid_abortable};
 
 /// Profiling seed (the paper's traces 1–1000).
 pub const PROFILE_SEED: u64 = 1;
@@ -68,8 +66,8 @@ pub struct BenchArgs {
     /// Output path (second positional argument), where the binary writes
     /// an artifact.
     pub out: Option<String>,
-    /// Sweep worker threads (`--threads N` / `ADDICT_THREADS`, defaulting
-    /// to the host parallelism; see [`sweep::default_threads`]).
+    /// Sweep worker threads (`--threads N`, defaulting to the host's
+    /// available parallelism).
     pub threads: usize,
     /// `--smoke`: a fast CI-sized run (small trace count, single rep).
     pub smoke: bool,
@@ -101,7 +99,7 @@ pub fn parse_bench_args(default_n: usize) -> BenchArgs {
     })
 }
 
-/// [`parse_bench_args`] over an explicit argument list (args[0] is the
+/// [`parse_bench_args`] over an explicit argument list (`args[0]` is the
 /// program name). A `--xcts`, `--threads` or `--benchmarks` flag with a
 /// missing or invalid value is an explicit error, never a silent fallback
 /// — a typo'd thread count must not quietly serialize a sweep, and a
@@ -175,17 +173,14 @@ pub fn parse_bench_args_from(args: &[String], default_n: usize) -> Result<BenchA
     Ok(BenchArgs {
         n_xcts: n_xcts.unwrap_or(if smoke { 60 } else { default_n }),
         out,
-        threads: threads.unwrap_or_else(sweep::default_threads),
+        threads: threads.unwrap_or_else(|| {
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        }),
         smoke,
         scaling,
         benchmarks_explicit: benchmarks.is_some(),
         benchmarks: benchmarks.unwrap_or_else(|| Benchmark::ALL.to_vec()),
     })
-}
-
-/// Run Algorithm 1 on the profiling traces with the config's L1-I.
-pub fn migration_map(profile: &WorkloadTrace, cfg: &ReplayConfig) -> MigrationMap {
-    find_migration_points(&profile.xcts, cfg.sim.l1i)
 }
 
 /// Normalize `value` over the baseline's, guarding degenerate baselines.
@@ -211,6 +206,8 @@ pub fn header(artifact: &str, what: &str, n: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use addict_core::find_migration_points;
+    use addict_core::replay::ReplayConfig;
     use addict_core::sched::{run_scheduler, SchedulerKind};
     use addict_workloads::collect_traces;
 
@@ -356,7 +353,7 @@ mod tests {
         let (mut engine, mut workload) = Benchmark::TpcB.setup_small();
         let profile = collect_traces(&mut engine, workload.as_mut(), 10, PROFILE_SEED);
         let cfg = ReplayConfig::paper_default();
-        let map = migration_map(&profile, &cfg);
+        let map = find_migration_points(&profile.xcts, cfg.sim.l1i);
         let empty: Vec<addict_trace::XctTrace> = Vec::new();
         for kind in SchedulerKind::ALL {
             let r = run_scheduler(kind, &empty, Some(&map), &cfg);
@@ -381,7 +378,7 @@ mod tests {
         let profile = collect_traces(&mut engine, workload.as_mut(), 20, PROFILE_SEED);
         let eval = collect_traces(&mut engine, workload.as_mut(), 20, EVAL_SEED);
         let cfg = ReplayConfig::paper_default();
-        let map = migration_map(&profile, &cfg);
+        let map = find_migration_points(&profile.xcts, cfg.sim.l1i);
         let results: Vec<_> = SchedulerKind::ALL
             .iter()
             .map(|&kind| run_scheduler(kind, &eval.xcts, Some(&map), &cfg))

@@ -1,131 +1,50 @@
 //! Parallel multi-config sweep engine.
 //!
 //! Every figure of the paper's evaluation is a grid of
-//! (benchmark × scheduler × config) replays. PR 1 made each replay
-//! allocation-free and gave each run its own [`Machine`](addict_sim::Machine),
-//! so the runs are embarrassingly parallel: the traces and migration maps
+//! (benchmark × scheduler × config) replays. Each replay is
+//! allocation-free and owns its [`Machine`](addict_sim::Machine), so the
+//! runs are embarrassingly parallel: the traces and migration maps
 //! are shared immutably, all mutable state (machine, cluster, policy) is
-//! per-run. This module fans a declarative grid out across OS threads.
+//! per-run. This module fans such a grid out across OS threads.
 //!
-//! Two layers:
+//! [`run_grid`] is the executor: a `std::thread::scope` worker pool
+//! pulling grid indexes off one atomic cursor (work-stealing-free by
+//! construction: there is a single shared cursor, so no per-worker deques
+//! to steal from and no rebalancing machinery). Results land in **grid
+//! order** regardless of completion order, and `threads <= 1` takes a
+//! plain sequential loop — no threads spawned at all.
+//! [`run_grid_abortable`] adds a cooperative abort probe for jobs.
 //!
-//! * [`run_grid`] — the generic executor: a `std::thread::scope` worker
-//!   pool pulling grid indexes off one atomic cursor (work-stealing-free by
-//!   construction: there is a single shared cursor, so no per-worker deques
-//!   to steal from and no rebalancing machinery). Results land in **grid
-//!   order** regardless of completion order, and `threads <= 1` takes a
-//!   plain sequential loop — no threads spawned at all.
-//! * [`SweepPoint`] / [`run_sweep`] — the declarative layer used by the
-//!   figure binaries: one point per (benchmark, scheduler, replay config)
-//!   cell, dispatched through [`run_scheduler`]. Points carry either
-//!   trace layout ([`SweepTraces`]): flat slices, or interned sets whose
-//!   `Arc`-shared [`SlicePool`](addict_trace::SlicePool) gives all N
-//!   worker threads one read-only, deduplicated working set.
+//! A grid item is whatever its caller needs — `(benchmark, scheduler,
+//! batch)` for [`run_job_with`](crate::job::run_job_with), `(set,
+//! scheduler, ReplayConfig)` for `fig8` — and the work closure replays it
+//! through [`run_scheduler`](addict_core::sched::run_scheduler) over
+//! traces from [`fetch_traces`](crate::job::fetch_traces): interned sets
+//! whose `Arc`-shared [`SlicePool`](addict_trace::SlicePool) gives all N
+//! worker threads one read-only, deduplicated working set.
 //!
 //! # Determinism
 //!
 //! A sweep's output is a pure function of its grid: every run owns its
 //! machine, shares its inputs by `&`-reference only, and the engine never
-//! lets completion order leak into result order. `run_sweep(grid, 1)` and
-//! `run_sweep(grid, n)` are therefore **bit-identical** — asserted by
-//! `tests/sweep_determinism.rs` and re-checked on every `bench` run.
+//! lets completion order leak into result order. `run_grid(grid, 1, f)`
+//! and `run_grid(grid, n, f)` are therefore **bit-identical** — asserted
+//! by `tests/sweep_determinism.rs` and re-checked on every `bench` run.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use addict_core::algorithm1::MigrationMap;
 use addict_core::replay::{ReplayConfig, ReplayResult};
-use addict_core::sched::{run_scheduler, SchedulerKind};
+use addict_core::sched::SchedulerKind;
 use addict_trace::{InternedSet, XctTrace};
 use addict_workloads::Benchmark;
-
-/// The traces a sweep point replays: flat, or interned against a shared
-/// [`SlicePool`](addict_trace::SlicePool) arena. Grid points built from
-/// one `Arc`'d pool all borrow the *same* read-only working set, so N
-/// sweep threads replay thousands of traces out of one deduplicated arena
-/// instead of N private event-vector copies.
-#[derive(Debug, Clone, Copy)]
-pub enum SweepTraces<'a> {
-    /// Flat per-trace event vectors.
-    Flat(&'a [XctTrace]),
-    /// Interned traces + their shared pool.
-    Interned(InternedSet<'a>),
-}
-
-impl SweepTraces<'_> {
-    /// Number of traces in the set.
-    pub fn len(&self) -> usize {
-        match self {
-            SweepTraces::Flat(t) => t.len(),
-            SweepTraces::Interned(s) => s.xcts.len(),
-        }
-    }
-
-    /// True when the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl<'a> From<&'a [XctTrace]> for SweepTraces<'a> {
-    fn from(t: &'a [XctTrace]) -> Self {
-        SweepTraces::Flat(t)
-    }
-}
-
-impl<'a> From<&'a Vec<XctTrace>> for SweepTraces<'a> {
-    fn from(t: &'a Vec<XctTrace>) -> Self {
-        SweepTraces::Flat(t)
-    }
-}
-
-impl<'a> From<InternedSet<'a>> for SweepTraces<'a> {
-    fn from(s: InternedSet<'a>) -> Self {
-        SweepTraces::Interned(s)
-    }
-}
-
-/// One cell of a sweep grid: replay `traces` under `scheduler` with
-/// `replay_cfg`. The trace set and migration map are shared across all
-/// points (and threads) immutably.
-#[derive(Debug, Clone)]
-pub struct SweepPoint<'a> {
-    /// Which benchmark the traces came from (for labeling/grouping).
-    pub benchmark: Benchmark,
-    /// Scheduler to replay under.
-    pub scheduler: SchedulerKind,
-    /// Replay parameters for this cell.
-    pub replay_cfg: ReplayConfig,
-    /// Row label for reports ("batch=8", "deep", ...).
-    pub label: &'static str,
-    /// Evaluation traces (flat or interned), shared immutably across the
-    /// grid.
-    pub traces: SweepTraces<'a>,
-    /// Algorithm 1 migration map (required by ADDICT), shared immutably.
-    pub map: Option<&'a MigrationMap>,
-}
-
-impl SweepPoint<'_> {
-    /// Human-readable name of this grid cell, for diagnostics — the
-    /// determinism guards in `bench` and the tests name diverging points
-    /// with it.
-    pub fn describe(&self) -> String {
-        format!(
-            "{} / {} / {}",
-            self.benchmark.name(),
-            self.scheduler.name(),
-            self.label
-        )
-    }
-}
 
 // Compile-time audit: everything a sweep shares across threads, or moves
 // into a worker, must be Send + Sync. (The replay inputs are shared by
 // reference; results cross back to the collecting thread.)
 const _: () = {
     const fn shared<T: Send + Sync>() {}
-    shared::<SweepPoint<'_>>();
-    shared::<SweepTraces<'_>>();
     shared::<ReplayConfig>();
     shared::<ReplayResult>();
     shared::<MigrationMap>();
@@ -134,17 +53,6 @@ const _: () = {
     shared::<SchedulerKind>();
     shared::<Benchmark>();
 };
-
-/// Worker-thread default when no `--threads` flag is given: the
-/// `ADDICT_THREADS` environment variable if set (unparseable values fall
-/// back to 1, the sequential path), else the host's available
-/// parallelism.
-pub fn default_threads() -> usize {
-    if let Ok(v) = std::env::var("ADDICT_THREADS") {
-        return v.parse().unwrap_or(1).max(1);
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
 
 /// Run `work` over every item of `items` on `threads` OS threads,
 /// returning results in item order regardless of completion order.
@@ -212,22 +120,6 @@ where
     debug_assert_eq!(out.len(), items.len());
     out.sort_unstable_by_key(|&(i, _)| i);
     out.into_iter().map(|(_, r)| r).collect()
-}
-
-/// Replay every [`SweepPoint`] of `grid` on `threads` threads, returning
-/// the [`ReplayResult`]s in grid order. Flat and interned points dispatch
-/// to their own monomorphized replay loop — the layout match happens once
-/// per point, never inside the hot path.
-pub fn run_sweep(grid: &[SweepPoint<'_>], threads: usize) -> Vec<ReplayResult> {
-    run_grid(grid, threads, |_, p| run_point(p))
-}
-
-/// Replay one [`SweepPoint`] (the sweep's unit of work).
-pub fn run_point(p: &SweepPoint<'_>) -> ReplayResult {
-    match p.traces {
-        SweepTraces::Flat(traces) => run_scheduler(p.scheduler, traces, p.map, &p.replay_cfg),
-        SweepTraces::Interned(set) => run_scheduler(p.scheduler, &set, p.map, &p.replay_cfg),
-    }
 }
 
 #[cfg(test)]

@@ -7,12 +7,38 @@
 //! statement of that contract, and the gate the `bench` binary re-checks
 //! on every artifact run.
 
-use addict_bench::{migration_map, run_sweep, SweepPoint, SweepTraces, EVAL_SEED, PROFILE_SEED};
+use addict_bench::{run_grid, EVAL_SEED, PROFILE_SEED};
+use addict_core::algorithm1::MigrationMap;
+use addict_core::find_migration_points;
 use addict_core::replay::{ReplayConfig, ReplayResult};
-use addict_core::sched::SchedulerKind;
+use addict_core::sched::{run_scheduler, SchedulerKind};
 use addict_sim::SimConfig;
-use addict_trace::InternedWorkload;
+use addict_trace::{InternedSet, InternedWorkload, XctTrace};
 use addict_workloads::{collect_traces, Benchmark};
+
+/// The trace layout a grid point replays.
+#[derive(Clone, Copy)]
+enum Traces<'a> {
+    /// Flat per-trace event vectors.
+    Flat(&'a [XctTrace]),
+    /// Interned traces over a shared slice pool.
+    Interned(InternedSet<'a>),
+}
+
+/// One grid point: a scheduler and config over one trace set and its map.
+type Point<'a> = (SchedulerKind, ReplayConfig, Traces<'a>, &'a MigrationMap);
+
+/// Replay `grid` on `threads` workers, results in grid order.
+fn sweep(grid: &[Point<'_>], threads: usize) -> Vec<ReplayResult> {
+    run_grid(
+        grid,
+        threads,
+        |_, (scheduler, cfg, traces, map)| match traces {
+            Traces::Flat(t) => run_scheduler(*scheduler, *t, Some(*map), cfg),
+            Traces::Interned(set) => run_scheduler(*scheduler, set, Some(*map), cfg),
+        },
+    )
+}
 
 /// The canonical byte form of a sweep's outcome. `ReplayResult`'s `Debug`
 /// output covers every field — per-core counters, power, latencies — and
@@ -29,62 +55,38 @@ fn sweep_is_bit_identical_across_thread_counts() {
     let eval = collect_traces(&mut engine, workload.as_mut(), 24, EVAL_SEED);
     let interned = InternedWorkload::from_flat(&eval);
     let cfg = ReplayConfig::paper_default();
-    let map = migration_map(&profile, &cfg);
+    let map = find_migration_points(&profile.xcts, cfg.sim.l1i);
+    let flat = Traces::Flat(&eval.xcts);
+    let interned = Traces::Interned(interned.as_set());
 
     // A grid spanning every scheduler over both trace layouts (the
     // interned points all borrowing the same pool), two batch sizes, and
     // both hierarchies: 5 + 5 + 2 + 2 = 14 points.
-    let mut grid: Vec<SweepPoint<'_>> = SchedulerKind::ALL
+    let mut grid: Vec<Point<'_>> = SchedulerKind::ALL
         .iter()
-        .map(|&scheduler| SweepPoint {
-            benchmark: Benchmark::TpcB,
-            scheduler,
-            replay_cfg: cfg.clone(),
-            label: "default",
-            traces: SweepTraces::Flat(&eval.xcts),
-            map: Some(&map),
-        })
+        .map(|&scheduler| (scheduler, cfg.clone(), flat, &map))
         .collect();
     for &scheduler in &SchedulerKind::ALL {
-        grid.push(SweepPoint {
-            benchmark: Benchmark::TpcB,
-            scheduler,
-            replay_cfg: cfg.clone(),
-            label: "interned",
-            traces: SweepTraces::Interned(interned.as_set()),
-            map: Some(&map),
-        });
+        grid.push((scheduler, cfg.clone(), interned, &map));
     }
     for batch in [4usize, 8] {
-        grid.push(SweepPoint {
-            benchmark: Benchmark::TpcB,
-            scheduler: SchedulerKind::Addict,
-            replay_cfg: ReplayConfig::paper_default().with_batch_size(batch),
-            label: "batch",
-            traces: SweepTraces::Flat(&eval.xcts),
-            map: Some(&map),
-        });
+        let batched = ReplayConfig::paper_default().with_batch_size(batch);
+        grid.push((SchedulerKind::Addict, batched, flat, &map));
     }
+    let deep = ReplayConfig {
+        sim: SimConfig::paper_deep(),
+        ..ReplayConfig::paper_default()
+    };
     for scheduler in [SchedulerKind::Baseline, SchedulerKind::Addict] {
-        grid.push(SweepPoint {
-            benchmark: Benchmark::TpcB,
-            scheduler,
-            replay_cfg: ReplayConfig {
-                sim: SimConfig::paper_deep(),
-                ..ReplayConfig::paper_default()
-            },
-            label: "deep",
-            traces: SweepTraces::Interned(interned.as_set()),
-            map: Some(&map),
-        });
+        grid.push((scheduler, deep.clone(), interned, &map));
     }
 
-    let sequential = serialize(&run_sweep(&grid, 1));
+    let sequential = serialize(&sweep(&grid, 1));
     // An even split, an uneven split, and more workers than points: every
     // scheduling shape must reproduce the sequential bytes exactly.
     let mut two_thread_results = None;
     for threads in [2usize, 3, 16] {
-        let results = run_sweep(&grid, threads);
+        let results = sweep(&grid, threads);
         assert_eq!(
             sequential,
             serialize(&results),
@@ -96,7 +98,7 @@ fn sweep_is_bit_identical_across_thread_counts() {
     }
     // And a repeated 1-thread run is stable with itself (no hidden global
     // state between sweeps).
-    assert_eq!(sequential, serialize(&run_sweep(&grid, 1)));
+    assert_eq!(sequential, serialize(&sweep(&grid, 1)));
 
     // The flat and interned layouts of the same traces must agree
     // bit-for-bit, scheduler by scheduler (the first two scheduler-wide
@@ -125,54 +127,36 @@ fn spec_driven_sweep_is_bit_identical_across_thread_counts() {
         let profile = collect_traces(&mut engine, workload.as_mut(), 24, PROFILE_SEED);
         let eval = collect_traces(&mut engine, workload.as_mut(), 24, EVAL_SEED);
         let interned = InternedWorkload::from_flat(&eval);
-        let map = migration_map(&profile, &cfg);
+        let map = find_migration_points(&profile.xcts, cfg.sim.l1i);
         inputs.push((bench, eval, interned, map));
     }
 
-    let mut grid: Vec<SweepPoint<'_>> = Vec::new();
-    for (bench, eval, interned, map) in &inputs {
+    let mut grid: Vec<Point<'_>> = Vec::new();
+    for (_, eval, interned, map) in &inputs {
         for &scheduler in &SchedulerKind::ALL {
-            grid.push(SweepPoint {
-                benchmark: *bench,
-                scheduler,
-                replay_cfg: cfg.clone(),
-                label: "flat",
-                traces: SweepTraces::Flat(&eval.xcts),
-                map: Some(map),
-            });
-            grid.push(SweepPoint {
-                benchmark: *bench,
-                scheduler,
-                replay_cfg: cfg.clone(),
-                label: "interned",
-                traces: SweepTraces::Interned(interned.as_set()),
-                map: Some(map),
-            });
+            grid.push((scheduler, cfg.clone(), Traces::Flat(&eval.xcts), map));
+            let set = Traces::Interned(interned.as_set());
+            grid.push((scheduler, cfg.clone(), set, map));
         }
         // The fig7 shape: ADDICT across batch sizes.
         for batch in [4usize, 16] {
-            grid.push(SweepPoint {
-                benchmark: *bench,
-                scheduler: SchedulerKind::Addict,
-                replay_cfg: ReplayConfig::paper_default().with_batch_size(batch),
-                label: "batch",
-                traces: SweepTraces::Interned(interned.as_set()),
-                map: Some(map),
-            });
+            let batched = ReplayConfig::paper_default().with_batch_size(batch);
+            let set = Traces::Interned(interned.as_set());
+            grid.push((SchedulerKind::Addict, batched, set, map));
         }
     }
 
-    let sequential = serialize(&run_sweep(&grid, 1));
+    let sequential = serialize(&sweep(&grid, 1));
     for threads in [2usize, 8] {
         assert_eq!(
             sequential,
-            serialize(&run_sweep(&grid, threads)),
+            serialize(&sweep(&grid, threads)),
             "TATP/YCSB-B sweep output changed at {threads} threads"
         );
     }
     // Flat and interned layouts agree point-for-point (each benchmark
     // block is 4 (flat, interned) pairs followed by 2 batch points).
-    let results = run_sweep(&grid, 2);
+    let results = sweep(&grid, 2);
     let per_bench = SchedulerKind::ALL.len() * 2 + 2;
     for (block, (bench, ..)) in results.chunks_exact(per_bench).zip(&inputs) {
         for pair in block[..SchedulerKind::ALL.len() * 2].chunks_exact(2) {

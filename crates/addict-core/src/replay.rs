@@ -376,7 +376,7 @@ pub enum Admission {
 /// [`run_des`] under an [`Admission`] policy. [`Admission::BatchSerial`]
 /// admits at most one batch's worth of transactions at once (Section 3.2.5:
 /// ADDICT "does not batch more transactions than the number of available
-/// cores in the system, [so] it does not change the data contention
+/// cores in the system, \[so\] it does not change the data contention
 /// patterns"); [`Admission::All`] admits everything immediately (Baseline
 /// dispatch, STREX's overloaded cores).
 #[allow(clippy::too_many_arguments)]

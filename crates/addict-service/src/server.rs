@@ -642,15 +642,8 @@ fn handle_cancel(id: JobId, mut writer: TcpStream, state: &State) {
 /// plus [`POINT_RESULT_BYTES`] per grid point, so admission scales with
 /// the spec's `batch_sizes`/scheduler fan-out, not just its trace keys.
 fn estimate_new_bytes(spec: &JobSpec, pool: &TracePool) -> usize {
-    let mut keys: Vec<TraceKey> = Vec::with_capacity(spec.benchmarks.len() * 2);
-    for &bench in &spec.benchmarks {
-        for key in [spec.profile_key(bench), spec.eval_key(bench)] {
-            if !keys.contains(&key) {
-                keys.push(key);
-            }
-        }
-    }
-    let traces: usize = keys
+    let traces: usize = spec
+        .trace_keys()
         .iter()
         .filter(|k| !pool.contains(k))
         .map(TraceKey::estimated_resident_bytes)

@@ -17,7 +17,7 @@
 //! * [`InternedTrace`] — a trace as a compact `Vec<SliceRef>` plus the
 //!   per-trace varying parts: the data-access block addresses, in stream
 //!   order, delta-varint encoded against per-region running bases (see
-//!   [`encode_addr`]) so each address costs ~1.5 bytes instead of 8;
+//!   `encode_addr`) so each address costs ~1.5 bytes instead of 8;
 //! * [`InternedWorkload`] — the interned form of a `WorkloadTrace`, its
 //!   pool behind an `Arc` so replay threads (and whole sweep grids) share
 //!   one read-only working set;

@@ -13,7 +13,7 @@
 //! instruction stream — the short-transaction regime where
 //! instruction-chasing margins thin.
 //!
-//! This module is the template for a new benchmark: create [`Table`]s,
+//! This module is the template for a new benchmark: create `Table`s,
 //! populate them untraced, draw every random value before `begin`, and
 //! run the operations through the engine.
 
