@@ -181,7 +181,7 @@ struct Prepared {
     bench: Benchmark,
     eval: WorkloadTrace,
     interned: Arc<InternedWorkload>,
-    map: MigrationMap,
+    map: Arc<MigrationMap>,
     events: u64,
 }
 

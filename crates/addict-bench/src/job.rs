@@ -1,7 +1,7 @@
 //! The job layer: grid/sweep execution as a reusable library.
 //!
-//! The (benchmark × scheduler × config) sweep recipe — fetch traces,
-//! build the migration map, construct the grid, fan it out, and serialize
+//! The (benchmark × scheduler × config) sweep recipe — fetch traces and
+//! migration maps, construct the grid, fan it out, and serialize
 //! the outcome — lives here, so the figure binaries (`fig5`, `fig6`,
 //! `fig7`, `fig9`) and the resident evaluation server (`addict-service`)
 //! share **one code path**:
@@ -17,9 +17,9 @@
 //!   drift;
 //! * [`fetch_traces`] — the prologue of every grid: the job's profile
 //!   and eval keys come from a [`TracePool`] (cache hit or generate,
-//!   several keys at once) and the migration maps from Algorithm 1 over
-//!   the cached profile sets. `fig8`, `ablation` and `bench` call it
-//!   directly;
+//!   several keys at once), and so do the migration maps: Algorithm 1 is
+//!   memoized per profile entry, so a warm job never re-profiles.
+//!   `fig8`, `ablation` and `bench` call it directly;
 //! * [`run_job`] — the executor: [`fetch_traces`], then the grid fans
 //!   out through [`run_grid_abortable`] and `run_scheduler`;
 //! * [`JobResult`] — the serialized outcome. Its [`JobResult::to_json`]
@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use addict_core::algorithm1::{find_migration_points_interned, MigrationMap};
+use addict_core::algorithm1::MigrationMap;
 use addict_core::replay::{ReplayConfig, ReplayResult};
 use addict_core::sched::{run_scheduler, SchedulerKind};
 use addict_trace::{InternedWorkload, TraceEvent};
@@ -580,11 +580,35 @@ pub struct JobResult {
 /// megabytes of JSON. The service keys its result store with it, and the
 /// golden trace digests hash traces with it.
 pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = Fnv64::default();
+    h.write_bytes(bytes);
+    h.0
+}
+
+/// Streaming FNV-1a state. As a [`std::fmt::Write`] sink it hashes
+/// formatted text without materializing it: `write!(h, ...)` digests the
+/// same bytes `format!(...)` would produce.
+struct Fnv64(u64);
+
+impl Default for Fnv64 {
+    fn default() -> Self {
+        Fnv64(0xcbf2_9ce4_8422_2325)
     }
-    h
+}
+
+impl Fnv64 {
+    fn write_bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+impl std::fmt::Write for Fnv64 {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.write_bytes(s.as_bytes());
+        Ok(())
+    }
 }
 
 impl JobResult {
@@ -604,7 +628,8 @@ impl JobResult {
             self.spec.to_json()
         );
         for (i, p) in self.points.iter().enumerate() {
-            let digest = fnv64(format!("{:#?}", p.result).as_bytes());
+            let mut digest = Fnv64::default();
+            let _ = write!(digest, "{:#?}", p.result);
             let _ = write!(
                 out,
                 "    {{ \"workload\": \"{}\", \"scheduler\": \"{}\", \"batch_size\": {}, \"n_xcts\": {}, \"events\": {}, \"instructions\": {}, \"total_cycles\": {}, \"avg_latency_cycles\": {}, \"l1i_mpki\": {}, \"l1d_mpki\": {}, \"llc_mpki\": {}, \"switches_per_ki\": {}, \"overhead_fraction\": {}, \"htm_aborts\": {}, \"htm_abort_rate\": {}, \"htm_fallbacks\": {}, \"result_fnv64\": \"{:016x}\" }}{}",
@@ -625,7 +650,7 @@ impl JobResult {
                 p.result.spec.aborts(),
                 p.result.spec.abort_rate(),
                 p.result.spec.fallbacks,
-                digest,
+                digest.0,
                 if i + 1 < self.points.len() { ",\n" } else { "\n" }
             );
         }
@@ -734,9 +759,9 @@ pub fn total_events_interned(iw: &InternedWorkload) -> u64 {
 ///
 /// The executor is the shared code path of the figure binaries and the
 /// server: traces come from the trace-pool cache (hit or generate), the
-/// ADDICT migration map from Algorithm 1 over the cached profile set,
-/// and both the key fetches and the grid fan out on `spec.threads`
-/// workers.
+/// ADDICT migration map from the same cache (Algorithm 1 memoized per
+/// profile entry), and both the key fetches and the grid fan out on
+/// `spec.threads` workers.
 /// The returned result's serialized form depends only on the spec —
 /// never on cache state, thread count, or timing.
 pub fn run_job(
@@ -759,24 +784,27 @@ pub struct BenchTraces {
     pub bench: Benchmark,
     /// Interned evaluation traces, shared with the trace pool.
     pub eval: Arc<InternedWorkload>,
-    /// Algorithm 1's migration map over the profiling traces.
-    pub map: MigrationMap,
+    /// Algorithm 1's migration map over the profiling traces, memoized
+    /// in (and shared with) the trace pool's profile entry.
+    pub map: Arc<MigrationMap>,
     /// Block-granular events in `eval`.
     pub events: u64,
 }
 
-/// Fetch every benchmark's profile and eval traces of `spec` from `pool`
-/// and run Algorithm 1 on each profile set: the one prologue of a job,
-/// a figure grid and `bench`. Results are in `spec.benchmarks` order.
+/// Fetch every benchmark's profile and eval traces of `spec` from `pool`,
+/// and each profile set's migration map: the one prologue of a job, a
+/// figure grid and `bench`. Results are in `spec.benchmarks` order.
 ///
-/// Generation is the expensive phase, so every distinct key
-/// ([`JobSpec::trace_keys`]) fetches concurrently on `spec.threads`
-/// workers, and the token is polled before each claim: a cancelled job
-/// never starts another engine population (an in-flight generation
-/// finishes — it may be shared with concurrent jobs via the pool's
-/// pending slot). One `traces <id>: …` line per benchmark goes to
-/// `progress`. The profile sets' pins drop on return; only the eval sets
-/// stay in use.
+/// Generation and Algorithm 1 are the expensive phases, so every
+/// distinct key ([`JobSpec::trace_keys`]) fetches concurrently on
+/// `spec.threads` workers — a profile key together with its map
+/// ([`TracePool::get_profile`], memoized per entry: a warm job runs no
+/// Algorithm 1, a cold one profiles its benchmarks in parallel) — and
+/// the token is polled before each claim: a cancelled job never starts
+/// another engine population (an in-flight generation finishes — it may
+/// be shared with concurrent jobs via the pool's pending slot). One
+/// `traces <id>: …` line per benchmark goes to `progress`. The profile
+/// sets' pins drop on return; only the eval sets stay in use.
 pub fn fetch_traces(
     spec: &JobSpec,
     pool: &TracePool,
@@ -785,14 +813,21 @@ pub fn fetch_traces(
 ) -> Result<Vec<BenchTraces>, JobError> {
     let l1i = ReplayConfig::paper_default().sim.l1i;
     let keys = spec.trace_keys();
+    let is_profile = |k: &TraceKey| spec.benchmarks.iter().any(|&b| spec.profile_key(b) == *k);
     let fetched = run_grid_abortable(&keys, spec.threads, &|| token.check().is_err(), |_, k| {
-        pool.get(k, 1)
+        if is_profile(k) {
+            let (w, map, hit) = pool.get_profile(k, l1i);
+            (w, hit, Some(map))
+        } else {
+            let (w, hit) = pool.get(k, 1);
+            (w, hit, None)
+        }
     });
     if fetched.iter().any(Option::is_none) {
         let interrupt = token.check().expect_err("aborted fetch with a quiet token");
         return Err(JobError::Interrupted(interrupt));
     }
-    let fetched: Vec<(Arc<InternedWorkload>, bool)> = fetched.into_iter().flatten().collect();
+    let fetched: Vec<_> = fetched.into_iter().flatten().collect();
     let lookup = |key: TraceKey| &fetched[keys.iter().position(|k| *k == key).expect("fetched")];
 
     let status = |hit: bool| if hit { "cache hit" } else { "generated" };
@@ -800,8 +835,8 @@ pub fn fetch_traces(
         .benchmarks
         .iter()
         .map(|&bench| {
-            let (profile, profile_hit) = lookup(spec.profile_key(bench));
-            let (eval, eval_hit) = lookup(spec.eval_key(bench));
+            let (_, profile_hit, map) = lookup(spec.profile_key(bench));
+            let (eval, eval_hit, _) = lookup(spec.eval_key(bench));
             progress(&format!(
                 "traces {}: profile {} | eval {}",
                 bench.id(),
@@ -811,7 +846,7 @@ pub fn fetch_traces(
             BenchTraces {
                 bench,
                 eval: Arc::clone(eval),
-                map: find_migration_points_interned(profile.as_set(), l1i),
+                map: Arc::clone(map.as_ref().expect("profile keys fetch a map")),
                 events: total_events_interned(eval),
             }
         })

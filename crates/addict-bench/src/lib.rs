@@ -33,7 +33,8 @@
 //! `collect_traces` (`fig1`–`fig4`, and `bench`'s flat reference) or,
 //! interned, by a [`TracePool`] miss (one engine per [`TraceKey`]).
 //! Every grid fetches its interned traces and Algorithm 1's migration
-//! maps through one prologue, [`fetch_traces`], and replays through
+//! maps (memoized per profile entry in the pool) through one prologue,
+//! [`fetch_traces`], and replays through
 //! [`run_grid`] plus `run_scheduler`. `fig5`, `fig6`, `fig7` and `fig9`
 //! run whole [`JobSpec`]s through [`run_job`], the executor the replay
 //! server uses too; `fig8`, `ablation` and `bench` call [`fetch_traces`]

@@ -4,8 +4,9 @@
 //! (benchmark × scheduler × config) replays. Each replay is
 //! allocation-free and owns its [`Machine`](addict_sim::Machine), so the
 //! runs are embarrassingly parallel: the traces and migration maps
-//! are shared immutably, all mutable state (machine, cluster, policy) is
-//! per-run. This module fans such a grid out across OS threads.
+//! are shared immutably (the maps behind the trace pool's memoized
+//! `Arc`), all mutable state (machine, cluster, policy) is per-run. This
+//! module fans such a grid out across OS threads.
 //!
 //! [`run_grid`] is the executor: a `std::thread::scope` worker pool
 //! pulling grid indexes off one atomic cursor (work-stealing-free by

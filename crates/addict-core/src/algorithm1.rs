@@ -87,6 +87,32 @@ impl MigrationMap {
         self.wrapper_instructions.get(&xct).copied().unwrap_or(0)
     }
 
+    /// Approximate resident bytes: the struct, every table entry at its
+    /// in-table size, and every sequence's blocks. Counts entries, not
+    /// table capacity, so equal maps report equal sizes — what a cache
+    /// holding the map charges for it.
+    pub fn resident_bytes(&self) -> usize {
+        use std::mem::size_of;
+        fn table<K, V>(m: &HashMap<K, V>) -> usize {
+            m.len() * size_of::<(K, V)>()
+        }
+        let seq = |s: &Sequence| s.len() * size_of::<BlockAddr>();
+        let counts: usize = self
+            .counts
+            .values()
+            .map(|c| table(c) + c.keys().map(seq).sum::<usize>())
+            .sum();
+        size_of::<Self>()
+            + table(&self.chosen)
+            + self.chosen.values().map(seq).sum::<usize>()
+            + table(&self.counts)
+            + counts
+            + table(&self.op_frequency)
+            + table(&self.type_frequency)
+            + table(&self.op_instructions)
+            + table(&self.wrapper_instructions)
+    }
+
     /// All candidate sequences and their occurrence counts (diagnostics,
     /// the Section 3.1.2 example).
     pub fn candidates(&self, xct: XctTypeId, op: OpKind) -> Option<&HashMap<Sequence, u64>> {

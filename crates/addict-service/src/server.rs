@@ -846,7 +846,7 @@ fn stats_json(state: &State) -> String {
             "{{\"jobs\":{},",
             "\"lifecycle\":{{\"queued\":{},\"running\":{},\"done\":{},\"cancelled\":{},\"deadline_exceeded\":{},\"failed\":{},\"records\":{},\"reserved_bytes\":{},\"draining\":{}}},",
             "\"results\":{{\"stored\":{},\"bytes\":{},\"budget_bytes\":{},\"evictions\":{},\"dedups\":{}}},",
-            "\"cache\":{{\"hits\":{},\"misses\":{},\"generations\":{},\"evictions\":{},\"entries\":{},\"pinned_entries\":{},\"resident_bytes\":{},\"budget_bytes\":{}}}}}\n",
+            "\"cache\":{{\"hits\":{},\"misses\":{},\"generations\":{},\"alg1_runs\":{},\"evictions\":{},\"entries\":{},\"pinned_entries\":{},\"resident_bytes\":{},\"budget_bytes\":{}}}}}\n",
         ),
         r.done,
         r.queued,
@@ -866,6 +866,7 @@ fn stats_json(state: &State) -> String {
         c.hits,
         c.misses,
         c.generations,
+        c.alg1_runs,
         c.evictions,
         c.entries,
         c.pinned_entries,

@@ -42,12 +42,13 @@ fn spawn_server() -> std::net::SocketAddr {
 /// HTMX included); small enough for a debug-build CI run.
 const SMOKE_JOB: &str = r#"{"benchmarks": ["tpcb"], "n_xcts": 24, "threads": 2, "small": true}"#;
 
+/// `(hits, misses, generations, alg1_runs)` from one `/stats` snapshot.
 fn cache_counters(addr: std::net::SocketAddr) -> (u64, u64, u64, u64) {
     let body = get(addr, "/stats").expect("GET /stats");
     let doc = JsonValue::parse(body.trim()).expect("stats is valid JSON");
     let cache = doc.get("cache").expect("cache section");
     let n = |k: &str| cache.get(k).expect(k).as_u64(k).unwrap();
-    (n("hits"), n("misses"), n("generations"), n("evictions"))
+    (n("hits"), n("misses"), n("generations"), n("alg1_runs"))
 }
 
 #[test]
@@ -61,10 +62,11 @@ fn server_jobs_are_byte_identical_and_cached() {
     let mut progress_cold = Vec::new();
     let first = submit(addr, SMOKE_JOB, |line| progress_cold.push(line.to_owned()))
         .expect("first submission");
-    let (hits, misses, generations, _) = cache_counters(addr);
+    let (hits, misses, generations, alg1_runs) = cache_counters(addr);
     assert_eq!(misses, 2, "profile + eval ranges generate once each");
     assert_eq!(generations, 2);
     assert_eq!(hits, 0);
+    assert_eq!(alg1_runs, 1, "one profile range, one migration map");
     assert!(
         progress_cold.iter().any(|l| l.contains("generated")),
         "cold run must report generation: {progress_cold:?}"
@@ -80,8 +82,9 @@ fn server_jobs_are_byte_identical_and_cached() {
         first, second,
         "same spec must serialize byte-identical across submissions"
     );
-    let (hits, misses, generations, _) = cache_counters(addr);
+    let (hits, misses, generations, alg1_runs) = cache_counters(addr);
     assert_eq!(generations, 2, "warm run regenerated traces");
+    assert_eq!(alg1_runs, 1, "warm run re-ran Algorithm 1");
     assert_eq!(misses, 2);
     assert_eq!(hits, 2, "warm run must hit for profile and eval");
     assert!(
