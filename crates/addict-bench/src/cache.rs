@@ -14,11 +14,11 @@
 //! their interned traces here.
 //!
 //! A profile entry also memoizes Algorithm 1: [`TracePool::get_profile`]
-//! returns the entry's migration map for an L1-I geometry, computed
-//! once per (entry, geometry) and shared as an `Arc<MigrationMap>`, so a
-//! warm job never re-profiles. The map is a pure function of the
-//! entry's traces and the geometry, so sharing it is invisible to
-//! results. Its bytes count toward the entry's and leave with it on
+//! returns the entry's migration map for the paper-default L1-I (the
+//! one geometry every job replays), computed once per entry and shared
+//! as an `Arc<MigrationMap>`, so a warm job never re-profiles. The map is
+//! a pure function of the entry's traces and the geometry, so sharing it
+//! is invisible to results. Its bytes count toward the entry's and leave with it on
 //! eviction; it holds no workload `Arc`, so it never pins the entry.
 //!
 //! Concurrency: one `Mutex` over the table plus a `Condvar`. A miss
@@ -27,7 +27,7 @@
 //! a hit once the first finishes (the work happened once — that is what
 //! the counter measures). A panicking generation clears its pending slot
 //! and wakes waiters so they can retry rather than deadlock. A map is
-//! computed outside the lock too, in a per-geometry `OnceLock` cell: a
+//! computed outside the lock too, in the entry's `OnceLock` cell: a
 //! concurrent request for the same map waits on the cell instead of
 //! running Algorithm 1 a second time.
 //!
@@ -44,7 +44,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 use addict_core::algorithm1::{find_migration_points_interned, MigrationMap};
-use addict_sim::CacheGeometry;
+use addict_core::replay::ReplayConfig;
 use addict_trace::{InternedWorkload, SlicePool};
 use addict_workloads::{collect_traces_interned_chunked, Benchmark};
 
@@ -91,38 +91,49 @@ impl TraceKey {
     /// can refuse a job whose traces would not fit the pool budget
     /// without first paying seconds of generation to find out.
     ///
-    /// The model is linear per benchmark, `pool + slope × n_xcts`. The
-    /// shared slice pool is *not* constant in `n_xcts` for every
+    /// The model is linear per benchmark, `pool + slope × n_xcts`, plus
+    /// `map` for a profile key (seed [`PROFILE_SEED`](crate::PROFILE_SEED)).
+    /// The shared slice pool is *not* constant in `n_xcts` for every
     /// benchmark: TPC-C, TPC-E and TATP keep meeting distinct pages (TPC-C's
     /// pool grows from 0.47 MB at 400 transactions to 5.8 MB at 10,000),
     /// so the slope absorbs the pool's growth as well as the per-trace
-    /// bytes. Both constants are fitted to `resident_bytes()` measured in
-    /// a release build for seeds 1 and 2, at small and default scale, for
+    /// bytes. The constants are fitted to resident bytes measured in a
+    /// release build for seeds 1 and 2, at small and default scale, for
     /// `n_xcts` in {1, 12, 40, 50, 400} and, at default scale, {1,000,
     /// 2,000, 10,000}:
-    /// - `slope` is the steepest secant between consecutive measured sizes
-    ///   from 400 up, plus 5%, rounded up to a whole byte;
-    /// - `pool` is the smallest intercept that puts every measured point
-    ///   at least 5% under the estimate, rounded up to 1,000 bytes.
+    /// - `slope` is the steepest secant between consecutive measured
+    ///   workload sizes from 400 up, plus 5%, rounded up to a whole byte;
+    /// - `pool` is the smallest intercept that put every measured workload
+    ///   at least 5% under `pool + slope × n_xcts` when it was fitted,
+    ///   rounded up to 1,000 bytes;
+    /// - `map` is the largest measured migration map
+    ///   ([`MigrationMap::resident_bytes`], seed 1) divided by 0.95,
+    ///   rounded up to 1,000 bytes. Maps grow slowly with `n_xcts` (TPC-C:
+    ///   4.8 KB at 400 transactions, 6.0 KB at 10,000).
     ///
-    /// The 5% covers seeds that were not measured; seeds 1 and 2 differ
-    /// by up to 4% at 400 TPC-C transactions.
-    ///
-    /// The constants were fitted to workload bytes alone. A profile
-    /// entry's memoized map now eats into that headroom: with it
-    /// counted, the tightest measured profile key (TPC-B, 40 default-scale
-    /// transactions) sits 1.3% under its estimate.
+    /// Re-measured at every one of those points with the maps counted,
+    /// each sits at least 4.8% under its estimate. The tightest are
+    /// evaluation keys, which hold no map (TPC-E, 1,000 default-scale
+    /// transactions, seed 2: 4.86%); the tightest profile key is TPC-B at
+    /// 10,000 (4.98%). The margin covers seeds that were not measured;
+    /// seeds 1 and 2 differ by up to 4% at 400 TPC-C transactions.
     pub fn estimated_resident_bytes(&self) -> usize {
-        // (pool bytes, per-transaction slope in bytes) per registry entry.
-        let (pool, slope) = match self.bench {
-            Benchmark::TpcB => (11_000, 302),
-            Benchmark::TpcC => (123_000, 2_252),
-            Benchmark::TpcE => (223_000, 742),
-            Benchmark::Tatp => (39_000, 190),
-            Benchmark::YcsbA => (15_000, 159),
-            Benchmark::YcsbB => (11_000, 157),
+        // (pool, per-transaction slope, migration map) in bytes per
+        // registry entry.
+        let (pool, slope, map) = match self.bench {
+            Benchmark::TpcB => (11_000, 302, 2_000),
+            Benchmark::TpcC => (123_000, 2_252, 7_000),
+            Benchmark::TpcE => (223_000, 742, 9_000),
+            Benchmark::Tatp => (39_000, 190, 5_000),
+            Benchmark::YcsbA => (15_000, 159, 2_000),
+            Benchmark::YcsbB => (11_000, 157, 2_000),
         };
-        pool + slope * self.n_xcts
+        let map = if self.seed == crate::PROFILE_SEED {
+            map
+        } else {
+            0
+        };
+        pool + slope * self.n_xcts + map
     }
 }
 
@@ -135,8 +146,8 @@ pub struct CacheStats {
     pub misses: u64,
     /// Generations performed (== misses unless a generation panicked).
     pub generations: u64,
-    /// Migration maps computed by Algorithm 1 (one per profile entry
-    /// and L1-I geometry; a warm job adds none).
+    /// Migration maps computed by Algorithm 1 (one per profile entry;
+    /// a warm job adds none).
     pub alg1_runs: u64,
     /// Entries dropped by LRU eviction.
     pub evictions: u64,
@@ -147,16 +158,12 @@ pub struct CacheStats {
     /// finished job must return this to 0 — the chaos tests' leak probe.
     pub pinned_entries: usize,
     /// Resident bytes right now: every entry's
-    /// [`InternedWorkload::resident_bytes`] plus its memoized maps'
+    /// [`InternedWorkload::resident_bytes`] plus its memoized map's
     /// [`MigrationMap::resident_bytes`].
     pub resident_bytes: usize,
     /// Byte budget (`usize::MAX` = unbounded).
     pub budget_bytes: usize,
 }
-
-/// One L1-I geometry's memoized migration map and its resident bytes,
-/// empty until the first request computes it.
-type MapCell = Arc<OnceLock<(Arc<MigrationMap>, usize)>>;
 
 enum Slot {
     /// Another request is generating this key; wait on the condvar.
@@ -166,27 +173,20 @@ enum Slot {
         workload: Arc<InternedWorkload>,
         /// The workload's resident bytes.
         bytes: usize,
-        /// Memoized Algorithm 1 maps by L1-I geometry (`CacheGeometry` is
-        /// not `Hash`; in practice there is one, the paper default).
-        maps: Vec<(CacheGeometry, MapCell)>,
+        /// Memoized Algorithm 1 map and its resident bytes, empty until
+        /// the first [`TracePool::get_profile`] computes it.
+        map: Arc<OnceLock<(Arc<MigrationMap>, usize)>>,
         /// Monotonic use tick for LRU ordering.
         used: u64,
     },
 }
 
 impl Slot {
-    /// Resident bytes: the workload plus every computed map.
+    /// Resident bytes: the workload plus its map, once computed.
     fn bytes(&self) -> usize {
         match self {
             Slot::Pending => 0,
-            Slot::Ready { bytes, maps, .. } => {
-                bytes
-                    + maps
-                        .iter()
-                        .filter_map(|(_, cell)| cell.get())
-                        .map(|(_, b)| b)
-                        .sum::<usize>()
-            }
+            Slot::Ready { bytes, map, .. } => bytes + map.get().map_or(0, |(_, b)| *b),
         }
     }
 }
@@ -366,7 +366,7 @@ impl TracePool {
             Slot::Ready {
                 workload: Arc::clone(&workload),
                 bytes,
-                maps: Vec::new(),
+                map: Arc::default(),
                 used,
             },
         );
@@ -379,34 +379,24 @@ impl TracePool {
     }
 
     /// Fetch profile traces like [`get`](TracePool::get), plus
-    /// Algorithm 1's migration map over them for L1-I geometry `l1i`.
-    /// The first request for a (key, geometry) pair computes the map
-    /// outside the table lock; a concurrent request waits for that result;
-    /// every later request shares the same `Arc` until the entry is
-    /// evicted. The returned bool is the trace fetch's hit flag.
-    pub fn get_profile(
-        &self,
-        key: &TraceKey,
-        l1i: CacheGeometry,
-    ) -> (Arc<InternedWorkload>, Arc<MigrationMap>, bool) {
+    /// Algorithm 1's migration map over them for the paper-default L1-I.
+    /// The first request for a key computes the map outside the table
+    /// lock; a concurrent request waits for that result; every later
+    /// request shares the same `Arc` until the entry is evicted. The
+    /// returned bool is the trace fetch's hit flag.
+    pub fn get_profile(&self, key: &TraceKey) -> (Arc<InternedWorkload>, Arc<MigrationMap>, bool) {
         let (workload, hit) = self.get(key, 1);
         let cell = {
-            let mut inner = self.inner.lock().expect("trace pool lock");
-            let Some(Slot::Ready { maps, .. }) = inner.slots.get_mut(key) else {
+            let inner = self.inner.lock().expect("trace pool lock");
+            let Some(Slot::Ready { map, .. }) = inner.slots.get(key) else {
                 unreachable!("an entry is never evicted while borrowed");
             };
-            match maps.iter().find(|(g, _)| *g == l1i) {
-                Some((_, cell)) => Arc::clone(cell),
-                None => {
-                    let cell = MapCell::default();
-                    maps.push((l1i, Arc::clone(&cell)));
-                    cell
-                }
-            }
+            Arc::clone(map)
         };
         let mut computed = false;
         let (map, _) = cell.get_or_init(|| {
             computed = true;
+            let l1i = ReplayConfig::paper_default().sim.l1i;
             let map = find_migration_points_interned(workload.as_set(), l1i);
             let bytes = map.resident_bytes();
             (Arc::new(map), bytes)
@@ -610,11 +600,10 @@ mod tests {
                 }
             }
         }
-        let l1i = ReplayConfig::paper_default().sim.l1i;
         let actual = crate::run_grid(&keys, 2, |_, k| {
             let pool = TracePool::unbounded();
             if k.seed == crate::PROFILE_SEED {
-                pool.get_profile(k, l1i);
+                pool.get_profile(k);
             } else {
                 pool.get(k, 1);
             }
@@ -698,10 +687,6 @@ mod tests {
         }
     }
 
-    fn l1i() -> CacheGeometry {
-        ReplayConfig::paper_default().sim.l1i
-    }
-
     #[test]
     fn warm_fetch_shares_the_memoized_map() {
         let mut spec = JobSpec::new(vec![Benchmark::TpcB, Benchmark::YcsbA], 12);
@@ -730,7 +715,7 @@ mod tests {
                 .map(|_| {
                     s.spawn(|| {
                         start.wait();
-                        pool.get_profile(&k, l1i()).1
+                        pool.get_profile(&k).1
                     })
                 })
                 .collect();
@@ -753,8 +738,8 @@ mod tests {
                 ..profile
             };
             // The second request is served from the memo.
-            pool.get_profile(&profile, cfg.sim.l1i);
-            let (traces, memo, _) = pool.get_profile(&profile, cfg.sim.l1i);
+            pool.get_profile(&profile);
+            let (traces, memo, _) = pool.get_profile(&profile);
             let fresh = find_migration_points_interned(traces.as_set(), cfg.sim.l1i);
             let (eval, _) = pool.get(&eval, 1);
             [
@@ -783,11 +768,11 @@ mod tests {
     fn evicting_a_profile_entry_drops_its_map_bytes() {
         let k = profile_key(Benchmark::TpcB, 8);
         let (workload_bytes, map_bytes) = {
-            let (w, map, _) = TracePool::unbounded().get_profile(&k, l1i());
+            let (w, map, _) = TracePool::unbounded().get_profile(&k);
             (w.resident_bytes(), map.resident_bytes())
         };
         let pool = TracePool::new(workload_bytes + map_bytes);
-        let (w, map, _) = pool.get_profile(&k, l1i());
+        let (w, map, _) = pool.get_profile(&k);
         assert_eq!(pool.stats().resident_bytes, workload_bytes + map_bytes);
         drop((w, map));
         // A second entry overflows the budget: the idle profile entry and
@@ -803,7 +788,7 @@ mod tests {
         assert_eq!(s.resident_bytes, o.resident_bytes());
         drop(o);
         // The map left with the entry: fetching it again re-profiles.
-        pool.get_profile(&k, l1i());
+        pool.get_profile(&k);
         assert_eq!(pool.stats().alg1_runs, 2);
 
         // A job releases every pin, maps included.

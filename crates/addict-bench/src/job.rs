@@ -811,12 +811,10 @@ pub fn fetch_traces(
     progress: &(dyn Fn(&str) + Sync),
     token: &CancelToken,
 ) -> Result<Vec<BenchTraces>, JobError> {
-    let l1i = ReplayConfig::paper_default().sim.l1i;
     let keys = spec.trace_keys();
-    let is_profile = |k: &TraceKey| spec.benchmarks.iter().any(|&b| spec.profile_key(b) == *k);
     let fetched = run_grid_abortable(&keys, spec.threads, &|| token.check().is_err(), |_, k| {
-        if is_profile(k) {
-            let (w, map, hit) = pool.get_profile(k, l1i);
+        if k.seed == PROFILE_SEED {
+            let (w, map, hit) = pool.get_profile(k);
             (w, hit, Some(map))
         } else {
             let (w, hit) = pool.get(k, 1);

@@ -87,16 +87,18 @@ impl MigrationMap {
         self.wrapper_instructions.get(&xct).copied().unwrap_or(0)
     }
 
-    /// Approximate resident bytes: the struct, every table entry at its
-    /// in-table size, and every sequence's blocks. Counts entries, not
-    /// table capacity, so equal maps report equal sizes — what a cache
-    /// holding the map charges for it.
+    /// Approximate resident bytes — what a cache holding the map charges
+    /// for it: the struct, every table's capacity at its in-table slot
+    /// size plus one control byte per slot, and every sequence's block
+    /// capacity. Allocator rounding is not counted. Capacities follow
+    /// the insertion sequence alone, so a map rebuilt from the same
+    /// traces reports the same size.
     pub fn resident_bytes(&self) -> usize {
         use std::mem::size_of;
         fn table<K, V>(m: &HashMap<K, V>) -> usize {
-            m.len() * size_of::<(K, V)>()
+            m.capacity() * (size_of::<(K, V)>() + 1)
         }
-        let seq = |s: &Sequence| s.len() * size_of::<BlockAddr>();
+        let seq = |s: &Sequence| s.capacity() * size_of::<BlockAddr>();
         let counts: usize = self
             .counts
             .values()
