@@ -1,7 +1,8 @@
 //! Golden digests: every benchmark × scheduler point of a small job must
-//! reproduce the `result_fnv64` committed in `golden_digests.txt`, and
-//! every workload's traces must reproduce the trace digests in
-//! [`TRACE_GOLDEN`].
+//! reproduce the `result_fnv64` committed in `golden_digests.txt`, so must
+//! Baseline and ADDICT under the non-default cache configurations (the
+//! deep hierarchy's private L2, the next-line L1-I prefetcher), and every
+//! workload's traces must reproduce the trace digests in [`TRACE_GOLDEN`].
 //!
 //! The differential gates (flat vs fast paths, flat vs interned, 1 vs N
 //! sweep threads) compare two in-tree paths with each other, so a change
@@ -14,13 +15,26 @@
 use std::fmt::Write as _;
 
 use addict_bench::jsontext::JsonValue;
-use addict_bench::{fnv64, run_job, JobSpec, TracePool};
+use addict_bench::{fetch_traces, fnv64, run_job, CancelToken, JobSpec, TracePool};
+use addict_core::replay::ReplayConfig;
+use addict_core::sched::{run_scheduler, SchedulerKind};
+use addict_sim::SimConfig;
 use addict_trace::XctTrace;
 use addict_workloads::tpcb::TpcB;
 use addict_workloads::{collect_traces, Benchmark};
 
-/// The committed table: `benchmark scheduler result_fnv64` per line.
+/// The committed table: `benchmark scheduler result_fnv64` per line for
+/// the small job, `config benchmark scheduler digest` per line for the
+/// non-default cache configurations.
 const GOLDEN: &str = include_str!("golden_digests.txt");
+
+/// The rows of [`GOLDEN`] with `fields` whitespace-separated fields.
+fn golden_rows(fields: usize) -> Vec<&'static str> {
+    GOLDEN
+        .lines()
+        .filter(|l| !l.starts_with('#') && l.split_whitespace().count() == fields)
+        .collect()
+}
 
 /// Transactions per benchmark: a debug build runs the whole grid in a few
 /// seconds.
@@ -52,10 +66,7 @@ fn small_job_digests_match_the_committed_table() {
         .zip(point_digests(&result.to_json()))
         .map(|(p, digest)| format!("{} {} {digest}", p.benchmark.id(), p.scheduler.id()))
         .collect();
-    let expected: Vec<&str> = GOLDEN
-        .lines()
-        .filter(|l| !l.trim().is_empty() && !l.starts_with('#'))
-        .collect();
+    let expected = golden_rows(3);
     assert_eq!(
         actual.len(),
         Benchmark::ALL.len() * spec.schedulers.len(),
@@ -65,6 +76,50 @@ fn small_job_digests_match_the_committed_table() {
         actual == expected,
         "result digests moved; if that is intended, replace the table \
          with:\n{}",
+        actual.join("\n")
+    );
+}
+
+/// Baseline and ADDICT on small TPC-C and YCSB-A under the two cache
+/// configurations the small job never runs: the deep hierarchy (every L1
+/// miss goes through the private L2) and the next-line L1-I prefetcher
+/// (per-block fetches, each probing the next block with `contains`).
+/// Each digest is FNV-1a over the `{:#?}` form of the whole
+/// `ReplayResult`, so it pins every counter, not the 2-decimal ratios the
+/// `fig8` and `ablation` stdout goldens print.
+#[test]
+fn non_default_cache_digests_match_the_committed_table() {
+    let mut spec = JobSpec::new(vec![Benchmark::TpcC, Benchmark::YcsbA], N_XCTS);
+    spec.small = true;
+    spec.threads = 2;
+    let sets = fetch_traces(&spec, &TracePool::unbounded(), &|_| {}, &CancelToken::new())
+        .expect("an un-armed token never fires");
+    let mut prefetch = SimConfig::paper_default();
+    prefetch.l1i_next_line_prefetch = true;
+    let configs = [("deep", SimConfig::paper_deep()), ("prefetch", prefetch)];
+
+    let mut actual = Vec::new();
+    for set in &sets {
+        for (label, sim) in &configs {
+            let cfg = ReplayConfig {
+                sim: sim.clone(),
+                ..ReplayConfig::paper_default()
+            };
+            for scheduler in [SchedulerKind::Baseline, SchedulerKind::Addict] {
+                let r = run_scheduler(scheduler, &set.eval.as_set(), Some(&set.map), &cfg);
+                let digest = fnv64(format!("{r:#?}").as_bytes());
+                actual.push(format!(
+                    "{label} {} {} {digest:016x}",
+                    set.bench.id(),
+                    scheduler.id()
+                ));
+            }
+        }
+    }
+    assert!(
+        actual.iter().eq(golden_rows(4)),
+        "non-default cache digests moved; if that is intended, replace \
+         those rows of golden_digests.txt with:\n{}",
         actual.join("\n")
     );
 }
