@@ -1,6 +1,7 @@
 //! Criterion microbenchmarks for the replay hot path: L1-I segment walks
 //! vs per-block cache accesses, warm data runs vs per-access data walks,
-//! the open-addressed coherence directory, the interned cursor's
+//! building and dropping the paper-default machine (every replay builds
+//! one), the open-addressed coherence directory, the interned cursor's
 //! delta-varint address decode vs the flat walk, and full
 //! per-block-vs-fast-path replay under every scheduler.
 //!
@@ -245,9 +246,18 @@ fn bench_machine_fetch(c: &mut Criterion) {
     });
 }
 
+fn bench_machine_new(c: &mut Criterion) {
+    // The Table 1 machine: 16 cores' L1-I/L1-D plus a 16-bank LLC. Every
+    // replay pays this before its first event.
+    let cfg = SimConfig::paper_default();
+    c.bench_function("machine/new_drop_paper_default", |b| {
+        b.iter(|| drop(black_box(Machine::new(black_box(&cfg)))))
+    });
+}
+
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_cache_walks, bench_directory, bench_machine_fetch, bench_machine_data_runs, bench_cursor_decode, bench_replay_modes
+    targets = bench_cache_walks, bench_directory, bench_machine_new, bench_machine_fetch, bench_machine_data_runs, bench_cursor_decode, bench_replay_modes
 );
 criterion_main!(benches);

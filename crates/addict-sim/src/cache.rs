@@ -4,8 +4,12 @@
 //! L1-D, private L2, shared LLC banks) and is also used standalone by
 //! ADDICT's Algorithm 1, which tracks the eviction behaviour of an empty
 //! L1-I over an instruction stream to pick migration points.
+//!
+//! Every replay builds a machine, so the layout is kept small: each way is
+//! one word that encodes block and dirty bit, and each set orders its ways
+//! by recency instead of stamping them (see [`SetAssocCache`]).
 
-use crate::block::BlockAddr;
+use crate::block::{BlockAddr, DataAccess};
 use crate::config::CacheGeometry;
 
 /// Result of a cache access.
@@ -26,34 +30,77 @@ impl AccessOutcome {
     };
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Line {
-    block: BlockAddr,
-    /// LRU stamp: larger = more recently used.
-    stamp: u64,
-    valid: bool,
-    dirty: bool,
+/// The dirty bit of a way.
+const DIRTY: u64 = 1;
+
+/// The way word of a clean `block`. Block numbers are byte addresses over
+/// 64, so `block + 1` never reaches bit 63 and the shift loses nothing.
+#[inline]
+fn tag(block: BlockAddr) -> u64 {
+    debug_assert!(block.0 < u64::MAX >> 1, "block number out of range");
+    (block.0 + 1) << 1
 }
 
-const INVALID_LINE: Line = Line {
-    block: BlockAddr(0),
-    stamp: 0,
-    valid: false,
-    dirty: false,
-};
+/// The block a non-empty way word holds.
+#[inline]
+fn block_of(way: u64) -> BlockAddr {
+    BlockAddr((way >> 1) - 1)
+}
+
+/// Where the way word `tag` sits among the resident ways of `set`. The
+/// scan stops at the first empty way: nothing is resident behind it.
+#[inline]
+fn find(set: &[u64], tag: u64) -> Option<usize> {
+    for (i, &way) in set.iter().enumerate() {
+        if way & !DIRTY == tag {
+            return Some(i);
+        }
+        if way == 0 {
+            return None;
+        }
+    }
+    None
+}
+
+/// Put `way` at the front of `set`, shifting ways `0..end` back by one,
+/// and return the word pushed out of `end`. Shifts here and in
+/// [`SetAssocCache::access`] are hand-written loops, not `copy_within`: a
+/// set is a handful of words, and a `memmove` call costs more than the
+/// shift itself.
+#[inline]
+fn push_front(set: &mut [u64], end: usize, way: u64) -> u64 {
+    let mut carry = way;
+    for slot in &mut set[..=end] {
+        carry = std::mem::replace(slot, carry);
+    }
+    carry
+}
 
 /// A set-associative cache with true-LRU replacement, operating on
 /// [`BlockAddr`]s. Stores no payload bytes — only presence, recency, and a
 /// dirty bit (enough for miss accounting and write-back modeling).
+///
+/// Each way is one `u64`: `(block + 1) << 1 | dirty`. Block `0` is a real
+/// block, hence the `+ 1`, which leaves the word `0` free to mean *empty*.
+/// Storage is therefore a zeroed allocation, and the pages of a large
+/// cache (the 1 MB-per-core LLC) that a replay never touches are never
+/// faulted in.
+///
+/// Each set keeps its resident ways as a prefix, in recency order, most
+/// recent first: a hit moves its way to the front, a fill inserts at the
+/// front (a full set drops its last way, the victim), an invalidation
+/// closes the gap, and every scan stops at the first empty way. That order
+/// is exactly true LRU, so no per-way stamps are kept. The position of a
+/// block within its set is never observable: the interface reports only
+/// hits, victims, dirty bits and occupancy.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
-    lines: Vec<Line>,
+    lines: Vec<u64>,
     /// `n_sets - 1`; set geometry is validated power-of-two, so indexing is
     /// a mask rather than a 64-bit modulo (the replay hot loop runs this on
     /// every instruction block).
     set_mask: u64,
     ways: usize,
-    tick: u64,
 }
 
 impl SetAssocCache {
@@ -62,84 +109,57 @@ impl SetAssocCache {
         let n_sets = geom.n_sets();
         let ways = geom.ways as usize;
         SetAssocCache {
-            lines: vec![INVALID_LINE; (n_sets as usize) * ways],
+            lines: vec![0; (n_sets as usize) * ways],
             set_mask: n_sets - 1,
             ways,
-            tick: 0,
         }
     }
 
+    /// The ways of the set `block` maps to.
     #[inline]
-    fn set_index(&self, block: BlockAddr) -> usize {
-        (block.0 & self.set_mask) as usize
+    fn set(&self, block: BlockAddr) -> &[u64] {
+        let start = (block.0 & self.set_mask) as usize * self.ways;
+        &self.lines[start..start + self.ways]
     }
 
     #[inline]
-    fn set_lines(&mut self, set: usize) -> &mut [Line] {
-        let start = set * self.ways;
+    fn set_mut(&mut self, block: BlockAddr) -> &mut [u64] {
+        let start = (block.0 & self.set_mask) as usize * self.ways;
         &mut self.lines[start..start + self.ways]
     }
 
     /// Access `block`, filling it on a miss. Returns hit/miss and any victim.
     pub fn access(&mut self, block: BlockAddr) -> AccessOutcome {
-        self.access_inner(block, false)
+        self.access_inner(block, 0)
     }
 
     /// Access `block` as a write (marks the line dirty).
     pub fn access_write(&mut self, block: BlockAddr) -> AccessOutcome {
-        self.access_inner(block, true)
+        self.access_inner(block, DIRTY)
     }
 
-    fn access_inner(&mut self, block: BlockAddr, write: bool) -> AccessOutcome {
-        self.tick += 1;
-        let tick = self.tick;
-        let set = self.set_index(block);
-        let lines = self.set_lines(set);
-
-        // Hit path.
-        for line in lines.iter_mut() {
-            if line.valid && line.block == block {
-                line.stamp = tick;
-                line.dirty |= write;
+    /// One pass over the set: each way passed shifts back by one, so a
+    /// hit lands its way at the front, and a miss leaves the new way there
+    /// with the last way of a full set (the LRU victim) pushed out.
+    fn access_inner(&mut self, block: BlockAddr, dirty: u64) -> AccessOutcome {
+        let tag = tag(block);
+        let set = self.set_mut(block);
+        let mut carry = tag | dirty;
+        for i in 0..set.len() {
+            let way = std::mem::replace(&mut set[i], carry);
+            if way & !DIRTY == tag {
+                set[0] = way | dirty;
                 return AccessOutcome::HIT;
             }
-        }
-
-        let evicted = Self::install(lines, block, tick, write);
-        AccessOutcome {
-            hit: false,
-            evicted,
-        }
-    }
-
-    /// Fill `block` into its set after a proven miss: fill an invalid way,
-    /// else evict the LRU way. The single replacement policy shared by
-    /// [`SetAssocCache::access`] and [`SetAssocCache::fill_miss`] — keeping
-    /// it in one place is what keeps the segment-granular path's eviction
-    /// choices identical to the per-block path's.
-    #[inline]
-    fn install(lines: &mut [Line], block: BlockAddr, tick: u64, dirty: bool) -> Option<BlockAddr> {
-        let mut victim_idx = 0;
-        let mut victim_stamp = u64::MAX;
-        for (i, line) in lines.iter().enumerate() {
-            if !line.valid {
-                victim_idx = i;
+            carry = way;
+            if way == 0 {
                 break;
             }
-            if line.stamp < victim_stamp {
-                victim_stamp = line.stamp;
-                victim_idx = i;
-            }
         }
-        let victim = lines[victim_idx];
-        let evicted = victim.valid.then_some(victim.block);
-        lines[victim_idx] = Line {
-            block,
-            stamp: tick,
-            valid: true,
-            dirty,
-        };
-        evicted
+        AccessOutcome {
+            hit: false,
+            evicted: (carry != 0).then(|| block_of(carry)),
+        }
     }
 
     /// Walk up to `max` *consecutive* blocks starting at `start`, consuming
@@ -152,21 +172,15 @@ impl SetAssocCache {
     /// blocks land in consecutive sets, so the set arithmetic is hoisted to
     /// one masked add per block and no [`AccessOutcome`] is materialized.
     pub fn run_hits(&mut self, start: BlockAddr, max: u16) -> u16 {
-        let ways = self.ways;
         let mut n = 0u16;
-        'walk: while n < max {
-            let addr = start.0 + u64::from(n);
-            let base = (addr & self.set_mask) as usize * ways;
-            let lines = &mut self.lines[base..base + ways];
-            for line in lines {
-                if line.valid && line.block.0 == addr {
-                    self.tick += 1;
-                    line.stamp = self.tick;
-                    n += 1;
-                    continue 'walk;
-                }
-            }
-            break;
+        while n < max {
+            let block = BlockAddr(start.0 + u64::from(n));
+            let set = self.set_mut(block);
+            let Some(i) = find(set, tag(block)) else {
+                break;
+            };
+            push_front(set, i, set[i]);
+            n += 1;
         }
         n
     }
@@ -182,92 +196,76 @@ impl SetAssocCache {
     /// upgrade the directory must see). Returns the accesses consumed.
     ///
     /// This is the data-side counterpart of [`SetAssocCache::run_hits`]:
-    /// one tight loop with the set mask and way count hoisted into
-    /// registers, no per-access dispatch, and no [`AccessOutcome`]
+    /// one tight loop with no per-access dispatch and no [`AccessOutcome`]
     /// materialized.
-    pub fn data_run_hits(&mut self, run: &[crate::block::DataAccess]) -> usize {
-        let ways = self.ways;
+    pub fn data_run_hits(&mut self, run: &[DataAccess]) -> usize {
         let mut n = 0usize;
-        'walk: while n < run.len() {
-            let crate::block::DataAccess { block, write } = run[n];
-            let base = (block.0 & self.set_mask) as usize * ways;
-            let lines = &mut self.lines[base..base + ways];
-            for line in lines {
-                if line.valid && line.block == block {
-                    if write && !line.dirty {
-                        // Upgrade: leave it to the coherent path.
-                        break 'walk;
-                    }
-                    self.tick += 1;
-                    line.stamp = self.tick;
-                    n += 1;
-                    continue 'walk;
-                }
+        while let Some(&DataAccess { block, write }) = run.get(n) {
+            let set = self.set_mut(block);
+            let Some(i) = find(set, tag(block)) else {
+                break;
+            };
+            if write && set[i] & DIRTY == 0 {
+                // Upgrade: leave it to the coherent path.
+                break;
             }
-            break;
+            push_front(set, i, set[i]);
+            n += 1;
         }
         n
     }
 
     /// Fill `block` after the caller has already proven it absent (e.g. a
-    /// [`SetAssocCache::run_hits`] walk stopped here): skips the hit scan
-    /// and goes straight to victim selection. Tick, stamp, and eviction
-    /// choice are identical to [`SetAssocCache::access`] on a miss.
+    /// [`SetAssocCache::run_hits`] walk stopped here): skips the hit scan.
+    /// The victim is [`SetAssocCache::access`]'s on a miss, the last way of
+    /// a full set, so both paths evict identically.
     pub fn fill_miss(&mut self, block: BlockAddr) -> Option<BlockAddr> {
         debug_assert!(!self.contains(block), "fill_miss of a resident block");
-        self.tick += 1;
-        let tick = self.tick;
-        let set = self.set_index(block);
-        let lines = self.set_lines(set);
-        Self::install(lines, block, tick, false)
+        let last = self.ways - 1;
+        // Shifting the whole set shifts its resident prefix plus empty
+        // words, and pushes out a word only if the set was full.
+        let victim = push_front(self.set_mut(block), last, tag(block));
+        (victim != 0).then(|| block_of(victim))
     }
 
     /// Probe without updating recency or filling (used by SLICC's
     /// remote-presence check and by coherence).
     pub fn contains(&self, block: BlockAddr) -> bool {
-        let set = self.set_index(block);
-        let start = set * self.ways;
-        self.lines[start..start + self.ways]
-            .iter()
-            .any(|l| l.valid && l.block == block)
+        find(self.set(block), tag(block)).is_some()
     }
 
     /// Invalidate `block` if present; returns whether the line was dirty.
     pub fn invalidate(&mut self, block: BlockAddr) -> Option<bool> {
-        let set = self.set_index(block);
-        for line in self.set_lines(set) {
-            if line.valid && line.block == block {
-                let dirty = line.dirty;
-                line.valid = false;
-                line.dirty = false;
-                return Some(dirty);
-            }
+        let set = self.set_mut(block);
+        let i = find(set, tag(block))?;
+        let dirty = set[i] & DIRTY != 0;
+        // Close the gap: the ways behind `i` move up one, keeping the
+        // resident prefix contiguous.
+        let last = set.len() - 1;
+        for j in i..last {
+            set[j] = set[j + 1];
         }
-        None
+        set[last] = 0;
+        Some(dirty)
     }
 
     /// Clear the dirty bit of `block` (coherence downgrade M→S).
     pub fn clean(&mut self, block: BlockAddr) {
-        let set = self.set_index(block);
-        for line in self.set_lines(set) {
-            if line.valid && line.block == block {
-                line.dirty = false;
-                return;
-            }
+        let set = self.set_mut(block);
+        if let Some(i) = find(set, tag(block)) {
+            set[i] &= !DIRTY;
         }
     }
 
     /// Drop every line (Algorithm 1 resets the L1-I at transaction/operation
     /// boundaries and on every eviction-causing access).
     pub fn flush(&mut self) {
-        for line in &mut self.lines {
-            *line = INVALID_LINE;
-        }
+        self.lines.fill(0);
     }
 
-    /// Number of valid lines currently resident.
+    /// Number of lines currently resident.
     pub fn occupancy(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid).count()
+        self.lines.iter().filter(|&&way| way != 0).count()
     }
 
     /// Total capacity in blocks.
@@ -455,6 +453,12 @@ mod tests {
         assert_eq!(b.access(BlockAddr(4)).evicted, Some(BlockAddr(0)));
         // The dirty bit survived the fast-lane write.
         assert_eq!(b.invalidate(BlockAddr(2)), Some(true));
+    }
+
+    #[test]
+    fn one_word_per_way() {
+        let c = SetAssocCache::new(CacheGeometry::new(32 * 1024, 8));
+        assert_eq!(std::mem::size_of_val(c.lines.as_slice()), 8 * 512);
     }
 
     #[test]

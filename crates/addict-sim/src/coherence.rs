@@ -30,6 +30,9 @@ impl SharerMask {
     /// The empty set.
     pub const EMPTY: SharerMask = SharerMask(0);
 
+    /// Cores a mask can name: the most cores a machine can have.
+    pub(crate) const CAPACITY: usize = u64::BITS as usize;
+
     /// A singleton set.
     #[inline]
     pub fn only(core: usize) -> Self {

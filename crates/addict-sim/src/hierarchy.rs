@@ -13,7 +13,7 @@
 
 use crate::block::{BlockAddr, DataAccess};
 use crate::cache::SetAssocCache;
-use crate::coherence::Directory;
+use crate::coherence::{Directory, SharerMask};
 use crate::config::{HierarchyKind, SimConfig};
 use crate::interconnect::Torus;
 
@@ -104,7 +104,18 @@ pub struct Hierarchy {
 
 impl Hierarchy {
     /// Build the hierarchy described by `cfg`.
+    ///
+    /// # Panics
+    /// If `cfg.n_cores` is 0 or more than 64: a wider machine would alias
+    /// cores in the coherence directory's one-word sharer masks.
     pub fn new(cfg: &SimConfig) -> Self {
+        assert!(
+            (1..=SharerMask::CAPACITY).contains(&cfg.n_cores),
+            "the simulated machine needs 1 to {} cores (the coherence directory \
+             tracks sharers in one u64), got {}",
+            SharerMask::CAPACITY,
+            cfg.n_cores
+        );
         let cores = (0..cfg.n_cores)
             .map(|_| CoreCaches {
                 l1i: SetAssocCache::new(cfg.l1i),
@@ -384,7 +395,7 @@ impl Hierarchy {
         self.cores[core].l1i.contains(block)
     }
 
-    /// Valid lines currently in `core`'s L1-I.
+    /// Lines currently resident in `core`'s L1-I.
     pub fn l1i_occupancy(&self, core: usize) -> usize {
         self.cores[core].l1i.occupancy()
     }

@@ -337,7 +337,7 @@ impl Machine {
         self.hierarchy.l1i_contains(core.0, block)
     }
 
-    /// Valid lines resident in `core`'s L1-I.
+    /// Lines resident in `core`'s L1-I.
     pub fn l1i_occupancy(&self, core: CoreId) -> usize {
         self.hierarchy.l1i_occupancy(core.0)
     }
@@ -473,7 +473,7 @@ mod tests {
                     "stats diverged (prefetch={prefetch}, stop_on_miss={stop_on_miss})"
                 );
                 assert_eq!(seg.prefetches_issued(), flat.prefetches_issued());
-                // LRU state must agree too.
+                // The L1-I occupancy the walks leave behind must agree too.
                 assert_eq!(seg.l1i_occupancy(CoreId(0)), flat.l1i_occupancy(CoreId(0)));
             }
         }
@@ -590,5 +590,21 @@ mod tests {
         }
         // 100 distinct blocks, all cold misses: 100 misses / 1000 instr.
         assert!((m.stats().l1i_mpki() - 100.0).abs() < 1e-9);
+    }
+
+    /// Core 64 would alias core 0 in the directory's one-word sharer
+    /// masks, so a 65-core machine must not be built at all.
+    #[test]
+    #[should_panic(expected = "needs 1 to 64 cores")]
+    fn more_than_64_cores_is_rejected() {
+        Machine::new(&SimConfig::paper_default().with_cores(65));
+    }
+
+    #[test]
+    #[should_panic(expected = "needs 1 to 64 cores")]
+    fn zero_cores_is_rejected() {
+        let mut cfg = SimConfig::paper_default();
+        cfg.n_cores = 0;
+        Machine::new(&cfg);
     }
 }

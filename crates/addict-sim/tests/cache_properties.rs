@@ -1,11 +1,12 @@
 //! Property-based tests for the set-associative cache and the coherence
-//! directory: LRU behaviour, occupancy bounds, and directory/cache
-//! consistency under random access sequences.
+//! directory: LRU behaviour, occupancy bounds, directory/cache
+//! consistency under random access sequences, and a differential test of
+//! the cache against a stamp-based true-LRU reference model.
 
-use addict_sim::cache::SetAssocCache;
+use addict_sim::cache::{AccessOutcome, SetAssocCache};
 use addict_sim::coherence::Directory;
 use addict_sim::config::CacheGeometry;
-use addict_sim::BlockAddr;
+use addict_sim::{BlockAddr, DataAccess};
 use proptest::prelude::*;
 
 fn small_cache() -> SetAssocCache {
@@ -102,6 +103,249 @@ proptest! {
                     }
                 }
             }
+        }
+    }
+}
+
+/// The reference model: a true-LRU cache that stamps every way with a
+/// per-cache tick on each touch and evicts an invalid way if there is
+/// one, else the smallest stamp. This is the layout `SetAssocCache` had
+/// before each way became one recency-ordered word; it is kept here so
+/// the compact cache is checked against the obvious implementation.
+#[derive(Debug)]
+struct StampCache {
+    lines: Vec<StampLine>,
+    n_sets: u64,
+    ways: usize,
+    tick: u64,
+}
+
+#[derive(Debug, Clone, Copy, Default)]
+struct StampLine {
+    block: u64,
+    stamp: u64,
+    valid: bool,
+    dirty: bool,
+}
+
+impl StampCache {
+    fn new(n_sets: u64, ways: usize) -> Self {
+        StampCache {
+            lines: vec![StampLine::default(); n_sets as usize * ways],
+            n_sets,
+            ways,
+            tick: 0,
+        }
+    }
+
+    fn set(&mut self, block: BlockAddr) -> &mut [StampLine] {
+        let start = (block.0 % self.n_sets) as usize * self.ways;
+        &mut self.lines[start..start + self.ways]
+    }
+
+    fn find(&mut self, block: BlockAddr) -> Option<&mut StampLine> {
+        self.set(block)
+            .iter_mut()
+            .find(|l| l.valid && l.block == block.0)
+    }
+
+    fn access(&mut self, block: BlockAddr, write: bool) -> AccessOutcome {
+        self.tick += 1;
+        let tick = self.tick;
+        if let Some(line) = self.find(block) {
+            line.stamp = tick;
+            line.dirty |= write;
+            return AccessOutcome::HIT;
+        }
+        AccessOutcome {
+            hit: false,
+            evicted: self.install(block, write),
+        }
+    }
+
+    fn fill_miss(&mut self, block: BlockAddr) -> Option<BlockAddr> {
+        self.tick += 1;
+        self.install(block, false)
+    }
+
+    fn install(&mut self, block: BlockAddr, dirty: bool) -> Option<BlockAddr> {
+        let tick = self.tick;
+        let set = self.set(block);
+        let victim = match set.iter().position(|l| !l.valid) {
+            Some(i) => i,
+            None => (0..set.len()).min_by_key(|&i| set[i].stamp).unwrap(),
+        };
+        let old = set[victim];
+        set[victim] = StampLine {
+            block: block.0,
+            stamp: tick,
+            valid: true,
+            dirty,
+        };
+        old.valid.then_some(BlockAddr(old.block))
+    }
+
+    fn run_hits(&mut self, start: BlockAddr, max: u16) -> u16 {
+        let mut n = 0;
+        while n < max && self.contains(BlockAddr(start.0 + u64::from(n))) {
+            self.access(BlockAddr(start.0 + u64::from(n)), false);
+            n += 1;
+        }
+        n
+    }
+
+    fn data_run_hits(&mut self, run: &[DataAccess]) -> usize {
+        let mut n = 0;
+        for a in run {
+            match self.find(a.block) {
+                Some(line) if !a.write || line.dirty => {}
+                _ => break,
+            }
+            self.access(a.block, a.write);
+            n += 1;
+        }
+        n
+    }
+
+    fn contains(&mut self, block: BlockAddr) -> bool {
+        self.find(block).is_some()
+    }
+
+    fn invalidate(&mut self, block: BlockAddr) -> Option<bool> {
+        let line = self.find(block)?;
+        let dirty = line.dirty;
+        *line = StampLine::default();
+        Some(dirty)
+    }
+
+    fn clean(&mut self, block: BlockAddr) {
+        if let Some(line) = self.find(block) {
+            line.dirty = false;
+        }
+    }
+
+    fn flush(&mut self) {
+        self.lines.fill(StampLine::default());
+    }
+
+    fn occupancy(&self) -> usize {
+        self.lines.iter().filter(|l| l.valid).count()
+    }
+}
+
+/// One cache operation of the differential test.
+#[derive(Debug, Clone)]
+enum Op {
+    Access(u64),
+    AccessWrite(u64),
+    FillMiss(u64),
+    RunHits(u64, u16),
+    DataRunHits(Vec<(u64, bool)>),
+    Invalidate(u64),
+    Clean(u64),
+    Contains(u64),
+    Flush,
+}
+
+/// Blocks of the differential test: 2 sets, so a 4-way cache holds 8 of
+/// the 12 and every geometry sees conflict evictions.
+const UNIVERSE: u64 = 12;
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    let block = || 0u64..UNIVERSE;
+    prop_oneof![
+        6 => block().prop_map(Op::Access),
+        4 => block().prop_map(Op::AccessWrite),
+        3 => block().prop_map(Op::FillMiss),
+        3 => (block(), 0u16..6).prop_map(|(b, n)| Op::RunHits(b, n)),
+        3 => prop::collection::vec((block(), any::<bool>()), 0..6).prop_map(Op::DataRunHits),
+        2 => block().prop_map(Op::Invalidate),
+        2 => block().prop_map(Op::Clean),
+        1 => block().prop_map(Op::Contains),
+        1 => Just(Op::Flush),
+    ]
+}
+
+/// Drive `SetAssocCache` and the reference model through `ops` on a
+/// 2-set cache of `ways` ways, asserting identical results after every
+/// operation.
+fn check_against_reference(ways: usize, ops: &[Op]) {
+    let n_sets = 2u64;
+    let mut cache = SetAssocCache::new(CacheGeometry::new(n_sets * ways as u64 * 64, ways as u32));
+    let mut model = StampCache::new(n_sets, ways);
+    for (step, op) in ops.iter().enumerate() {
+        let at = format!("{ways}-way, step {step}: {op:?}");
+        match *op {
+            Op::Access(b) => {
+                assert_eq!(
+                    cache.access(BlockAddr(b)),
+                    model.access(BlockAddr(b), false),
+                    "{at}"
+                );
+            }
+            Op::AccessWrite(b) => {
+                let b = BlockAddr(b);
+                assert_eq!(cache.access_write(b), model.access(b, true), "{at}");
+            }
+            Op::FillMiss(b) => {
+                // `fill_miss` is only defined on a proven miss.
+                let b = BlockAddr(b);
+                if !model.contains(b) {
+                    assert_eq!(cache.fill_miss(b), model.fill_miss(b), "{at}");
+                }
+            }
+            Op::RunHits(b, n) => {
+                let b = BlockAddr(b);
+                assert_eq!(cache.run_hits(b, n), model.run_hits(b, n), "{at}");
+            }
+            Op::DataRunHits(ref run) => {
+                let run: Vec<DataAccess> = run
+                    .iter()
+                    .map(|&(b, write)| DataAccess {
+                        block: BlockAddr(b),
+                        write,
+                    })
+                    .collect();
+                assert_eq!(cache.data_run_hits(&run), model.data_run_hits(&run), "{at}");
+            }
+            Op::Invalidate(b) => {
+                let b = BlockAddr(b);
+                assert_eq!(cache.invalidate(b), model.invalidate(b), "{at}");
+            }
+            Op::Clean(b) => {
+                cache.clean(BlockAddr(b));
+                model.clean(BlockAddr(b));
+            }
+            Op::Contains(b) => {
+                let b = BlockAddr(b);
+                assert_eq!(cache.contains(b), model.contains(b), "{at}");
+            }
+            Op::Flush => {
+                cache.flush();
+                model.flush();
+            }
+        }
+        assert_eq!(cache.occupancy(), model.occupancy(), "{at}: occupancy");
+        for b in (0..UNIVERSE).map(BlockAddr) {
+            assert_eq!(
+                cache.contains(b),
+                model.contains(b),
+                "{at}: residency of {b:?}"
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Every operation returns what the stamp-based reference returns —
+    /// hit flags, victims, run lengths, dirty reports, occupancy — over
+    /// 1-, 2- and 4-way sets.
+    #[test]
+    fn matches_stamp_based_reference(ops in prop::collection::vec(arb_op(), 1..200)) {
+        for ways in [1, 2, 4] {
+            check_against_reference(ways, &ops);
         }
     }
 }
