@@ -41,8 +41,8 @@ fn bench_cache_walks(c: &mut Criterion) {
     c.bench_function("cache/run_hits_512", |b| {
         let mut cache = warm.clone();
         b.iter(|| {
-            let a = cache.run_hits(BlockAddr(0), 256);
-            let b2 = cache.run_hits(BlockAddr(256), 256);
+            let (a, _) = cache.access_run(BlockAddr(0), 256);
+            let (b2, _) = cache.access_run(BlockAddr(256), 256);
             black_box(a + b2)
         })
     });

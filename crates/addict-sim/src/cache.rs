@@ -62,18 +62,38 @@ fn find(set: &[u64], tag: u64) -> Option<usize> {
     None
 }
 
-/// Put `way` at the front of `set`, shifting ways `0..end` back by one,
-/// and return the word pushed out of `end`. Shifts here and in
-/// [`SetAssocCache::access`] are hand-written loops, not `copy_within`: a
-/// set is a handful of words, and a `memmove` call costs more than the
-/// shift itself.
+/// Move the way at `i` to the front of `set`, shifting ways `0..i` back
+/// by one. Shifts here and in [`shift_in`] are hand-written loops, not
+/// `copy_within`: a set is a handful of words, and a `memmove` call costs
+/// more than the shift itself.
 #[inline]
-fn push_front(set: &mut [u64], end: usize, way: u64) -> u64 {
-    let mut carry = way;
-    for slot in &mut set[..=end] {
+fn move_to_front(set: &mut [u64], i: usize) {
+    let mut carry = set[i];
+    for slot in &mut set[..=i] {
         carry = std::mem::replace(slot, carry);
     }
-    carry
+}
+
+/// One pass over `set` for the way word `tag`: each way passed shifts back
+/// by one. On a hit the way lands at the front with `dirty` or-ed in, and
+/// the result is `None`. On a miss `tag | dirty` is left at the front, and
+/// the result is the word pushed out of the set: the LRU victim of a full
+/// set, or `0` if the set had room.
+#[inline]
+fn shift_in(set: &mut [u64], tag: u64, dirty: u64) -> Option<u64> {
+    let mut carry = tag | dirty;
+    for i in 0..set.len() {
+        let way = std::mem::replace(&mut set[i], carry);
+        if way & !DIRTY == tag {
+            set[0] = way | dirty;
+            return None;
+        }
+        if way == 0 {
+            return Some(0);
+        }
+        carry = way;
+    }
+    Some(carry)
 }
 
 /// A set-associative cache with true-LRU replacement, operating on
@@ -138,51 +158,34 @@ impl SetAssocCache {
         self.access_inner(block, DIRTY)
     }
 
-    /// One pass over the set: each way passed shifts back by one, so a
-    /// hit lands its way at the front, and a miss leaves the new way there
-    /// with the last way of a full set (the LRU victim) pushed out.
     fn access_inner(&mut self, block: BlockAddr, dirty: u64) -> AccessOutcome {
         let tag = tag(block);
-        let set = self.set_mut(block);
-        let mut carry = tag | dirty;
-        for i in 0..set.len() {
-            let way = std::mem::replace(&mut set[i], carry);
-            if way & !DIRTY == tag {
-                set[0] = way | dirty;
-                return AccessOutcome::HIT;
-            }
-            carry = way;
-            if way == 0 {
-                break;
-            }
-        }
-        AccessOutcome {
-            hit: false,
-            evicted: (carry != 0).then(|| block_of(carry)),
+        match shift_in(self.set_mut(block), tag, dirty) {
+            None => AccessOutcome::HIT,
+            Some(out) => AccessOutcome {
+                hit: false,
+                evicted: (out != 0).then(|| block_of(out)),
+            },
         }
     }
 
-    /// Walk up to `max` *consecutive* blocks starting at `start`, consuming
-    /// leading hits: each hit refreshes LRU recency exactly as
-    /// [`SetAssocCache::access`] would, and the walk stops *before* the
-    /// first miss (which the caller services through the ordinary miss
-    /// path). Returns the number of hits consumed.
+    /// Access up to `max` *consecutive* blocks starting at `start`, each
+    /// exactly as [`SetAssocCache::access`] would, and stop after the first
+    /// miss, which is filled like any other. Returns the blocks accessed
+    /// and whether the last of them missed. Victims are not reported: the
+    /// L1-I, the only caller, never writes back.
     ///
-    /// This is the replay engine's segment-granular hot loop: consecutive
-    /// blocks land in consecutive sets, so the set arithmetic is hoisted to
-    /// one masked add per block and no [`AccessOutcome`] is materialized.
-    pub fn run_hits(&mut self, start: BlockAddr, max: u16) -> u16 {
-        let mut n = 0u16;
-        while n < max {
+    /// This is the replay engine's segment-granular hot loop: each block
+    /// costs one shifting pass over its set, hit or miss, and no
+    /// [`AccessOutcome`] is materialized.
+    pub fn access_run(&mut self, start: BlockAddr, max: u16) -> (u16, bool) {
+        for n in 0..max {
             let block = BlockAddr(start.0 + u64::from(n));
-            let set = self.set_mut(block);
-            let Some(i) = find(set, tag(block)) else {
-                break;
-            };
-            push_front(set, i, set[i]);
-            n += 1;
+            if shift_in(self.set_mut(block), tag(block), 0).is_some() {
+                return (n + 1, true);
+            }
         }
-        n
+        (max, false)
     }
 
     /// Consume the longest prefix of `run` that stays in the *private fast
@@ -195,7 +198,7 @@ impl SetAssocCache {
     /// ordinary coherent path (for an L1-D, a clean-line write is an S→M
     /// upgrade the directory must see). Returns the accesses consumed.
     ///
-    /// This is the data-side counterpart of [`SetAssocCache::run_hits`]:
+    /// This is the data-side counterpart of [`SetAssocCache::access_run`]:
     /// one tight loop with no per-access dispatch and no [`AccessOutcome`]
     /// materialized.
     pub fn data_run_hits(&mut self, run: &[DataAccess]) -> usize {
@@ -209,23 +212,10 @@ impl SetAssocCache {
                 // Upgrade: leave it to the coherent path.
                 break;
             }
-            push_front(set, i, set[i]);
+            move_to_front(set, i);
             n += 1;
         }
         n
-    }
-
-    /// Fill `block` after the caller has already proven it absent (e.g. a
-    /// [`SetAssocCache::run_hits`] walk stopped here): skips the hit scan.
-    /// The victim is [`SetAssocCache::access`]'s on a miss, the last way of
-    /// a full set, so both paths evict identically.
-    pub fn fill_miss(&mut self, block: BlockAddr) -> Option<BlockAddr> {
-        debug_assert!(!self.contains(block), "fill_miss of a resident block");
-        let last = self.ways - 1;
-        // Shifting the whole set shifts its resident prefix plus empty
-        // words, and pushes out a word only if the set was full.
-        let victim = push_front(self.set_mut(block), last, tag(block));
-        (victim != 0).then(|| block_of(victim))
     }
 
     /// Probe without updating recency or filling (used by SLICC's
@@ -379,25 +369,26 @@ mod tests {
     }
 
     #[test]
-    fn run_hits_consumes_resident_prefix() {
+    fn access_run_stops_after_first_miss() {
         let mut c = SetAssocCache::new(CacheGeometry::new(32 * 1024, 8));
         for i in 0..6u64 {
             c.access(BlockAddr(0x100 + i));
         }
-        // Blocks 0x100..0x106 resident, 0x106 cold: 6 hits, stop at miss.
-        assert_eq!(c.run_hits(BlockAddr(0x100), 16), 6);
-        // The miss block was not filled by the walk.
-        assert!(!c.contains(BlockAddr(0x106)));
+        // Blocks 0x100..0x106 resident, 0x106 cold: 6 hits, then the miss.
+        assert_eq!(c.access_run(BlockAddr(0x100), 16), (7, true));
+        // The miss block was filled, and the walk went no further.
+        assert!(c.contains(BlockAddr(0x106)));
+        assert!(!c.contains(BlockAddr(0x107)));
         // Bounded by max.
-        assert_eq!(c.run_hits(BlockAddr(0x100), 4), 4);
-        // Cold start: zero hits.
-        assert_eq!(c.run_hits(BlockAddr(0x9000), 8), 0);
+        assert_eq!(c.access_run(BlockAddr(0x100), 4), (4, false));
+        // Cold start: the first block misses.
+        assert_eq!(c.access_run(BlockAddr(0x9000), 8), (1, true));
     }
 
     #[test]
-    fn run_hits_refreshes_lru_like_access() {
+    fn access_run_refreshes_lru_like_access() {
         // Two identical caches; one touched via access(), one via
-        // run_hits(). Their subsequent eviction choices must agree.
+        // access_run(). Their subsequent eviction choices must agree.
         let mut a = tiny();
         let mut b = tiny();
         for c in [&mut a, &mut b] {
@@ -405,7 +396,7 @@ mod tests {
             c.access(BlockAddr(2)); // set 0 now holds 0 (LRU) and 2 (MRU)
         }
         a.access(BlockAddr(0)); // refresh 0 -> 2 becomes LRU
-        assert_eq!(b.run_hits(BlockAddr(0), 1), 1); // same refresh, fast path
+        assert_eq!(b.access_run(BlockAddr(0), 1), (1, false)); // same refresh
         assert_eq!(a.access(BlockAddr(4)).evicted, Some(BlockAddr(2)));
         assert_eq!(b.access(BlockAddr(4)).evicted, Some(BlockAddr(2)));
     }

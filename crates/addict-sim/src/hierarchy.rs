@@ -208,18 +208,25 @@ impl Hierarchy {
         self.instr_miss_tail(core, block)
     }
 
-    /// Fetch an instruction block whose L1-I lookup is *known* to miss
-    /// (a [`Hierarchy::l1i_run_hits`] walk stopped at it): fills the line
-    /// without re-scanning for a hit, then services the lower levels. Only
-    /// valid with the next-line prefetcher off (the segment walker's
-    /// precondition).
-    pub fn fetch_instr_after_l1i_miss(&mut self, core: usize, block: BlockAddr) -> MemAccessResult {
+    /// Fetch up to `max` *consecutive* instruction blocks from `start` on
+    /// `core`, each exactly as [`Hierarchy::fetch_instr`] would, and stop
+    /// after the first L1-I miss. Returns the blocks fetched and, when the
+    /// last of them missed, what servicing it below the L1-I took. Only
+    /// valid when the next-line prefetcher is off: prefetch issue is
+    /// per-fetch state that this walk does not model.
+    pub fn fetch_instr_run(
+        &mut self,
+        core: usize,
+        start: BlockAddr,
+        max: u16,
+    ) -> (u16, Option<MemAccessResult>) {
         debug_assert!(
             !self.next_line_prefetch,
-            "walker path excludes the prefetcher"
+            "fetch_instr_run bypasses the next-line prefetcher"
         );
-        self.cores[core].l1i.fill_miss(block);
-        self.instr_miss_tail(core, block)
+        let (n, missed) = self.cores[core].l1i.access_run(start, max);
+        let last = BlockAddr(start.0 + u64::from(n) - 1);
+        (n, missed.then(|| self.instr_miss_tail(core, last)))
     }
 
     /// The below-L1 portion of an instruction fetch (private L2 if any,
@@ -366,21 +373,6 @@ impl Hierarchy {
     /// model-based coherence tests).
     pub fn directory(&self) -> &Directory {
         &self.directory
-    }
-
-    /// Consume up to `max` consecutive instruction-block *hits* in `core`'s
-    /// L1-I, refreshing recency exactly like per-block [`Hierarchy::fetch_instr`]
-    /// calls would. Stops before the first miss (the caller services it
-    /// through the ordinary miss path). Only valid when the next-line
-    /// prefetcher is off — the prefetcher mutates per-fetch state that this
-    /// fast walk does not model.
-    #[inline]
-    pub fn l1i_run_hits(&mut self, core: usize, start: BlockAddr, max: u16) -> u16 {
-        debug_assert!(
-            !self.next_line_prefetch,
-            "l1i_run_hits bypasses the next-line prefetcher"
-        );
-        self.cores[core].l1i.run_hits(start, max)
     }
 
     /// Is the next-line L1-I prefetcher enabled? (Drivers pick the

@@ -121,16 +121,15 @@ impl Machine {
     /// `start` on `core`, charging `ipb` instructions per block — the
     /// segment-granular replay hot path.
     ///
-    /// Leading L1-I hits are consumed in one tight loop inside the cache
-    /// (hoisted set arithmetic, no per-block dispatch); misses are serviced
-    /// through the ordinary [`Machine::fetch_instr`] path. With
-    /// `stop_on_miss`, the first serviced miss ends the run so the driver
-    /// can consult its scheduling policy; without it (policies indifferent
-    /// to misses) the walk continues to the end of the run without ever
-    /// leaving the machine. All statistics and the returned clock are
-    /// bit-identical to issuing the same blocks through per-block
-    /// [`Machine::fetch_instr`] calls and accumulating `now += cycles` per
-    /// block.
+    /// The L1-I walk ([`Hierarchy::fetch_instr_run`]) makes one pass over
+    /// each block's set, hit or miss, and stops after the first miss, which
+    /// it has already filled and serviced below the L1-I. With
+    /// `stop_on_miss`, that miss ends the run so the driver can consult its
+    /// scheduling policy; without it (policies indifferent to misses) the
+    /// walk resumes after the miss and runs to the end without ever leaving
+    /// the machine. All statistics and the returned clock are bit-identical
+    /// to issuing the same blocks through per-block [`Machine::fetch_instr`]
+    /// calls and accumulating `now += cycles` per block.
     pub fn fetch_instr_run(
         &mut self,
         core: CoreId,
@@ -144,65 +143,44 @@ impl Machine {
         let base = self.timing.execute(u64::from(ipb));
         let mut done: u16 = 0;
         if !self.hierarchy.has_next_line_prefetch() {
-            loop {
-                let hits = self.hierarchy.l1i_run_hits(
-                    core.0,
-                    BlockAddr(start.0 + u64::from(done)),
-                    n_blocks - done,
-                );
-                if hits > 0 {
-                    let c = &mut self.stats.cores[core.0];
-                    c.instructions += u64::from(ipb) * u64::from(hits);
-                    c.l1i_accesses += u64::from(hits);
-                    // f64 accumulation stays per-block so totals are
-                    // bit-equal to the per-block path (f64 addition is
-                    // order-sensitive).
-                    for _ in 0..hits {
-                        c.base_cycles += base;
-                        now += base;
-                    }
-                    done += hits;
-                }
-                if done == n_blocks {
-                    return RunOutcome {
-                        blocks: done,
-                        now,
-                        missed_last: false,
-                    };
-                }
-                // Service one miss. The walk already proved the L1-I miss,
-                // so fill directly and charge exactly what per-block
-                // `fetch_instr` would.
+            // The f64 sums live in locals for the whole walk and take the
+            // same additions in the same per-block order as the per-block
+            // path (f64 addition is order-sensitive), so the totals written
+            // back are bit-equal to it.
+            let c = &self.stats.cores[core.0];
+            let (mut base_cycles, mut stall_cycles) = (c.base_cycles, c.instr_stall_cycles);
+            let mut missed_last = false;
+            while done < n_blocks && !missed_last {
                 let block = BlockAddr(start.0 + u64::from(done));
-                let res = self.hierarchy.fetch_instr_after_l1i_miss(core.0, block);
-                {
-                    let c = &mut self.stats.cores[core.0];
-                    c.instructions += u64::from(ipb);
-                    c.l1i_accesses += 1;
-                    c.l1i_misses += 1;
-                }
-                self.record_common(core.0, &res);
-                let stall = self.timing.instr_miss(res.level, res.hops);
+                let (n, miss) = self
+                    .hierarchy
+                    .fetch_instr_run(core.0, block, n_blocks - done);
+                done += n;
                 let c = &mut self.stats.cores[core.0];
-                c.base_cycles += base;
-                c.instr_stall_cycles += stall;
-                now += base + stall;
-                done += 1;
-                if stop_on_miss {
-                    return RunOutcome {
-                        blocks: done,
-                        now,
-                        missed_last: true,
-                    };
+                c.instructions += u64::from(ipb) * u64::from(n);
+                c.l1i_accesses += u64::from(n);
+                for _ in 0..n - u16::from(miss.is_some()) {
+                    base_cycles += base;
+                    now += base;
                 }
-                if done == n_blocks {
-                    return RunOutcome {
-                        blocks: done,
-                        now,
-                        missed_last: false,
-                    };
+                if let Some(res) = miss {
+                    c.l1i_misses += 1;
+                    self.record_common(core.0, &res);
+                    let stall = self.timing.instr_miss(res.level, res.hops);
+                    base_cycles += base;
+                    stall_cycles += stall;
+                    now += base + stall;
+                    missed_last = stop_on_miss;
                 }
             }
+            let c = &mut self.stats.cores[core.0];
+            c.base_cycles = base_cycles;
+            c.instr_stall_cycles = stall_cycles;
+            return RunOutcome {
+                blocks: done,
+                now,
+                missed_last,
+            };
         }
         // Next-line prefetcher enabled: prefetch issue is per-fetch state,
         // so walk block-by-block through the full path (still skipping all
@@ -425,12 +403,13 @@ mod tests {
     /// Drive `n_blocks` from `start` through the segment path on one
     /// machine and the per-block path on another; both must agree bit-wise.
     fn run_both(
+        cfg: &SimConfig,
         start: u64,
         n_blocks: u16,
         prefetch: bool,
         stop_on_miss: bool,
     ) -> (Machine, Machine) {
-        let mut cfg = SimConfig::paper_default().with_cores(2);
+        let mut cfg = cfg.clone().with_cores(2);
         cfg.l1i_next_line_prefetch = prefetch;
         let mut seg = Machine::new(&cfg);
         let mut flat = Machine::new(&cfg);
@@ -464,17 +443,22 @@ mod tests {
 
     #[test]
     fn fetch_instr_run_matches_per_block_path() {
-        for prefetch in [false, true] {
-            for stop_on_miss in [false, true] {
-                let (seg, flat) = run_both(0x4000, 40, prefetch, stop_on_miss);
-                assert_eq!(
-                    format!("{:?}", seg.stats()),
-                    format!("{:?}", flat.stats()),
-                    "stats diverged (prefetch={prefetch}, stop_on_miss={stop_on_miss})"
-                );
-                assert_eq!(seg.prefetches_issued(), flat.prefetches_issued());
-                // The L1-I occupancy the walks leave behind must agree too.
-                assert_eq!(seg.l1i_occupancy(CoreId(0)), flat.l1i_occupancy(CoreId(0)));
+        // The deep hierarchy sends every walk miss through the private L2.
+        for cfg in [SimConfig::paper_default(), SimConfig::paper_deep()] {
+            for prefetch in [false, true] {
+                for stop_on_miss in [false, true] {
+                    let (seg, flat) = run_both(&cfg, 0x4000, 40, prefetch, stop_on_miss);
+                    assert_eq!(
+                        format!("{:?}", seg.stats()),
+                        format!("{:?}", flat.stats()),
+                        "stats diverged ({:?}, prefetch={prefetch}, \
+                         stop_on_miss={stop_on_miss})",
+                        cfg.hierarchy
+                    );
+                    assert_eq!(seg.prefetches_issued(), flat.prefetches_issued());
+                    // The L1-I occupancy the walks leave behind must agree too.
+                    assert_eq!(seg.l1i_occupancy(CoreId(0)), flat.l1i_occupancy(CoreId(0)));
+                }
             }
         }
     }

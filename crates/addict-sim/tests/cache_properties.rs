@@ -163,11 +163,6 @@ impl StampCache {
         }
     }
 
-    fn fill_miss(&mut self, block: BlockAddr) -> Option<BlockAddr> {
-        self.tick += 1;
-        self.install(block, false)
-    }
-
     fn install(&mut self, block: BlockAddr, dirty: bool) -> Option<BlockAddr> {
         let tick = self.tick;
         let set = self.set(block);
@@ -185,13 +180,13 @@ impl StampCache {
         old.valid.then_some(BlockAddr(old.block))
     }
 
-    fn run_hits(&mut self, start: BlockAddr, max: u16) -> u16 {
-        let mut n = 0;
-        while n < max && self.contains(BlockAddr(start.0 + u64::from(n))) {
-            self.access(BlockAddr(start.0 + u64::from(n)), false);
-            n += 1;
+    fn access_run(&mut self, start: BlockAddr, max: u16) -> (u16, bool) {
+        for n in 0..max {
+            if !self.access(BlockAddr(start.0 + u64::from(n)), false).hit {
+                return (n + 1, true);
+            }
         }
-        n
+        (max, false)
     }
 
     fn data_run_hits(&mut self, run: &[DataAccess]) -> usize {
@@ -238,8 +233,7 @@ impl StampCache {
 enum Op {
     Access(u64),
     AccessWrite(u64),
-    FillMiss(u64),
-    RunHits(u64, u16),
+    AccessRun(u64, u16),
     DataRunHits(Vec<(u64, bool)>),
     Invalidate(u64),
     Clean(u64),
@@ -256,8 +250,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
         6 => block().prop_map(Op::Access),
         4 => block().prop_map(Op::AccessWrite),
-        3 => block().prop_map(Op::FillMiss),
-        3 => (block(), 0u16..6).prop_map(|(b, n)| Op::RunHits(b, n)),
+        4 => (block(), 0u16..6).prop_map(|(b, n)| Op::AccessRun(b, n)),
         3 => prop::collection::vec((block(), any::<bool>()), 0..6).prop_map(Op::DataRunHits),
         2 => block().prop_map(Op::Invalidate),
         2 => block().prop_map(Op::Clean),
@@ -287,16 +280,9 @@ fn check_against_reference(ways: usize, ops: &[Op]) {
                 let b = BlockAddr(b);
                 assert_eq!(cache.access_write(b), model.access(b, true), "{at}");
             }
-            Op::FillMiss(b) => {
-                // `fill_miss` is only defined on a proven miss.
+            Op::AccessRun(b, n) => {
                 let b = BlockAddr(b);
-                if !model.contains(b) {
-                    assert_eq!(cache.fill_miss(b), model.fill_miss(b), "{at}");
-                }
-            }
-            Op::RunHits(b, n) => {
-                let b = BlockAddr(b);
-                assert_eq!(cache.run_hits(b, n), model.run_hits(b, n), "{at}");
+                assert_eq!(cache.access_run(b, n), model.access_run(b, n), "{at}");
             }
             Op::DataRunHits(ref run) => {
                 let run: Vec<DataAccess> = run
