@@ -2,13 +2,16 @@
 //! vs per-block cache accesses, warm data runs vs per-access data walks,
 //! building and dropping the paper-default machine (every replay builds
 //! one), the open-addressed coherence directory, the interned cursor's
-//! delta-varint address decode vs the flat walk, and full
-//! per-block-vs-fast-path replay under every scheduler.
+//! delta-varint address decode vs the flat walk, full
+//! per-block-vs-fast-path replay under every scheduler on a synthetic
+//! trace, and Baseline and ADDICT replays of a real small-scale TPC-C
+//! eval set.
 //!
 //! Run with `cargo bench --bench hotpath`. The `bench` binary
 //! (`cargo run --release --bin bench`) regenerates the latest
 //! `BENCH_n.json` with the headline events/sec numbers.
 
+use addict_bench::{TraceKey, TracePool, DEFAULT_GEN_CHUNK, EVAL_SEED, PROFILE_SEED};
 use addict_core::algorithm1::find_migration_points;
 use addict_core::replay::ReplayConfig;
 use addict_core::sched::{run_scheduler, SchedulerKind};
@@ -19,6 +22,7 @@ use addict_trace::{
     DataRun, Fetched, InternedSet, InternedTrace, OpKind, SlicePool, TraceEvent, TraceSet,
     XctTrace, XctTypeId,
 };
+use addict_workloads::Benchmark;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 fn bench_cache_walks(c: &mut Criterion) {
@@ -133,6 +137,30 @@ fn bench_replay_modes(c: &mut Criterion) {
                 b.iter(|| black_box(run_scheduler(kind, black_box(&traces), Some(&map), &cfg)))
             });
         }
+    }
+}
+
+/// Replay a real trace the way a job does: the interned TPC-C eval set of
+/// a small-scale database (400 transactions, the job layer's seeds) under
+/// the paper-default machine, with ADDICT's map profiled from the profile
+/// seed. Generation and Algorithm 1 run once, outside the timed loop.
+fn bench_replay_tpcc_small(c: &mut Criterion) {
+    let pool = TracePool::unbounded();
+    let key = |seed| TraceKey {
+        bench: Benchmark::TpcC,
+        seed,
+        n_xcts: 400,
+        chunk: DEFAULT_GEN_CHUNK,
+        small: true,
+    };
+    let (eval, _) = pool.get(&key(EVAL_SEED), 1);
+    let (_, map, _) = pool.get_profile(&key(PROFILE_SEED));
+    let cfg = ReplayConfig::paper_default();
+    for kind in [SchedulerKind::Baseline, SchedulerKind::Addict] {
+        let name = format!("replay/tpcc_small_{}", kind.name().to_lowercase());
+        c.bench_function(&name, |b| {
+            b.iter(|| black_box(run_scheduler(kind, &eval.as_set(), Some(&map), &cfg)))
+        });
     }
 }
 
@@ -258,6 +286,6 @@ fn bench_machine_new(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_cache_walks, bench_directory, bench_machine_new, bench_machine_fetch, bench_machine_data_runs, bench_cursor_decode, bench_replay_modes
+    targets = bench_cache_walks, bench_directory, bench_machine_new, bench_machine_fetch, bench_machine_data_runs, bench_cursor_decode, bench_replay_modes, bench_replay_tpcc_small
 );
 criterion_main!(benches);

@@ -6,8 +6,9 @@
 //! L1-I over an instruction stream to pick migration points.
 //!
 //! Every replay builds a machine, so the layout is kept small: each way is
-//! one word that encodes block and dirty bit, and each set orders its ways
-//! by recency instead of stamping them (see [`SetAssocCache`]).
+//! one four-byte word that encodes the block's set-relative tag and its
+//! dirty bit, and each set orders its ways by recency instead of stamping
+//! them (see [`SetAssocCache`]).
 
 use crate::block::{BlockAddr, DataAccess};
 use crate::config::CacheGeometry;
@@ -31,26 +32,16 @@ impl AccessOutcome {
 }
 
 /// The dirty bit of a way.
-const DIRTY: u64 = 1;
+const DIRTY: u32 = 1;
 
-/// The way word of a clean `block`. Block numbers are byte addresses over
-/// 64, so `block + 1` never reaches bit 63 and the shift loses nothing.
-#[inline]
-fn tag(block: BlockAddr) -> u64 {
-    debug_assert!(block.0 < u64::MAX >> 1, "block number out of range");
-    (block.0 + 1) << 1
-}
-
-/// The block a non-empty way word holds.
-#[inline]
-fn block_of(way: u64) -> BlockAddr {
-    BlockAddr((way >> 1) - 1)
-}
+/// Set-relative tags (`block >> log2(n_sets)`) stay below this, so that
+/// the way word `(tag + 1) << 1 | dirty` fits in a `u32`.
+const TAG_LIMIT: u64 = 1 << 30;
 
 /// Where the way word `tag` sits among the resident ways of `set`. The
 /// scan stops at the first empty way: nothing is resident behind it.
 #[inline]
-fn find(set: &[u64], tag: u64) -> Option<usize> {
+fn find(set: &[u32], tag: u32) -> Option<usize> {
     for (i, &way) in set.iter().enumerate() {
         if way & !DIRTY == tag {
             return Some(i);
@@ -67,7 +58,7 @@ fn find(set: &[u64], tag: u64) -> Option<usize> {
 /// `copy_within`: a set is a handful of words, and a `memmove` call costs
 /// more than the shift itself.
 #[inline]
-fn move_to_front(set: &mut [u64], i: usize) {
+fn move_to_front(set: &mut [u32], i: usize) {
     let mut carry = set[i];
     for slot in &mut set[..=i] {
         carry = std::mem::replace(slot, carry);
@@ -80,7 +71,7 @@ fn move_to_front(set: &mut [u64], i: usize) {
 /// the result is the word pushed out of the set: the LRU victim of a full
 /// set, or `0` if the set had room.
 #[inline]
-fn shift_in(set: &mut [u64], tag: u64, dirty: u64) -> Option<u64> {
+fn shift_in(set: &mut [u32], tag: u32, dirty: u32) -> Option<u32> {
     let mut carry = tag | dirty;
     for i in 0..set.len() {
         let way = std::mem::replace(&mut set[i], carry);
@@ -100,11 +91,18 @@ fn shift_in(set: &mut [u64], tag: u64, dirty: u64) -> Option<u64> {
 /// [`BlockAddr`]s. Stores no payload bytes — only presence, recency, and a
 /// dirty bit (enough for miss accounting and write-back modeling).
 ///
-/// Each way is one `u64`: `(block + 1) << 1 | dirty`. Block `0` is a real
-/// block, hence the `+ 1`, which leaves the word `0` free to mean *empty*.
-/// Storage is therefore a zeroed allocation, and the pages of a large
-/// cache (the 1 MB-per-core LLC) that a replay never touches are never
-/// faulted in.
+/// Each way is one `u32`: `(tag + 1) << 1 | dirty`, where the tag is the
+/// block's set-relative part, `block >> log2(n_sets)`. The set index
+/// supplies the low bits, so a victim's block is rebuilt from its tag and
+/// its set. Tag `0` is a real tag, hence the `+ 1`, which leaves the word
+/// `0` free to mean *empty*. Storage is therefore a zeroed allocation, and
+/// the pages of a large cache (the 1 MB-per-core LLC) that a replay never
+/// touches are never faulted in.
+///
+/// A tag must stay below `2^30` to fit, so a cache of `n_sets` sets holds
+/// blocks below `2^30 * n_sets`: `2^36` for the 64-set L1s. Every method
+/// panics on a block beyond that range rather than alias it. Trace blocks
+/// sit far below it (the database-page region starts at block `2^28`).
 ///
 /// Each set keeps its resident ways as a prefix, in recency order, most
 /// recent first: a hit moves its way to the front, a fill inserts at the
@@ -115,11 +113,12 @@ fn shift_in(set: &mut [u64], tag: u64, dirty: u64) -> Option<u64> {
 /// hits, victims, dirty bits and occupancy.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
-    lines: Vec<u64>,
-    /// `n_sets - 1`; set geometry is validated power-of-two, so indexing is
-    /// a mask rather than a 64-bit modulo (the replay hot loop runs this on
-    /// every instruction block).
-    set_mask: u64,
+    lines: Vec<u32>,
+    /// `log2(n_sets)`: set geometry is validated power-of-two, so a block's
+    /// set is its low `set_bits` bits (a mask rather than a 64-bit modulo,
+    /// which the replay hot loop runs on every instruction block) and its
+    /// tag is the bits above.
+    set_bits: u32,
     ways: usize,
 }
 
@@ -130,22 +129,47 @@ impl SetAssocCache {
         let ways = geom.ways as usize;
         SetAssocCache {
             lines: vec![0; (n_sets as usize) * ways],
-            set_mask: n_sets - 1,
+            set_bits: n_sets.trailing_zeros(),
             ways,
         }
     }
 
-    /// The ways of the set `block` maps to.
+    /// Where `block` lives: the index of the first way of its set, and
+    /// the way word of a clean copy.
+    ///
+    /// # Panics
+    /// If the block's tag, `block >> log2(n_sets)`, is `2^30` or more.
     #[inline]
-    fn set(&self, block: BlockAddr) -> &[u64] {
-        let start = (block.0 & self.set_mask) as usize * self.ways;
-        &self.lines[start..start + self.ways]
+    fn locate(&self, block: BlockAddr) -> (usize, u32) {
+        let tag = block.0 >> self.set_bits;
+        assert!(
+            tag < TAG_LIMIT,
+            "block {:#x} is beyond the cache's tag range: a way holds \
+             block >> log2(n_sets) below 2^30",
+            block.0
+        );
+        let set = (block.0 & ((1 << self.set_bits) - 1)) as usize;
+        (set * self.ways, (tag as u32 + 1) << 1)
+    }
+
+    /// The ways of the set `block` maps to, and its clean way word.
+    #[inline]
+    fn set(&self, block: BlockAddr) -> (&[u32], u32) {
+        let (start, tag) = self.locate(block);
+        (&self.lines[start..start + self.ways], tag)
     }
 
     #[inline]
-    fn set_mut(&mut self, block: BlockAddr) -> &mut [u64] {
-        let start = (block.0 & self.set_mask) as usize * self.ways;
-        &mut self.lines[start..start + self.ways]
+    fn set_mut(&mut self, block: BlockAddr) -> (&mut [u32], u32) {
+        let (start, tag) = self.locate(block);
+        (&mut self.lines[start..start + self.ways], tag)
+    }
+
+    /// The block that the non-empty way word `way` of `block`'s set holds.
+    #[inline]
+    fn block_of(&self, block: BlockAddr, way: u32) -> BlockAddr {
+        let set = block.0 & ((1 << self.set_bits) - 1);
+        BlockAddr(u64::from((way >> 1) - 1) << self.set_bits | set)
     }
 
     /// Access `block`, filling it on a miss. Returns hit/miss and any victim.
@@ -158,13 +182,13 @@ impl SetAssocCache {
         self.access_inner(block, DIRTY)
     }
 
-    fn access_inner(&mut self, block: BlockAddr, dirty: u64) -> AccessOutcome {
-        let tag = tag(block);
-        match shift_in(self.set_mut(block), tag, dirty) {
+    fn access_inner(&mut self, block: BlockAddr, dirty: u32) -> AccessOutcome {
+        let (set, tag) = self.set_mut(block);
+        match shift_in(set, tag, dirty) {
             None => AccessOutcome::HIT,
             Some(out) => AccessOutcome {
                 hit: false,
-                evicted: (out != 0).then(|| block_of(out)),
+                evicted: (out != 0).then(|| self.block_of(block, out)),
             },
         }
     }
@@ -180,8 +204,8 @@ impl SetAssocCache {
     /// [`AccessOutcome`] is materialized.
     pub fn access_run(&mut self, start: BlockAddr, max: u16) -> (u16, bool) {
         for n in 0..max {
-            let block = BlockAddr(start.0 + u64::from(n));
-            if shift_in(self.set_mut(block), tag(block), 0).is_some() {
+            let (set, tag) = self.set_mut(BlockAddr(start.0 + u64::from(n)));
+            if shift_in(set, tag, 0).is_some() {
                 return (n + 1, true);
             }
         }
@@ -204,8 +228,8 @@ impl SetAssocCache {
     pub fn data_run_hits(&mut self, run: &[DataAccess]) -> usize {
         let mut n = 0usize;
         while let Some(&DataAccess { block, write }) = run.get(n) {
-            let set = self.set_mut(block);
-            let Some(i) = find(set, tag(block)) else {
+            let (set, tag) = self.set_mut(block);
+            let Some(i) = find(set, tag) else {
                 break;
             };
             if write && set[i] & DIRTY == 0 {
@@ -221,13 +245,14 @@ impl SetAssocCache {
     /// Probe without updating recency or filling (used by SLICC's
     /// remote-presence check and by coherence).
     pub fn contains(&self, block: BlockAddr) -> bool {
-        find(self.set(block), tag(block)).is_some()
+        let (set, tag) = self.set(block);
+        find(set, tag).is_some()
     }
 
     /// Invalidate `block` if present; returns whether the line was dirty.
     pub fn invalidate(&mut self, block: BlockAddr) -> Option<bool> {
-        let set = self.set_mut(block);
-        let i = find(set, tag(block))?;
+        let (set, tag) = self.set_mut(block);
+        let i = find(set, tag)?;
         let dirty = set[i] & DIRTY != 0;
         // Close the gap: the ways behind `i` move up one, keeping the
         // resident prefix contiguous.
@@ -241,8 +266,8 @@ impl SetAssocCache {
 
     /// Clear the dirty bit of `block` (coherence downgrade M→S).
     pub fn clean(&mut self, block: BlockAddr) {
-        let set = self.set_mut(block);
-        if let Some(i) = find(set, tag(block)) {
+        let (set, tag) = self.set_mut(block);
+        if let Some(i) = find(set, tag) {
             set[i] &= !DIRTY;
         }
     }
@@ -448,8 +473,12 @@ mod tests {
 
     #[test]
     fn one_word_per_way() {
-        let c = SetAssocCache::new(CacheGeometry::new(32 * 1024, 8));
-        assert_eq!(std::mem::size_of_val(c.lines.as_slice()), 8 * 512);
+        let bytes = |geom| std::mem::size_of_val(SetAssocCache::new(geom).lines.as_slice());
+        assert_eq!(bytes(CacheGeometry::new(32 * 1024, 8)), 4 * 512);
+        // The Table 1 machine: an L1-I, an L1-D and an LLC bank per core.
+        let cfg = crate::config::SimConfig::paper_default();
+        let per_core = bytes(cfg.l1i) + bytes(cfg.l1d) + bytes(cfg.llc_per_core);
+        assert_eq!(cfg.n_cores * per_core, 1_114_112);
     }
 
     #[test]

@@ -241,16 +241,32 @@ enum Op {
     Flush,
 }
 
-/// Blocks of the differential test: 2 sets, so a 4-way cache holds 8 of
-/// the 12 and every geometry sees conflict evictions.
+/// Sets of every differential-test geometry.
+const N_SETS: u64 = 2;
+
+/// The first block past the differential-test caches' range: a way holds
+/// the tag `block >> log2(N_SETS)` only below 2^30.
+const TOP: u64 = (1 << 30) * N_SETS;
+
+/// Blocks at each end of the tag range the differential test draws from:
+/// 2 sets, so a 4-way cache holds 8 of the 24 and every geometry sees
+/// conflict evictions, and the top blocks check that victims are rebuilt
+/// from the highest tags as well as the lowest.
 const UNIVERSE: u64 = 12;
 
+fn universe() -> impl Iterator<Item = u64> {
+    (0..UNIVERSE).chain(TOP - UNIVERSE..TOP)
+}
+
 fn arb_op() -> impl Strategy<Value = Op> {
-    let block = || 0u64..UNIVERSE;
+    let block = || prop_oneof![0u64..UNIVERSE, TOP - UNIVERSE..TOP];
+    // A walk that would run past the range stops at its end.
+    let run =
+        |(b, n): (u64, u16)| Op::AccessRun(b, u16::try_from(TOP - b).map_or(n, |room| n.min(room)));
     prop_oneof![
         6 => block().prop_map(Op::Access),
         4 => block().prop_map(Op::AccessWrite),
-        4 => (block(), 0u16..6).prop_map(|(b, n)| Op::AccessRun(b, n)),
+        4 => (block(), 0u16..6).prop_map(run),
         3 => prop::collection::vec((block(), any::<bool>()), 0..6).prop_map(Op::DataRunHits),
         2 => block().prop_map(Op::Invalidate),
         2 => block().prop_map(Op::Clean),
@@ -263,9 +279,8 @@ fn arb_op() -> impl Strategy<Value = Op> {
 /// 2-set cache of `ways` ways, asserting identical results after every
 /// operation.
 fn check_against_reference(ways: usize, ops: &[Op]) {
-    let n_sets = 2u64;
-    let mut cache = SetAssocCache::new(CacheGeometry::new(n_sets * ways as u64 * 64, ways as u32));
-    let mut model = StampCache::new(n_sets, ways);
+    let mut cache = SetAssocCache::new(CacheGeometry::new(N_SETS * ways as u64 * 64, ways as u32));
+    let mut model = StampCache::new(N_SETS, ways);
     for (step, op) in ops.iter().enumerate() {
         let at = format!("{ways}-way, step {step}: {op:?}");
         match *op {
@@ -312,7 +327,7 @@ fn check_against_reference(ways: usize, ops: &[Op]) {
             }
         }
         assert_eq!(cache.occupancy(), model.occupancy(), "{at}: occupancy");
-        for b in (0..UNIVERSE).map(BlockAddr) {
+        for b in universe().map(BlockAddr) {
             assert_eq!(
                 cache.contains(b),
                 model.contains(b),
@@ -334,4 +349,17 @@ proptest! {
             check_against_reference(ways, &ops);
         }
     }
+}
+
+/// A block whose tag does not fit a way is refused, not aliased onto a
+/// block of the same set.
+#[test]
+#[should_panic(expected = "beyond the cache's tag range")]
+fn block_past_the_tag_range_is_rejected() {
+    let geom = CacheGeometry::new(32 * 1024, 8);
+    let mut cache = SetAssocCache::new(geom);
+    let last = BlockAddr((1 << 30) * geom.n_sets() - 1);
+    cache.access(last);
+    assert!(cache.contains(last));
+    cache.access(BlockAddr(last.0 + 1));
 }
