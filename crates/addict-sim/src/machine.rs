@@ -124,10 +124,10 @@ impl Machine {
     /// The L1-I walk ([`Hierarchy::fetch_instr_run`]) makes one pass over
     /// each block's set, hit or miss, and stops after the first miss, which
     /// it has already filled and serviced below the L1-I. With
-    /// `stop_on_miss`, that miss ends the run so the driver can consult its
-    /// scheduling policy; without it (policies indifferent to misses) the
-    /// walk resumes after the miss and runs to the end without ever leaving
-    /// the machine. All statistics and the returned clock are bit-identical
+    /// `stop_on_miss`, that miss ends the run so the scheduler can consult
+    /// its policy; without it (policies indifferent to misses) the walk
+    /// resumes after the miss and runs to the end without ever leaving the
+    /// machine. All statistics and the returned clock are bit-identical
     /// to issuing the same blocks through per-block [`Machine::fetch_instr`]
     /// calls and accumulating `now += cycles` per block.
     pub fn fetch_instr_run(

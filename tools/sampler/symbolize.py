@@ -1,15 +1,14 @@
 #!/usr/bin/env python3
 """Summarize a sampler.<pid>.txt written by tools/sampler/sampler.c.
 
-    python3 tools/sampler/symbolize.py sampler.<pid>.txt [--top N] [--only SUBSTR]
+    python3 tools/sampler/symbolize.py sampler.<pid>.txt [--top N]
 
 Each sampled instruction pointer is mapped to its file through the
 recorded /proc/self/maps and symbolized with `addr2line -f -i -C`, which
 also names the functions it was inlined into. Prints two tables: `self`
 counts each sample once under its innermost function, and `inclusive`
 counts it under every function of its inline chain (so a helper inlined
-into a hot loop shows under both). `--only` keeps the samples whose chain
-names a function containing SUBSTR, and reports shares of those.
+into a hot loop shows under both).
 """
 import argparse
 import collections
@@ -60,7 +59,6 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("file")
     ap.add_argument("--top", type=int, default=25)
-    ap.add_argument("--only")
     args = ap.parse_args()
     maps, ips = load(args.file)
     by_file = collections.defaultdict(list)
@@ -77,10 +75,8 @@ def main():
         for ip in set(file_ips):
             chain_of[ip] = chains.get(ip - bias) or ["?? " + path]
     samples = [chain_of.get(ip, ["??"]) for ip in ips]
-    if args.only:
-        samples = [c for c in samples if any(args.only in f for f in c)]
     n = len(samples)
-    print(f"{n} samples of {len(ips)}")
+    print(f"{n} samples")
     self_c = collections.Counter(c[0] for c in samples)
     incl_c = collections.Counter(f for c in samples for f in set(c))
     for title, counter in (("self", self_c), ("inclusive", incl_c)):
