@@ -7,11 +7,21 @@
 //! `(benchmark, seed, n_xcts, chunk, small)` pays for it, every later
 //! job reuses the shared [`InternedWorkload`] behind an `Arc`.
 //!
-//! A miss is the one trace-generation path of the harness: a fresh
-//! storage engine (`setup`/`setup_small`) traced by
+//! A miss is the one trace-generation path of the harness: a copy of the
+//! benchmark's populated storage engine traced by
 //! [`collect_traces_interned_chunked`] into a private slice pool. The
 //! job layer, the server, `fig5`–`fig9`, `ablation` and `bench` all fetch
 //! their interned traces here.
+//!
+//! Population takes no seed, so the pool populates each `(benchmark,
+//! small)` once (`setup`/`setup_small`) and keeps the engine and runner
+//! as a *snapshot*; every miss traces a clone of it. Copying the
+//! populated state is far cheaper than rebuilding it, and a clone traces
+//! exactly what a fresh engine would (`tests/trace_determinism.rs`, and
+//! the default-scale digests of `tests/golden_digests.rs`). A snapshot
+//! is a rebuildable cache: its bytes count toward the budget, it is
+//! evicted before any trace entry, and losing it costs one population,
+//! never a different result.
 //!
 //! A profile entry also memoizes Algorithm 1: [`TracePool::get_profile`]
 //! returns the entry's migration map for the paper-default L1-I (the
@@ -29,12 +39,16 @@
 //! and wakes waiters so they can retry rather than deadlock. A map is
 //! computed outside the lock too, in the entry's `OnceLock` cell: a
 //! concurrent request for the same map waits on the cell instead of
-//! running Algorithm 1 a second time.
+//! running Algorithm 1 a second time. Snapshots work the same way:
+//! concurrent misses on one benchmark wait on its snapshot's `OnceLock`,
+//! so it is populated once; a population that panics leaves the cell
+//! empty for the next miss to fill.
 //!
 //! Eviction is LRU by resident bytes against a byte budget
-//! ([`TracePool::new`]): after each insert, least-recently-used **idle**
-//! entries (sole-owner `Arc`s — never one a running job still replays
-//! from) are dropped until the total fits. An entry larger than the whole
+//! ([`TracePool::new`]): after each insert, the least-recently-used
+//! snapshots go first, then least-recently-used **idle** entries
+//! (sole-owner `Arc`s — never one a running job still replays from),
+//! until the total fits. An entry larger than the whole
 //! budget is served to its requester and evicted immediately after — the
 //! budget bounds *resident* cache bytes, not job size. Counters
 //! ([`TracePool::stats`]) make all of this observable through the
@@ -45,8 +59,9 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 use addict_core::algorithm1::{find_migration_points_interned, MigrationMap};
 use addict_core::replay::ReplayConfig;
+use addict_storage::Engine;
 use addict_trace::{InternedWorkload, SlicePool};
-use addict_workloads::{collect_traces_interned_chunked, Benchmark};
+use addict_workloads::{collect_traces_interned_chunked, Benchmark, WorkloadRunner};
 
 /// Default recorder-drain granularity of a [`TraceKey`]: large enough to
 /// amortize the per-drain engine round trip, small enough that a chunk of
@@ -55,10 +70,10 @@ pub const DEFAULT_GEN_CHUNK: usize = 64;
 
 /// Cache identity of one generated trace range. Two jobs agreeing on all
 /// five fields replay byte-identical traces (generation is a pure
-/// function of the key: a fresh engine and a freshly seeded transaction
-/// stream, with `chunk` changing only peak memory —
-/// `tests/trace_determinism.rs`), so sharing the interned set is
-/// invisible to results.
+/// function of the key: a freshly populated engine, or a clone of one,
+/// and a freshly seeded transaction stream, with `chunk` changing only
+/// peak memory — `tests/trace_determinism.rs`), so sharing the interned
+/// set is invisible to results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TraceKey {
     /// Benchmark to build and trace.
@@ -146,10 +161,13 @@ pub struct CacheStats {
     pub misses: u64,
     /// Generations performed (== misses unless a generation panicked).
     pub generations: u64,
+    /// Benchmarks populated (`setup`/`setup_small`) to build a snapshot:
+    /// one per `(benchmark, small)` while its snapshot stays resident.
+    pub populations: u64,
     /// Migration maps computed by Algorithm 1 (one per profile entry;
     /// a warm job adds none).
     pub alg1_runs: u64,
-    /// Entries dropped by LRU eviction.
+    /// Trace entries dropped by LRU eviction (snapshots not counted).
     pub evictions: u64,
     /// Resident entries right now.
     pub entries: usize,
@@ -159,8 +177,11 @@ pub struct CacheStats {
     pub pinned_entries: usize,
     /// Resident bytes right now: every entry's
     /// [`InternedWorkload::resident_bytes`] plus its memoized map's
-    /// [`MigrationMap::resident_bytes`].
+    /// [`MigrationMap::resident_bytes`], plus `snapshot_bytes`.
     pub resident_bytes: usize,
+    /// The resident snapshots' share of `resident_bytes`: each populated
+    /// engine's [`Engine::resident_bytes`].
+    pub snapshot_bytes: usize,
     /// Byte budget (`usize::MAX` = unbounded).
     pub budget_bytes: usize,
 }
@@ -191,14 +212,48 @@ impl Slot {
     }
 }
 
+/// A benchmark populated at one scale, cloned by every miss on it.
+struct Snapshot {
+    engine: Engine,
+    runner: Box<dyn WorkloadRunner>,
+    /// The engine's resident bytes.
+    bytes: usize,
+}
+
+/// The snapshot of one `(benchmark, small)`: empty until its first miss
+/// populates it.
+struct SnapshotSlot {
+    cell: Arc<OnceLock<Snapshot>>,
+    /// Monotonic use tick for LRU ordering.
+    used: u64,
+}
+
+impl SnapshotSlot {
+    fn bytes(&self) -> usize {
+        self.cell.get().map_or(0, |s| s.bytes)
+    }
+}
+
 struct Inner {
     slots: HashMap<TraceKey, Slot>,
+    snapshots: HashMap<(Benchmark, bool), SnapshotSlot>,
     stats: CacheStats,
     tick: u64,
 }
 
+impl Inner {
+    fn snapshot_bytes(&self) -> usize {
+        self.snapshots.values().map(SnapshotSlot::bytes).sum()
+    }
+
+    fn resident_bytes(&self) -> usize {
+        self.slots.values().map(Slot::bytes).sum::<usize>() + self.snapshot_bytes()
+    }
+}
+
 /// The cross-request trace cache: `TraceKey` → shared
-/// [`InternedWorkload`], bounded by a byte budget with LRU eviction.
+/// [`InternedWorkload`], plus one populated engine per benchmark and
+/// scale, bounded by a byte budget with LRU eviction.
 pub struct TracePool {
     inner: Mutex<Inner>,
     cond: Condvar,
@@ -235,6 +290,7 @@ impl TracePool {
         TracePool {
             inner: Mutex::new(Inner {
                 slots: HashMap::new(),
+                snapshots: HashMap::new(),
                 stats: CacheStats {
                     budget_bytes,
                     ..CacheStats::default()
@@ -279,7 +335,7 @@ impl TracePool {
     /// `_threads` is ignored: one key is one engine, generated on the
     /// calling thread. Callers fetch several keys concurrently instead.
     pub fn get(&self, key: &TraceKey, _threads: usize) -> (Arc<InternedWorkload>, bool) {
-        {
+        let snapshot = {
             let mut inner = self.inner.lock().expect("trace pool lock");
             loop {
                 let resident = match inner.slots.get(key) {
@@ -307,11 +363,11 @@ impl TracePool {
                     None => {
                         inner.stats.misses += 1;
                         inner.slots.insert(*key, Slot::Pending);
-                        break;
+                        break Self::snapshot_cell(&mut inner, key);
                     }
                 }
             }
-        }
+        };
 
         let mut guard = PendingGuard {
             pool: self,
@@ -331,14 +387,25 @@ impl TracePool {
         {
             panic!("injected generation fault for {}", key.describe());
         }
-        // The engine and runner drop at the end of this block, before the
-        // entry is published.
-        let workload = Arc::new({
-            let (mut engine, mut runner) = if key.small {
+        let mut populated = false;
+        let Snapshot { engine, runner, .. } = snapshot.get_or_init(|| {
+            populated = true;
+            let (engine, runner) = if key.small {
                 key.bench.setup_small()
             } else {
                 key.bench.setup()
             };
+            let bytes = engine.resident_bytes();
+            Snapshot {
+                engine,
+                runner,
+                bytes,
+            }
+        });
+        // The copies drop at the end of this block, before the entry is
+        // published.
+        let workload = Arc::new({
+            let (mut engine, mut runner) = (engine.clone(), runner.clone_box());
             let mut slices = SlicePool::new();
             let xcts = collect_traces_interned_chunked(
                 &mut engine,
@@ -355,10 +422,14 @@ impl TracePool {
                 xcts,
             }
         });
+        // Let go of the snapshot before eviction runs: an evicted snapshot
+        // is freed once no miss holds it.
+        drop(snapshot);
         let bytes = workload.resident_bytes();
         guard.armed = false;
 
         let mut inner = self.inner.lock().expect("trace pool lock");
+        inner.stats.populations += u64::from(populated);
         inner.tick += 1;
         let used = inner.tick;
         inner.slots.insert(
@@ -376,6 +447,22 @@ impl TracePool {
         drop(inner);
         self.cond.notify_all();
         (workload, false)
+    }
+
+    /// The snapshot cell of `key`'s benchmark and scale, installed empty
+    /// if absent, and marked used.
+    fn snapshot_cell(inner: &mut Inner, key: &TraceKey) -> Arc<OnceLock<Snapshot>> {
+        inner.tick += 1;
+        let used = inner.tick;
+        let slot = inner
+            .snapshots
+            .entry((key.bench, key.small))
+            .or_insert_with(|| SnapshotSlot {
+                cell: Arc::default(),
+                used,
+            });
+        slot.used = used;
+        Arc::clone(&slot.cell)
     }
 
     /// Fetch profile traces like [`get`](TracePool::get), plus
@@ -410,15 +497,23 @@ impl TracePool {
         (workload, Arc::clone(map), hit)
     }
 
-    /// Drop LRU idle entries until resident bytes fit the budget. Entries
-    /// still shared outside the cache (a job mid-replay) are skipped —
-    /// their memory is live either way, and evicting the table entry
-    /// would only force a regeneration without freeing anything.
+    /// Drop LRU snapshots, then LRU idle entries, until resident bytes fit
+    /// the budget. Entries still shared outside the cache (a job
+    /// mid-replay) are skipped — their memory is live either way, and
+    /// evicting the table entry would only force a regeneration without
+    /// freeing anything. A snapshot a miss is cloning from is not skipped:
+    /// the miss keeps its own handle, and the memory goes when it is done.
     fn evict_over_budget(&self, inner: &mut Inner) {
-        loop {
-            let resident: usize = inner.slots.values().map(Slot::bytes).sum();
-            if resident <= self.budget {
-                return;
+        while inner.resident_bytes() > self.budget {
+            let snapshot = inner
+                .snapshots
+                .iter()
+                .filter(|(_, s)| s.bytes() > 0)
+                .min_by_key(|(_, s)| s.used)
+                .map(|(k, _)| *k);
+            if let Some(snapshot) = snapshot {
+                inner.snapshots.remove(&snapshot);
+                continue;
             }
             let victim = inner
                 .slots
@@ -454,7 +549,8 @@ impl TracePool {
                 Slot::Pending => false,
             })
             .count();
-        inner.stats.resident_bytes = inner.slots.values().map(Slot::bytes).sum();
+        inner.stats.snapshot_bytes = inner.snapshot_bytes();
+        inner.stats.resident_bytes = inner.resident_bytes();
     }
 
     /// Current counter snapshot. Taking a snapshot also re-enforces the
@@ -520,7 +616,13 @@ mod tests {
         assert_eq!(s.entries, 2);
         assert_eq!(s.evictions, 0);
         assert!(s.resident_bytes > 0);
-        assert_eq!(s.resident_bytes, a.resident_bytes() + _c.resident_bytes());
+        // Plus the one TPC-B snapshot both misses cloned.
+        assert_eq!((s.populations, s.entries), (1, 2));
+        assert!(s.snapshot_bytes > 0);
+        assert_eq!(
+            s.resident_bytes,
+            a.resident_bytes() + _c.resident_bytes() + s.snapshot_bytes
+        );
     }
 
     #[test]
@@ -583,7 +685,8 @@ mod tests {
         // an optimistic estimate defeats the point of admission control).
         // Generate every benchmark's profile and eval ranges at small and
         // default scale, from one transaction up, and compare. A profile
-        // entry is charged its memoized migration map too.
+        // entry is charged its memoized migration map too; the snapshot
+        // its generation cloned is not (admission never reserves one).
         let mut keys = Vec::new();
         for bench in Benchmark::ALL {
             for small in [true, false] {
@@ -607,7 +710,8 @@ mod tests {
             } else {
                 pool.get(k, 1);
             }
-            pool.stats().resident_bytes
+            let s = pool.stats();
+            s.resident_bytes - s.snapshot_bytes
         });
         let under: Vec<String> = keys
             .iter()
@@ -799,5 +903,150 @@ mod tests {
         let s = unbounded.stats();
         assert_eq!(s.pinned_entries, 0);
         assert_eq!(s.alg1_runs, 1);
+    }
+
+    /// A workload's slice refs and data, and the traces they flatten to
+    /// (the pool's hash index iterates in no fixed order, so a plain
+    /// `Debug` of the workload is not comparable).
+    fn canon(w: &InternedWorkload) -> String {
+        format!("{:?} {:?}", w.xcts, w.flatten())
+    }
+
+    /// `key`'s traces collected directly on a freshly populated engine.
+    fn fresh(key: &TraceKey) -> String {
+        let (mut engine, mut runner) = if key.small {
+            key.bench.setup_small()
+        } else {
+            key.bench.setup()
+        };
+        let mut slices = SlicePool::new();
+        let xcts = collect_traces_interned_chunked(
+            &mut engine,
+            runner.as_mut(),
+            key.n_xcts,
+            key.seed,
+            &mut slices,
+            key.chunk,
+        );
+        canon(&InternedWorkload {
+            name: runner.name().to_owned(),
+            xct_type_names: runner.xct_type_names(),
+            pool: Arc::new(slices),
+            xcts,
+        })
+    }
+
+    #[test]
+    fn profile_and_eval_seeds_populate_once() {
+        let pool = TracePool::unbounded();
+        let profile = profile_key(Benchmark::TpcC, 10);
+        let evals = [2, 3].map(|seed| TraceKey { seed, ..profile });
+        pool.get_profile(&profile);
+        for eval in &evals {
+            let (w, hit) = pool.get(eval, 1);
+            assert!(!hit);
+            assert_eq!(canon(&w), fresh(eval), "{}", eval.describe());
+        }
+        let s = pool.stats();
+        assert_eq!((s.misses, s.generations, s.populations), (3, 3, 1));
+        assert!(s.snapshot_bytes > 0);
+        // The other scale is a snapshot of its own.
+        pool.get(
+            &TraceKey {
+                small: false,
+                ..evals[0]
+            },
+            1,
+        );
+        assert_eq!(pool.stats().populations, 2);
+    }
+
+    #[test]
+    fn racing_same_benchmark_keys_populate_once() {
+        let pool = TracePool::unbounded();
+        let start = std::sync::Barrier::new(4);
+        let traces: Vec<(TraceKey, String)> = std::thread::scope(|s| {
+            let handles: Vec<_> = (1..=4)
+                .map(|seed| {
+                    let (pool, start) = (&pool, &start);
+                    s.spawn(move || {
+                        let k = key(8, seed);
+                        start.wait();
+                        (k, canon(&pool.get(&k, 1).0))
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let s = pool.stats();
+        assert_eq!((s.generations, s.populations), (4, 1));
+        for (k, w) in &traces {
+            assert_eq!(*w, fresh(k), "{}", k.describe());
+        }
+    }
+
+    #[test]
+    fn budget_below_one_snapshot_populates_every_miss() {
+        // Room for every trace entry but not for the populated engine:
+        // each miss populates, as before snapshots, with the same traces.
+        let probe = TracePool::unbounded();
+        probe.get(&key(8, 1), 1);
+        let budget = probe.stats().snapshot_bytes / 2;
+        let pool = TracePool::new(budget);
+        for seed in [1, 2, 3] {
+            let k = key(8, seed);
+            let (w, _) = pool.get(&k, 1);
+            assert_eq!(canon(&w), fresh(&k), "{}", k.describe());
+        }
+        let s = pool.stats();
+        assert_eq!((s.generations, s.populations, s.entries), (3, 3, 3));
+        assert_eq!(s.snapshot_bytes, 0);
+        assert!(s.resident_bytes <= budget, "{s:?}");
+    }
+
+    #[test]
+    fn injected_fault_does_not_poison_the_snapshot() {
+        let pool = TracePool::unbounded();
+        let fault = |k: &TraceKey| {
+            pool.fail_next_generations(1);
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pool.get(k, 1)))
+                .expect_err("armed fault must panic");
+        };
+        // A fault before the first population leaves the cell empty...
+        fault(&key(6, 1));
+        assert_eq!(pool.stats().populations, 0);
+        // ...and the next miss fills it.
+        let (w, _) = pool.get(&key(6, 1), 1);
+        assert_eq!(canon(&w), fresh(&key(6, 1)));
+        // A fault on a populated snapshot leaves it intact for the retry.
+        fault(&key(6, 2));
+        let (w, _) = pool.get(&key(6, 2), 1);
+        assert_eq!(canon(&w), fresh(&key(6, 2)));
+        let s = pool.stats();
+        assert_eq!((s.misses, s.generations, s.populations), (4, 2, 1));
+    }
+
+    #[test]
+    fn snapshots_are_evicted_before_trace_entries() {
+        let probe = TracePool::unbounded();
+        probe.get(&key(5, 1), 1);
+        let s = probe.stats();
+        let one = s.resident_bytes - s.snapshot_bytes;
+        drop(probe);
+
+        // Room for the snapshot and one entry: the second entry evicts
+        // the snapshot, not the idle first entry. (A snapshot's size
+        // varies by a few hundred bytes from one population to the next:
+        // hash tables that saw removals rehash at hash-dependent points.)
+        let pool = TracePool::new(s.snapshot_bytes + one + one / 2);
+        pool.get(&key(5, 1), 1);
+        assert!(pool.stats().snapshot_bytes > 0);
+        pool.get(&key(5, 2), 1);
+        let after = pool.stats();
+        assert_eq!((after.entries, after.evictions), (2, 0));
+        assert_eq!(after.snapshot_bytes, 0);
+        // The next miss repopulates.
+        pool.get(&key(5, 3), 1);
+        assert_eq!(pool.stats().populations, 2);
     }
 }

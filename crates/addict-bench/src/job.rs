@@ -529,16 +529,19 @@ impl JobSpec {
         }
     }
 
-    /// The distinct profile and eval keys of this job, in benchmark order
-    /// (a key shared by two benchmarks, or a profile key equal to an eval
-    /// key, appears once).
+    /// The distinct profile and eval keys of this job: every profile key
+    /// in benchmark order, then every eval key (a key shared by two
+    /// benchmarks, or a profile key equal to an eval key, appears once).
+    /// A trace pool populates each benchmark once and the eval key clones
+    /// what the profile key populated, so this order lets concurrent
+    /// fetches populate different benchmarks instead of waiting on one.
     pub fn trace_keys(&self) -> Vec<TraceKey> {
         let mut keys: Vec<TraceKey> = Vec::with_capacity(2 * self.benchmarks.len());
-        for &bench in &self.benchmarks {
-            for key in [self.profile_key(bench), self.eval_key(bench)] {
-                if !keys.contains(&key) {
-                    keys.push(key);
-                }
+        let profiles = self.benchmarks.iter().map(|&b| self.profile_key(b));
+        let evals = self.benchmarks.iter().map(|&b| self.eval_key(b));
+        for key in profiles.chain(evals) {
+            if !keys.contains(&key) {
+                keys.push(key);
             }
         }
         keys

@@ -15,7 +15,10 @@
 use std::fmt::Write as _;
 
 use addict_bench::jsontext::JsonValue;
-use addict_bench::{fetch_traces, fnv64, run_job, CancelToken, JobSpec, TracePool};
+use addict_bench::{
+    fetch_traces, fnv64, run_grid, run_job, CancelToken, JobSpec, TraceKey, TracePool,
+    DEFAULT_GEN_CHUNK,
+};
 use addict_core::replay::ReplayConfig;
 use addict_core::sched::{run_scheduler, SchedulerKind};
 use addict_sim::SimConfig;
@@ -194,41 +197,106 @@ fn tpcb_odd_scale_trace_digest_matches() {
     assert_eq!(tpcb_digest((3, 7, 501), 60, 7), "ba6a1fef8931f6bd");
 }
 
-/// Traces of 50 transactions at `bench`'s default (figure-binary) scale,
-/// seed 2. The default scales descend deeper B+-trees than `setup_small`,
-/// so these rows pin page and node ids the small digests never reach.
+/// Seed and length of the default-scale trace digests.
+const DEFAULT_SCALE_SEED: u64 = 2;
+const DEFAULT_SCALE_XCTS: usize = 50;
+
+/// `benchmark trace_digest` of [`DEFAULT_SCALE_XCTS`] transactions at
+/// each benchmark's default (figure-binary) scale, seed
+/// [`DEFAULT_SCALE_SEED`]. The default scales descend deeper B+-trees than
+/// `setup_small`, so these rows pin page and node ids the small digests
+/// never reach.
+const DEFAULT_SCALE_GOLDEN: [(Benchmark, &str); 6] = [
+    (Benchmark::TpcB, "8195ef7b6bf31ffc"),
+    (Benchmark::TpcC, "bd14ed3332250df0"),
+    (Benchmark::TpcE, "ee276c18776128ea"),
+    (Benchmark::Tatp, "4e3f74dc1a8d3856"),
+    (Benchmark::YcsbA, "564237cf95b67a00"),
+    (Benchmark::YcsbB, "904a98847060a770"),
+];
+
+fn default_scale_golden(bench: Benchmark) -> &'static str {
+    let (_, digest) = DEFAULT_SCALE_GOLDEN
+        .iter()
+        .find(|(b, _)| *b == bench)
+        .expect("every benchmark has a row");
+    digest
+}
+
+/// `bench`'s default-scale traces, collected on a freshly populated engine.
 fn default_scale_digest(bench: Benchmark) -> String {
     let (mut engine, mut workload) = bench.setup();
-    trace_digest(&collect_traces(&mut engine, workload.as_mut(), 50, 2).xcts)
+    let traces = collect_traces(
+        &mut engine,
+        workload.as_mut(),
+        DEFAULT_SCALE_XCTS,
+        DEFAULT_SCALE_SEED,
+    );
+    trace_digest(&traces.xcts)
 }
 
 /// TPC-B at its default scale (16 × 10 × 8000).
 #[test]
 fn tpcb_default_scale_trace_digest_matches() {
-    assert_eq!(default_scale_digest(Benchmark::TpcB), "8195ef7b6bf31ffc");
+    let bench = Benchmark::TpcB;
+    assert_eq!(default_scale_digest(bench), default_scale_golden(bench));
 }
 
 #[test]
 fn tpcc_default_scale_trace_digest_matches() {
-    assert_eq!(default_scale_digest(Benchmark::TpcC), "bd14ed3332250df0");
+    let bench = Benchmark::TpcC;
+    assert_eq!(default_scale_digest(bench), default_scale_golden(bench));
 }
 
 #[test]
 fn tpce_default_scale_trace_digest_matches() {
-    assert_eq!(default_scale_digest(Benchmark::TpcE), "ee276c18776128ea");
+    let bench = Benchmark::TpcE;
+    assert_eq!(default_scale_digest(bench), default_scale_golden(bench));
 }
 
 #[test]
 fn tatp_default_scale_trace_digest_matches() {
-    assert_eq!(default_scale_digest(Benchmark::Tatp), "4e3f74dc1a8d3856");
+    let bench = Benchmark::Tatp;
+    assert_eq!(default_scale_digest(bench), default_scale_golden(bench));
 }
 
 #[test]
 fn ycsba_default_scale_trace_digest_matches() {
-    assert_eq!(default_scale_digest(Benchmark::YcsbA), "564237cf95b67a00");
+    let bench = Benchmark::YcsbA;
+    assert_eq!(default_scale_digest(bench), default_scale_golden(bench));
 }
 
 #[test]
 fn ycsbb_default_scale_trace_digest_matches() {
-    assert_eq!(default_scale_digest(Benchmark::YcsbB), "904a98847060a770");
+    let bench = Benchmark::YcsbB;
+    assert_eq!(default_scale_digest(bench), default_scale_golden(bench));
+}
+
+/// The same default-scale digests through a trace pool, whose misses
+/// trace clones of one populated engine per benchmark: each digest key is
+/// fetched after the benchmark's snapshot has already served another
+/// seed, so a clone that shared or inherited state would move it.
+#[test]
+fn default_scale_digests_match_through_a_cloned_snapshot() {
+    let pool = TracePool::unbounded();
+    let key = |bench, seed, n_xcts| TraceKey {
+        bench,
+        seed,
+        n_xcts,
+        chunk: DEFAULT_GEN_CHUNK,
+        small: false,
+    };
+    let moved: Vec<String> = run_grid(&DEFAULT_SCALE_GOLDEN, 2, |_, &(bench, golden)| {
+        pool.get(&key(bench, 1, 10), 1);
+        let (w, hit) = pool.get(&key(bench, DEFAULT_SCALE_SEED, DEFAULT_SCALE_XCTS), 1);
+        assert!(!hit);
+        let digest = trace_digest(&w.flatten().xcts);
+        (digest != golden).then(|| format!("{} {digest} (committed {golden})", bench.id()))
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    assert!(moved.is_empty(), "cloned-snapshot digests moved: {moved:?}");
+    let s = pool.stats();
+    assert_eq!((s.generations, s.populations), (12, 6), "{s:?}");
 }

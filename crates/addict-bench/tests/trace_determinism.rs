@@ -1,5 +1,6 @@
-//! Trace generation is a pure function of its [`TraceKey`]: a fresh
-//! storage engine traced from a freshly seeded transaction stream. The
+//! Trace generation is a pure function of its [`TraceKey`]: a freshly
+//! populated storage engine, or a clone of one, traced from a freshly
+//! seeded transaction stream. The
 //! drain granularity (`chunk`) only bounds memory, a trace-pool fetch
 //! equals a direct collection, the interned set flattens to the flat
 //! `collect_traces` of a fresh engine, and fetching many keys at once
@@ -101,6 +102,8 @@ fn interned_generation_flattens_to_flat_generation() {
 
 #[test]
 fn each_range_matches_direct_sequential_collection() {
+    // Each benchmark's eval range is traced on a clone of the engine its
+    // profile range populated; both match collection on a fresh engine.
     let pool = TracePool::unbounded();
     for key in keys() {
         let (fetched, hit) = pool.get(&key, 1);
@@ -112,6 +115,7 @@ fn each_range_matches_direct_sequential_collection() {
             key.describe()
         );
     }
+    assert_eq!(pool.stats().populations, 4, "one population per benchmark");
 }
 
 #[test]

@@ -846,7 +846,7 @@ fn stats_json(state: &State) -> String {
             "{{\"jobs\":{},",
             "\"lifecycle\":{{\"queued\":{},\"running\":{},\"done\":{},\"cancelled\":{},\"deadline_exceeded\":{},\"failed\":{},\"records\":{},\"reserved_bytes\":{},\"draining\":{}}},",
             "\"results\":{{\"stored\":{},\"bytes\":{},\"budget_bytes\":{},\"evictions\":{},\"dedups\":{}}},",
-            "\"cache\":{{\"hits\":{},\"misses\":{},\"generations\":{},\"alg1_runs\":{},\"evictions\":{},\"entries\":{},\"pinned_entries\":{},\"resident_bytes\":{},\"budget_bytes\":{}}}}}\n",
+            "\"cache\":{{\"hits\":{},\"misses\":{},\"generations\":{},\"populations\":{},\"alg1_runs\":{},\"evictions\":{},\"entries\":{},\"pinned_entries\":{},\"resident_bytes\":{},\"snapshot_bytes\":{},\"budget_bytes\":{}}}}}\n",
         ),
         r.done,
         r.queued,
@@ -866,11 +866,13 @@ fn stats_json(state: &State) -> String {
         c.hits,
         c.misses,
         c.generations,
+        c.populations,
         c.alg1_runs,
         c.evictions,
         c.entries,
         c.pinned_entries,
         c.resident_bytes,
+        c.snapshot_bytes,
         c.budget_bytes,
     )
 }

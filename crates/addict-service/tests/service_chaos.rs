@@ -190,6 +190,9 @@ fn mid_stream_disconnect_leaves_the_job_running_to_completion() {
     assert_eq!(streamed, polled);
     assert_eq!(stat(addr, "cache", "hits"), 2);
     assert_eq!(stat(addr, "cache", "generations"), 2);
+    // Both ranges traced clones of one populated engine, still resident.
+    assert_eq!(stat(addr, "cache", "populations"), 1);
+    assert!(stat(addr, "cache", "snapshot_bytes") > 0);
     assert_alive(addr);
     assert_unpinned(addr);
 }
@@ -242,6 +245,10 @@ fn byte_overload_rejects_before_generation_even_under_concurrency() {
         .unwrap();
     poll_job(addr, id, |_| {}).expect("admitted job completes");
     assert_eq!(stat(addr, "cache", "generations"), 2);
+    // The populated TPC-B engine (about 50 KB) does not fit beside a
+    // trace range, so it is evicted first and each miss populates anew.
+    assert_eq!(stat(addr, "cache", "populations"), 2);
+    assert_eq!(stat(addr, "cache", "snapshot_bytes"), 0);
     assert_eq!(stat(addr, "lifecycle", "done"), 1);
     assert_alive(addr);
 }

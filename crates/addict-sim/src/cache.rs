@@ -8,10 +8,45 @@
 //! Every replay builds a machine, so the layout is kept small: each way is
 //! one four-byte word that encodes the block's set-relative tag and its
 //! dirty bit, and each set orders its ways by recency instead of stamping
-//! them (see [`SetAssocCache`]).
+//! them (see [`SetAssocCache`]). A dropped cache empties its way storage
+//! and leaves it on a bounded per-thread spare list, and the next cache
+//! of the same size built on that thread reuses it, so back-to-back
+//! replays do not go back to the allocator (and the kernel) for every
+//! machine.
+
+use std::cell::RefCell;
 
 use crate::block::{BlockAddr, DataAccess};
 use crate::config::CacheGeometry;
+
+/// Bytes of way storage each thread keeps for reuse: a few paper-default
+/// machines (1,114,112 bytes each).
+const SPARE_BYTES: usize = 4 << 20;
+
+/// Way storage of dropped caches, all zeroes, for reuse by
+/// [`SetAssocCache::new`].
+#[derive(Default)]
+struct Spares {
+    lines: Vec<Vec<u32>>,
+    bytes: usize,
+}
+
+thread_local! {
+    static SPARES: RefCell<Spares> = RefCell::new(Spares::default());
+}
+
+/// Zeroed way storage of `len` ways: a spare of that length if this
+/// thread has one, a fresh zeroed allocation otherwise.
+fn take_lines(len: usize) -> Vec<u32> {
+    SPARES
+        .with(|spares| {
+            let mut spares = spares.borrow_mut();
+            let i = spares.lines.iter().rposition(|l| l.len() == len)?;
+            spares.bytes -= len * 4;
+            Some(spares.lines.swap_remove(i))
+        })
+        .unwrap_or_else(|| vec![0; len])
+}
 
 /// Result of a cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,9 +130,9 @@ fn shift_in(set: &mut [u32], tag: u32, dirty: u32) -> Option<u32> {
 /// block's set-relative part, `block >> log2(n_sets)`. The set index
 /// supplies the low bits, so a victim's block is rebuilt from its tag and
 /// its set. Tag `0` is a real tag, hence the `+ 1`, which leaves the word
-/// `0` free to mean *empty*. Storage is therefore a zeroed allocation, and
-/// the pages of a large cache (the 1 MB-per-core LLC) that a replay never
-/// touches are never faulted in.
+/// `0` free to mean *empty*, and empty storage is all zeroes: a fresh
+/// zeroed allocation, or the storage of a cache of the same size dropped
+/// earlier on the same thread, which emptied it.
 ///
 /// A tag must stay below `2^30` to fit, so a cache of `n_sets` sets holds
 /// blocks below `2^30 * n_sets`: `2^36` for the 64-set L1s. Every method
@@ -128,7 +163,7 @@ impl SetAssocCache {
         let n_sets = geom.n_sets();
         let ways = geom.ways as usize;
         SetAssocCache {
-            lines: vec![0; (n_sets as usize) * ways],
+            lines: take_lines((n_sets as usize) * ways),
             set_bits: n_sets.trailing_zeros(),
             ways,
         }
@@ -286,6 +321,32 @@ impl SetAssocCache {
     /// Total capacity in blocks.
     pub fn capacity_blocks(&self) -> usize {
         self.lines.len()
+    }
+}
+
+impl Drop for SetAssocCache {
+    /// Empty the way storage and keep it for the next cache of this size
+    /// on this thread, while the thread's spares stay within
+    /// `SPARE_BYTES`. Only sets with a resident way are cleared: the
+    /// resident ways are a prefix, so a set whose first way is empty is
+    /// already all zeroes, and the sets a replay never filled are read
+    /// but not written. A thread that is exiting has no spare list; its
+    /// storage is freed.
+    fn drop(&mut self) {
+        let mut lines = std::mem::take(&mut self.lines);
+        for set in lines.chunks_exact_mut(self.ways) {
+            if set[0] != 0 {
+                set.fill(0);
+            }
+        }
+        let bytes = lines.len() * 4;
+        let _ = SPARES.try_with(|spares| {
+            let mut spares = spares.borrow_mut();
+            if spares.bytes + bytes <= SPARE_BYTES {
+                spares.bytes += bytes;
+                spares.lines.push(lines);
+            }
+        });
     }
 }
 
@@ -479,6 +540,40 @@ mod tests {
         let cfg = crate::config::SimConfig::paper_default();
         let per_core = bytes(cfg.l1i) + bytes(cfg.l1d) + bytes(cfg.llc_per_core);
         assert_eq!(cfg.n_cores * per_core, 1_114_112);
+    }
+
+    #[test]
+    fn recycled_storage_starts_empty() {
+        let geom = CacheGeometry::new(32 * 1024, 8);
+        let mut c = SetAssocCache::new(geom);
+        for i in 0..1024 {
+            c.access_write(BlockAddr(i));
+        }
+        assert_eq!(c.occupancy(), 512);
+        let storage = c.lines.as_ptr();
+        drop(c);
+        let mut c = SetAssocCache::new(geom);
+        assert_eq!(c.lines.as_ptr(), storage, "the dropped storage is reused");
+        assert_eq!(c.occupancy(), 0);
+        assert!((0..1024).all(|i| !c.contains(BlockAddr(i))));
+        // Every way is empty, not just unmatched: a first fill evicts
+        // nothing and no stale dirty bit survives.
+        assert_eq!(c.access(BlockAddr(1023)).evicted, None);
+        assert_eq!(c.invalidate(BlockAddr(1023)), Some(false));
+    }
+
+    #[test]
+    fn spare_storage_is_bounded_per_thread() {
+        // More storage than the bound, dropped at once: the rest is freed.
+        let geom = CacheGeometry::new(1 << 20, 16);
+        let caches: Vec<_> = (0..80).map(|_| SetAssocCache::new(geom)).collect();
+        drop(caches);
+        SPARES.with(|s| {
+            let s = s.borrow();
+            assert!(s.bytes <= SPARE_BYTES);
+            assert_eq!(s.bytes, s.lines.iter().map(|l| l.len() * 4).sum::<usize>());
+            assert_eq!(s.lines.len(), SPARE_BYTES / (64 * 1024));
+        });
     }
 
     #[test]

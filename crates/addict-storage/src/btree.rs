@@ -125,7 +125,7 @@ pub struct ScanResult {
 }
 
 /// A unique-key B+-tree.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct BTree {
     nodes: Vec<Node>,
     page_ids: Vec<u64>,
@@ -181,6 +181,21 @@ impl BTree {
     /// Number of keys stored.
     pub fn len(&self) -> usize {
         self.len
+    }
+
+    /// Approximate heap bytes: the node array, every node's key, value
+    /// and child buffers, and the page-id and free lists.
+    pub fn resident_bytes(&self) -> usize {
+        let node = |n: &Node| match n {
+            Node::Internal { keys, children } => {
+                crate::vec_bytes(keys) + crate::vec_bytes(children)
+            }
+            Node::Leaf { keys, vals, .. } => crate::vec_bytes(keys) + crate::vec_bytes(vals),
+        };
+        crate::vec_bytes(&self.nodes)
+            + self.nodes.iter().map(node).sum::<usize>()
+            + crate::vec_bytes(&self.page_ids)
+            + crate::vec_bytes(&self.free)
     }
 
     /// Is the tree empty?

@@ -17,7 +17,7 @@ pub struct TableId(pub u32);
 pub struct IndexId(pub u32);
 
 /// A table: name, heap storage, and the ids of its indexes.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct TableDef {
     /// Table id.
     pub id: TableId,
@@ -30,7 +30,7 @@ pub struct TableDef {
 }
 
 /// An index: name, owning table, and the B+-tree.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct IndexDef {
     /// Index id.
     pub id: IndexId,
@@ -43,7 +43,7 @@ pub struct IndexDef {
 }
 
 /// The catalog.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Catalog {
     tables: Vec<TableDef>,
     indexes: Vec<IndexDef>,
@@ -53,6 +53,20 @@ impl Catalog {
     /// Empty catalog.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Approximate heap bytes of every table's heap and every index's
+    /// tree (names and definitions are a rounding error).
+    pub fn resident_bytes(&self) -> usize {
+        self.tables
+            .iter()
+            .map(|t| t.heap.resident_bytes())
+            .sum::<usize>()
+            + self
+                .indexes
+                .iter()
+                .map(|i| i.btree.resident_bytes())
+                .sum::<usize>()
     }
 
     /// Create a table.

@@ -37,8 +37,10 @@ pub struct XctId(pub u64);
 /// Engine construction parameters.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Buffer-pool frames. The paper keeps the whole database resident;
-    /// the default is large enough that steady-state runs never evict.
+    /// Buffer-pool capacity in frames. The paper keeps the whole database
+    /// resident; the default is large enough that steady-state runs never
+    /// evict. Frames are allocated on demand, as pages are first fixed, so
+    /// a large capacity costs nothing until it is reached.
     pub bufferpool_frames: usize,
     /// B+-tree fanout (max keys per node).
     pub btree_max_keys: usize,
@@ -53,7 +55,7 @@ impl Default for EngineConfig {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct XctState {
     #[allow(dead_code)]
     ty: XctTypeId,
@@ -61,7 +63,7 @@ struct XctState {
 }
 
 /// The storage engine.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Engine {
     cfg: EngineConfig,
     catalog: Catalog,
@@ -124,6 +126,14 @@ impl Engine {
     /// Total pages allocated.
     pub fn pages_allocated(&self) -> u64 {
         self.alloc.allocated()
+    }
+
+    /// Approximate heap bytes of the engine's state: the catalog's heaps
+    /// and trees, the buffer pool and the lock manager. The recorder is
+    /// not counted: it holds traces only between a transaction and the
+    /// next drain.
+    pub fn resident_bytes(&self) -> usize {
+        self.catalog.resident_bytes() + self.bp.resident_bytes() + self.locks.resident_bytes()
     }
 
     // ------------------------------------------------------------------

@@ -11,7 +11,7 @@ use crate::rid::Rid;
 
 /// Global page-id allocator shared by heaps and indexes so every page in
 /// the database has a unique id (and therefore a unique data-block range).
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct PageAllocator {
     next: u64,
 }
@@ -46,7 +46,7 @@ pub struct HeapInsert {
 }
 
 /// A table's record storage.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct HeapFile {
     /// Pages in allocation order.
     pages: Vec<(u64, SlottedPage)>,
@@ -67,6 +67,15 @@ impl HeapFile {
     /// Number of pages.
     pub fn n_pages(&self) -> usize {
         self.pages.len()
+    }
+
+    /// Approximate heap bytes: every page's buffer, the page list, the
+    /// page-id table and the placement hints.
+    pub fn resident_bytes(&self) -> usize {
+        self.pages.len() * crate::page::PAGE_BYTES
+            + crate::vec_bytes(&self.pages)
+            + crate::table_bytes(&self.by_id)
+            + crate::vec_bytes(&self.hints)
     }
 
     /// Total live records.

@@ -45,6 +45,17 @@ pub mod rid;
 pub mod wal;
 
 pub use catalog::{IndexId, TableId};
+
+/// Approximate heap bytes of a hash table: its capacity at the in-table
+/// slot size, plus one control byte per slot.
+pub(crate) fn table_bytes<K, V, S>(m: &std::collections::HashMap<K, V, S>) -> usize {
+    m.capacity() * (std::mem::size_of::<(K, V)>() + 1)
+}
+
+/// Approximate heap bytes of a vector's buffer.
+pub(crate) fn vec_bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
+}
 pub use engine::{Engine, EngineConfig, XctId};
 pub use error::{StorageError, StorageResult};
 pub use rid::Rid;

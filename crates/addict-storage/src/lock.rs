@@ -92,14 +92,14 @@ pub enum AcquireOutcome {
     },
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct LockEntry {
     /// `(xct, mode)` pairs currently granted.
     holders: Vec<(u64, LockMode)>,
 }
 
 /// The lock manager.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct LockManager {
     table: HashMap<Resource, LockEntry>,
     held: HashMap<u64, Vec<Resource>>,
@@ -110,6 +110,26 @@ impl LockManager {
     /// Empty lock manager.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Approximate heap bytes of the lock, held-lock and waits-for tables
+    /// and their per-entry lists.
+    pub fn resident_bytes(&self) -> usize {
+        use crate::{table_bytes, vec_bytes};
+        table_bytes(&self.table)
+            + self
+                .table
+                .values()
+                .map(|e| vec_bytes(&e.holders))
+                .sum::<usize>()
+            + table_bytes(&self.held)
+            + self.held.values().map(vec_bytes).sum::<usize>()
+            + table_bytes(&self.waits_for)
+            + self
+                .waits_for
+                .values()
+                .map(|s| s.capacity() * (std::mem::size_of::<u64>() + 1))
+                .sum::<usize>()
     }
 
     /// Hash bucket of a resource (the data block the engine reports).

@@ -44,7 +44,7 @@ impl LogPayload {
 }
 
 /// The log manager.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct LogManager {
     next_lsn: u64,
     tail_bytes: u64,

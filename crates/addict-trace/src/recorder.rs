@@ -26,14 +26,14 @@ use addict_sim::BlockAddr;
 use crate::codemap::{CodeMap, Routine};
 use crate::event::{OpKind, TraceEvent, XctTrace, XctTypeId};
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct OpenTrace {
     trace: XctTrace,
     op_open: Option<OpKind>,
 }
 
 /// Records per-transaction traces of engine execution.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct TraceRecorder {
     enabled: bool,
     open: HashMap<u64, OpenTrace>,

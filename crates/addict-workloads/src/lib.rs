@@ -54,7 +54,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// A benchmark that can execute one transaction from its mix.
-pub trait WorkloadRunner {
+///
+/// A runner is plain data, so a populated `(Engine, runner)` pair can be
+/// copied ([`WorkloadRunner::clone_box`], `Engine::clone`) and shared
+/// across threads: a trace cache populates each benchmark once and hands
+/// every generation its own copy.
+pub trait WorkloadRunner: Send + Sync {
     /// Benchmark name ("TPC-B", "TATP", "YCSB-A", ...).
     fn name(&self) -> &'static str;
 
@@ -64,6 +69,11 @@ pub trait WorkloadRunner {
     /// Execute one transaction drawn from the benchmark mix. Returns the
     /// type executed.
     fn run_one(&mut self, engine: &mut Engine, rng: &mut StdRng) -> StorageResult<XctTypeId>;
+
+    /// A copy of this runner in its current state. Running the same
+    /// transactions on copies of one `(Engine, runner)` pair produces the
+    /// same traces.
+    fn clone_box(&self) -> Box<dyn WorkloadRunner>;
 }
 
 /// The benchmark registry: the paper's TPC trio plus the TATP and YCSB
@@ -197,11 +207,14 @@ impl std::str::FromStr for Benchmark {
 }
 
 // Thread-safety audit: sweep grids carry `Benchmark` tags across worker
-// threads (trace *generation* stays on one thread; `Engine` and the
-// runners are deliberately not part of this contract).
+// threads, and a trace cache shares one populated `Engine` and runner
+// between the threads that copy them (each generation still runs on one
+// thread, on its own copy).
 const _: () = {
     const fn shared<T: Send + Sync>() {}
     shared::<Benchmark>();
+    shared::<Engine>();
+    shared::<Box<dyn WorkloadRunner>>();
 };
 
 /// Run `n` transactions of the mix and collect their traces.

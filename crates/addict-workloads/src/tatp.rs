@@ -59,7 +59,7 @@ const CALL_FORWARDING_ROW: usize = 60;
 const DATA: usize = 1;
 
 /// Table handles and scale.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Tatp {
     subscribers: u64,
     subscriber: Table,
@@ -112,6 +112,10 @@ impl Tatp {
 }
 
 impl WorkloadRunner for Tatp {
+    fn clone_box(&self) -> Box<dyn WorkloadRunner> {
+        Box::new(self.clone())
+    }
+
     fn name(&self) -> &'static str {
         "TATP"
     }

@@ -23,7 +23,7 @@ const BALANCE: usize = 1;
 const HISTORY_ROW: usize = 50;
 
 /// Table handles and scale.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct TpcB {
     branches: u64,
     tellers: u64,
@@ -68,6 +68,10 @@ impl TpcB {
 }
 
 impl WorkloadRunner for TpcB {
+    fn clone_box(&self) -> Box<dyn WorkloadRunner> {
+        Box::new(self.clone())
+    }
+
     fn name(&self) -> &'static str {
         "TPC-B"
     }

@@ -138,7 +138,7 @@ const S_ROW: usize = 120;
 const S_QTY: usize = 1;
 
 /// Table/index handles plus run state.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct TpcC {
     cfg: TpcCConfig,
     warehouse: Table,
@@ -469,6 +469,10 @@ impl TpcC {
 }
 
 impl WorkloadRunner for TpcC {
+    fn clone_box(&self) -> Box<dyn WorkloadRunner> {
+        Box::new(self.clone())
+    }
+
     fn name(&self) -> &'static str {
         "TPC-C"
     }

@@ -145,7 +145,7 @@ const WATCH_ROW: usize = 30;
 const WATCH_SEC: usize = 2;
 
 /// Table/index handles plus run state.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct TpcE {
     cfg: TpcEConfig,
     customer: Table,
@@ -603,6 +603,10 @@ impl TpcE {
 }
 
 impl WorkloadRunner for TpcE {
+    fn clone_box(&self) -> Box<dyn WorkloadRunner> {
+        Box::new(self.clone())
+    }
+
     fn name(&self) -> &'static str {
         "TPC-E"
     }

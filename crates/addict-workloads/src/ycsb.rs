@@ -81,7 +81,7 @@ impl Zipf {
 }
 
 /// Table handle, key sampler and mix.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Ycsb {
     name: &'static str,
     usertable: Table,
@@ -117,6 +117,10 @@ impl Ycsb {
 }
 
 impl WorkloadRunner for Ycsb {
+    fn clone_box(&self) -> Box<dyn WorkloadRunner> {
+        Box::new(self.clone())
+    }
+
     fn name(&self) -> &'static str {
         self.name
     }
