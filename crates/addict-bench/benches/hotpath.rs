@@ -4,14 +4,18 @@
 //! one), the open-addressed coherence directory, the interned cursor's
 //! delta-varint address decode vs the flat walk, full
 //! per-block-vs-fast-path replay under every scheduler on a synthetic
-//! trace, and Baseline and ADDICT replays of a real small-scale TPC-C
-//! eval set.
+//! trace, Baseline and ADDICT replays of a real small-scale TPC-C eval
+//! set, and the fixed costs of a small service job: a Baseline replay of
+//! its 20-transaction YCSB-B eval set, machine build and teardown
+//! included, and the serialization of its result.
 //!
 //! Run with `cargo bench --bench hotpath`. The `bench` binary
 //! (`cargo run --release --bin bench`) regenerates the latest
 //! `BENCH_n.json` with the headline events/sec numbers.
 
-use addict_bench::{TraceKey, TracePool, DEFAULT_GEN_CHUNK, EVAL_SEED, PROFILE_SEED};
+use addict_bench::{
+    run_job, JobSpec, TraceKey, TracePool, DEFAULT_GEN_CHUNK, EVAL_SEED, PROFILE_SEED,
+};
 use addict_core::algorithm1::find_migration_points;
 use addict_core::replay::ReplayConfig;
 use addict_core::sched::{run_scheduler, SchedulerKind};
@@ -164,6 +168,34 @@ fn bench_replay_tpcc_small(c: &mut Criterion) {
     }
 }
 
+/// The shape of a `small-jobs` service job: small-scale YCSB-B, 20
+/// transactions, Baseline and ADDICT. `machine/replay_drop_small` is one
+/// of its replays, where building and dropping the machine weigh as much
+/// as the events; `job/to_json_small` serializes its result, digests
+/// included.
+fn bench_small_job(c: &mut Criterion) {
+    let mut spec = JobSpec::new(vec![Benchmark::YcsbB], 20);
+    spec.small = true;
+    spec.schedulers = vec![SchedulerKind::Baseline, SchedulerKind::Addict];
+    let pool = TracePool::unbounded();
+    let result = run_job(&spec, &pool, &|_| {}).expect("job runs");
+    let (eval, _) = pool.get(&spec.eval_key(Benchmark::YcsbB), 1);
+    let cfg = ReplayConfig::paper_default();
+    c.bench_function("machine/replay_drop_small", |b| {
+        b.iter(|| {
+            black_box(run_scheduler(
+                SchedulerKind::Baseline,
+                &eval.as_set(),
+                None,
+                &cfg,
+            ))
+        })
+    });
+    c.bench_function("job/to_json_small", |b| {
+        b.iter(|| black_box(black_box(&result).to_json()))
+    });
+}
+
 /// Drive a [`TraceSet`] cursor through every event of every trace the way
 /// the replay inner loop does — `fetch`, whole-run `advance_run`,
 /// `gather_data_run` + `advance_data_run` for data bursts — returning an
@@ -286,6 +318,6 @@ fn bench_machine_new(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_cache_walks, bench_directory, bench_machine_new, bench_machine_fetch, bench_machine_data_runs, bench_cursor_decode, bench_replay_modes, bench_replay_tpcc_small
+    targets = bench_cache_walks, bench_directory, bench_machine_new, bench_machine_fetch, bench_machine_data_runs, bench_small_job, bench_cursor_decode, bench_replay_modes, bench_replay_tpcc_small
 );
 criterion_main!(benches);

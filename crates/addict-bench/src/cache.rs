@@ -687,9 +687,13 @@ mod tests {
         // default scale, from one transaction up, and compare. A profile
         // entry is charged its memoized migration map too; the snapshot
         // its generation cloned is not (admission never reserves one).
-        let mut keys = Vec::new();
+        // Entries share nothing, so the keys of one benchmark and scale
+        // share a pool (one population) and each key is charged what its
+        // fetch added.
+        let mut groups = Vec::new();
         for bench in Benchmark::ALL {
             for small in [true, false] {
+                let mut keys = Vec::new();
                 for n_xcts in [1, 12, 40, 400] {
                     for seed in [crate::PROFILE_SEED, crate::EVAL_SEED] {
                         keys.push(TraceKey {
@@ -701,21 +705,30 @@ mod tests {
                         });
                     }
                 }
+                groups.push(keys);
             }
         }
-        let actual = crate::run_grid(&keys, 2, |_, k| {
+        let actual = crate::run_grid(&groups, 2, |_, keys| {
             let pool = TracePool::unbounded();
-            if k.seed == crate::PROFILE_SEED {
-                pool.get_profile(k);
-            } else {
-                pool.get(k, 1);
-            }
-            let s = pool.stats();
-            s.resident_bytes - s.snapshot_bytes
+            let charged = || {
+                let s = pool.stats();
+                s.resident_bytes - s.snapshot_bytes
+            };
+            keys.iter()
+                .map(|k| {
+                    let before = charged();
+                    if k.seed == crate::PROFILE_SEED {
+                        pool.get_profile(k);
+                    } else {
+                        pool.get(k, 1);
+                    }
+                    (*k, charged() - before)
+                })
+                .collect::<Vec<_>>()
         });
-        let under: Vec<String> = keys
+        let under: Vec<String> = actual
             .iter()
-            .zip(actual)
+            .flatten()
             .filter(|(k, actual)| k.estimated_resident_bytes() < *actual)
             .map(|(k, actual)| {
                 format!(

@@ -577,7 +577,8 @@ pub struct JobResult {
     pub points: Vec<JobPoint>,
 }
 
-/// FNV-1a over a byte string — the digest `result_fnv64` carries so the
+/// FNV-1a over a byte string. A point's `result_fnv64` is this digest of
+/// the `{:#?}` form of its replay result ([`pretty_debug_fnv64`]), so the
 /// serialized point commits to *every* field of the replay result
 /// (per-core counters, power, the full latency vector) without shipping
 /// megabytes of JSON. The service keys its result store with it, and the
@@ -588,9 +589,7 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
     h.0
 }
 
-/// Streaming FNV-1a state. As a [`std::fmt::Write`] sink it hashes
-/// formatted text without materializing it: `write!(h, ...)` digests the
-/// same bytes `format!(...)` would produce.
+/// Streaming FNV-1a state.
 struct Fnv64(u64);
 
 impl Default for Fnv64 {
@@ -607,9 +606,183 @@ impl Fnv64 {
     }
 }
 
-impl std::fmt::Write for Fnv64 {
+/// FNV-1a over the bytes `format!("{value:#?}")` would produce, computed
+/// from the compact `{value:?}` form instead: std's pretty printer routes
+/// every byte through an indenting adapter and costs several times the
+/// compact form, and the result digest only needs the bytes, not the
+/// text. The rewrite covers the shapes `#[derive(Debug)]` and std's
+/// collections print: structs, tuples and tuple structs, lists, maps and
+/// sets, empty or not, and quoted string and char literals.
+pub fn pretty_debug_fnv64<T: std::fmt::Debug + ?Sized>(value: &T) -> u64 {
+    use std::fmt::Write as _;
+    let mut layout = PrettyLayout::default();
+    let _ = write!(layout, "{value:?}");
+    layout.finish()
+}
+
+/// Where [`PrettyLayout`] is within the compact text: the bytes that
+/// decide a rewrite are held back until the byte after them arrives.
+#[derive(Clone, Copy, Default)]
+enum Held {
+    /// Nothing held.
+    #[default]
+    None,
+    /// Inside a `"` or `'` literal: copied verbatim to its closing quote,
+    /// `escaped` after a backslash.
+    Quoted { quote: u8, escaped: bool },
+    /// `,`: a separator if `' '` follows, a one-tuple's trailing comma if
+    /// `)` does.
+    Comma,
+    /// `' '`: may open (` { `) or close (` }`) a struct.
+    Space,
+    /// `" {"`: a struct opens if `' '` follows; otherwise the brace opens
+    /// a map or set after `": "`.
+    SpaceBrace,
+    /// An opening `[`, `(` or `{`: left as is when its container is empty.
+    Open(u8),
+}
+
+/// A [`std::fmt::Write`] sink that rewrites compact Debug text into the
+/// pretty layout on the fly and hashes the result. The compact form
+/// separates items with `", "`, wraps struct fields in `" { "`/`" }"` and
+/// other containers in `[]`, `()` and `{}`; the pretty form puts every
+/// item on its own line, indented four spaces per open container and
+/// ended by `','`, and leaves empty containers as they are. Literals pass
+/// through untouched, so a string holding `{`, `,` or `"` is not taken
+/// for layout.
+#[derive(Default)]
+struct PrettyLayout {
+    fnv: Fnv64,
+    depth: usize,
+    held: Held,
+}
+
+impl PrettyLayout {
+    /// A line break and the current indentation.
+    fn newline(&mut self) {
+        self.fnv.write_bytes(b"\n");
+        for _ in 0..self.depth {
+            self.fnv.write_bytes(b"    ");
+        }
+    }
+
+    /// Open a non-empty container whose first line is `head`.
+    fn open(&mut self, head: &[u8]) {
+        self.fnv.write_bytes(head);
+        self.depth += 1;
+        self.newline();
+    }
+
+    /// End the last item of a container and close it with `close`.
+    fn close(&mut self, close: u8) {
+        self.fnv.write_bytes(b",");
+        self.depth = self.depth.saturating_sub(1);
+        self.newline();
+        self.fnv.write_bytes(&[close]);
+    }
+
+    fn push(&mut self, b: u8) {
+        match std::mem::replace(&mut self.held, Held::None) {
+            Held::Quoted { quote, escaped } => {
+                self.fnv.write_bytes(&[b]);
+                if escaped || b != quote {
+                    self.held = Held::Quoted {
+                        quote,
+                        escaped: !escaped && b == b'\\',
+                    };
+                }
+            }
+            Held::Comma => match b {
+                b' ' => {
+                    self.fnv.write_bytes(b",");
+                    self.newline();
+                }
+                b')' => self.close(b')'),
+                _ => {
+                    self.fnv.write_bytes(b",");
+                    self.push(b);
+                }
+            },
+            Held::Space => match b {
+                b'{' => self.held = Held::SpaceBrace,
+                b'}' => self.close(b'}'),
+                _ => {
+                    self.fnv.write_bytes(b" ");
+                    self.push(b);
+                }
+            },
+            Held::SpaceBrace => {
+                if b == b' ' {
+                    self.open(b" {");
+                } else {
+                    self.fnv.write_bytes(b" ");
+                    self.held = Held::Open(b'{');
+                    self.push(b);
+                }
+            }
+            Held::Open(open) => {
+                let empty = matches!((open, b), (b'[', b']') | (b'(', b')') | (b'{', b'}'));
+                if empty {
+                    self.fnv.write_bytes(&[open, b]);
+                } else {
+                    self.open(&[open]);
+                    self.push(b);
+                }
+            }
+            Held::None => match b {
+                b'"' | b'\'' => {
+                    self.fnv.write_bytes(&[b]);
+                    self.held = Held::Quoted {
+                        quote: b,
+                        escaped: false,
+                    };
+                }
+                b',' => self.held = Held::Comma,
+                b' ' => self.held = Held::Space,
+                b'[' | b'(' | b'{' => self.held = Held::Open(b),
+                b']' | b')' | b'}' => self.close(b),
+                _ => self.fnv.write_bytes(&[b]),
+            },
+        }
+    }
+
+    /// The digest, once every byte is in (a held byte is written as is).
+    fn finish(mut self) -> u64 {
+        match self.held {
+            Held::Comma => self.fnv.write_bytes(b","),
+            Held::Space => self.fnv.write_bytes(b" "),
+            Held::SpaceBrace => self.fnv.write_bytes(b" {"),
+            Held::Open(open) => self.fnv.write_bytes(&[open]),
+            Held::None | Held::Quoted { .. } => {}
+        }
+        self.fnv.0
+    }
+}
+
+impl std::fmt::Write for PrettyLayout {
     fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        self.write_bytes(s.as_bytes());
+        let mut rest = s.as_bytes();
+        while !rest.is_empty() {
+            // Bytes that need no decision are hashed as one run: all but
+            // layout bytes outside a literal, all but its quote and
+            // backslash inside one.
+            let plain = match self.held {
+                Held::None => rest.iter().position(|b| b" \"',[](){}".contains(b)),
+                Held::Quoted {
+                    quote,
+                    escaped: false,
+                } => rest.iter().position(|&b| b == quote || b == b'\\'),
+                _ => Some(0),
+            }
+            .unwrap_or(rest.len());
+            self.fnv.write_bytes(&rest[..plain]);
+            if let Some((&b, tail)) = rest[plain..].split_first() {
+                self.push(b);
+                rest = tail;
+            } else {
+                break;
+            }
+        }
         Ok(())
     }
 }
@@ -631,8 +804,6 @@ impl JobResult {
             self.spec.to_json()
         );
         for (i, p) in self.points.iter().enumerate() {
-            let mut digest = Fnv64::default();
-            let _ = write!(digest, "{:#?}", p.result);
             let _ = write!(
                 out,
                 "    {{ \"workload\": \"{}\", \"scheduler\": \"{}\", \"batch_size\": {}, \"n_xcts\": {}, \"events\": {}, \"instructions\": {}, \"total_cycles\": {}, \"avg_latency_cycles\": {}, \"l1i_mpki\": {}, \"l1d_mpki\": {}, \"llc_mpki\": {}, \"switches_per_ki\": {}, \"overhead_fraction\": {}, \"htm_aborts\": {}, \"htm_abort_rate\": {}, \"htm_fallbacks\": {}, \"result_fnv64\": \"{:016x}\" }}{}",
@@ -653,7 +824,7 @@ impl JobResult {
                 p.result.spec.aborts(),
                 p.result.spec.abort_rate(),
                 p.result.spec.fallbacks,
-                digest.0,
+                pretty_debug_fnv64(&p.result),
                 if i + 1 < self.points.len() { ",\n" } else { "\n" }
             );
         }
@@ -926,6 +1097,117 @@ pub fn run_job_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The oracle: FNV-1a over the text std's pretty printer produces.
+    fn oracle<T: std::fmt::Debug + ?Sized>(value: &T) -> u64 {
+        fnv64(format!("{value:#?}").as_bytes())
+    }
+
+    /// Debug shapes for the layout rewrite; their fields are only
+    /// ever printed.
+    #[allow(dead_code)]
+    mod shapes {
+        #[derive(Debug)]
+        pub struct Unit;
+
+        #[derive(Debug)]
+        pub struct Pair(pub u32, pub f64);
+
+        #[derive(Debug)]
+        pub struct Empty {}
+
+        #[derive(Debug)]
+        pub enum Shape {
+            Plain,
+            Tuple(i64, String),
+            Fields { label: &'static str, at: (u8,) },
+        }
+
+        #[derive(Debug)]
+        pub struct Inner {
+            pub name: String,
+            pub note: char,
+            pub values: Vec<f64>,
+            pub none: Vec<u8>,
+            pub maybe: Option<Pair>,
+            pub nothing: Option<u8>,
+        }
+
+        #[derive(Debug)]
+        pub struct Outer {
+            pub id: u64,
+            pub inner: Inner,
+            pub nested: Vec<Vec<Inner>>,
+            pub shapes: Vec<Shape>,
+            pub map: std::collections::BTreeMap<String, Vec<u16>>,
+            pub empty_map: std::collections::BTreeMap<u8, u8>,
+            pub set: std::collections::BTreeSet<i8>,
+            pub unit: Unit,
+            pub empty: Empty,
+            pub unit_tuple: (),
+            pub pair: (Pair, Option<Option<()>>),
+        }
+
+        pub fn inner(name: &str, values: &[f64]) -> Inner {
+            Inner {
+                name: name.to_owned(),
+                note: '"',
+                values: values.to_vec(),
+                none: Vec::new(),
+                maybe: Some(Pair(7, -0.5)),
+                nothing: None,
+            }
+        }
+    }
+
+    #[test]
+    fn pretty_digest_matches_the_pretty_printer_on_synthetic_shapes() {
+        use shapes::*;
+        let tricky = r#"a { b, c } [d] (e) "f" \ g: h, {}, [], () 'i'"#;
+        let outer = Outer {
+            id: 42,
+            inner: inner(tricky, &[1.0, f64::NAN, -f64::INFINITY, 1e-7, 2.5e300]),
+            nested: vec![vec![], vec![inner("", &[]), inner(" }", &[0.0])]],
+            shapes: vec![
+                Shape::Plain,
+                Shape::Tuple(-3, ", ".to_owned()),
+                Shape::Fields {
+                    label: "{ x }",
+                    at: (9,),
+                },
+            ],
+            map: [
+                ("k, v".to_owned(), vec![1, 2]),
+                ("\"quoted\" \\".to_owned(), vec![]),
+                ("\n\t".to_owned(), vec![3]),
+            ]
+            .into_iter()
+            .collect(),
+            empty_map: Default::default(),
+            set: [-1, 0, 1].into_iter().collect(),
+            unit: Unit,
+            empty: Empty {},
+            unit_tuple: (),
+            pair: (Pair(0, 0.0), Some(Some(()))),
+        };
+        assert_eq!(pretty_debug_fnv64(&outer), oracle(&outer));
+
+        // Each shape alone, at the top level.
+        assert_eq!(pretty_debug_fnv64(&Unit), oracle(&Unit));
+        assert_eq!(pretty_debug_fnv64(&Empty {}), oracle(&Empty {}));
+        assert_eq!(pretty_debug_fnv64(&Pair(1, 2.0)), oracle(&Pair(1, 2.0)));
+        assert_eq!(pretty_debug_fnv64(&(5u8,)), oracle(&(5u8,)));
+        assert_eq!(pretty_debug_fnv64(&()), oracle(&()));
+        assert_eq!(pretty_debug_fnv64(tricky), oracle(tricky));
+        assert_eq!(pretty_debug_fnv64(&'\\'), oracle(&'\\'));
+        assert_eq!(pretty_debug_fnv64(&'\''), oracle(&'\''));
+        let empty: Vec<Inner> = Vec::new();
+        assert_eq!(pretty_debug_fnv64(&empty), oracle(&empty));
+        let options = [None, Some(vec![Some(1u8), None])];
+        assert_eq!(pretty_debug_fnv64(&options), oracle(&options));
+        // A different value digests differently.
+        assert_ne!(pretty_debug_fnv64(&Pair(1, 2.0)), oracle(&Pair(1, 3.0)));
+    }
 
     fn spec() -> JobSpec {
         let mut s = JobSpec::new(vec![Benchmark::TpcB, Benchmark::Tatp], 60);

@@ -49,8 +49,8 @@ use addict_workloads::Benchmark;
 
 pub use cache::{CacheStats, TraceKey, TracePool, DEFAULT_GEN_CHUNK};
 pub use job::{
-    fetch_traces, fnv64, run_job, run_job_with, summary_rows, BenchTraces, CancelToken, Interrupt,
-    JobError, JobPoint, JobResult, JobSpec, SpecError, SummaryRow,
+    fetch_traces, fnv64, pretty_debug_fnv64, run_job, run_job_with, summary_rows, BenchTraces,
+    CancelToken, Interrupt, JobError, JobPoint, JobResult, JobSpec, SpecError, SummaryRow,
 };
 pub use sweep::{run_grid, run_grid_abortable};
 

@@ -16,8 +16,8 @@ use std::fmt::Write as _;
 
 use addict_bench::jsontext::JsonValue;
 use addict_bench::{
-    fetch_traces, fnv64, run_grid, run_job, CancelToken, JobSpec, TraceKey, TracePool,
-    DEFAULT_GEN_CHUNK,
+    fetch_traces, fnv64, pretty_debug_fnv64, run_grid, run_job, CancelToken, JobSpec, TraceKey,
+    TracePool, DEFAULT_GEN_CHUNK,
 };
 use addict_core::replay::ReplayConfig;
 use addict_core::sched::{run_scheduler, SchedulerKind};
@@ -125,6 +125,45 @@ fn non_default_cache_digests_match_the_committed_table() {
          those rows of golden_digests.txt with:\n{}",
         actual.join("\n")
     );
+}
+
+/// A point's `result_fnv64` is computed from the compact `{:?}` form
+/// through a layout rewrite ([`pretty_debug_fnv64`]); the digest it
+/// stands for is FNV-1a over the `{:#?}` text. The two agree on every
+/// scheduler × benchmark result of a small job on the paper-default
+/// machine, the deep hierarchy and the next-line L1-I prefetcher.
+#[test]
+fn result_digest_equals_the_pretty_printer_digest_on_every_machine() {
+    let mut spec = JobSpec::new(Benchmark::ALL.to_vec(), N_XCTS);
+    spec.small = true;
+    spec.threads = 2;
+    let sets = fetch_traces(&spec, &TracePool::unbounded(), &|_| {}, &CancelToken::new())
+        .expect("an un-armed token never fires");
+    let mut prefetch = SimConfig::paper_default();
+    prefetch.l1i_next_line_prefetch = true;
+    let configs = [
+        ("paper", SimConfig::paper_default()),
+        ("deep", SimConfig::paper_deep()),
+        ("prefetch", prefetch),
+    ];
+    for set in &sets {
+        for (label, sim) in &configs {
+            let cfg = ReplayConfig {
+                sim: sim.clone(),
+                ..ReplayConfig::paper_default()
+            };
+            for scheduler in SchedulerKind::ALL {
+                let r = run_scheduler(scheduler, &set.eval.as_set(), Some(&set.map), &cfg);
+                assert_eq!(
+                    pretty_debug_fnv64(&r),
+                    fnv64(format!("{r:#?}").as_bytes()),
+                    "{label} {} {}",
+                    set.bench.id(),
+                    scheduler.id()
+                );
+            }
+        }
+    }
 }
 
 /// FNV-1a over each trace's Debug form of `(xct_type, events)`, in trace

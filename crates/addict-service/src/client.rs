@@ -2,14 +2,14 @@
 //! detached), poll, cancel, retry with backoff, render the result table.
 //! `addict-cli` is a thin shell over this.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Read};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use addict_bench::jsontext::JsonValue;
 use addict_bench::{summary_rows, SummaryRow};
 
-use crate::http::{read_response_meta, Response};
+use crate::http::{read_response_meta, write_request, Response};
 use crate::jobs::JobId;
 
 /// A failed service interaction, carrying what the retry policy needs:
@@ -65,14 +65,8 @@ fn request<A: ToSocketAddrs>(
     let mut writer = stream
         .try_clone()
         .map_err(|e| ServiceError::transport(format!("clone: {e}")))?;
-    let body = body.unwrap_or("");
-    write!(
-        writer,
-        "{method} {path} HTTP/1.1\r\nHost: addict\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len(),
-    )
-    .and_then(|()| writer.flush())
-    .map_err(|e| ServiceError::transport(format!("send: {e}")))?;
+    write_request(&mut writer, method, path, body.unwrap_or(""))
+        .map_err(|e| ServiceError::transport(format!("send: {e}")))?;
     read_response_meta(&mut BufReader::new(stream)).map_err(ServiceError::transport)
 }
 
@@ -116,14 +110,8 @@ fn submit_once<A: ToSocketAddrs>(
     let mut writer = stream
         .try_clone()
         .map_err(|e| ServiceError::transport(format!("clone: {e}")))?;
-    write!(
-        writer,
-        "POST /jobs?wait=1 HTTP/1.1\r\nHost: addict\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
-        spec_json.len(),
-        spec_json
-    )
-    .and_then(|()| writer.flush())
-    .map_err(|e| ServiceError::transport(format!("send: {e}")))?;
+    write_request(&mut writer, "POST", "/jobs?wait=1", spec_json)
+        .map_err(|e| ServiceError::transport(format!("send: {e}")))?;
 
     let mut reader = BufReader::new(stream);
     // Status line + headers. The server defers the 200 until the job

@@ -13,6 +13,12 @@
 //! a stalled or slow-loris client surfaces as [`ReadError::Timeout`],
 //! which the server answers with `408` instead of pinning a connection
 //! worker forever.
+//!
+//! Every message is formatted into one buffer and handed to the socket
+//! in one `write_all`: a request, a complete response, and each chunk of
+//! a streamed response (see [`StreamingResponse`]). `write!` straight
+//! onto a `TcpStream` would issue a system call, and with the server's
+//! `TCP_NODELAY` a segment, per format fragment.
 
 use std::io::{BufRead, Write};
 
@@ -147,7 +153,7 @@ pub fn respond<W: Write>(
 }
 
 /// [`respond`] with extra headers (`Retry-After`, `Location`, ...), each
-/// a `(name, value)` pair.
+/// a `(name, value)` pair. The whole response leaves in one write.
 pub fn respond_with_headers<W: Write>(
     w: &mut W,
     status: u16,
@@ -156,39 +162,101 @@ pub fn respond_with_headers<W: Write>(
     extra: &[(&str, String)],
     body: &str,
 ) -> std::io::Result<()> {
-    write!(
-        w,
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n",
-        body.len()
-    )?;
-    for (name, value) in extra {
-        write!(w, "{name}: {value}\r\n")?;
-    }
-    write!(w, "\r\n{body}")?;
+    let mut out = response_head(status, reason, content_type, Some(body.len()), extra);
+    out.extend_from_slice(body.as_bytes());
+    w.write_all(&out)?;
     w.flush()
 }
 
-/// Start a streaming response: status and headers only, no
-/// `Content-Length` — the connection close delimits the body. The caller
-/// writes (and flushes) body text as it becomes available.
-pub fn start_streaming<W: Write>(w: &mut W, content_type: &str) -> std::io::Result<()> {
-    start_streaming_with_headers(w, content_type, &[])
+/// Status line and headers through the blank line that ends them, with
+/// a `Content-Length` when the body's length is known in advance.
+fn response_head(
+    status: u16,
+    reason: &str,
+    content_type: &str,
+    content_length: Option<usize>,
+    extra: &[(&str, String)],
+) -> Vec<u8> {
+    let mut head = format!("HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\n");
+    if let Some(n) = content_length {
+        head.push_str(&format!("Content-Length: {n}\r\n"));
+    }
+    head.push_str("Connection: close\r\n");
+    for (name, value) in extra {
+        head.push_str(&format!("{name}: {value}\r\n"));
+    }
+    head.push_str("\r\n");
+    head.into_bytes()
 }
 
-/// [`start_streaming`] with extra headers (`X-Job-Id`, ...).
-pub fn start_streaming_with_headers<W: Write>(
-    w: &mut W,
-    content_type: &str,
-    extra: &[(&str, String)],
-) -> std::io::Result<()> {
-    write!(
-        w,
-        "HTTP/1.1 200 OK\r\nContent-Type: {content_type}\r\nConnection: close\r\n"
-    )?;
-    for (name, value) in extra {
-        write!(w, "{name}: {value}\r\n")?;
+/// A streaming response: `200` with no `Content-Length` (the connection
+/// close delimits the body), sent one chunk at a time. Body text written
+/// to it collects in a buffer, and each [`flush`](Write::flush) hands
+/// the buffer to the socket in one `write_all`: the status line and
+/// headers wait for the first flush and leave with the first chunk.
+/// Until then nothing is on the wire, so the caller can still drop the
+/// stream (see [`StreamingResponse::started`]) and answer with an error
+/// status instead.
+pub struct StreamingResponse<W: Write> {
+    inner: W,
+    pending: Vec<u8>,
+    started: bool,
+}
+
+impl<W: Write> StreamingResponse<W> {
+    /// Buffer the status line and headers (`X-Job-Id`, ...) of a
+    /// streaming response of `content_type` on `inner`.
+    pub fn new(inner: W, content_type: &str, extra: &[(&str, String)]) -> Self {
+        StreamingResponse {
+            inner,
+            pending: response_head(200, "OK", content_type, None, extra),
+            started: false,
+        }
     }
-    write!(w, "\r\n")?;
+
+    /// Whether the headers are on the wire (a flush has sent them).
+    pub fn started(&self) -> bool {
+        self.started
+    }
+
+    /// The underlying writer; unsent bytes are dropped.
+    pub fn into_inner(self) -> W {
+        self.inner
+    }
+}
+
+impl<W: Write> Write for StreamingResponse<W> {
+    /// Append to the pending chunk; nothing reaches the socket.
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.pending.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    /// Send the pending chunk (with the headers, the first time) in one
+    /// `write_all`.
+    fn flush(&mut self) -> std::io::Result<()> {
+        if !self.pending.is_empty() {
+            self.inner.write_all(&self.pending)?;
+            self.pending.clear();
+            self.started = true;
+        }
+        self.inner.flush()
+    }
+}
+
+/// Send a request with a `Content-Length` body (empty for none) in one
+/// write: request line, headers and body.
+pub fn write_request<W: Write>(
+    w: &mut W,
+    method: &str,
+    path: &str,
+    body: &str,
+) -> std::io::Result<()> {
+    let request = format!(
+        "{method} {path} HTTP/1.1\r\nHost: addict\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len(),
+    );
+    w.write_all(request.as_bytes())?;
     w.flush()
 }
 
@@ -359,11 +427,81 @@ mod tests {
 
     #[test]
     fn streamed_response_reads_to_eof() {
-        let mut wire = Vec::new();
-        start_streaming(&mut wire, "text/plain").unwrap();
-        wire.extend_from_slice(b"# progress\n\nresult");
+        let mut stream = StreamingResponse::new(Vec::new(), "text/plain", &[]);
+        writeln!(stream, "# progress").unwrap();
+        stream.flush().unwrap();
+        write!(stream, "\nresult").unwrap();
+        stream.flush().unwrap();
+        let wire = stream.into_inner();
         let (status, body) = read_response(&mut Cursor::new(&wire)).unwrap();
         assert_eq!(status, 200);
         assert_eq!(body, "# progress\n\nresult");
+    }
+
+    /// A sink that records each `write` call's bytes separately.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_message_and_chunk_is_one_write() {
+        let mut sink = Writes::default();
+        let extra = [
+            ("Retry-After", "5".to_owned()),
+            ("Location", "/jobs/3".to_owned()),
+        ];
+        respond_with_headers(
+            &mut sink,
+            429,
+            "Too Many Requests",
+            "text/plain",
+            &extra,
+            "{}",
+        )
+        .unwrap();
+        assert_eq!(sink.0.len(), 1, "a complete response is one write");
+        let resp = read_response_meta(&mut Cursor::new(&sink.0[0])).unwrap();
+        assert_eq!((resp.status, resp.retry_after), (429, Some(5)));
+
+        let mut sink = Writes::default();
+        write_request(&mut sink, "POST", "/jobs?wait=1", "{\"n_xcts\":4}").unwrap();
+        assert_eq!(sink.0.len(), 1, "a request is one write");
+        let req = read_request(&mut Cursor::new(&sink.0[0])).unwrap();
+        assert_eq!(req.body, b"{\"n_xcts\":4}");
+
+        // Headers and the first batch of progress lines share one write;
+        // nothing leaves before the flush.
+        let mut stream =
+            StreamingResponse::new(Writes::default(), "text/plain", &[("X-Job-Id", "7".into())]);
+        for line in ["fetched", "point 1/2", "point 2/2"] {
+            writeln!(stream, "# {line}").unwrap();
+        }
+        assert!(!stream.started());
+        stream.flush().unwrap();
+        assert!(stream.started());
+        // Then one write per batch; an empty flush writes nothing.
+        write!(stream, "\n{{}}").unwrap();
+        stream.flush().unwrap();
+        stream.flush().unwrap();
+        let writes = stream.into_inner().0;
+        assert_eq!(writes.len(), 2, "{writes:?}");
+        let head = String::from_utf8(writes[0].clone()).unwrap();
+        assert!(head.starts_with("HTTP/1.1 200 OK\r\n"), "{head}");
+        assert!(head.contains("X-Job-Id: 7\r\n"), "{head}");
+        assert!(
+            head.ends_with("\r\n\r\n# fetched\n# point 1/2\n# point 2/2\n"),
+            "{head}"
+        );
+        assert_eq!(writes[1], b"\n{}");
     }
 }

@@ -44,7 +44,7 @@ use addict_bench::{run_job_with, JobError, JobSpec, SpecError, TraceKey, TracePo
 
 use crate::faults::FaultPlan;
 use crate::http::{
-    read_request, respond, respond_with_headers, start_streaming_with_headers, ReadError, Request,
+    read_request, respond, respond_with_headers, ReadError, Request, StreamingResponse,
 };
 use crate::jobs::{AdmitError, JobId, JobState, Outcome, Registry, RegistryConfig, ResultFetch};
 
@@ -391,6 +391,10 @@ fn handle_connection(stream: TcpStream, state: &State, config: &ServerConfig, ad
     {
         return;
     }
+    // Every response chunk is already one write, so there is nothing to
+    // coalesce: a chunk should leave now, not wait for the client's ACK
+    // of the previous one.
+    let _ = stream.set_nodelay(true);
     let mut reader = BufReader::new(match stream.try_clone() {
         Ok(clone) => clone,
         Err(_) => return,
@@ -759,31 +763,25 @@ fn handle_submit(request: &Request, mut writer: TcpStream, state: &State) {
 /// progress as it lands. The `200` header is deferred until the first
 /// progress line, so a job that dies *before* doing any work (panic at
 /// start, cancelled in queue, deadline expired) still answers a proper
-/// structured status. A client that hangs up mid-stream stops receiving
-/// — the job itself runs on, and its stored result stays pollable
-/// (detached semantics underneath).
-fn stream_job(mut writer: TcpStream, state: &State, id: JobId) {
+/// structured status. Each batch [`Registry::wait_progress`] hands back
+/// leaves in one write (the headers with the first), and so does the
+/// result. A client that hangs up mid-stream stops receiving — the job
+/// itself runs on, and its stored result stays pollable (detached
+/// semantics underneath).
+fn stream_job(writer: TcpStream, state: &State, id: JobId) {
     let job_header = [("X-Job-Id", id.to_string())];
+    let mut out = StreamingResponse::new(writer, "text/plain", &job_header);
     let mut seen = 0usize;
-    let mut streamed = false;
     loop {
         let Some((lines, job_state, error)) = state.registry.wait_progress(id, seen) else {
             return; // record evicted mid-stream (cap pressure): give up
         };
         seen += lines.len();
-        if !lines.is_empty() && !streamed {
-            if start_streaming_with_headers(&mut writer, "text/plain", &job_header).is_err() {
-                return;
-            }
-            streamed = true;
-        }
         for line in &lines {
-            if writeln!(writer, "# {line}")
-                .and_then(|()| writer.flush())
-                .is_err()
-            {
-                return; // client hung up; the job runs on
-            }
+            let _ = writeln!(out, "# {line}");
+        }
+        if !lines.is_empty() && out.flush().is_err() {
+            return; // client hung up; the job runs on
         }
         if !job_state.is_terminal() {
             continue;
@@ -793,25 +791,20 @@ fn stream_job(mut writer: TcpStream, state: &State, id: JobId) {
                 let ResultFetch::Ready(bytes) = state.registry.result(id) else {
                     return; // evicted in the instant since finish: poll answers 410
                 };
-                if !streamed
-                    && start_streaming_with_headers(&mut writer, "text/plain", &job_header).is_err()
-                {
-                    return;
-                }
-                let _ = write!(writer, "\n{bytes}");
-                let _ = writer.flush();
+                let _ = write!(out, "\n{bytes}");
+                let _ = out.flush();
             }
             ended => {
                 let (status, reason, code) = terminal_error(ended);
                 let message = error.unwrap_or_else(|| format!("job ended {}", ended.id()));
-                if streamed {
+                if out.started() {
                     // Headers are gone; a trailer line is the best the
                     // wire allows. The client surfaces it.
-                    let _ = writeln!(writer, "# error: {message}");
-                    let _ = writer.flush();
+                    let _ = writeln!(out, "# error: {message}");
+                    let _ = out.flush();
                 } else {
                     let _ = respond_with_headers(
-                        &mut writer,
+                        &mut out.into_inner(),
                         status,
                         reason,
                         "application/json",

@@ -12,7 +12,9 @@
 //! and leaves it on a bounded per-thread spare list, and the next cache
 //! of the same size built on that thread reuses it, so back-to-back
 //! replays do not go back to the allocator (and the kernel) for every
-//! machine.
+//! machine. A cache remembers which sets it ever filled, so emptying it
+//! touches only those sets: a short replay's mostly empty LLC costs
+//! little to drop.
 
 use std::cell::RefCell;
 
@@ -149,6 +151,11 @@ fn shift_in(set: &mut [u32], tag: u32, dirty: u32) -> Option<u32> {
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     lines: Vec<u32>,
+    /// One bit per set, set when a fill lands in a set that had room.
+    /// Every set holding a resident way has its bit set (a set can only
+    /// become non-empty through such a fill), so [`SetAssocCache::flush`]
+    /// and drop clear only where there are marks. Hits never touch it.
+    filled: Vec<u64>,
     /// `log2(n_sets)`: set geometry is validated power-of-two, so a block's
     /// set is its low `set_bits` bits (a mask rather than a 64-bit modulo,
     /// which the replay hot loop runs on every instruction block) and its
@@ -164,6 +171,7 @@ impl SetAssocCache {
         let ways = geom.ways as usize;
         SetAssocCache {
             lines: take_lines((n_sets as usize) * ways),
+            filled: vec![0; (n_sets as usize).div_ceil(64)],
             set_bits: n_sets.trailing_zeros(),
             ways,
         }
@@ -200,6 +208,42 @@ impl SetAssocCache {
         (&mut self.lines[start..start + self.ways], tag)
     }
 
+    /// Record that a fill landed in an empty way of `block`'s set.
+    #[inline]
+    fn mark_filled(&mut self, block: BlockAddr) {
+        let set = (block.0 & ((1 << self.set_bits) - 1)) as usize;
+        self.filled[set / 64] |= 1 << (set % 64);
+    }
+
+    /// Zero every set marked in `filled` and unmark it: afterwards every
+    /// way is empty. The 64 sets of a bitmap word with at least 16 marks
+    /// are zeroed by one `fill` over all of them, marked or not: one
+    /// large fill is cheaper than that many small ones, and Algorithm 1
+    /// flushes a nearly full L1-I on every eviction.
+    fn clear_filled(&mut self) {
+        let SetAssocCache {
+            lines,
+            filled,
+            ways,
+            ..
+        } = self;
+        let span = 64 * *ways;
+        for (i, word) in filled.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            if bits.count_ones() >= 16 {
+                let start = i * span;
+                let end = lines.len().min(start + span);
+                lines[start..end].fill(0);
+                continue;
+            }
+            while bits != 0 {
+                let start = (i * 64 + bits.trailing_zeros() as usize) * *ways;
+                lines[start..start + *ways].fill(0);
+                bits &= bits - 1;
+            }
+        }
+    }
+
     /// The block that the non-empty way word `way` of `block`'s set holds.
     #[inline]
     fn block_of(&self, block: BlockAddr, way: u32) -> BlockAddr {
@@ -221,9 +265,16 @@ impl SetAssocCache {
         let (set, tag) = self.set_mut(block);
         match shift_in(set, tag, dirty) {
             None => AccessOutcome::HIT,
+            Some(0) => {
+                self.mark_filled(block);
+                AccessOutcome {
+                    hit: false,
+                    evicted: None,
+                }
+            }
             Some(out) => AccessOutcome {
                 hit: false,
-                evicted: (out != 0).then(|| self.block_of(block, out)),
+                evicted: Some(self.block_of(block, out)),
             },
         }
     }
@@ -239,8 +290,12 @@ impl SetAssocCache {
     /// [`AccessOutcome`] is materialized.
     pub fn access_run(&mut self, start: BlockAddr, max: u16) -> (u16, bool) {
         for n in 0..max {
-            let (set, tag) = self.set_mut(BlockAddr(start.0 + u64::from(n)));
-            if shift_in(set, tag, 0).is_some() {
+            let block = BlockAddr(start.0 + u64::from(n));
+            let (set, tag) = self.set_mut(block);
+            if let Some(out) = shift_in(set, tag, 0) {
+                if out == 0 {
+                    self.mark_filled(block);
+                }
                 return (n + 1, true);
             }
         }
@@ -310,7 +365,7 @@ impl SetAssocCache {
     /// Drop every line (Algorithm 1 resets the L1-I at transaction/operation
     /// boundaries and on every eviction-causing access).
     pub fn flush(&mut self) {
-        self.lines.fill(0);
+        self.clear_filled();
     }
 
     /// Number of lines currently resident.
@@ -327,18 +382,13 @@ impl SetAssocCache {
 impl Drop for SetAssocCache {
     /// Empty the way storage and keep it for the next cache of this size
     /// on this thread, while the thread's spares stay within
-    /// `SPARE_BYTES`. Only sets with a resident way are cleared: the
-    /// resident ways are a prefix, so a set whose first way is empty is
-    /// already all zeroes, and the sets a replay never filled are read
-    /// but not written. A thread that is exiting has no spare list; its
-    /// storage is freed.
+    /// `SPARE_BYTES`. Only the sets marked as filled are cleared (with
+    /// their neighbours, where marks are dense); a stretch of sets a
+    /// replay never filled is not even read. A thread that is exiting has
+    /// no spare list; its storage is freed.
     fn drop(&mut self) {
-        let mut lines = std::mem::take(&mut self.lines);
-        for set in lines.chunks_exact_mut(self.ways) {
-            if set[0] != 0 {
-                set.fill(0);
-            }
-        }
+        self.clear_filled();
+        let lines = std::mem::take(&mut self.lines);
         let bytes = lines.len() * 4;
         let _ = SPARES.try_with(|spares| {
             let mut spares = spares.borrow_mut();

@@ -363,3 +363,77 @@ fn block_past_the_tag_range_is_rejected() {
     assert!(cache.contains(last));
     cache.access(BlockAddr(last.0 + 1));
 }
+
+/// One step of the teardown test: every operation that fills, empties or
+/// copies a cache.
+#[derive(Debug, Clone)]
+enum Churn {
+    Access(u64),
+    Write(u64),
+    Run(u64, u16),
+    Invalidate(u64),
+    Clean(u64),
+    Flush,
+    Clone,
+}
+
+fn arb_churn() -> impl Strategy<Value = Churn> {
+    let block = || 0u64..4096;
+    prop_oneof![
+        6 => block().prop_map(Churn::Access),
+        4 => block().prop_map(Churn::Write),
+        3 => (block(), 1u16..9).prop_map(|(b, n)| Churn::Run(b, n)),
+        2 => block().prop_map(Churn::Invalidate),
+        1 => block().prop_map(Churn::Clean),
+        1 => Just(Churn::Flush),
+        1 => Just(Churn::Clone),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A dropped cache hands its storage to the next cache of its size
+    /// built on the thread, and that cache starts with every way empty,
+    /// whatever filled, flushed or copied the dropped one: teardown
+    /// clears exactly the sets a fill ever reached, so a fill that went
+    /// unrecorded would surface here as a resident way.
+    #[test]
+    fn dropped_storage_is_reused_empty(
+        shape in 0usize..4,
+        ops in prop::collection::vec(arb_churn(), 0..80),
+    ) {
+        // (sets, ways): one set, a few, and more sets than one word of
+        // the filled-set bitmap covers.
+        let (n_sets, ways) = [(1u64, 4u32), (4, 2), (128, 1), (256, 4)][shape];
+        let geom = CacheGeometry::new(n_sets * u64::from(ways) * 64, ways);
+        // Four blocks per way, so sets fill up and evict.
+        let span = n_sets * u64::from(ways) * 4;
+        let mut cache = SetAssocCache::new(geom);
+        for op in ops {
+            match op {
+                Churn::Access(b) => {
+                    cache.access(BlockAddr(b % span));
+                }
+                Churn::Write(b) => {
+                    cache.access_write(BlockAddr(b % span));
+                }
+                Churn::Run(b, n) => {
+                    cache.access_run(BlockAddr(b % span), n);
+                }
+                Churn::Invalidate(b) => {
+                    cache.invalidate(BlockAddr(b % span));
+                }
+                Churn::Clean(b) => cache.clean(BlockAddr(b % span)),
+                Churn::Flush => {
+                    cache.flush();
+                    prop_assert_eq!(cache.occupancy(), 0);
+                }
+                Churn::Clone => cache = cache.clone(),
+            }
+        }
+        drop(cache);
+        let fresh = SetAssocCache::new(geom);
+        prop_assert_eq!(fresh.occupancy(), 0, "a way survived teardown");
+    }
+}

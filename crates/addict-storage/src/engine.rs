@@ -123,6 +123,15 @@ impl Engine {
         &self.locks
     }
 
+    /// Release the spare capacity population leaves in the lock and
+    /// transaction tables: both end population empty but sized for its
+    /// largest load. Called once an engine is populated, so a kept
+    /// snapshot, and every clone of it, does not carry that capacity.
+    pub fn shrink_to_fit(&mut self) {
+        self.locks.shrink_to_fit();
+        self.xcts.shrink_to_fit();
+    }
+
     /// Total pages allocated.
     pub fn pages_allocated(&self) -> u64 {
         self.alloc.allocated()

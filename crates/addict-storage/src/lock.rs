@@ -270,6 +270,16 @@ impl LockManager {
         false
     }
 
+    /// Release the spare capacity of the lock, held-lock and waits-for
+    /// tables. Population acquires and releases a lock per loaded record,
+    /// so the tables end it empty but sized for the largest load; an
+    /// engine that is kept and cloned afterwards should not carry that.
+    pub fn shrink_to_fit(&mut self) {
+        self.table.shrink_to_fit();
+        self.held.shrink_to_fit();
+        self.waits_for.shrink_to_fit();
+    }
+
     /// Number of distinct locked resources (diagnostics).
     pub fn n_locked(&self) -> usize {
         self.table.len()
@@ -394,6 +404,25 @@ mod tests {
     fn self_wait_is_immediate_deadlock() {
         let lm = LockManager::new();
         assert!(lm.would_deadlock(7, &[7]));
+    }
+
+    #[test]
+    fn shrink_to_fit_keeps_held_locks_and_drops_spare_capacity() {
+        let mut lm = LockManager::new();
+        for key in 0..1000 {
+            lm.acquire(1, Resource::Record { table: 1, key }, X);
+        }
+        lm.release_all(1);
+        lm.acquire(2, R1, S);
+        let before = lm.resident_bytes();
+        lm.shrink_to_fit();
+        assert!(
+            lm.resident_bytes() < before / 10,
+            "{before} -> {}",
+            lm.resident_bytes()
+        );
+        assert_eq!(lm.mode_of(2, R1), Some(S));
+        assert!(!granted(&lm.acquire(3, R1, X)));
     }
 
     #[test]

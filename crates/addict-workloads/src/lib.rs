@@ -147,9 +147,12 @@ impl Benchmark {
     }
 
     fn build(self, small: bool) -> (Engine, Box<dyn WorkloadRunner>) {
+        // Population has released every lock it took; the lock tables'
+        // capacity goes with them.
         fn boxed<W: WorkloadRunner + 'static>(
-            (e, w): (Engine, W),
+            (mut e, w): (Engine, W),
         ) -> (Engine, Box<dyn WorkloadRunner>) {
+            e.shrink_to_fit();
             (e, Box::new(w))
         }
         match self {
