@@ -2,12 +2,11 @@
 //! vs per-block cache accesses, warm data runs vs per-access data walks,
 //! building and dropping the paper-default machine (every replay builds
 //! one), the open-addressed coherence directory, the interned cursor's
-//! delta-varint address decode vs the flat walk, full
-//! per-block-vs-fast-path replay under every scheduler on a synthetic
-//! trace, Baseline and ADDICT replays of a real small-scale TPC-C eval
-//! set, and the fixed costs of a small service job: a Baseline replay of
-//! its 20-transaction YCSB-B eval set, machine build and teardown
-//! included, and the serialization of its result.
+//! delta-varint address decode, full per-block-vs-fast-path replay under
+//! every scheduler on a synthetic trace, Baseline and ADDICT replays of a
+//! real small-scale TPC-C eval set, and the fixed costs of a small service
+//! job: a Baseline replay of its 20-transaction YCSB-B eval set, machine
+//! build and teardown included, and the serialization of its result.
 //!
 //! Run with `cargo bench --bench hotpath`. The `bench` binary
 //! (`cargo run --release --bin bench`) regenerates the latest
@@ -22,9 +21,10 @@ use addict_core::sched::{run_scheduler, SchedulerKind};
 use addict_sim::coherence::Directory;
 use addict_sim::{BlockAddr, CacheGeometry, CoreId, Machine, SetAssocCache, SimConfig};
 use addict_trace::event::FlatEvent;
+use addict_trace::intern::InternCursor;
 use addict_trace::{
-    DataRun, Fetched, InternedSet, InternedTrace, OpKind, SlicePool, TraceEvent, TraceSet,
-    XctTrace, XctTypeId,
+    DataRun, Fetched, InternedSet, InternedTrace, InternedWorkload, OpKind, SlicePool, TraceEvent,
+    WorkloadTrace, XctTrace, XctTypeId,
 };
 use addict_workloads::Benchmark;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -124,6 +124,11 @@ fn synthetic_trace(i: u64) -> XctTrace {
 
 fn bench_replay_modes(c: &mut Criterion) {
     let traces: Vec<XctTrace> = (0..64).map(synthetic_trace).collect();
+    let interned = InternedWorkload::from_flat(&WorkloadTrace {
+        name: "synthetic".into(),
+        xct_type_names: vec!["xct".into()],
+        xcts: traces.clone(),
+    });
     let base_cfg = ReplayConfig {
         sim: SimConfig::paper_default().with_cores(8),
         ..ReplayConfig::paper_default()
@@ -131,14 +136,21 @@ fn bench_replay_modes(c: &mut Criterion) {
     .with_batch_size(8);
     let map = find_migration_points(&traces, base_cfg.sim.l1i);
     for kind in SchedulerKind::ALL {
-        for (mode, fast_paths) in [("flat", false), ("fast", true)] {
+        for (mode, fast_paths) in [("per_block", false), ("fast", true)] {
             let cfg = ReplayConfig {
                 fast_paths,
                 ..base_cfg.clone()
             };
             let name = format!("replay/{}_{mode}_64_xcts", kind.name().to_lowercase());
             c.bench_function(&name, |b| {
-                b.iter(|| black_box(run_scheduler(kind, black_box(&traces), Some(&map), &cfg)))
+                b.iter(|| {
+                    black_box(run_scheduler(
+                        kind,
+                        black_box(&interned.as_set()),
+                        Some(&map),
+                        &cfg,
+                    ))
+                })
             });
         }
     }
@@ -196,17 +208,17 @@ fn bench_small_job(c: &mut Criterion) {
     });
 }
 
-/// Drive a [`TraceSet`] cursor through every event of every trace the way
+/// Drive the interned cursor through every event of every trace the way
 /// the replay inner loop does — `fetch`, whole-run `advance_run`,
 /// `gather_data_run` + `advance_data_run` for data bursts — returning an
-/// address checksum so nothing folds away. On the interned set this is
-/// exactly the delta-varint decode path: every data address re-derived
-/// from the region-base cursor state, zero allocation.
-fn cursor_walk<T: TraceSet + ?Sized>(set: &T) -> u64 {
+/// address checksum so nothing folds away. This is exactly the
+/// delta-varint decode path: every data address re-derived from the
+/// region-base cursor state, zero allocation.
+fn cursor_walk(set: &InternedSet<'_>) -> u64 {
     let mut sum = 0u64;
     let mut run = DataRun::new();
     for idx in 0..set.len() {
-        let mut cur = T::Cursor::default();
+        let mut cur = InternCursor::default();
         loop {
             match set.fetch(idx, cur) {
                 Fetched::Run { block, rem, ipb } => {
@@ -243,11 +255,22 @@ fn bench_cursor_decode(c: &mut Criterion) {
         pool: &pool,
         xcts: &interned,
     };
-    let flat_sum = cursor_walk(traces.as_slice());
-    assert_eq!(flat_sum, cursor_walk(&set), "decode diverged from flat");
-    c.bench_function("cursor/flat_walk_64_xcts", |b| {
-        b.iter(|| black_box(cursor_walk(black_box(traces.as_slice()))))
-    });
+    // The same checksum straight off the recorded events.
+    let recorded = traces
+        .iter()
+        .flat_map(|t| &t.events)
+        .fold(0u64, |sum, e| match *e {
+            TraceEvent::Instr { block, ipb, .. } => {
+                sum.wrapping_add(block.0).wrapping_add(u64::from(ipb))
+            }
+            TraceEvent::Data { block, .. } => sum.wrapping_add(block.0),
+            _ => sum,
+        });
+    assert_eq!(
+        recorded,
+        cursor_walk(&set),
+        "decode diverged from the recorded events"
+    );
     c.bench_function("cursor/interned_delta_decode_64_xcts", |b| {
         b.iter(|| black_box(cursor_walk(black_box(&set))))
     });

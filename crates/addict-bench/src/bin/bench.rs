@@ -2,19 +2,16 @@
 //!
 //! For every selected benchmark (`--benchmarks`, default: the whole
 //! registry — the TPC trio plus the TATP and YCSB mixes),
-//! replays the evaluation traces under all five schedulers, timing three
+//! replays the interned evaluation traces (the arena-backed
+//! [`InternedWorkload`] form, whose deduplicated `SlicePool` holds each
+//! distinct event slice once) under all five schedulers, timing two
 //! modes against each other:
 //!
-//! * **flat** — per-block, per-event execution over flat
-//!   `Vec<TraceEvent>` traces (the reference path,
+//! * **per_block** — per-block, per-event execution (the reference path,
 //!   `ReplayConfig::fast_paths` off),
-//! * **fast** — the production engine over the same flat traces:
-//!   segment-granular instruction runs plus run-granular data, whose
-//!   private leading hits are consumed without a coherence-directory
-//!   transaction,
-//! * **interned** — the fast paths over the arena-backed
-//!   [`InternedWorkload`] form, whose deduplicated `SlicePool` holds each
-//!   distinct event slice once,
+//! * **fast** — the production engine: segment-granular instruction runs
+//!   plus run-granular data, whose private leading hits are consumed
+//!   without a coherence-directory transaction,
 //!
 //! then times the **full (benchmark × scheduler) grid** through the sweep
 //! engine at one thread vs `--threads N`, with the interned grid sharing
@@ -41,9 +38,9 @@
 //! * the streamed, delta-encoded eval workload must **decode back
 //!   bit-identical** to an independent flat `collect_traces` on a fresh
 //!   engine (the `--xcts 2000` TPC-B step of CI's `release-gates` job),
-//! * flat, fast, and **interned** execution must produce bit-identical
-//!   simulation output (a speedup can never be bought with accuracy) —
-//!   the YCSB-A data-run step of CI's `release-gates` job,
+//! * per_block and fast execution must produce bit-identical simulation
+//!   output (a speedup can never be bought with accuracy) — the YCSB-A
+//!   data-run step of CI's `release-gates` job,
 //! * the 1-thread and N-thread sweeps must produce bit-identical
 //!   per-scheduler `MachineStats` and makespans (parallelism can never
 //!   change a result) — for TATP and YCSB exactly as for the TPC trio,
@@ -70,20 +67,8 @@ use addict_bench::{
 use addict_core::algorithm1::MigrationMap;
 use addict_core::replay::{ReplayConfig, ReplayResult};
 use addict_core::sched::{run_scheduler, SchedulerKind};
-use addict_trace::{InternedWorkload, TraceEvent, WorkloadTrace, XctTrace};
+use addict_trace::{InternedWorkload, WorkloadTrace};
 use addict_workloads::{collect_traces, Benchmark};
-
-/// Block-granular events in a trace set (instruction runs expanded).
-fn total_events(traces: &[XctTrace]) -> u64 {
-    traces
-        .iter()
-        .flat_map(|t| t.events.iter())
-        .map(|e| match e {
-            TraceEvent::Instr { n_blocks, .. } => u64::from(*n_blocks),
-            _ => 1,
-        })
-        .sum()
-}
 
 /// The flat evaluation reference: `n` eval-seed traces of `bench` on a
 /// fresh engine, independent of the trace pool.
@@ -179,7 +164,6 @@ fn assert_identical(a: &ReplayResult, b: &ReplayResult, what: &str) {
 /// One benchmark's prepared replay inputs.
 struct Prepared {
     bench: Benchmark,
-    eval: WorkloadTrace,
     interned: Arc<InternedWorkload>,
     map: Arc<MigrationMap>,
     events: u64,
@@ -232,8 +216,7 @@ fn main() {
             Prepared {
                 bench: set.bench,
                 map: set.map,
-                events: total_events(&eval.xcts),
-                eval,
+                events: set.events,
                 interned: set.eval,
             }
         })
@@ -254,8 +237,8 @@ fn main() {
         cfg.sim.n_cores
     );
 
-    // Per-workload, per-scheduler mode timings with the flat/fast/interned
-    // equivalence guards. The stored results come from the fast mode —
+    // Per-workload, per-scheduler mode timings with the per_block/fast
+    // equivalence guard. The stored results come from the fast mode —
     // the same configuration the sweep below runs — and anchor its
     // bit-identity assert.
     let mut reference_results: Vec<Vec<ReplayResult>> = Vec::new();
@@ -264,7 +247,7 @@ fn main() {
         eprintln!(
             "bench: {} — {} eval transactions, {} block-granular events; trace bytes {} flat -> {} interned ({:.2}x smaller; dedup {:.1}x over {} unique slices; {} data addresses in {} delta bytes, {:.2}x under raw)",
             p.bench.name(),
-            p.eval.xcts.len(),
+            p.interned.xcts.len(),
             p.events,
             footprint.flat_bytes,
             footprint.resident_bytes(),
@@ -279,7 +262,7 @@ fn main() {
             out,
             "  {{\n    \"workload\": \"{}\",\n    \"n_xcts\": {},\n    \"events\": {},\n",
             p.bench.name(),
-            p.eval.xcts.len(),
+            p.interned.xcts.len(),
             p.events
         );
         let _ = write!(
@@ -302,45 +285,40 @@ fn main() {
         let mut fast_results = Vec::new();
         for (i, kind) in SchedulerKind::ALL.iter().enumerate() {
             // The reference path disables the fast paths; `fast` is the
-            // production configuration, over flat and then interned traces.
-            let flat_cfg = ReplayConfig {
+            // production configuration.
+            let per_block_cfg = ReplayConfig {
                 fast_paths: false,
                 ..cfg.clone()
             };
             // Warm up caches/allocator before timing.
-            let _ = run_scheduler(*kind, &p.eval.xcts, Some(&p.map), &cfg);
-            let (flat_t, flat_r) = time_mode(
-                || run_scheduler(*kind, &p.eval.xcts, Some(&p.map), &flat_cfg),
+            let _ = run_scheduler(*kind, &iset, Some(&p.map), &cfg);
+            let (per_block_t, per_block_r) = time_mode(
+                || run_scheduler(*kind, &iset, Some(&p.map), &per_block_cfg),
                 p.events,
                 reps,
             );
             let (fast_t, fast_r) = time_mode(
-                || run_scheduler(*kind, &p.eval.xcts, Some(&p.map), &cfg),
-                p.events,
-                reps,
-            );
-            let (int_t, int_r) = time_mode(
                 || run_scheduler(*kind, &iset, Some(&p.map), &cfg),
                 p.events,
                 reps,
             );
 
-            // Equivalence guards: no fast path may change the simulation,
-            // on TATP and YCSB exactly as on the trio. The fast
-            // assert is the data-run gate of CI's `release-gates` job.
-            let what = |path| format!("{}/{}: {path} path", p.bench.name(), kind.name());
-            assert_identical(&fast_r, &flat_r, &what("fast"));
-            assert_identical(&int_r, &flat_r, &what("interned"));
+            // Equivalence guard: no fast path may change the simulation,
+            // on TATP and YCSB exactly as on the trio. It is the data-run
+            // gate of CI's `release-gates` job.
+            assert_identical(
+                &fast_r,
+                &per_block_r,
+                &format!("{}/{}: fast path", p.bench.name(), kind.name()),
+            );
 
-            let fast_speedup = flat_t.seconds / fast_t.seconds;
-            let int_speedup = flat_t.seconds / int_t.seconds;
+            let fast_speedup = per_block_t.seconds / fast_t.seconds;
             eprintln!(
-                "bench: {:<6} {:<9} flat {:>9.0} ev/s | fast {:>9.0} ev/s | interned {:>9.0} ev/s | fast speedup {:.2}x",
+                "bench: {:<6} {:<9} per_block {:>9.0} ev/s | fast {:>9.0} ev/s | fast speedup {:.2}x",
                 p.bench.name(),
                 kind.name(),
-                flat_t.events_per_sec,
+                per_block_t.events_per_sec,
                 fast_t.events_per_sec,
-                int_t.events_per_sec,
                 fast_speedup
             );
 
@@ -351,14 +329,12 @@ fn main() {
                 fast_r.instructions,
                 fast_r.total_cycles
             );
-            json_mode(&mut out, "flat", &flat_t);
+            json_mode(&mut out, "per_block", &per_block_t);
             out.push_str(",\n");
             json_mode(&mut out, "fast", &fast_t);
-            out.push_str(",\n");
-            json_mode(&mut out, "interned", &int_t);
             let _ = write!(
                 out,
-                ",\n        \"fast_speedup\": {fast_speedup:.3},\n        \"interned_speedup\": {int_speedup:.3}\n      }}"
+                ",\n        \"fast_speedup\": {fast_speedup:.3}\n      }}"
             );
             out.push_str(if i + 1 < SchedulerKind::ALL.len() {
                 ",\n"
@@ -377,7 +353,7 @@ fn main() {
     // through the sweep engine, sequential vs `--threads N`, on the
     // **interned** traces — each workload's points borrow its Arc'd pool,
     // so N workers replay out of read-only arenas. Bit-identical checks
-    // against both the 1-thread sweep and the sequentially timed flat
+    // against both the 1-thread sweep and the sequentially timed matrix
     // runs above.
     let grid: Vec<(&Prepared, SchedulerKind)> = prepared
         .iter()
@@ -412,12 +388,12 @@ fn main() {
         assert_identical(s, par, &format!("{what}: parallel sweep"));
         assert_eq!(
             s.stats, reference.stats,
-            "{what}: interned sweep drifted from direct flat run"
+            "{what}: interned sweep drifted from the matrix run"
         );
     }
     let sweep_speedup = seq_seconds / par_seconds;
     eprintln!(
-        "bench: interned sweep grid ({} points over {} workloads) {:.3}s at 1 thread | {:.3}s at {} threads | speedup {:.2}x | results bit-identical to flat",
+        "bench: interned sweep grid ({} points over {} workloads) {:.3}s at 1 thread | {:.3}s at {} threads | speedup {:.2}x | results bit-identical to the matrix",
         grid.len(),
         prepared.len(),
         seq_seconds,
@@ -607,8 +583,8 @@ fn htm_section(out: &mut String, prepared: &[Prepared], reference_results: &[Vec
 /// flat trace set never materializes — each rung's eval exists only in
 /// streamed interned form (at 1M TPC-B transactions the flat form alone
 /// would be ~4 GB of events) — and rungs small enough to afford a flat
-/// reference (≤ 10k) are decoded and replayed against it bit-identically
-/// before being timed.
+/// reference (≤ 10k) are decoded against it bit-identically, and replayed
+/// per-block against the fast paths, before being timed.
 fn scaling_section(
     out: &mut String,
     args: &addict_bench::BenchArgs,
@@ -627,9 +603,9 @@ fn scaling_section(
     eprintln!(
         "bench: scaling ladder {rungs:?} for {} (streamed pipeline, chunk {DEFAULT_GEN_CHUNK}, profile fixed at {} traces)",
         bench.name(),
-        p0.eval.xcts.len()
+        p0.interned.xcts.len()
     );
-    let flat_cfg = ReplayConfig {
+    let per_block_cfg = ReplayConfig {
         fast_paths: false,
         ..cfg.clone()
     };
@@ -663,15 +639,17 @@ fn scaling_section(
             let flat = flat_eval(bench, rung);
             assert_decodes_to(&iw, &flat, &format!("{} scaling@{rung}", bench.name()));
             for kind in SchedulerKind::ALL {
-                let fr = run_scheduler(kind, &flat.xcts, Some(&p0.map), &flat_cfg);
-                let ir = run_scheduler(kind, &iset, Some(&p0.map), cfg);
+                let reference = run_scheduler(kind, &iset, Some(&p0.map), &per_block_cfg);
+                let fast = run_scheduler(kind, &iset, Some(&p0.map), cfg);
                 assert_identical(
-                    &ir,
-                    &fr,
+                    &fast,
+                    &reference,
                     &format!("{}/{} scaling@{rung}", bench.name(), kind.name()),
                 );
             }
-            eprintln!("bench: scaling @ {rung} decoded + replayed bit-identical to flat");
+            eprintln!(
+                "bench: scaling @ {rung} decoded bit-identical to flat; fast replay bit-identical to per-block"
+            );
         }
         // Small rungs take best-of like the fixed-size matrix; big rungs
         // run once — a single 10^8-event replay is its own steady state.

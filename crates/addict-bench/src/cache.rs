@@ -135,7 +135,7 @@ impl TraceKey {
     pub fn estimated_resident_bytes(&self) -> usize {
         // (pool, per-transaction slope, migration map) in bytes per
         // registry entry.
-        let (pool, slope, map) = match self.bench {
+        let (pool, slope, map): (usize, usize, usize) = match self.bench {
             Benchmark::TpcB => (11_000, 302, 2_000),
             Benchmark::TpcC => (123_000, 2_252, 7_000),
             Benchmark::TpcE => (223_000, 742, 9_000),
@@ -148,7 +148,9 @@ impl TraceKey {
         } else {
             0
         };
-        pool + slope * self.n_xcts + map
+        // Saturating: a spec may ask for any `u64` count, and a wrapped
+        // estimate would admit a generation that cannot be allocated.
+        slope.saturating_mul(self.n_xcts).saturating_add(pool + map)
     }
 }
 
@@ -751,6 +753,22 @@ mod tests {
             .estimated_resident_bytes()
         };
         assert!(at(400) < at(10_000) && at(10_000) < at(1_000_000));
+    }
+
+    #[test]
+    fn estimate_saturates_on_a_huge_n_xcts() {
+        // ⌈2^64 / 302⌉ TPC-B transactions: an unchecked estimate wraps to
+        // 13,286 B; a saturated one exceeds any budget (the server's
+        // default is 256 MiB).
+        let k = TraceKey {
+            bench: Benchmark::TpcB,
+            seed: crate::EVAL_SEED,
+            n_xcts: 61_081_934_018_905_801,
+            chunk: 64,
+            small: false,
+        };
+        assert_eq!(k.estimated_resident_bytes(), usize::MAX);
+        assert!(k.estimated_resident_bytes() > 256 << 20);
     }
 
     #[test]

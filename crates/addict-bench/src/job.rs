@@ -185,14 +185,21 @@ pub fn xcts_value(v: &str) -> Result<usize, SpecError> {
     }
 }
 
-/// Parse a worker-thread count: a positive integer, never a silent
-/// fallback. Shared by `--threads` and the job spec's `threads` field.
+/// The most worker threads one run or job may ask for. A grid spawns
+/// `threads.min(points)` OS threads, and one job spec can hold thousands
+/// of points, so an unbounded count would let a single request start
+/// hundreds of thousands of threads.
+pub(crate) const MAX_THREADS: usize = 256;
+
+/// Parse a worker-thread count: an integer in `1..=MAX_THREADS`, never a
+/// silent fallback. Shared by `--threads` and the job spec's `threads`
+/// field (through [`JobSpec::validate`]).
 pub fn threads_value(v: &str) -> Result<usize, SpecError> {
     match v.parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(n),
+        Ok(n) if (1..=MAX_THREADS).contains(&n) => Ok(n),
         _ => Err(SpecError::new(
             "threads",
-            format!("--threads requires a positive integer, got {v:?}"),
+            format!("--threads requires an integer from 1 to {MAX_THREADS}, got {v:?}"),
         )),
     }
 }
@@ -307,8 +314,9 @@ impl JobSpec {
     }
 
     /// Enforce the spec invariants the flag parsers enforce for the CLI:
-    /// positive transaction and thread counts, non-empty benchmark and
-    /// scheduler sets, positive batch sizes. The server rejects a job
+    /// a positive transaction count, a thread count in
+    /// `1..=MAX_THREADS`, non-empty benchmark and scheduler sets, positive
+    /// batch sizes. The server rejects a job
     /// failing any of these with a structured error before touching the
     /// cache or worker pool.
     pub fn validate(&self) -> Result<(), SpecError> {
@@ -318,10 +326,12 @@ impl JobSpec {
                 "n_xcts must be a positive transaction count (the strict --xcts semantics)",
             ));
         }
-        if self.threads == 0 {
+        if !(1..=MAX_THREADS).contains(&self.threads) {
             return Err(SpecError::new(
                 "threads",
-                "threads must be a positive worker count (the strict --threads semantics)",
+                format!(
+                    "threads must be a worker count from 1 to {MAX_THREADS} (the strict --threads semantics)"
+                ),
             ));
         }
         if self.benchmarks.is_empty() {
@@ -1290,6 +1300,14 @@ mod tests {
                 "threads",
             ),
             (
+                "{\"benchmarks\":[\"tpcb\"],\"n_xcts\":60,\"threads\":257}",
+                "threads",
+            ),
+            (
+                "{\"benchmarks\":[\"tpcb\"],\"n_xcts\":60,\"threads\":18446744073709551615}",
+                "threads",
+            ),
+            (
                 "{\"benchmarks\":[\"tpcb\"],\"n_xcts\":60,\"schedulers\":[]}",
                 "schedulers",
             ),
@@ -1330,6 +1348,8 @@ mod tests {
         assert_eq!(s.benchmarks, vec![Benchmark::Tatp]);
         assert_eq!(s.schedulers, SchedulerKind::ALL.to_vec());
         // The same strictness as the bench binaries, same error type.
+        let err = JobSpec::from_args(&argv(&["job", "--threads", "257"]), 600).unwrap_err();
+        assert_eq!(err.field, "threads");
         let err = JobSpec::from_args(&argv(&["job", "--xcts", "0"]), 600).unwrap_err();
         assert_eq!(err.field, "xcts");
         let err = JobSpec::from_args(&argv(&["job", "--threads", "zap"]), 600).unwrap_err();

@@ -16,7 +16,7 @@
 //! | `fig8`   | Figure 8 — deeper hierarchy + power (Sections 4.6, 4.7) |
 //! | `fig9`   | Figure 9 — context switches + overhead breakdown |
 //! | `ablation` | design-choice ablations beyond the paper (core reassignment, replication, OoO miss hiding, batching) |
-//! | `bench`  | `BENCH_n.json` — replay throughput (events/sec) per workload and scheduler, flat vs fast-path vs interned execution + trace-memory footprint (see BENCHMARKS.md) |
+//! | `bench`  | `BENCH_n.json` — replay throughput (events/sec) per workload and scheduler, per-block vs fast-path execution over interned traces + trace-memory footprint (see BENCHMARKS.md) |
 //!
 //! Every binary but `table1` parses one command line
 //! ([`parse_bench_args`]): the trace count as its first argument (default
@@ -175,7 +175,9 @@ pub fn parse_bench_args_from(args: &[String], default_n: usize) -> Result<BenchA
         n_xcts: n_xcts.unwrap_or(if smoke { 60 } else { default_n }),
         out,
         threads: threads.unwrap_or_else(|| {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+            std::thread::available_parallelism()
+                .map_or(1, std::num::NonZeroUsize::get)
+                .min(job::MAX_THREADS)
         }),
         smoke,
         scaling,
@@ -355,7 +357,11 @@ mod tests {
         let profile = collect_traces(&mut engine, workload.as_mut(), 10, PROFILE_SEED);
         let cfg = ReplayConfig::paper_default();
         let map = find_migration_points(&profile.xcts, cfg.sim.l1i);
-        let empty: Vec<addict_trace::XctTrace> = Vec::new();
+        let pool = addict_trace::SlicePool::new();
+        let empty = addict_trace::InternedSet {
+            pool: &pool,
+            xcts: &[],
+        };
         for kind in SchedulerKind::ALL {
             let r = run_scheduler(kind, &empty, Some(&map), &cfg);
             assert_eq!(r.n_xcts, 0);
@@ -378,11 +384,12 @@ mod tests {
         let (mut engine, mut workload) = Benchmark::TpcB.setup_small();
         let profile = collect_traces(&mut engine, workload.as_mut(), 20, PROFILE_SEED);
         let eval = collect_traces(&mut engine, workload.as_mut(), 20, EVAL_SEED);
+        let eval = addict_trace::InternedWorkload::from_flat(&eval);
         let cfg = ReplayConfig::paper_default();
         let map = find_migration_points(&profile.xcts, cfg.sim.l1i);
         let results: Vec<_> = SchedulerKind::ALL
             .iter()
-            .map(|&kind| run_scheduler(kind, &eval.xcts, Some(&map), &cfg))
+            .map(|&kind| run_scheduler(kind, &eval.as_set(), Some(&map), &cfg))
             .collect();
         assert_eq!(results[0].scheduler, "Baseline");
         assert!(results.iter().all(|r| r.n_xcts == 20));

@@ -4,11 +4,13 @@
 //! deep hierarchy's private L2, the next-line L1-I prefetcher), and every
 //! workload's traces must reproduce the trace digests in [`TRACE_GOLDEN`].
 //!
-//! The differential gates (flat vs fast paths, flat vs interned, 1 vs N
-//! sweep threads) compare two in-tree paths with each other, so a change
-//! that moves *both* sides — the coherence directory, storage layout,
+//! The differential gates (per-block vs fast paths over interned traces,
+//! the interned cursor vs the recorded flat event stream, 1 vs N sweep
+//! threads) compare two in-tree paths with each other, so a change that
+//! moves *both* sides — the coherence directory, storage layout,
 //! population — passes them silently. These tables anchor the results
-//! and the traces themselves. A change that moves a digest on purpose
+//! and the traces themselves; every result digest comes from a replay of
+//! interned traces, the one layout the engine walks. A change that moves a digest on purpose
 //! regenerates the table (the failure message prints the full
 //! replacement) and says why.
 

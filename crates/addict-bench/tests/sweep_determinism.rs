@@ -2,7 +2,7 @@
 //! at 1 thread and at N threads must produce **byte-identical** results.
 //!
 //! Every replay owns its `Machine` and shares its inputs immutably — the
-//! interned points additionally share one `Arc`'d slice pool — so thread
+//! points of one workload share one `Arc`'d slice pool — so thread
 //! interleaving has nothing to leak into. This test is the executable
 //! statement of that contract, and the gate the `bench` binary re-checks
 //! on every artifact run.
@@ -13,31 +13,30 @@ use addict_core::find_migration_points;
 use addict_core::replay::{ReplayConfig, ReplayResult};
 use addict_core::sched::{run_scheduler, SchedulerKind};
 use addict_sim::SimConfig;
-use addict_trace::{InternedSet, InternedWorkload, XctTrace};
+use addict_trace::{InternedSet, InternedWorkload};
 use addict_workloads::{collect_traces, Benchmark};
 
-/// The trace layout a grid point replays.
-#[derive(Clone, Copy)]
-enum Traces<'a> {
-    /// Flat per-trace event vectors.
-    Flat(&'a [XctTrace]),
-    /// Interned traces over a shared slice pool.
-    Interned(InternedSet<'a>),
-}
-
 /// One grid point: a scheduler and config over one trace set and its map.
-type Point<'a> = (SchedulerKind, ReplayConfig, Traces<'a>, &'a MigrationMap);
+type Point<'a> = (
+    SchedulerKind,
+    ReplayConfig,
+    InternedSet<'a>,
+    &'a MigrationMap,
+);
 
 /// Replay `grid` on `threads` workers, results in grid order.
 fn sweep(grid: &[Point<'_>], threads: usize) -> Vec<ReplayResult> {
-    run_grid(
-        grid,
-        threads,
-        |_, (scheduler, cfg, traces, map)| match traces {
-            Traces::Flat(t) => run_scheduler(*scheduler, *t, Some(*map), cfg),
-            Traces::Interned(set) => run_scheduler(*scheduler, set, Some(*map), cfg),
-        },
-    )
+    run_grid(grid, threads, |_, (scheduler, cfg, set, map)| {
+        run_scheduler(*scheduler, set, Some(*map), cfg)
+    })
+}
+
+/// `cfg` with the fast paths off: the per-block reference path.
+fn per_block(cfg: &ReplayConfig) -> ReplayConfig {
+    ReplayConfig {
+        fast_paths: false,
+        ..cfg.clone()
+    }
 }
 
 /// The canonical byte form of a sweep's outcome. `ReplayResult`'s `Debug`
@@ -56,29 +55,28 @@ fn sweep_is_bit_identical_across_thread_counts() {
     let interned = InternedWorkload::from_flat(&eval);
     let cfg = ReplayConfig::paper_default();
     let map = find_migration_points(&profile.xcts, cfg.sim.l1i);
-    let flat = Traces::Flat(&eval.xcts);
-    let interned = Traces::Interned(interned.as_set());
+    let set = interned.as_set();
 
-    // A grid spanning every scheduler over both trace layouts (the
-    // interned points all borrowing the same pool), two batch sizes, and
-    // both hierarchies: 5 + 5 + 2 + 2 = 14 points.
+    // A grid spanning every scheduler in both execution modes (every point
+    // borrowing the same pool), two batch sizes, and both hierarchies:
+    // 5 + 5 + 2 + 2 = 14 points.
     let mut grid: Vec<Point<'_>> = SchedulerKind::ALL
         .iter()
-        .map(|&scheduler| (scheduler, cfg.clone(), flat, &map))
+        .map(|&scheduler| (scheduler, per_block(&cfg), set, &map))
         .collect();
     for &scheduler in &SchedulerKind::ALL {
-        grid.push((scheduler, cfg.clone(), interned, &map));
+        grid.push((scheduler, cfg.clone(), set, &map));
     }
     for batch in [4usize, 8] {
         let batched = ReplayConfig::paper_default().with_batch_size(batch);
-        grid.push((SchedulerKind::Addict, batched, flat, &map));
+        grid.push((SchedulerKind::Addict, batched, set, &map));
     }
     let deep = ReplayConfig {
         sim: SimConfig::paper_deep(),
         ..ReplayConfig::paper_default()
     };
     for scheduler in [SchedulerKind::Baseline, SchedulerKind::Addict] {
-        grid.push((scheduler, deep.clone(), interned, &map));
+        grid.push((scheduler, deep.clone(), set, &map));
     }
 
     let sequential = serialize(&sweep(&grid, 1));
@@ -100,24 +98,24 @@ fn sweep_is_bit_identical_across_thread_counts() {
     // state between sweeps).
     assert_eq!(sequential, serialize(&sweep(&grid, 1)));
 
-    // The flat and interned layouts of the same traces must agree
-    // bit-for-bit, scheduler by scheduler (the first two scheduler-wide
-    // bands of the grid; reusing the 2-thread run from above).
+    // The per-block and fast modes must agree bit-for-bit, scheduler by
+    // scheduler (the first two scheduler-wide bands of the grid; reusing
+    // the 2-thread run from above).
     let results = two_thread_results.expect("2-thread run executed");
     let n = SchedulerKind::ALL.len();
-    for (flat, interned) in results[..n].iter().zip(&results[n..2 * n]) {
+    for (reference, fast) in results[..n].iter().zip(&results[n..2 * n]) {
         assert_eq!(
-            serialize(std::slice::from_ref(flat)),
-            serialize(std::slice::from_ref(interned)),
-            "interned replay diverged from flat for {}",
-            flat.scheduler
+            serialize(std::slice::from_ref(reference)),
+            serialize(std::slice::from_ref(fast)),
+            "fast replay diverged from per-block for {}",
+            reference.scheduler
         );
     }
 }
 
 /// TATP and YCSB ride the same contract: a fig7-style
 /// (benchmark × scheduler × batch-size) grid over TATP and YCSB-B traces
-/// is bit-identical across thread counts, flat and interned alike.
+/// is bit-identical across thread counts, per-block and fast alike.
 #[test]
 fn spec_driven_sweep_is_bit_identical_across_thread_counts() {
     let cfg = ReplayConfig::paper_default();
@@ -128,20 +126,19 @@ fn spec_driven_sweep_is_bit_identical_across_thread_counts() {
         let eval = collect_traces(&mut engine, workload.as_mut(), 24, EVAL_SEED);
         let interned = InternedWorkload::from_flat(&eval);
         let map = find_migration_points(&profile.xcts, cfg.sim.l1i);
-        inputs.push((bench, eval, interned, map));
+        inputs.push((bench, interned, map));
     }
 
     let mut grid: Vec<Point<'_>> = Vec::new();
-    for (_, eval, interned, map) in &inputs {
+    for (_, interned, map) in &inputs {
+        let set = interned.as_set();
         for &scheduler in &SchedulerKind::ALL {
-            grid.push((scheduler, cfg.clone(), Traces::Flat(&eval.xcts), map));
-            let set = Traces::Interned(interned.as_set());
+            grid.push((scheduler, per_block(&cfg), set, map));
             grid.push((scheduler, cfg.clone(), set, map));
         }
         // The fig7 shape: ADDICT across batch sizes.
         for batch in [4usize, 16] {
             let batched = ReplayConfig::paper_default().with_batch_size(batch);
-            let set = Traces::Interned(interned.as_set());
             grid.push((SchedulerKind::Addict, batched, set, map));
         }
     }
@@ -154,8 +151,8 @@ fn spec_driven_sweep_is_bit_identical_across_thread_counts() {
             "TATP/YCSB-B sweep output changed at {threads} threads"
         );
     }
-    // Flat and interned layouts agree point-for-point (each benchmark
-    // block is 4 (flat, interned) pairs followed by 2 batch points).
+    // Per-block and fast modes agree point-for-point (each benchmark
+    // block is 5 (per-block, fast) pairs followed by 2 batch points).
     let results = sweep(&grid, 2);
     let per_bench = SchedulerKind::ALL.len() * 2 + 2;
     for (block, (bench, ..)) in results.chunks_exact(per_bench).zip(&inputs) {
@@ -163,7 +160,7 @@ fn spec_driven_sweep_is_bit_identical_across_thread_counts() {
             assert_eq!(
                 serialize(std::slice::from_ref(&pair[0])),
                 serialize(std::slice::from_ref(&pair[1])),
-                "interned replay diverged from flat for {} on {}",
+                "fast replay diverged from per-block for {} on {}",
                 pair[0].scheduler,
                 bench.name()
             );

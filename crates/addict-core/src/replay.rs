@@ -9,14 +9,13 @@
 //! latency bookkeeping, machine accounting — is shared by every scheduler,
 //! so measured differences come from scheduling decisions alone.
 //!
-//! The engine is also storage-layout-parameterized: it walks traces
-//! through [`TraceSet`], so flat `[XctTrace]` vectors and the interned
-//! arena-backed form ([`InternedSet`](addict_trace::InternedSet)) replay
-//! through the *identical* loop — one `fetch` per step (event plus run
-//! geometry in a single trace read), whole instruction runs executed
-//! segment-granularly inside the machine, and consecutive data accesses
-//! executed run-granularly ([`Policy::data_run_granular`]). Layout changes
-//! memory traffic, never a simulated bit.
+//! The engine walks the interned, arena-backed trace form
+//! ([`InternedSet`]): one `fetch` per step (event plus run geometry in a
+//! single trace read), whole instruction runs executed segment-granularly
+//! inside the machine, and consecutive data accesses executed
+//! run-granularly ([`Policy::data_run_granular`]). Flat
+//! [`XctTrace`](addict_trace::XctTrace)s are the recording format; they
+//! replay once interned ([`InternedWorkload::from_flat`](addict_trace::InternedWorkload::from_flat)).
 
 use std::collections::VecDeque;
 
@@ -24,8 +23,9 @@ use addict_sim::{
     BlockAddr, CoreId, Machine, MachineStats, PowerModel, PowerReport, SimConfig, SpecStats,
 };
 use addict_trace::event::FlatEvent;
-use addict_trace::set::{DataRun, Fetched, TraceSet};
-use addict_trace::XctTypeId;
+use addict_trace::intern::InternCursor;
+use addict_trace::set::{DataRun, Fetched};
+use addict_trace::{InternedSet, XctTypeId};
 use serde::{Deserialize, Serialize};
 
 /// Parameters of one replay run.
@@ -294,8 +294,8 @@ impl Cluster {
 }
 
 #[derive(Debug)]
-struct Thread<C> {
-    cursor: C,
+struct Thread {
+    cursor: InternCursor,
     ready_at: f64,
     started_at: Option<f64>,
     finished_at: Option<f64>,
@@ -303,7 +303,7 @@ struct Thread<C> {
 
 /// Group trace indexes into same-type batches of `batch_size`, preserving
 /// request order (Algorithm 2 line 16-17). Returns the dispatch order.
-pub fn batch_order<T: TraceSet + ?Sized>(traces: &T, batch_size: usize) -> Vec<Vec<usize>> {
+pub fn batch_order(traces: &InternedSet<'_>, batch_size: usize) -> Vec<Vec<usize>> {
     let mut pending: Vec<(XctTypeId, Vec<usize>)> = Vec::new();
     let mut batches = Vec::new();
     for i in 0..traces.len() {
@@ -333,12 +333,10 @@ pub fn batch_order<T: TraceSet + ?Sized>(traces: &T, batch_size: usize) -> Vec<V
 ///
 /// `placement(dispatch_index, xct_type)` gives each thread its initial
 /// core; threads are enqueued in `order`. The policy steers everything
-/// after that. Generic over the trace storage layout ([`TraceSet`]): the
-/// flat and interned forms replay through the identical engine, so they
-/// are bit-identical by construction.
-pub fn run_des<T: TraceSet + ?Sized, P: Policy>(
+/// after that.
+pub fn run_des<P: Policy>(
     machine: &mut Machine,
-    traces: &T,
+    traces: &InternedSet<'_>,
     order: &[usize],
     placement: impl Fn(usize, XctTypeId) -> usize,
     policy: &mut P,
@@ -380,9 +378,9 @@ pub enum Admission {
 /// patterns"); [`Admission::All`] admits everything immediately (Baseline
 /// dispatch, STREX's overloaded cores).
 #[allow(clippy::too_many_arguments)]
-pub fn run_des_admitted<T: TraceSet + ?Sized, P: Policy>(
+pub fn run_des_admitted<P: Policy>(
     machine: &mut Machine,
-    traces: &T,
+    traces: &InternedSet<'_>,
     order: &[usize],
     placement: impl Fn(usize, XctTypeId) -> usize,
     policy: &mut P,
@@ -405,9 +403,9 @@ pub fn run_des_admitted<T: TraceSet + ?Sized, P: Policy>(
 
     let n_cores = machine.n_cores();
     let mut cluster = Cluster::new(n_cores);
-    let mut threads: Vec<Thread<T::Cursor>> = (0..traces.len())
+    let mut threads: Vec<Thread> = (0..traces.len())
         .map(|_| Thread {
-            cursor: T::Cursor::default(),
+            cursor: InternCursor::default(),
             ready_at: 0.0,
             started_at: None,
             finished_at: None,
@@ -432,7 +430,7 @@ pub fn run_des_admitted<T: TraceSet + ?Sized, P: Policy>(
     let admit = |pending: &mut VecDeque<(usize, usize, usize)>,
                  cluster: &mut Cluster,
                  head_start: &mut [f64],
-                 threads: &[Thread<T::Cursor>],
+                 threads: &[Thread],
                  inflight: &mut usize,
                  inflight_batch: &mut usize,
                  inflight_of_batch: &mut usize| {
@@ -545,7 +543,7 @@ pub fn run_des_admitted<T: TraceSet + ?Sized, P: Policy>(
             };
         }
 
-        // Execute the segment. Exactly one [`TraceSet::fetch`] per step:
+        // Execute the segment. Exactly one [`InternedSet::fetch`] per step:
         // the fetch yields both the event and the run geometry needed to
         // advance, so the cursor never re-reads the trace (the old cursor
         // matched `events[idx]` up to three times per step).
@@ -721,6 +719,17 @@ pub fn run_des_admitted<T: TraceSet + ?Sized, P: Policy>(
     }
 }
 
+/// Intern flat test traces into a private pool: replay takes the
+/// interned form only.
+#[cfg(test)]
+pub(crate) fn interned(traces: &[addict_trace::XctTrace]) -> addict_trace::InternedWorkload {
+    addict_trace::InternedWorkload::from_flat(&addict_trace::WorkloadTrace {
+        name: String::new(),
+        xct_type_names: Vec::new(),
+        xcts: traces.to_vec(),
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -762,7 +771,7 @@ mod tests {
         let order: Vec<usize> = (0..traces.len()).collect();
         let result = run_des(
             &mut machine,
-            &traces,
+            &interned(&traces).as_set(),
             &order,
             |i, _| i % 4,
             &mut NoopPolicy,
@@ -783,7 +792,9 @@ mod tests {
     #[test]
     fn cursor_expands_runs_in_order() {
         let traces = vec![mini_trace(0, 0x40)];
-        let blocks: Vec<u64> = addict_trace::set::flat_events_of(&traces, 0)
+        let blocks: Vec<u64> = interned(&traces)
+            .as_set()
+            .flat_events(0)
             .into_iter()
             .filter_map(|ev| match ev {
                 FlatEvent::Instr { block, .. } => Some(block.0),
@@ -799,7 +810,7 @@ mod tests {
             .iter()
             .map(|&ty| mini_trace(ty, 0))
             .collect();
-        let batches = batch_order(&traces, 3);
+        let batches = batch_order(&interned(&traces).as_set(), 3);
         // Type 0 at indexes 0,2,3 completes a batch first, then type 1 at
         // 1,4,6; the leftovers flush at the end.
         assert_eq!(batches[0], vec![0, 2, 3]);
@@ -882,7 +893,7 @@ mod tests {
         };
         let result = run_des(
             &mut machine,
-            &traces,
+            &interned(&traces).as_set(),
             &order,
             |_, _| 0,
             &mut policy,
@@ -929,7 +940,7 @@ mod tests {
         let mut policy = MigrateOncePolicy { moved: vec![false] };
         let result = run_des(
             &mut machine,
-            &traces,
+            &interned(&traces).as_set(),
             &[0],
             |_, _| 0,
             &mut policy,

@@ -11,7 +11,7 @@
 
 use addict_sim::Machine;
 use addict_trace::event::FlatEvent;
-use addict_trace::{OpKind, TraceSet, XctTypeId};
+use addict_trace::{InternedSet, OpKind, XctTypeId};
 
 use crate::plan::{AssignmentPlan, Slot, XctPlan};
 use crate::replay::{
@@ -230,17 +230,13 @@ impl Policy for AddictPolicy<'_> {
 }
 
 /// Replay under ADDICT with the given assignment plan.
-pub fn run<T: TraceSet + ?Sized>(
-    traces: &T,
-    plan: &AssignmentPlan,
-    cfg: &ReplayConfig,
-) -> ReplayResult {
+pub fn run(traces: &InternedSet<'_>, plan: &AssignmentPlan, cfg: &ReplayConfig) -> ReplayResult {
     run_with_options(traces, plan, cfg, false)
 }
 
 /// Replay with dynamic reassignment switchable (ablation).
-pub fn run_with_options<T: TraceSet + ?Sized>(
-    traces: &T,
+pub fn run_with_options(
+    traces: &InternedSet<'_>,
     plan: &AssignmentPlan,
     cfg: &ReplayConfig,
     reassign: bool,
@@ -302,6 +298,7 @@ mod tests {
     use super::*;
     use crate::algorithm1::find_migration_points;
     use crate::plan::PlanConfig;
+    use crate::replay::interned;
     use addict_sim::{BlockAddr, SimConfig};
     use addict_trace::{TraceEvent, XctTrace, XctTypeId};
 
@@ -350,7 +347,7 @@ mod tests {
         let xp = plan.of(XT).unwrap();
         assert!(!xp.fallback);
         assert_eq!(xp.ops[&OpKind::Probe].points.len(), 1);
-        let r = run(&traces, &plan, &cfg);
+        let r = run(&interned(&traces).as_set(), &plan, &cfg);
         // Per transaction: entry + 2x (op entry + 1 point) >= 4 moves
         // every transaction after the first (the first starts on the
         // entry core already).
@@ -365,8 +362,9 @@ mod tests {
     #[test]
     fn slashes_l1i_misses_versus_baseline() {
         let (traces, plan, cfg) = setup(4);
-        let addict = run(&traces, &plan, &cfg);
-        let base = crate::sched::baseline::run(&traces, &cfg);
+        let w = interned(&traces);
+        let addict = run(&w.as_set(), &plan, &cfg);
+        let base = crate::sched::baseline::run(&w.as_set(), &cfg);
         // Each probe's 600-block walk thrashes a single L1-I (512 lines)
         // every time under baseline; under ADDICT the two halves live on
         // different cores and stay resident across the batch.
@@ -409,8 +407,9 @@ mod tests {
         let map = find_migration_points(&profile, cfg.sim.l1i);
         let plan = AssignmentPlan::build(&map, PlanConfig::new(8));
         let traces: Vec<XctTrace> = (0..32).map(|_| multi_op_trace()).collect();
-        let addict = run(&traces, &plan, &cfg);
-        let base = crate::sched::baseline::run(&traces, &cfg);
+        let w = interned(&traces);
+        let addict = run(&w.as_set(), &plan, &cfg);
+        let base = crate::sched::baseline::run(&w.as_set(), &cfg);
         // The 1600-block transaction thrashes any single L1-I under
         // baseline; ADDICT splits it into four resident actions.
         assert!(
@@ -435,7 +434,7 @@ mod tests {
         let xp = plan.of(XT).unwrap();
         assert!(!xp.fallback);
         assert!(xp.ops[&OpKind::Probe].points.is_empty());
-        let r = run(&traces, &plan, &cfg);
+        let r = run(&interned(&traces).as_set(), &plan, &cfg);
         assert!(r.stats.migrations_in() > 0);
     }
 
@@ -445,7 +444,7 @@ mod tests {
         // to traditional scheduling.
         let (traces, plan, cfg) = setup(1);
         assert!(plan.of(XT).unwrap().fallback);
-        let r = run(&traces, &plan, &cfg);
+        let r = run(&interned(&traces).as_set(), &plan, &cfg);
         assert_eq!(r.stats.migrations_in(), 0);
     }
 
@@ -470,7 +469,7 @@ mod tests {
             xct_type: XT,
             events,
         }];
-        let r = run(&stray, &plan, &cfg);
+        let r = run(&interned(&stray).as_set(), &plan, &cfg);
         // Only the initial placement happens; the stray touch of the
         // migration-point address fires nothing.
         assert_eq!(r.stats.migrations_in(), 0);

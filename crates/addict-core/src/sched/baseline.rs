@@ -2,7 +2,7 @@
 //! and finishes on one core; no batching, no migration (Section 4.1).
 
 use addict_sim::Machine;
-use addict_trace::TraceSet;
+use addict_trace::InternedSet;
 
 use crate::replay::{run_des, Policy, ReplayConfig, ReplayResult};
 
@@ -33,7 +33,7 @@ impl Policy for NoMovement {
 }
 
 /// Replay under traditional scheduling.
-pub fn run<T: TraceSet + ?Sized>(traces: &T, cfg: &ReplayConfig) -> ReplayResult {
+pub fn run(traces: &InternedSet<'_>, cfg: &ReplayConfig) -> ReplayResult {
     let mut machine = Machine::new(&cfg.sim);
     let n_cores = cfg.sim.n_cores;
     let order: Vec<usize> = (0..traces.len()).collect();
@@ -51,6 +51,7 @@ pub fn run<T: TraceSet + ?Sized>(traces: &T, cfg: &ReplayConfig) -> ReplayResult
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replay::interned;
     use addict_sim::{BlockAddr, SimConfig};
     use addict_trace::{TraceEvent, XctTrace, XctTypeId};
 
@@ -78,7 +79,7 @@ mod tests {
             sim: SimConfig::paper_default().with_cores(4),
             ..Default::default()
         };
-        let r = run(&traces, &cfg);
+        let r = run(&interned(&traces).as_set(), &cfg);
         assert_eq!(r.stats.migrations_in(), 0);
         assert_eq!(r.stats.context_switches(), 0);
         assert_eq!(r.scheduler, "Baseline");
@@ -92,7 +93,7 @@ mod tests {
             sim: SimConfig::paper_default().with_cores(4),
             ..Default::default()
         };
-        let r = run(&traces, &cfg);
+        let r = run(&interned(&traces).as_set(), &cfg);
         for c in 0..4 {
             assert!(r.stats.cores[c].instructions > 0, "core {c} idle");
         }

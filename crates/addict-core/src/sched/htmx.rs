@@ -31,7 +31,7 @@
 
 use addict_sim::{AbortCause, Machine, SpecConfig, Speculation};
 use addict_trace::event::FlatEvent;
-use addict_trace::TraceSet;
+use addict_trace::InternedSet;
 
 use crate::replay::{run_des, Action, Cluster, Policy, ReplayConfig, ReplayResult};
 
@@ -209,13 +209,13 @@ impl Policy for HtmxPolicy {
 }
 
 /// Replay under HTMX speculation with the default [`SpecConfig`].
-pub fn run<T: TraceSet + ?Sized>(traces: &T, cfg: &ReplayConfig) -> ReplayResult {
+pub fn run(traces: &InternedSet<'_>, cfg: &ReplayConfig) -> ReplayResult {
     run_with(traces, cfg, SpecConfig::default())
 }
 
 /// [`run`] with explicit speculation knobs (tests and ablations).
-pub fn run_with<T: TraceSet + ?Sized>(
-    traces: &T,
+pub fn run_with(
+    traces: &InternedSet<'_>,
     cfg: &ReplayConfig,
     spec_cfg: SpecConfig,
 ) -> ReplayResult {
@@ -239,6 +239,7 @@ pub fn run_with<T: TraceSet + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replay::interned;
     use addict_sim::{BlockAddr, SimConfig};
     use addict_trace::{TraceEvent, XctTrace, XctTypeId};
 
@@ -291,7 +292,7 @@ mod tests {
         let traces: Vec<XctTrace> = (0..8)
             .map(|i| xct(&[(0x9000 + i * 0x100, true), (0x9001 + i * 0x100, false)]))
             .collect();
-        let r = run(&traces, &cfg(4));
+        let r = run(&interned(&traces).as_set(), &cfg(4));
         assert_eq!(r.scheduler, "HTMX");
         assert_eq!(r.n_xcts, 8);
         assert_eq!(r.spec.commits, 8);
@@ -321,7 +322,7 @@ mod tests {
                 ])
             })
             .collect();
-        let r = run(&traces, &cfg(4));
+        let r = run(&interned(&traces).as_set(), &cfg(4));
         assert!(
             r.spec.aborts_conflict > 0,
             "contended writes must conflict: {:?}",
@@ -341,7 +342,7 @@ mod tests {
             capacity: 4,
             max_retries: 1,
         };
-        let r = run_with(&traces, &cfg(2), spec_cfg);
+        let r = run_with(&interned(&traces).as_set(), &cfg(2), spec_cfg);
         assert!(r.spec.aborts_capacity >= 1, "{:?}", r.spec);
         assert_eq!(r.spec.fallbacks, 1);
         assert_eq!(r.spec.commits, 0);
@@ -357,7 +358,7 @@ mod tests {
             capacity: 2,
             max_retries: 0,
         };
-        let r = run_with(&traces, &cfg(2), spec_cfg);
+        let r = run_with(&interned(&traces).as_set(), &cfg(2), spec_cfg);
         assert_eq!(r.spec.retries, 0);
         assert_eq!(r.spec.fallbacks, 2);
         assert_ledger(&r);
@@ -371,8 +372,9 @@ mod tests {
             .map(|i| xct(&[(0x9000 + i * 0x100, true), (0x9040 + i * 0x100, false)]))
             .collect();
         let c = cfg(4);
-        let base = crate::sched::baseline::run(&traces, &c);
-        let htm = run(&traces, &c);
+        let w = interned(&traces);
+        let base = crate::sched::baseline::run(&w.as_set(), &c);
+        let htm = run(&w.as_set(), &c);
         assert!(htm.total_cycles > base.total_cycles);
         assert_eq!(htm.instructions, base.instructions);
         assert_eq!(base.spec.begins, 0, "baseline must not speculate");

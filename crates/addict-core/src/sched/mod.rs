@@ -15,7 +15,7 @@ pub mod htmx;
 pub mod slicc;
 pub mod strex;
 
-use addict_trace::TraceSet;
+use addict_trace::InternedSet;
 
 use crate::algorithm1::MigrationMap;
 use crate::plan::{AssignmentPlan, PlanConfig};
@@ -100,9 +100,9 @@ impl std::str::FromStr for SchedulerKind {
 ///
 /// # Panics
 /// Panics if `kind` is [`SchedulerKind::Addict`] and `map` is `None`.
-pub fn run_scheduler<T: TraceSet + ?Sized>(
+pub fn run_scheduler(
     kind: SchedulerKind,
-    traces: &T,
+    traces: &InternedSet<'_>,
     map: Option<&MigrationMap>,
     cfg: &ReplayConfig,
 ) -> ReplayResult {

@@ -12,7 +12,7 @@
 
 use addict_sim::Machine;
 use addict_trace::event::FlatEvent;
-use addict_trace::TraceSet;
+use addict_trace::InternedSet;
 
 use crate::replay::{
     batch_order, run_des_admitted, Action, Admission, Cluster, Policy, ReplayConfig, ReplayResult,
@@ -95,7 +95,7 @@ impl Policy for SliccPolicy {
 }
 
 /// Replay under SLICC.
-pub fn run<T: TraceSet + ?Sized>(traces: &T, cfg: &ReplayConfig) -> ReplayResult {
+pub fn run(traces: &InternedSet<'_>, cfg: &ReplayConfig) -> ReplayResult {
     let mut machine = Machine::new(&cfg.sim);
     let n_cores = cfg.sim.n_cores;
     let batches = batch_order(traces, cfg.batch_size);
@@ -142,6 +142,7 @@ pub fn run<T: TraceSet + ?Sized>(traces: &T, cfg: &ReplayConfig) -> ReplayResult
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replay::interned;
     use addict_sim::{BlockAddr, SimConfig};
     use addict_trace::{TraceEvent, XctTrace, XctTypeId};
 
@@ -175,7 +176,7 @@ mod tests {
     #[test]
     fn threads_migrate_across_cores() {
         let traces: Vec<XctTrace> = (0..4).map(|_| big_trace()).collect();
-        let r = run(&traces, &cfg(4));
+        let r = run(&interned(&traces).as_set(), &cfg(4));
         assert!(r.stats.migrations_in() > 0, "SLICC must migrate");
         assert_eq!(r.stats.context_switches(), 0);
         // Several cores end up executing instructions.
@@ -188,8 +189,9 @@ mod tests {
     #[test]
     fn misses_drop_versus_baseline() {
         let traces: Vec<XctTrace> = (0..8).map(|_| big_trace()).collect();
-        let slicc = run(&traces, &cfg(4));
-        let base = crate::sched::baseline::run(&traces, &cfg(4));
+        let w = interned(&traces);
+        let slicc = run(&w.as_set(), &cfg(4));
+        let base = crate::sched::baseline::run(&w.as_set(), &cfg(4));
         assert!(
             slicc.stats.l1i_misses() < base.stats.l1i_misses(),
             "SLICC {} vs baseline {}",
@@ -226,8 +228,9 @@ mod tests {
                 events,
             });
         }
-        let slicc = run(&traces, &cfg(4));
-        let base = crate::sched::baseline::run(&traces, &cfg(4));
+        let w = interned(&traces);
+        let slicc = run(&w.as_set(), &cfg(4));
+        let base = crate::sched::baseline::run(&w.as_set(), &cfg(4));
         assert!(
             slicc.stats.l1d_misses() > base.stats.l1d_misses(),
             "migration should hurt L1-D: {} vs {}",

@@ -12,7 +12,7 @@
 
 use addict_sim::Machine;
 use addict_trace::event::FlatEvent;
-use addict_trace::TraceSet;
+use addict_trace::InternedSet;
 
 use crate::replay::{batch_order, run_des, Action, Cluster, Policy, ReplayConfig, ReplayResult};
 
@@ -69,7 +69,7 @@ impl Policy for StrexPolicy {
 }
 
 /// Replay under STREX.
-pub fn run<T: TraceSet + ?Sized>(traces: &T, cfg: &ReplayConfig) -> ReplayResult {
+pub fn run(traces: &InternedSet<'_>, cfg: &ReplayConfig) -> ReplayResult {
     let mut machine = Machine::new(&cfg.sim);
     let n_cores = cfg.sim.n_cores;
     let batches = batch_order(traces, cfg.batch_size);
@@ -109,6 +109,7 @@ pub fn run<T: TraceSet + ?Sized>(traces: &T, cfg: &ReplayConfig) -> ReplayResult
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replay::interned;
     use addict_sim::{BlockAddr, SimConfig};
     use addict_trace::{TraceEvent, XctTrace, XctTypeId};
 
@@ -142,7 +143,7 @@ mod tests {
     #[test]
     fn batch_shares_one_core_with_switches() {
         let traces: Vec<XctTrace> = (0..4).map(|_| big_trace()).collect();
-        let r = run(&traces, &cfg(4));
+        let r = run(&interned(&traces).as_set(), &cfg(4));
         assert!(
             r.stats.context_switches() > 0,
             "stratified execution must switch"
@@ -158,8 +159,9 @@ mod tests {
     #[test]
     fn followers_reuse_leader_strata() {
         let traces: Vec<XctTrace> = (0..4).map(|_| big_trace()).collect();
-        let strex = run(&traces, &cfg(4));
-        let base = crate::sched::baseline::run(&traces, &cfg(4));
+        let w = interned(&traces);
+        let strex = run(&w.as_set(), &cfg(4));
+        let base = crate::sched::baseline::run(&w.as_set(), &cfg(4));
         // Baseline puts each 1200-block transaction on its own cold core:
         // everyone misses everything. STREX lets followers reuse.
         assert!(
@@ -173,8 +175,9 @@ mod tests {
     #[test]
     fn latency_stretches_with_batch() {
         let traces: Vec<XctTrace> = (0..4).map(|_| big_trace()).collect();
-        let strex = run(&traces, &cfg(4));
-        let base = crate::sched::baseline::run(&traces, &cfg(4));
+        let w = interned(&traces);
+        let strex = run(&w.as_set(), &cfg(4));
+        let base = crate::sched::baseline::run(&w.as_set(), &cfg(4));
         assert!(
             strex.avg_latency_cycles > 2.0 * base.avg_latency_cycles,
             "time multiplexing must stretch latency: {} vs {}",

@@ -6,7 +6,7 @@ use addict_core::plan::{AssignmentPlan, PlanConfig};
 use addict_core::replay::ReplayConfig;
 use addict_core::sched::{run_scheduler, SchedulerKind};
 use addict_sim::{BlockAddr, CacheGeometry, SimConfig};
-use addict_trace::{OpKind, TraceEvent, XctTrace, XctTypeId};
+use addict_trace::{InternedWorkload, OpKind, TraceEvent, WorkloadTrace, XctTrace, XctTypeId};
 use proptest::prelude::*;
 
 /// A generated transaction: per op, a walk length (blocks).
@@ -127,8 +127,13 @@ proptest! {
         .with_batch_size(cores);
         let expected: u64 = traces.iter().map(|t| t.instructions()).sum();
         let map = find_migration_points(&traces, cfg.sim.l1i);
+        let eval = InternedWorkload::from_flat(&WorkloadTrace {
+            name: String::new(),
+            xct_type_names: Vec::new(),
+            xcts: traces.clone(),
+        });
         for kind in SchedulerKind::ALL {
-            let r = run_scheduler(kind, &traces, Some(&map), &cfg);
+            let r = run_scheduler(kind, &eval.as_set(), Some(&map), &cfg);
             prop_assert_eq!(r.instructions, expected, "{} lost instructions", r.scheduler);
             prop_assert_eq!(r.n_xcts, traces.len());
             prop_assert!(r.total_cycles.is_finite() && r.total_cycles >= 0.0);

@@ -1,76 +1,21 @@
-//! Interned replay must be *observationally identical* to flat replay:
-//! byte-identical serialized `ReplayResult`s — `MachineStats`, makespan,
-//! per-transaction latencies, power — for all five schedulers on real
-//! trace sets from **every registry benchmark** (the TPC trio plus the
-//! TATP and YCSB mixes), in both the segment-granular and the
-//! per-block execution mode. The interned form may change memory layout, never a
-//! single simulated bit (the operational-equivalence obligation the
-//! refactor carries, in the style of `segment_equivalence.rs`).
+//! The interned trace form against the flat recording format it is built
+//! from: streamed interning equals interning after collection, Algorithm 1
+//! finds the same migration points over both, and the per-trace metadata
+//! the schedulers consume agrees. Replay itself runs the interned form
+//! only; `segment_equivalence.rs` pins its fast paths against the
+//! per-block path and `addict-trace`'s `tests/intern_roundtrip.rs` pins
+//! the interned cursor against the flat event stream.
 
 use addict_core::algorithm1::{find_migration_points, find_migration_points_interned};
-use addict_core::replay::{ReplayConfig, ReplayResult};
-use addict_core::sched::{run_scheduler, SchedulerKind};
-use addict_sim::SimConfig;
-use addict_trace::{InternedWorkload, SlicePool, TraceSet, WorkloadTrace};
+use addict_core::replay::ReplayConfig;
+use addict_trace::{InternedWorkload, SlicePool, WorkloadTrace};
 use addict_workloads::{collect_traces, collect_traces_interned_chunked, Benchmark};
-
-/// Canonical byte form of a replay outcome: `Debug` covers every field and
-/// renders `f64` shortest-roundtrip, so byte equality is bit equality.
-fn serialize(r: &ReplayResult) -> Vec<u8> {
-    format!("{r:#?}").into_bytes()
-}
 
 fn small_eval(bench: Benchmark, n: usize) -> (WorkloadTrace, WorkloadTrace) {
     let (mut engine, mut workload) = bench.setup_small();
     let profile = collect_traces(&mut engine, workload.as_mut(), n, 1);
     let eval = collect_traces(&mut engine, workload.as_mut(), n, 2);
     (profile, eval)
-}
-
-/// The headline equivalence: every scheduler, every benchmark, interned
-/// replay produces byte-identical serialized results.
-#[test]
-fn interned_replay_is_byte_identical_on_all_benchmarks() {
-    for bench in Benchmark::ALL {
-        let (profile, eval) = small_eval(bench, 32);
-        let interned = InternedWorkload::from_flat(&eval);
-        let iset = interned.as_set();
-        let cfg = ReplayConfig {
-            sim: SimConfig::paper_default().with_cores(8),
-            ..ReplayConfig::paper_default()
-        }
-        .with_batch_size(8);
-        let map = find_migration_points(&profile.xcts, cfg.sim.l1i);
-        for kind in SchedulerKind::ALL {
-            let flat = run_scheduler(kind, &eval.xcts, Some(&map), &cfg);
-            let int = run_scheduler(kind, &iset, Some(&map), &cfg);
-            assert_eq!(
-                serialize(&flat),
-                serialize(&int),
-                "{kind:?} on {} diverged under interned replay",
-                bench.name()
-            );
-        }
-    }
-}
-
-/// The per-block execution path (fast paths off) is equivalent too —
-/// interning must not depend on the fast paths for correctness.
-#[test]
-fn interned_per_block_path_is_byte_identical() {
-    let (profile, eval) = small_eval(Benchmark::TpcC, 24);
-    let interned = InternedWorkload::from_flat(&eval);
-    let iset = interned.as_set();
-    let cfg = ReplayConfig {
-        fast_paths: false,
-        ..ReplayConfig::paper_default()
-    };
-    let map = find_migration_points(&profile.xcts, cfg.sim.l1i);
-    for kind in SchedulerKind::ALL {
-        let flat = run_scheduler(kind, &eval.xcts, Some(&map), &cfg);
-        let int = run_scheduler(kind, &iset, Some(&map), &cfg);
-        assert_eq!(serialize(&flat), serialize(&int), "{kind:?} diverged");
-    }
 }
 
 /// Interning while collecting (the at-scale path that never materializes
@@ -128,19 +73,16 @@ fn interned_profiling_finds_identical_migration_points() {
     }
 }
 
-/// The TraceSet metadata the schedulers consume (type ids for batching,
+/// The trace metadata the schedulers consume (type ids for batching,
 /// instruction counts for STREX's load balancer) agrees across layouts.
 #[test]
 fn interned_metadata_matches_flat() {
     let (_, eval) = small_eval(Benchmark::TpcE, 24);
     let interned = InternedWorkload::from_flat(&eval);
     let iset = interned.as_set();
-    assert_eq!(TraceSet::len(&iset), eval.xcts.len());
+    assert_eq!(iset.len(), eval.xcts.len());
     for i in 0..eval.xcts.len() {
-        assert_eq!(TraceSet::xct_type(&iset, i), eval.xcts[i].xct_type);
-        assert_eq!(
-            TraceSet::instructions_of(&iset, i),
-            eval.xcts[i].instructions()
-        );
+        assert_eq!(iset.xct_type(i), eval.xcts[i].xct_type);
+        assert_eq!(iset.instructions_of(i), eval.xcts[i].instructions());
     }
 }

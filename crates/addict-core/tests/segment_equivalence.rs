@@ -2,9 +2,12 @@
 //! per-event reference path: byte-identical `MachineStats`, makespan, and
 //! per-transaction latencies for all five schedulers — on generated
 //! transaction mixes and, via the full matrix gate below, on real trace
-//! sets from **every registry benchmark**, in **both storage layouts**
-//! (flat and interned), with the fast paths (segment-granular instruction
-//! execution plus run-granular data execution) on and off.
+//! sets from **every registry benchmark**, with the fast paths
+//! (segment-granular instruction execution plus run-granular data
+//! execution) on and off. Replay walks interned traces; that their cursor
+//! reproduces the recorded flat event stream is pinned in `addict-trace`
+//! (`tests/intern_roundtrip.rs`), so the two gates together chain every
+//! replay back to the traces as recorded.
 //!
 //! The engine guarantees bit-equality (not approximate equality): the fast
 //! paths accumulate per-block `f64` charges in the same order as the
@@ -16,7 +19,7 @@ use addict_core::algorithm1::find_migration_points;
 use addict_core::replay::{ReplayConfig, ReplayResult};
 use addict_core::sched::{run_scheduler, SchedulerKind};
 use addict_sim::{BlockAddr, SimConfig};
-use addict_trace::{InternedWorkload, OpKind, TraceEvent, XctTrace, XctTypeId};
+use addict_trace::{InternedWorkload, OpKind, TraceEvent, WorkloadTrace, XctTrace, XctTypeId};
 use addict_workloads::{collect_traces, Benchmark};
 use proptest::prelude::*;
 
@@ -58,12 +61,22 @@ fn assert_identical(fast: &ReplayResult, reference: &ReplayResult, what: &str) {
     assert_eq!(fast.instructions, reference.instructions);
 }
 
-/// Run one scheduler in both modes and assert the fast paths reproduce
-/// the reference path bit-for-bit.
+/// Run one scheduler in both modes over the interned `traces` and assert
+/// the fast paths reproduce the reference path bit-for-bit.
 fn assert_equivalent(kind: SchedulerKind, traces: &[XctTrace], cfg: &ReplayConfig) {
     let map = find_migration_points(traces, cfg.sim.l1i);
+    let eval = InternedWorkload::from_flat(&WorkloadTrace {
+        name: String::new(),
+        xct_type_names: Vec::new(),
+        xcts: traces.to_vec(),
+    });
     let [reference, fast] = MODES.map(|fast_paths| {
-        run_scheduler(kind, traces, Some(&map), &with_fast_paths(cfg, fast_paths))
+        run_scheduler(
+            kind,
+            &eval.as_set(),
+            Some(&map),
+            &with_fast_paths(cfg, fast_paths),
+        )
     });
     assert_identical(&fast, &reference, &format!("{kind:?} (fast paths)"));
 }
@@ -115,7 +128,7 @@ fn arb_trace() -> impl Strategy<Value = XctTrace> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Flat/fast-path equivalence on generated mixes, all five schedulers,
+    /// Per-block/fast-path equivalence on generated mixes, all five schedulers,
     /// varying core counts and batch sizes.
     #[test]
     fn segment_replay_is_bit_identical(
@@ -169,14 +182,13 @@ fn serialize(r: &ReplayResult) -> Vec<u8> {
     format!("{r:#?}").into_bytes()
 }
 
-/// The full matrix gate: every scheduler × every registry benchmark ×
-/// both storage layouts, with the fast paths on (the production
-/// configuration) and, for the interned layout, off as well, produces
-/// `ReplayResult`s byte-identical to the flat per-block, per-event
-/// reference — and the data-access count is
-/// single-sourced: `MachineStats::data_accesses` equals the traces' own
-/// `Data`-event count on every path, so a miscounted run length can never
-/// silently skew `l1d_mpki`.
+/// The full matrix gate: every scheduler × every registry benchmark, with
+/// the fast paths on (the production configuration), produces
+/// `ReplayResult`s byte-identical to the per-block, per-event reference —
+/// and the data-access count is single-sourced:
+/// `MachineStats::data_accesses` equals the traces' own `Data`-event count
+/// in both modes, so a miscounted run length can never silently skew
+/// `l1d_mpki`.
 #[test]
 fn data_run_matrix_is_byte_identical_on_all_benchmarks() {
     for bench in Benchmark::ALL {
@@ -193,34 +205,22 @@ fn data_run_matrix_is_byte_identical_on_all_benchmarks() {
         .with_batch_size(8);
         let map = find_migration_points(&profile.xcts, cfg.sim.l1i);
         for kind in SchedulerKind::ALL {
-            let reference =
-                run_scheduler(kind, &eval.xcts, Some(&map), &with_fast_paths(&cfg, false));
-            let reference_bytes = serialize(&reference);
+            let [reference, fast] = MODES.map(|fast_paths| {
+                run_scheduler(kind, &iset, Some(&map), &with_fast_paths(&cfg, fast_paths))
+            });
             assert_eq!(
-                reference.stats.data_accesses(),
-                trace_data_events,
-                "{kind:?} on {}: reference path lost/duplicated data accesses",
+                serialize(&fast),
+                serialize(&reference),
+                "{kind:?} on {} (fast paths) diverged",
                 bench.name()
             );
-            for fast_paths in MODES {
-                let modes = with_fast_paths(&cfg, fast_paths);
-                let flat = run_scheduler(kind, &eval.xcts, Some(&map), &modes);
+            for (r, mode) in [(&reference, "per-block"), (&fast, "fast")] {
                 assert_eq!(
-                    serialize(&flat),
-                    reference_bytes,
-                    "{kind:?} on {} (flat, fast_paths={fast_paths}) diverged",
+                    r.stats.data_accesses(),
+                    trace_data_events,
+                    "{kind:?} on {} ({mode}): lost/duplicated data accesses",
                     bench.name()
                 );
-                let int = run_scheduler(kind, &iset, Some(&map), &modes);
-                assert_eq!(
-                    serialize(&int),
-                    reference_bytes,
-                    "{kind:?} on {} (interned, fast_paths={fast_paths}) diverged",
-                    bench.name()
-                );
-                // Stats single-source guard, both layouts, every mode.
-                assert_eq!(flat.stats.data_accesses(), trace_data_events);
-                assert_eq!(int.stats.data_accesses(), trace_data_events);
             }
         }
     }
@@ -238,9 +238,10 @@ fn replay_is_deterministic_across_runs() {
     }
     .with_batch_size(6);
     let map = find_migration_points(&eval.xcts, cfg.sim.l1i);
+    let interned = InternedWorkload::from_flat(&eval);
     for kind in SchedulerKind::ALL {
-        let a = run_scheduler(kind, &eval.xcts, Some(&map), &cfg);
-        let b = run_scheduler(kind, &eval.xcts, Some(&map), &cfg);
+        let a = run_scheduler(kind, &interned.as_set(), Some(&map), &cfg);
+        let b = run_scheduler(kind, &interned.as_set(), Some(&map), &cfg);
         assert_eq!(a.stats, b.stats, "{kind:?} not reproducible");
         assert_eq!(a.total_cycles.to_bits(), b.total_cycles.to_bits());
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();

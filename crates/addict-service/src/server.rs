@@ -651,8 +651,8 @@ fn estimate_new_bytes(spec: &JobSpec, pool: &TracePool) -> usize {
         .iter()
         .filter(|k| !pool.contains(k))
         .map(TraceKey::estimated_resident_bytes)
-        .sum();
-    traces + spec.grid_shape().len() * POINT_RESULT_BYTES
+        .fold(0, usize::saturating_add);
+    traces.saturating_add(spec.grid_shape().len().saturating_mul(POINT_RESULT_BYTES))
 }
 
 fn handle_submit(request: &Request, mut writer: TcpStream, state: &State) {

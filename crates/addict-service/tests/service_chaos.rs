@@ -253,6 +253,21 @@ fn byte_overload_rejects_before_generation_even_under_concurrency() {
     assert_alive(addr);
 }
 
+/// A transaction count whose trace estimate overflows `usize`
+/// (⌈2^64 / 302⌉, TPC-B's per-transaction slope) must saturate and be
+/// rejected, not wrap to a few kilobytes and be admitted into a
+/// generation that asks for exabytes.
+#[test]
+fn huge_n_xcts_is_over_budget_not_wrapped() {
+    let (addr, _handle) = spawn(ServerConfig::default());
+    let job = r#"{"benchmarks": ["tpcb"], "n_xcts": 61081934018905801}"#;
+    let r = raw_post(addr, "/jobs", job);
+    assert_eq!(r.status, 503, "{r:?}");
+    assert!(r.body.contains("over_capacity"), "{r:?}");
+    assert_eq!(stat(addr, "cache", "generations"), 0);
+    assert_alive(addr);
+}
+
 #[test]
 fn full_queue_answers_429_with_retry_after() {
     // One executor parked mid-job, a one-slot queue: the first extra

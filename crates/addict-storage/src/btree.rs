@@ -929,12 +929,25 @@ mod tests {
 
     #[test]
     fn root_page_is_stable_across_leaf_splits() {
-        let (mut alloc, mut t) = tree(64);
-        let _ = t.root_page();
-        for k in 0..64u64 {
+        let (mut alloc, mut t) = tree(4);
+        let mut k = 0u64;
+        while t.height() < 2 {
             t.insert(&mut alloc, k, k).unwrap();
+            k += 1;
         }
-        // No root split yet at fanout 64 with 64 keys; root page unchanged.
-        assert_eq!(t.height(), 1);
+        let root = t.root_page();
+        // Two more leaf splits: each adds a separator to the root, which
+        // has room for both, so the root neither splits nor moves.
+        let mut leaf_splits = 0;
+        while leaf_splits < 2 {
+            let r = t.insert(&mut alloc, k, k).unwrap();
+            k += 1;
+            assert!(!r.smo.new_root, "key {k} split the root");
+            leaf_splits += r.smo.splits;
+        }
+        assert_eq!(leaf_splits, 2, "each split was a leaf split");
+        assert_eq!(t.root_page(), root);
+        assert_eq!(t.height(), 2);
+        t.check_invariants();
     }
 }

@@ -21,8 +21,8 @@
 //! * [`InternedWorkload`] — the interned form of a `WorkloadTrace`, its
 //!   pool behind an `Arc` so replay threads (and whole sweep grids) share
 //!   one read-only working set;
-//! * [`InternedSet`] — the borrowed `(pool, traces)` view that implements
-//!   [`TraceSet`], letting the replay engine walk `SliceRef`s directly.
+//! * [`InternedSet`] — the borrowed `(pool, traces)` view the replay
+//!   engine walks, fetching events straight out of the `SliceRef`s.
 //!
 //! Slices split at **operation boundaries** (`OpBegin` starts a new slice,
 //! `OpEnd` ends one): op bodies are the unit the paper shows repeating
@@ -34,12 +34,12 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use addict_sim::BlockAddr;
+use addict_sim::{BlockAddr, DataAccess};
 use serde::{Deserialize, Serialize};
 
 use crate::event::{FlatEvent, TraceEvent, WorkloadTrace, XctTrace, XctTypeId};
 use crate::layout;
-use crate::set::{Fetched, TraceSet};
+use crate::set::{prefetch_ptr, DataRun, Fetched};
 
 /// A reference to one deduplicated slice in a [`SlicePool`]: `len` events
 /// starting at `pool_idx` in the backing store. 8 bytes.
@@ -655,25 +655,33 @@ impl InternedSet<'_> {
                 });
         }
     }
-}
 
-impl TraceSet for InternedSet<'_> {
-    type Cursor = InternCursor;
-
-    fn len(&self) -> usize {
+    /// Number of traces.
+    pub fn len(&self) -> usize {
         self.xcts.len()
     }
 
-    fn xct_type(&self, idx: usize) -> XctTypeId {
+    /// True when there are no traces.
+    pub fn is_empty(&self) -> bool {
+        self.xcts.is_empty()
+    }
+
+    /// Transaction type of trace `idx`.
+    pub fn xct_type(&self, idx: usize) -> XctTypeId {
         self.xcts[idx].xct_type
     }
 
-    fn instructions_of(&self, idx: usize) -> u64 {
+    /// Total dynamic instructions of trace `idx` (STREX's load balancer).
+    pub fn instructions_of(&self, idx: usize) -> u64 {
         self.xcts[idx].instructions
     }
 
+    /// What stands at `cur` in trace `idx`. The single trace read per
+    /// engine step: the replay engine calls it once per executed event
+    /// (or once per *segment* on the segment-granular fast path) and
+    /// never re-reads the trace to advance.
     #[inline]
-    fn fetch(&self, idx: usize, cur: Self::Cursor) -> Fetched {
+    pub fn fetch(&self, idx: usize, cur: InternCursor) -> Fetched {
         let t = &self.xcts[idx];
         let Some(r) = self.slice_of(idx, cur) else {
             return Fetched::End;
@@ -704,8 +712,12 @@ impl TraceSet for InternedSet<'_> {
         }
     }
 
+    /// Consume `k` blocks of the instruction run that [`Self::fetch`]
+    /// reported with `rem` blocks remaining (`1 <= k <= rem`; `k == rem`
+    /// ends the run). Cursor arithmetic plus, at a slice boundary, one
+    /// slice-ref read.
     #[inline]
-    fn advance_run(&self, idx: usize, cur: &mut Self::Cursor, rem: u16, k: u16) {
+    pub fn advance_run(&self, idx: usize, cur: &mut InternCursor, rem: u16, k: u16) {
         debug_assert!(k >= 1 && k <= rem);
         self.load(idx, cur);
         if k == rem {
@@ -716,8 +728,11 @@ impl TraceSet for InternedSet<'_> {
         }
     }
 
+    /// Consume the non-run event that [`Self::fetch`] reported as `ev`
+    /// (the event is passed back so the cursor can step its data-address
+    /// stream without resolving the pool again).
     #[inline]
-    fn advance_event(&self, idx: usize, cur: &mut Self::Cursor, ev: FlatEvent) {
+    pub fn advance_event(&self, idx: usize, cur: &mut InternCursor, ev: FlatEvent) {
         if let FlatEvent::Data { block, .. } = ev {
             // The fetched event already carries the decoded address, so
             // committing it needs only the entry's byte length (scan the
@@ -739,18 +754,18 @@ impl TraceSet for InternedSet<'_> {
         self.bump(idx, cur);
     }
 
-    /// Direct pool scan instead of the default's fetch-per-event cursor
-    /// walk: canonical `Data` events are read straight out of the cached
-    /// slice (crossing slice boundaries as needed) and their real
-    /// addresses streamed out of the trace's delta-encoded side table
+    /// Collect the run of consecutive `Data` events standing at `cur` into
+    /// `run` (cleared first), without advancing the cursor. Returns the run
+    /// length — `0` when the cursor does not stand at a data event. The
+    /// data-run view is computed lazily here, at replay time: the pool
+    /// stores per-event `Data` entries unchanged.
+    ///
+    /// A direct pool scan: canonical `Data` events are read straight out
+    /// of the cached slice (crossing slice boundaries as needed) and their
+    /// real addresses streamed out of the trace's delta-encoded side table
     /// with a local copy of the decoder state — one pool read and one
     /// varint decode per event on the data-heavy hot path.
-    fn gather_data_run(
-        &self,
-        idx: usize,
-        cur: Self::Cursor,
-        run: &mut crate::set::DataRun,
-    ) -> usize {
+    pub fn gather_data_run(&self, idx: usize, cur: InternCursor, run: &mut DataRun) -> usize {
         run.clear();
         let t = &self.xcts[idx];
         let Some(mut r) = self.slice_of(idx, cur) else {
@@ -767,7 +782,7 @@ impl TraceSet for InternedSet<'_> {
                 let TraceEvent::Data { write, .. } = self.pool.at(r, pos) else {
                     return run.len();
                 };
-                run.push(addict_sim::DataAccess {
+                run.push(DataAccess {
                     block: BlockAddr(decode_addr_mut(&t.data, &mut off, &mut last)),
                     write,
                 });
@@ -784,13 +799,15 @@ impl TraceSet for InternedSet<'_> {
         }
     }
 
-    /// Step past `k` gathered data events with slice-granular arithmetic
-    /// (one `slices[]` read per crossed boundary) instead of `k`
-    /// load+bump round trips. The `k` consumed entries are decoded once
-    /// more to roll the delta bases forward — varints have no random
-    /// access, and the decode is cheaper than the gather that produced
-    /// them.
-    fn advance_data_run(&self, idx: usize, cur: &mut Self::Cursor, k: usize) {
+    /// Consume `k` consecutive data events previously reported by
+    /// [`Self::gather_data_run`] (`1 <= k <=` the gathered length).
+    ///
+    /// Slice-granular arithmetic (one `slices[]` read per crossed
+    /// boundary) instead of `k` load+bump round trips. The `k` consumed
+    /// entries are decoded once more to roll the delta bases forward —
+    /// varints have no random access, and the decode is cheaper than the
+    /// gather that produced them.
+    pub fn advance_data_run(&self, idx: usize, cur: &mut InternCursor, k: usize) {
         self.load(idx, cur);
         {
             let data = &self.xcts[idx].data;
@@ -831,17 +848,49 @@ impl TraceSet for InternedSet<'_> {
         }
     }
 
-    // A resumed trace's first fetch chases `InternedTrace` -> `slices[0]`
-    // -> pool storage -> `data` varints; at scale every link is cold (the
-    // resident set outgrows L2 long before the 10k rung). Warming the
-    // chain heads one pick ahead overlaps those misses with the previous
-    // segment's replay.
+    /// Hint that trace `idx` will replay soon (the engine calls this for
+    /// the next queued trace when a segment starts, one pick ahead of
+    /// use). Purely advisory: it issues software prefetches and observes
+    /// or mutates nothing a replay could see.
+    ///
+    /// A resumed trace's first fetch chases `InternedTrace` -> `slices[0]`
+    /// -> pool storage -> `data` varints; at scale every link is cold (the
+    /// resident set outgrows L2 long before the 10k rung), and the
+    /// schedulers that time-multiplex the whole workload (STREX's
+    /// round-robin) resume a cold trace every few hundred events. Warming
+    /// the chain heads one pick ahead overlaps those misses with the
+    /// previous segment's replay.
     #[inline]
-    fn prefetch(&self, idx: usize) {
+    pub fn prefetch(&self, idx: usize) {
         let t = &self.xcts[idx];
-        crate::set::prefetch_ptr(t);
-        crate::set::prefetch_ptr(t.slices.as_ptr());
-        crate::set::prefetch_ptr(t.data.as_ptr());
+        prefetch_ptr(t);
+        prefetch_ptr(t.slices.as_ptr());
+        prefetch_ptr(t.data.as_ptr());
+    }
+
+    /// Walk trace `idx` through the cursor as flat events, one
+    /// [`FlatEvent::Instr`] per block (a test and diagnostic helper; the
+    /// replay engine drives the cursor itself).
+    pub fn flat_events(&self, idx: usize) -> Vec<FlatEvent> {
+        let mut cur = InternCursor::default();
+        let mut out = Vec::new();
+        loop {
+            match self.fetch(idx, cur) {
+                Fetched::End => break,
+                Fetched::Run { block, rem, ipb } => {
+                    out.push(FlatEvent::Instr {
+                        block,
+                        n_instr: ipb,
+                    });
+                    self.advance_run(idx, &mut cur, rem, 1);
+                }
+                Fetched::Event(ev) => {
+                    out.push(ev);
+                    self.advance_event(idx, &mut cur, ev);
+                }
+            }
+        }
+        out
     }
 }
 
@@ -861,7 +910,6 @@ const _: () = {
 mod tests {
     use super::*;
     use crate::event::OpKind;
-    use crate::set::flat_events_of;
 
     fn sample(data_base: u64) -> XctTrace {
         XctTrace {
@@ -924,7 +972,7 @@ mod tests {
     #[test]
     fn interned_set_walks_like_flat() {
         let mut pool = SlicePool::new();
-        let traces = vec![sample(0x9000), sample(0xa000)];
+        let traces = [sample(0x9000), sample(0xa000)];
         let interned: Vec<InternedTrace> = traces
             .iter()
             .map(|t| InternedTrace::intern(t, &mut pool))
@@ -933,25 +981,24 @@ mod tests {
             pool: &pool,
             xcts: &interned,
         };
-        for i in 0..traces.len() {
+        for (i, t) in traces.iter().enumerate() {
             assert_eq!(
-                flat_events_of(&set, i),
-                flat_events_of(traces.as_slice(), i),
+                set.flat_events(i),
+                t.flat_events().collect::<Vec<_>>(),
                 "trace {i} diverged"
             );
         }
     }
 
-    /// The data-run view — `InternedSet`'s specialized direct-pool-scan
-    /// `gather_data_run`/`advance_data_run` overrides — agrees with the
-    /// flat layout: same runs at every cursor position, and advancing by
-    /// a run lands both layouts on the same next event.
+    /// The data-run view — `InternedSet`'s direct-pool-scan
+    /// `gather_data_run`/`advance_data_run` — agrees with the flat event
+    /// stream: at every cursor position the gathered run is the maximal
+    /// run of consecutive `Data` events of `XctTrace::flat_events()`
+    /// standing there, and advancing part of a run lands on its remainder.
     #[test]
     fn interned_data_runs_match_flat() {
-        use crate::set::DataRun;
-
         let mut pool = SlicePool::new();
-        let traces = vec![sample(0x9000), sample(0xa040)];
+        let traces = [sample(0x9000), sample(0xa040)];
         let interned: Vec<InternedTrace> = traces
             .iter()
             .map(|t| InternedTrace::intern(t, &mut pool))
@@ -960,43 +1007,45 @@ mod tests {
             pool: &pool,
             xcts: &interned,
         };
-        for idx in 0..traces.len() {
-            let flat = traces.as_slice();
-            let mut fc = <Vec<XctTrace> as TraceSet>::Cursor::default();
-            let mut ic = InternCursor::default();
-            let mut frun = DataRun::new();
-            let mut irun = DataRun::new();
+        for (idx, t) in traces.iter().enumerate() {
+            let flat: Vec<FlatEvent> = t.flat_events().collect();
+            let run_at = |i: usize| -> Vec<DataAccess> {
+                flat[i..]
+                    .iter()
+                    .map_while(|ev| match *ev {
+                        FlatEvent::Data { block, write } => Some(DataAccess { block, write }),
+                        _ => None,
+                    })
+                    .collect()
+            };
+            let mut cur = InternCursor::default();
+            let mut run = DataRun::new();
+            // Position of `cur` in the flat stream.
+            let mut i = 0;
             loop {
-                let n = flat.gather_data_run(idx, fc, &mut frun);
-                assert_eq!(set.gather_data_run(idx, ic, &mut irun), n);
-                assert_eq!(frun.accesses(), irun.accesses(), "trace {idx}");
+                let n = set.gather_data_run(idx, cur, &mut run);
+                assert_eq!(run.accesses(), run_at(i), "trace {idx} at event {i}");
                 if n > 0 {
-                    // Consume part of the run on both layouts; the
-                    // remainders must still agree.
+                    // Consume part of the run; the remainder must still
+                    // agree.
                     let k = 1 + n / 2;
-                    flat.advance_data_run(idx, &mut fc, k);
-                    set.advance_data_run(idx, &mut ic, k);
-                    let rest = flat.gather_data_run(idx, fc, &mut frun);
-                    assert_eq!(set.gather_data_run(idx, ic, &mut irun), rest);
-                    assert_eq!(frun.accesses(), irun.accesses());
-                    flat.advance_data_run(idx, &mut fc, rest);
-                    set.advance_data_run(idx, &mut ic, rest);
+                    set.advance_data_run(idx, &mut cur, k);
+                    i += k;
+                    let rest = set.gather_data_run(idx, cur, &mut run);
+                    assert_eq!(run.accesses(), run_at(i), "trace {idx} at event {i}");
+                    set.advance_data_run(idx, &mut cur, rest);
+                    i += rest;
                     continue;
                 }
-                match flat.fetch(idx, fc) {
+                match set.fetch(idx, cur) {
                     Fetched::End => {
-                        assert_eq!(set.fetch(idx, ic), Fetched::End);
+                        assert_eq!(i, flat.len(), "trace {idx} ended early");
                         break;
                     }
-                    Fetched::Run { rem, .. } => {
-                        flat.advance_run(idx, &mut fc, rem, 1);
-                        set.advance_run(idx, &mut ic, rem, 1);
-                    }
-                    Fetched::Event(ev) => {
-                        flat.advance_event(idx, &mut fc, ev);
-                        set.advance_event(idx, &mut ic, ev);
-                    }
+                    Fetched::Run { rem, .. } => set.advance_run(idx, &mut cur, rem, 1),
+                    Fetched::Event(ev) => set.advance_event(idx, &mut cur, ev),
                 }
+                i += 1;
             }
         }
     }

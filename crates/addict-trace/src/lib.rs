@@ -25,9 +25,10 @@
 //! * [`intern`] stores traces in a deduplicated, arena-backed form —
 //!   repeated event slices interned once into a shared [`SlicePool`] —
 //!   so the replay working set scales with *distinct code paths*, not
-//!   trace count;
-//! * [`set`] defines [`TraceSet`], the replay-facing cursor abstraction
-//!   both the flat and the interned layouts implement.
+//!   trace count; its [`InternedSet`] view is the one trace layout the
+//!   replay engine walks;
+//! * [`set`] holds the cursor's replay-facing value types, [`Fetched`]
+//!   and [`DataRun`].
 
 pub mod codemap;
 pub mod event;
@@ -44,4 +45,4 @@ pub use intern::{
     InternFootprint, InternedSet, InternedTrace, InternedWorkload, SlicePool, SliceRef,
 };
 pub use recorder::TraceRecorder;
-pub use set::{DataRun, Fetched, TraceSet};
+pub use set::{DataRun, Fetched};

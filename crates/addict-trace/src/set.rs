@@ -1,31 +1,25 @@
-//! [`TraceSet`]: the replay-facing view of a batch of traces.
+//! The replay-facing value types of
+//! [`InternedSet`](crate::intern::InternedSet)'s cursor: what one fetch
+//! reports ([`Fetched`]) and the reusable buffer a data run is gathered
+//! into ([`DataRun`]).
 //!
-//! The replay engine (`addict-core`) walks traces through this trait so the
-//! same discrete-event loop runs over both storage layouts:
-//!
-//! * flat `[XctTrace]` — every trace owns its `Vec<TraceEvent>`;
-//! * interned [`InternedSet`](crate::intern::InternedSet) — traces are
-//!   compact [`SliceRef`](crate::intern::SliceRef) sequences into one
-//!   shared, deduplicated [`SlicePool`](crate::intern::SlicePool) arena.
-//!
-//! The contract is *fetch-once-per-step*: [`TraceSet::fetch`] reads the
+//! The contract is *fetch-once-per-step*: `InternedSet::fetch` reads the
 //! trace exactly once and returns everything the engine needs — the flat
 //! event to execute **and** the run geometry required to advance past it —
-//! so the hot loop never re-reads the trace to step the cursor (the old
-//! cursor did up to three lookups per event: `peek`, `instr_run`, and
-//! `advance` each re-fetched `events[idx]`).
+//! so the hot loop never re-reads the trace to step the cursor.
 
 use addict_sim::{BlockAddr, DataAccess};
 
-use crate::event::{FlatEvent, TraceEvent, XctTrace, XctTypeId};
+use crate::event::FlatEvent;
 
 /// A reusable buffer holding one coalesced run of consecutive data
 /// accesses — the lazily-computed *data-run view* of a trace.
 ///
 /// Traces store `Data` events exactly as before (the interned `SlicePool`
 /// is untouched); a `DataRun` materializes only at replay time, when
-/// [`TraceSet::gather_data_run`] collects the consecutive `Data` events at
-/// the cursor so the machine can execute them run-granularly. The engine
+/// [`InternedSet::gather_data_run`](crate::intern::InternedSet::gather_data_run)
+/// collects the consecutive `Data` events at the cursor so the machine
+/// can execute them run-granularly. The engine
 /// keeps one `DataRun` for the whole replay: the backing `Vec` grows to
 /// the longest run once and is reused, keeping the hot loop
 /// allocation-free in steady state.
@@ -45,8 +39,7 @@ impl DataRun {
         self.accesses.clear();
     }
 
-    /// Append one access (implementors of
-    /// [`TraceSet::gather_data_run`] fill the buffer through this).
+    /// Append one access (the gather fills the buffer through this).
     pub fn push(&mut self, access: DataAccess) {
         self.accesses.push(access);
     }
@@ -92,94 +85,6 @@ pub enum Fetched {
     End,
 }
 
-/// A replayable batch of traces.
-///
-/// Implementations must be cheap to `fetch` repeatedly: the replay engine
-/// calls it once per executed event (or once per *segment* on the
-/// segment-granular fast path) and never re-reads the trace to advance.
-pub trait TraceSet {
-    /// Per-thread cursor state. `Default` is the start of any trace.
-    type Cursor: Copy + Default + std::fmt::Debug;
-
-    /// Number of traces.
-    fn len(&self) -> usize;
-
-    /// True when there are no traces.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Transaction type of trace `idx`.
-    fn xct_type(&self, idx: usize) -> XctTypeId;
-
-    /// Total dynamic instructions of trace `idx` (STREX's load balancer).
-    fn instructions_of(&self, idx: usize) -> u64;
-
-    /// What stands at `cur` in trace `idx`. The single trace read per
-    /// engine step.
-    fn fetch(&self, idx: usize, cur: Self::Cursor) -> Fetched;
-
-    /// Consume `k` blocks of the instruction run that `fetch` reported
-    /// with `rem` blocks remaining (`1 <= k <= rem`; `k == rem` ends the
-    /// run). Pure cursor arithmetic — no trace re-read for the flat
-    /// layout, one slice-length lookup for the interned one.
-    fn advance_run(&self, idx: usize, cur: &mut Self::Cursor, rem: u16, k: u16);
-
-    /// Consume the non-run event that `fetch` reported as `ev` (the event
-    /// is passed back so interned cursors can step their data-address
-    /// stream without resolving the pool again).
-    fn advance_event(&self, idx: usize, cur: &mut Self::Cursor, ev: FlatEvent);
-
-    /// Collect the run of consecutive `Data` events standing at `cur` into
-    /// `run` (cleared first), without advancing the cursor. Returns the run
-    /// length — `0` when the cursor does not stand at a data event. The
-    /// data-run view is computed lazily here, at replay time: traces (and
-    /// the interned pool) store per-event `Data` entries unchanged.
-    ///
-    /// The default walks a cursor *copy* through `fetch`/`advance_event`,
-    /// so it is consistent with per-event fetching by construction;
-    /// layouts may override it with a direct scan (the flat slice layout
-    /// does).
-    fn gather_data_run(&self, idx: usize, cur: Self::Cursor, run: &mut DataRun) -> usize {
-        run.clear();
-        let mut c = cur;
-        while let Fetched::Event(ev @ FlatEvent::Data { block, write }) = self.fetch(idx, c) {
-            run.push(DataAccess { block, write });
-            self.advance_event(idx, &mut c, ev);
-        }
-        run.len()
-    }
-
-    /// Hint that trace `idx` will replay soon (the engine calls this for
-    /// the next queued trace when a segment starts, one pick ahead of
-    /// use). Implementations may issue software prefetches for the
-    /// trace's backing storage; purely advisory — it must not observe or
-    /// mutate anything a replay could see. The schedulers that
-    /// time-multiplex the whole workload (STREX's Admission::All
-    /// round-robin) resume a cache-cold trace every few hundred events
-    /// once the workload outgrows the host's L2; warming the dependent
-    /// head of that chain (trace struct → slice refs → encoded data) a
-    /// segment early is what keeps their 10k-transaction rate near the
-    /// 400-transaction one. Default: no-op.
-    #[inline]
-    fn prefetch(&self, _idx: usize) {}
-
-    /// Consume `k` consecutive data events previously reported by
-    /// [`TraceSet::gather_data_run`] (`1 <= k <=` the gathered length).
-    /// Pure cursor arithmetic, like [`TraceSet::advance_run`].
-    fn advance_data_run(&self, idx: usize, cur: &mut Self::Cursor, k: usize) {
-        // The event payload is irrelevant to cursor stepping beyond being
-        // a `Data` (interned cursors bump their data-address position).
-        let stand_in = FlatEvent::Data {
-            block: BlockAddr(0),
-            write: false,
-        };
-        for _ in 0..k {
-            self.advance_event(idx, cur, stand_in);
-        }
-    }
-}
-
 /// Issue a best-effort cache prefetch for the line holding `p`. A no-op
 /// on non-x86_64 targets; never a correctness concern anywhere (the
 /// instruction has no architectural effect).
@@ -195,179 +100,14 @@ pub(crate) fn prefetch_ptr<T>(p: *const T) {
     let _ = p;
 }
 
-/// Cursor over a flat trace's run-length-encoded events.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FlatCursor {
-    /// Index into `events`.
-    idx: usize,
-    /// Block offset within the current instruction run.
-    off: u16,
-}
-
-impl TraceSet for [XctTrace] {
-    type Cursor = FlatCursor;
-
-    fn len(&self) -> usize {
-        <[XctTrace]>::len(self)
-    }
-
-    fn xct_type(&self, idx: usize) -> XctTypeId {
-        self[idx].xct_type
-    }
-
-    fn instructions_of(&self, idx: usize) -> u64 {
-        self[idx].instructions()
-    }
-
-    #[inline]
-    fn fetch(&self, idx: usize, cur: Self::Cursor) -> Fetched {
-        match self[idx].events.get(cur.idx) {
-            None => Fetched::End,
-            Some(&TraceEvent::Instr {
-                block,
-                n_blocks,
-                ipb,
-            }) => Fetched::Run {
-                block: BlockAddr(block.0 + u64::from(cur.off)),
-                rem: n_blocks - cur.off,
-                ipb,
-            },
-            Some(&TraceEvent::XctBegin { xct_type }) => {
-                Fetched::Event(FlatEvent::XctBegin(xct_type))
-            }
-            Some(&TraceEvent::XctEnd) => Fetched::Event(FlatEvent::XctEnd),
-            Some(&TraceEvent::OpBegin { op }) => Fetched::Event(FlatEvent::OpBegin(op)),
-            Some(&TraceEvent::OpEnd { op }) => Fetched::Event(FlatEvent::OpEnd(op)),
-            Some(&TraceEvent::Data { block, write }) => {
-                Fetched::Event(FlatEvent::Data { block, write })
-            }
-        }
-    }
-
-    #[inline]
-    fn advance_run(&self, _idx: usize, cur: &mut Self::Cursor, rem: u16, k: u16) {
-        debug_assert!(k >= 1 && k <= rem);
-        if k == rem {
-            cur.idx += 1;
-            cur.off = 0;
-        } else {
-            cur.off += k;
-        }
-    }
-
-    #[inline]
-    fn advance_event(&self, _idx: usize, cur: &mut Self::Cursor, _ev: FlatEvent) {
-        cur.idx += 1;
-    }
-
-    /// Direct scan over the event slice: consecutive `Data` events sit at
-    /// consecutive indexes, so the run is the longest `Data` prefix of
-    /// `events[cur.idx..]`.
-    fn gather_data_run(&self, idx: usize, cur: Self::Cursor, run: &mut DataRun) -> usize {
-        run.clear();
-        for e in &self[idx].events[cur.idx..] {
-            let &TraceEvent::Data { block, write } = e else {
-                break;
-            };
-            run.push(DataAccess { block, write });
-        }
-        run.len()
-    }
-
-    #[inline]
-    fn advance_data_run(&self, _idx: usize, cur: &mut Self::Cursor, k: usize) {
-        debug_assert_eq!(cur.off, 0, "a data run never starts mid-instruction-run");
-        cur.idx += k;
-    }
-
-    // Warm the head of the dependent chain a resumed trace walks: the
-    // `XctTrace` struct, then the event buffer it points at (the pointer
-    // load overlaps under out-of-order execution; nothing consumes it).
-    #[inline]
-    fn prefetch(&self, idx: usize) {
-        let t = &self[idx];
-        prefetch_ptr(t);
-        prefetch_ptr(t.events.as_ptr());
-    }
-}
-
-impl TraceSet for Vec<XctTrace> {
-    type Cursor = FlatCursor;
-
-    fn len(&self) -> usize {
-        self.as_slice().len()
-    }
-
-    fn xct_type(&self, idx: usize) -> XctTypeId {
-        TraceSet::xct_type(self.as_slice(), idx)
-    }
-
-    fn instructions_of(&self, idx: usize) -> u64 {
-        TraceSet::instructions_of(self.as_slice(), idx)
-    }
-
-    #[inline]
-    fn fetch(&self, idx: usize, cur: Self::Cursor) -> Fetched {
-        TraceSet::fetch(self.as_slice(), idx, cur)
-    }
-
-    #[inline]
-    fn advance_run(&self, idx: usize, cur: &mut Self::Cursor, rem: u16, k: u16) {
-        TraceSet::advance_run(self.as_slice(), idx, cur, rem, k);
-    }
-
-    #[inline]
-    fn advance_event(&self, idx: usize, cur: &mut Self::Cursor, ev: FlatEvent) {
-        TraceSet::advance_event(self.as_slice(), idx, cur, ev);
-    }
-
-    #[inline]
-    fn gather_data_run(&self, idx: usize, cur: Self::Cursor, run: &mut DataRun) -> usize {
-        TraceSet::gather_data_run(self.as_slice(), idx, cur, run)
-    }
-
-    #[inline]
-    fn advance_data_run(&self, idx: usize, cur: &mut Self::Cursor, k: usize) {
-        TraceSet::advance_data_run(self.as_slice(), idx, cur, k);
-    }
-
-    #[inline]
-    fn prefetch(&self, idx: usize) {
-        TraceSet::prefetch(self.as_slice(), idx);
-    }
-}
-
-/// Walk a whole trace through a [`TraceSet`] as flat events (test and
-/// diagnostic helper; the replay engine drives the cursor itself).
-pub fn flat_events_of<T: TraceSet + ?Sized>(set: &T, idx: usize) -> Vec<FlatEvent> {
-    let mut cur = T::Cursor::default();
-    let mut out = Vec::new();
-    loop {
-        match set.fetch(idx, cur) {
-            Fetched::End => break,
-            Fetched::Run { block, rem, ipb } => {
-                out.push(FlatEvent::Instr {
-                    block,
-                    n_instr: ipb,
-                });
-                set.advance_run(idx, &mut cur, rem, 1);
-            }
-            Fetched::Event(ev) => {
-                out.push(ev);
-                set.advance_event(idx, &mut cur, ev);
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::OpKind;
+    use crate::event::{OpKind, TraceEvent, XctTrace, XctTypeId};
+    use crate::intern::{InternCursor, InternedSet, InternedTrace, SlicePool};
 
-    fn sample() -> Vec<XctTrace> {
-        vec![XctTrace {
+    fn sample() -> XctTrace {
+        XctTrace {
             xct_type: XctTypeId(7),
             events: vec![
                 TraceEvent::XctBegin {
@@ -386,14 +126,18 @@ mod tests {
                 TraceEvent::OpEnd { op: OpKind::Probe },
                 TraceEvent::XctEnd,
             ],
-        }]
+        }
     }
 
     #[test]
     fn fetch_reports_run_remainders() {
-        let traces = sample();
-        let set = traces.as_slice();
-        let mut cur = FlatCursor::default();
+        let mut pool = SlicePool::new();
+        let xcts = [InternedTrace::intern(&sample(), &mut pool)];
+        let set = InternedSet {
+            pool: &pool,
+            xcts: &xcts,
+        };
+        let mut cur = InternCursor::default();
         // Skip XctBegin and OpBegin.
         for _ in 0..2 {
             let Fetched::Event(ev) = set.fetch(0, cur) else {
@@ -427,18 +171,22 @@ mod tests {
 
     #[test]
     fn flat_walk_matches_event_flatten() {
-        let traces = sample();
-        let via_set = flat_events_of(traces.as_slice(), 0);
-        let via_flatten: Vec<FlatEvent> = traces[0].flat_events().collect();
-        assert_eq!(via_set, via_flatten);
+        let trace = sample();
+        let mut pool = SlicePool::new();
+        let xcts = [InternedTrace::intern(&trace, &mut pool)];
+        let set = InternedSet {
+            pool: &pool,
+            xcts: &xcts,
+        };
+        let via_flatten: Vec<FlatEvent> = trace.flat_events().collect();
+        assert_eq!(set.flat_events(0), via_flatten);
     }
 
-    /// Gather/advance through any layout must agree with walking the same
-    /// events one at a time via `fetch`/`advance_event` — here exercised
-    /// on the flat layout's specialized overrides.
+    /// Gather/advance agree with walking the same events one at a time
+    /// via `fetch`/`advance_event`.
     #[test]
     fn gather_data_run_matches_per_event_walk() {
-        let traces = vec![XctTrace {
+        let trace = XctTrace {
             xct_type: XctTypeId(1),
             events: vec![
                 TraceEvent::XctBegin {
@@ -467,9 +215,14 @@ mod tests {
                 },
                 TraceEvent::XctEnd,
             ],
-        }];
-        let set = traces.as_slice();
-        let mut cur = FlatCursor::default();
+        };
+        let mut pool = SlicePool::new();
+        let xcts = [InternedTrace::intern(&trace, &mut pool)];
+        let set = InternedSet {
+            pool: &pool,
+            xcts: &xcts,
+        };
+        let mut cur = InternCursor::default();
         let mut run = DataRun::new();
         // At XctBegin: no data run.
         assert_eq!(set.gather_data_run(0, cur, &mut run), 0);
@@ -509,107 +262,20 @@ mod tests {
         assert!(run.is_empty());
     }
 
-    /// A layout that keeps the trait's *default*
-    /// `gather_data_run`/`advance_data_run` (both flat and interned
-    /// override them with direct scans, so without this wrapper the
-    /// defaults — the contract future implementors inherit — would have
-    /// zero coverage).
-    struct DefaultOnly(Vec<XctTrace>);
-
-    impl TraceSet for DefaultOnly {
-        type Cursor = FlatCursor;
-
-        fn len(&self) -> usize {
-            self.0.len()
-        }
-
-        fn xct_type(&self, idx: usize) -> XctTypeId {
-            self.0[idx].xct_type
-        }
-
-        fn instructions_of(&self, idx: usize) -> u64 {
-            self.0[idx].instructions()
-        }
-
-        fn fetch(&self, idx: usize, cur: Self::Cursor) -> Fetched {
-            TraceSet::fetch(self.0.as_slice(), idx, cur)
-        }
-
-        fn advance_run(&self, idx: usize, cur: &mut Self::Cursor, rem: u16, k: u16) {
-            TraceSet::advance_run(self.0.as_slice(), idx, cur, rem, k);
-        }
-
-        fn advance_event(&self, idx: usize, cur: &mut Self::Cursor, ev: FlatEvent) {
-            TraceSet::advance_event(self.0.as_slice(), idx, cur, ev);
-        }
-        // gather_data_run / advance_data_run: trait defaults.
-    }
-
-    /// The default cursor-copy gather and advance agree with the flat
-    /// layout's specialized overrides at every position of a trace.
-    #[test]
-    fn default_data_run_impls_match_specialized() {
-        let traces = vec![XctTrace {
-            xct_type: XctTypeId(0),
-            events: vec![
-                TraceEvent::Data {
-                    block: BlockAddr(0x100),
-                    write: true,
-                },
-                TraceEvent::Data {
-                    block: BlockAddr(0x101),
-                    write: false,
-                },
-                TraceEvent::Instr {
-                    block: BlockAddr(0x40),
-                    n_blocks: 2,
-                    ipb: 5,
-                },
-                TraceEvent::Data {
-                    block: BlockAddr(0x102),
-                    write: true,
-                },
-            ],
-        }];
-        let fallback = DefaultOnly(traces.clone());
-        let spec = traces.as_slice();
-        let mut dc = FlatCursor::default();
-        let mut sc = FlatCursor::default();
-        let mut drun = DataRun::new();
-        let mut srun = DataRun::new();
-        loop {
-            let n = fallback.gather_data_run(0, dc, &mut drun);
-            assert_eq!(spec.gather_data_run(0, sc, &mut srun), n);
-            assert_eq!(drun.accesses(), srun.accesses());
-            if n > 0 {
-                fallback.advance_data_run(0, &mut dc, n);
-                spec.advance_data_run(0, &mut sc, n);
-                assert_eq!(dc, sc, "cursors diverged after advancing {n}");
-                continue;
-            }
-            match spec.fetch(0, sc) {
-                Fetched::End => break,
-                Fetched::Run { rem, .. } => {
-                    fallback.advance_run(0, &mut dc, rem, 1);
-                    spec.advance_run(0, &mut sc, rem, 1);
-                }
-                Fetched::Event(ev) => {
-                    fallback.advance_event(0, &mut dc, ev);
-                    spec.advance_event(0, &mut sc, ev);
-                }
-            }
-        }
-    }
-
     #[test]
     fn exhausted_cursor_fetches_end() {
-        let traces = vec![XctTrace {
-            xct_type: XctTypeId(0),
-            events: vec![],
-        }];
-        assert_eq!(
-            TraceSet::fetch(traces.as_slice(), 0, FlatCursor::default()),
-            Fetched::End
-        );
+        let mut pool = SlicePool::new();
+        let xcts = [InternedTrace::intern(
+            &XctTrace {
+                xct_type: XctTypeId(0),
+                events: vec![],
+            },
+            &mut pool,
+        )];
+        let set = InternedSet {
+            pool: &pool,
+            xcts: &xcts,
+        };
+        assert_eq!(set.fetch(0, InternCursor::default()), Fetched::End);
     }
 }

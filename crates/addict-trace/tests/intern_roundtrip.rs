@@ -1,12 +1,11 @@
 //! Interning must be lossless: `intern → flatten` reproduces the original
 //! event sequence bit-for-bit for *arbitrary* traces — op-bracketed or
 //! not, empty or data-heavy, shared pool or private — and the interned
-//! cursor ([`InternedSet`] via [`TraceSet`]) walks the exact flat-event
-//! stream of the original. The observational-equivalence obligation of the
+//! cursor ([`InternedSet`]) walks the exact flat-event stream
+//! ([`XctTrace::flat_events`]) of the original. The observational-equivalence obligation of the
 //! refactor: the compact form may change memory layout, never meaning.
 
 use addict_sim::BlockAddr;
-use addict_trace::set::flat_events_of;
 use addict_trace::{
     InternedSet, InternedTrace, InternedWorkload, OpKind, SlicePool, TraceEvent, WorkloadTrace,
     XctTrace, XctTypeId,
@@ -95,10 +94,10 @@ proptest! {
             .map(|t| InternedTrace::intern(t, &mut pool))
             .collect();
         let set = InternedSet { pool: &pool, xcts: &interned };
-        for i in 0..traces.len() {
+        for (i, t) in traces.iter().enumerate() {
             prop_assert_eq!(
-                flat_events_of(&set, i),
-                flat_events_of(traces.as_slice(), i),
+                set.flat_events(i),
+                t.flat_events().collect::<Vec<_>>(),
                 "trace {} diverged", i
             );
         }
@@ -151,10 +150,7 @@ proptest! {
         prop_assert_eq!(&interned.flatten(&pool).events, &trace.events);
         let traces = [interned];
         let set = InternedSet { pool: &pool, xcts: &traces };
-        prop_assert_eq!(
-            flat_events_of(&set, 0),
-            flat_events_of(std::slice::from_ref(&trace), 0)
-        );
+        prop_assert_eq!(set.flat_events(0), trace.flat_events().collect::<Vec<_>>());
     }
 
     /// Interning never grows the arena beyond the flat form, and repeats

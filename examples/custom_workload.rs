@@ -19,7 +19,7 @@ use addict::core::find_migration_points;
 use addict::core::replay::ReplayConfig;
 use addict::core::sched::{run_scheduler, SchedulerKind};
 use addict::storage::{Engine, EngineConfig};
-use addict::trace::{WorkloadTrace, XctTypeId};
+use addict::trace::{InternedWorkload, WorkloadTrace, XctTypeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -107,9 +107,14 @@ fn main() {
         }
     }
 
-    let eval = &trace.xcts[mid..];
-    let base = run_scheduler(SchedulerKind::Baseline, eval, Some(&map), &cfg);
-    let addict = run_scheduler(SchedulerKind::Addict, eval, Some(&map), &cfg);
+    // Replay walks the interned form of the evaluation half.
+    let eval = InternedWorkload::from_flat(&WorkloadTrace {
+        name: trace.name.clone(),
+        xct_type_names: trace.xct_type_names.clone(),
+        xcts: trace.xcts[mid..].to_vec(),
+    });
+    let base = run_scheduler(SchedulerKind::Baseline, &eval.as_set(), Some(&map), &cfg);
+    let addict = run_scheduler(SchedulerKind::Addict, &eval.as_set(), Some(&map), &cfg);
     println!(
         "\nBaseline: {:.2e} cycles, {:.1} L1-I mpki | ADDICT: {:.2e} cycles, {:.1} L1-I mpki",
         base.total_cycles,

@@ -3,15 +3,16 @@
 //! 1. Build and populate a TPC-C database on the storage engine.
 //! 2. Trace 200 transactions (the profiling run).
 //! 3. Run Algorithm 1 to find the migration points.
-//! 4. Trace 200 fresh transactions and replay them under traditional
-//!    scheduling and under ADDICT on the simulated 16-core machine.
+//! 4. Trace 200 fresh transactions, intern them, and replay them under
+//!    traditional scheduling and under ADDICT on the simulated 16-core
+//!    machine.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
 use addict::core::find_migration_points;
 use addict::core::replay::ReplayConfig;
 use addict::core::sched::{run_scheduler, SchedulerKind};
-use addict::trace::OpKind;
+use addict::trace::{InternedWorkload, OpKind};
 use addict::workloads::{collect_traces, Benchmark};
 
 fn main() {
@@ -42,10 +43,11 @@ fn main() {
         }
     }
 
-    // 4. Fresh traces, replayed under Baseline and ADDICT.
-    let eval = collect_traces(&mut engine, workload.as_mut(), 200, 2);
-    let baseline = run_scheduler(SchedulerKind::Baseline, &eval.xcts, Some(&map), &cfg);
-    let addict = run_scheduler(SchedulerKind::Addict, &eval.xcts, Some(&map), &cfg);
+    // 4. Fresh traces, interned (the form replay walks: each distinct
+    //    event slice stored once) and replayed under Baseline and ADDICT.
+    let eval = InternedWorkload::from_flat(&collect_traces(&mut engine, workload.as_mut(), 200, 2));
+    let baseline = run_scheduler(SchedulerKind::Baseline, &eval.as_set(), Some(&map), &cfg);
+    let addict = run_scheduler(SchedulerKind::Addict, &eval.as_set(), Some(&map), &cfg);
 
     println!("\n                   Baseline       ADDICT");
     println!(

@@ -6,6 +6,7 @@
 use addict::core::find_migration_points;
 use addict::core::replay::ReplayConfig;
 use addict::core::sched::{run_scheduler, SchedulerKind};
+use addict::trace::InternedWorkload;
 use addict::workloads::{collect_traces, Benchmark};
 
 fn main() {
@@ -15,7 +16,7 @@ fn main() {
         .unwrap_or(300);
     let (mut engine, mut workload) = Benchmark::TpcE.setup();
     let profile = collect_traces(&mut engine, workload.as_mut(), n, 1);
-    let eval = collect_traces(&mut engine, workload.as_mut(), n, 2);
+    let eval = InternedWorkload::from_flat(&collect_traces(&mut engine, workload.as_mut(), n, 2));
     let cfg = ReplayConfig::paper_default();
     let map = find_migration_points(&profile.xcts, cfg.sim.l1i);
 
@@ -25,7 +26,7 @@ fn main() {
     );
     let mut baseline: Option<(f64, f64)> = None;
     for kind in SchedulerKind::ALL {
-        let r = run_scheduler(kind, &eval.xcts, Some(&map), &cfg);
+        let r = run_scheduler(kind, &eval.as_set(), Some(&map), &cfg);
         let (bc, bl) = *baseline.get_or_insert((r.total_cycles, r.avg_latency_cycles));
         println!(
             "{:<9} {:>9.2}x {:>8.2}x {:>9.2} {:>9.2} {:>10.3} {:>7.2}% {:>8.2}",

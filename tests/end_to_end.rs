@@ -1,5 +1,5 @@
 //! End-to-end integration tests: the full pipeline — populate → trace →
-//! Algorithm 1 → plan → replay all four schedulers — at small scale, with
+//! Algorithm 1 → plan → intern → replay all four schedulers — at small scale, with
 //! the paper's qualitative claims asserted as invariants.
 
 use addict::core::algorithm1::MigrationMap;
@@ -7,16 +7,16 @@ use addict::core::find_migration_points;
 use addict::core::replay::ReplayConfig;
 use addict::core::sched::{run_scheduler, SchedulerKind};
 use addict::sim::SimConfig;
-use addict::trace::WorkloadTrace;
+use addict::trace::{InternedWorkload, WorkloadTrace};
 use addict::workloads::{collect_traces, Benchmark};
 
 fn pipeline(
     bench: Benchmark,
     n: usize,
-) -> (WorkloadTrace, WorkloadTrace, MigrationMap, ReplayConfig) {
+) -> (WorkloadTrace, InternedWorkload, MigrationMap, ReplayConfig) {
     let (mut engine, mut workload) = bench.setup_small();
     let profile = collect_traces(&mut engine, workload.as_mut(), n, 1);
-    let eval = collect_traces(&mut engine, workload.as_mut(), n, 2);
+    let eval = InternedWorkload::from_flat(&collect_traces(&mut engine, workload.as_mut(), n, 2));
     let cfg = ReplayConfig {
         sim: SimConfig::paper_default().with_cores(8),
         ..ReplayConfig::paper_default()
@@ -29,10 +29,10 @@ fn pipeline(
 #[test]
 fn tpcb_pipeline_reproduces_paper_shapes() {
     let (_, eval, map, cfg) = pipeline(Benchmark::TpcB, 64);
-    let base = run_scheduler(SchedulerKind::Baseline, &eval.xcts, Some(&map), &cfg);
-    let strex = run_scheduler(SchedulerKind::Strex, &eval.xcts, Some(&map), &cfg);
-    let slicc = run_scheduler(SchedulerKind::Slicc, &eval.xcts, Some(&map), &cfg);
-    let addict = run_scheduler(SchedulerKind::Addict, &eval.xcts, Some(&map), &cfg);
+    let base = run_scheduler(SchedulerKind::Baseline, &eval.as_set(), Some(&map), &cfg);
+    let strex = run_scheduler(SchedulerKind::Strex, &eval.as_set(), Some(&map), &cfg);
+    let slicc = run_scheduler(SchedulerKind::Slicc, &eval.as_set(), Some(&map), &cfg);
+    let addict = run_scheduler(SchedulerKind::Addict, &eval.as_set(), Some(&map), &cfg);
 
     // Everyone executes the same instructions.
     for r in [&strex, &slicc, &addict] {
@@ -101,8 +101,8 @@ fn tpce_readonly_share_and_replay() {
     let share = readonly as f64 / profile.xcts.len() as f64;
     assert!((0.55..=0.95).contains(&share), "read-only share {share}");
 
-    let base = run_scheduler(SchedulerKind::Baseline, &eval.xcts, Some(&map), &cfg);
-    let addict = run_scheduler(SchedulerKind::Addict, &eval.xcts, Some(&map), &cfg);
+    let base = run_scheduler(SchedulerKind::Baseline, &eval.as_set(), Some(&map), &cfg);
+    let addict = run_scheduler(SchedulerKind::Addict, &eval.as_set(), Some(&map), &cfg);
     assert!(addict.stats.l1i_mpki() < base.stats.l1i_mpki());
 }
 
@@ -113,7 +113,8 @@ fn deep_hierarchy_shrinks_addicts_advantage() {
     let (_, eval, map, _) = {
         let (mut engine, mut workload) = Benchmark::TpcB.setup_small();
         let profile = collect_traces(&mut engine, workload.as_mut(), 64, 1);
-        let eval = collect_traces(&mut engine, workload.as_mut(), 64, 2);
+        let eval =
+            InternedWorkload::from_flat(&collect_traces(&mut engine, workload.as_mut(), 64, 2));
         let cfg = ReplayConfig::paper_default();
         let map = find_migration_points(&profile.xcts, cfg.sim.l1i);
         ((), eval, map, ())
@@ -123,8 +124,8 @@ fn deep_hierarchy_shrinks_addicts_advantage() {
             sim,
             ..ReplayConfig::paper_default()
         };
-        let base = run_scheduler(SchedulerKind::Baseline, &eval.xcts, Some(&map), &cfg);
-        let addict = run_scheduler(SchedulerKind::Addict, &eval.xcts, Some(&map), &cfg);
+        let base = run_scheduler(SchedulerKind::Baseline, &eval.as_set(), Some(&map), &cfg);
+        let addict = run_scheduler(SchedulerKind::Addict, &eval.as_set(), Some(&map), &cfg);
         base.total_cycles / addict.total_cycles
     };
     let shallow = gain(SimConfig::paper_default());
@@ -145,14 +146,14 @@ fn batch_size_sweep_is_monotonic_enough() {
     // reduction is roughly flat.
     let (mut engine, mut workload) = Benchmark::TpcB.setup_small();
     let profile = collect_traces(&mut engine, workload.as_mut(), 48, 1);
-    let eval = collect_traces(&mut engine, workload.as_mut(), 96, 2);
+    let eval = InternedWorkload::from_flat(&collect_traces(&mut engine, workload.as_mut(), 96, 2));
     let base_cfg = ReplayConfig::paper_default();
     let map = find_migration_points(&profile.xcts, base_cfg.sim.l1i);
     let cycles: Vec<f64> = [2usize, 16]
         .iter()
         .map(|&b| {
             let cfg = ReplayConfig::paper_default().with_batch_size(b);
-            run_scheduler(SchedulerKind::Addict, &eval.xcts, Some(&map), &cfg).total_cycles
+            run_scheduler(SchedulerKind::Addict, &eval.as_set(), Some(&map), &cfg).total_cycles
         })
         .collect();
     assert!(
@@ -165,7 +166,7 @@ fn batch_size_sweep_is_monotonic_enough() {
 fn determinism_across_identical_runs() {
     let run = || {
         let (_, eval, map, cfg) = pipeline(Benchmark::TpcB, 32);
-        let r = run_scheduler(SchedulerKind::Addict, &eval.xcts, Some(&map), &cfg);
+        let r = run_scheduler(SchedulerKind::Addict, &eval.as_set(), Some(&map), &cfg);
         (
             r.total_cycles,
             r.stats.l1i_misses(),
@@ -182,8 +183,8 @@ fn determinism_across_identical_runs() {
 #[test]
 fn power_report_is_consistent() {
     let (_, eval, map, cfg) = pipeline(Benchmark::TpcB, 32);
-    let base = run_scheduler(SchedulerKind::Baseline, &eval.xcts, Some(&map), &cfg);
-    let addict = run_scheduler(SchedulerKind::Addict, &eval.xcts, Some(&map), &cfg);
+    let base = run_scheduler(SchedulerKind::Baseline, &eval.as_set(), Some(&map), &cfg);
+    let addict = run_scheduler(SchedulerKind::Addict, &eval.as_set(), Some(&map), &cfg);
     for r in [&base, &addict] {
         assert!(r.power.per_core_power_w > 0.0);
         assert!(r.power.dynamic_energy_j > 0.0);
