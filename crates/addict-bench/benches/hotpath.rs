@@ -1,12 +1,12 @@
 //! Criterion microbenchmarks for the replay hot path: L1-I segment walks
 //! vs per-block cache accesses, warm data runs vs per-access data walks,
 //! building and dropping the paper-default machine (every replay builds
-//! one), the open-addressed coherence directory, the interned cursor's
-//! delta-varint address decode, full per-block-vs-fast-path replay under
-//! every scheduler on a synthetic trace, Baseline and ADDICT replays of a
-//! real small-scale TPC-C eval set, and the fixed costs of a small service
-//! job: a Baseline replay of its 20-transaction YCSB-B eval set, machine
-//! build and teardown included, and the serialization of its result.
+//! one), the open-addressed coherence directory, and over real
+//! small-scale TPC-C traces: the interned cursor's delta-varint address
+//! decode, Baseline and ADDICT replays, and Algorithm 1 over the profile set;
+//! and the fixed costs of a small service job: a Baseline replay of its
+//! 20-transaction YCSB-B eval set, machine build and teardown included,
+//! and the serialization of its result.
 //!
 //! Run with `cargo bench --bench hotpath`. The `bench` binary
 //! (`cargo run --release --bin bench`) regenerates the latest
@@ -15,18 +15,15 @@
 use addict_bench::{
     run_job, JobSpec, TraceKey, TracePool, DEFAULT_GEN_CHUNK, EVAL_SEED, PROFILE_SEED,
 };
-use addict_core::algorithm1::find_migration_points;
+use addict_core::algorithm1::find_migration_points_interned;
 use addict_core::replay::ReplayConfig;
 use addict_core::sched::{run_scheduler, SchedulerKind};
 use addict_sim::coherence::Directory;
 use addict_sim::{BlockAddr, CacheGeometry, CoreId, Machine, SetAssocCache, SimConfig};
 use addict_trace::event::FlatEvent;
 use addict_trace::intern::InternCursor;
-use addict_trace::{
-    DataRun, Fetched, InternedSet, InternedTrace, InternedWorkload, OpKind, SlicePool, TraceEvent,
-    WorkloadTrace, XctTrace, XctTypeId,
-};
-use addict_workloads::Benchmark;
+use addict_trace::{DataRun, Fetched, InternedSet, InternedWorkload, TraceEvent};
+use addict_workloads::{collect_traces, Benchmark};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 fn bench_cache_walks(c: &mut Criterion) {
@@ -92,67 +89,15 @@ fn bench_directory(c: &mut Criterion) {
     });
 }
 
-/// Synthetic OLTP-ish trace: long shared instruction runs with scattered
-/// private data, the shape the paper's workloads exhibit.
-fn synthetic_trace(i: u64) -> XctTrace {
-    let mut events = vec![TraceEvent::XctBegin {
-        xct_type: XctTypeId(0),
-    }];
-    for (op, base) in [(OpKind::Probe, 0x10_000u64), (OpKind::Update, 0x12_000)] {
-        events.push(TraceEvent::OpBegin { op });
-        events.push(TraceEvent::Instr {
-            block: BlockAddr(base),
-            n_blocks: 350,
-            ipb: 10,
-        });
-        // A short run of consecutive private data touches (record + index
-        // blocks), the shape the data-run path coalesces.
-        for d in 0..4u64 {
-            events.push(TraceEvent::Data {
-                block: BlockAddr(0x1000_0000 + i * 8 + d),
-                write: op == OpKind::Update,
-            });
-        }
-        events.push(TraceEvent::OpEnd { op });
-    }
-    events.push(TraceEvent::XctEnd);
-    XctTrace {
-        xct_type: XctTypeId(0),
-        events,
-    }
-}
-
-fn bench_replay_modes(c: &mut Criterion) {
-    let traces: Vec<XctTrace> = (0..64).map(synthetic_trace).collect();
-    let interned = InternedWorkload::from_flat(&WorkloadTrace {
-        name: "synthetic".into(),
-        xct_type_names: vec!["xct".into()],
-        xcts: traces.clone(),
-    });
-    let base_cfg = ReplayConfig {
-        sim: SimConfig::paper_default().with_cores(8),
-        ..ReplayConfig::paper_default()
-    }
-    .with_batch_size(8);
-    let map = find_migration_points(&traces, base_cfg.sim.l1i);
-    for kind in SchedulerKind::ALL {
-        for (mode, fast_paths) in [("per_block", false), ("fast", true)] {
-            let cfg = ReplayConfig {
-                fast_paths,
-                ..base_cfg.clone()
-            };
-            let name = format!("replay/{}_{mode}_64_xcts", kind.name().to_lowercase());
-            c.bench_function(&name, |b| {
-                b.iter(|| {
-                    black_box(run_scheduler(
-                        kind,
-                        black_box(&interned.as_set()),
-                        Some(&map),
-                        &cfg,
-                    ))
-                })
-            });
-        }
+/// The small-scale TPC-C key a job fetches for `seed`: 400 transactions,
+/// the default generation chunk.
+fn tpcc_small(seed: u64) -> TraceKey {
+    TraceKey {
+        bench: Benchmark::TpcC,
+        seed,
+        n_xcts: 400,
+        chunk: DEFAULT_GEN_CHUNK,
+        small: true,
     }
 }
 
@@ -162,15 +107,8 @@ fn bench_replay_modes(c: &mut Criterion) {
 /// seed. Generation and Algorithm 1 run once, outside the timed loop.
 fn bench_replay_tpcc_small(c: &mut Criterion) {
     let pool = TracePool::unbounded();
-    let key = |seed| TraceKey {
-        bench: Benchmark::TpcC,
-        seed,
-        n_xcts: 400,
-        chunk: DEFAULT_GEN_CHUNK,
-        small: true,
-    };
-    let (eval, _) = pool.get(&key(EVAL_SEED), 1);
-    let (_, map, _) = pool.get_profile(&key(PROFILE_SEED));
+    let (eval, _) = pool.get(&tpcc_small(EVAL_SEED), 1);
+    let (_, map, _) = pool.get_profile(&tpcc_small(PROFILE_SEED));
     let cfg = ReplayConfig::paper_default();
     for kind in [SchedulerKind::Baseline, SchedulerKind::Addict] {
         let name = format!("replay/tpcc_small_{}", kind.name().to_lowercase());
@@ -178,6 +116,23 @@ fn bench_replay_tpcc_small(c: &mut Criterion) {
             b.iter(|| black_box(run_scheduler(kind, &eval.as_set(), Some(&map), &cfg)))
         });
     }
+}
+
+/// Algorithm 1 over the profile set a small TPC-C job profiles: the
+/// interned traces are fetched once, and every iteration computes the map
+/// afresh (the pool's memoized map is not used).
+fn bench_alg1_tpcc_small(c: &mut Criterion) {
+    let pool = TracePool::unbounded();
+    let (profile, _) = pool.get(&tpcc_small(PROFILE_SEED), 1);
+    let l1i = ReplayConfig::paper_default().sim.l1i;
+    c.bench_function("alg1/tpcc_small_profile", |b| {
+        b.iter(|| {
+            black_box(find_migration_points_interned(
+                black_box(profile.as_set()),
+                l1i,
+            ))
+        })
+    });
 }
 
 /// The shape of a `small-jobs` service job: small-scale YCSB-B, 20
@@ -245,18 +200,12 @@ fn cursor_walk(set: &InternedSet<'_>) -> u64 {
 }
 
 fn bench_cursor_decode(c: &mut Criterion) {
-    let traces: Vec<XctTrace> = (0..64).map(synthetic_trace).collect();
-    let mut pool = SlicePool::new();
-    let interned: Vec<InternedTrace> = traces
-        .iter()
-        .map(|t| InternedTrace::intern(t, &mut pool))
-        .collect();
-    let set = InternedSet {
-        pool: &pool,
-        xcts: &interned,
-    };
+    let (mut engine, mut workload) = Benchmark::TpcC.setup_small();
+    let traces = collect_traces(&mut engine, workload.as_mut(), 400, EVAL_SEED);
+    let interned = InternedWorkload::from_flat(&traces);
     // The same checksum straight off the recorded events.
     let recorded = traces
+        .xcts
         .iter()
         .flat_map(|t| &t.events)
         .fold(0u64, |sum, e| match *e {
@@ -268,11 +217,11 @@ fn bench_cursor_decode(c: &mut Criterion) {
         });
     assert_eq!(
         recorded,
-        cursor_walk(&set),
+        cursor_walk(&interned.as_set()),
         "decode diverged from the recorded events"
     );
-    c.bench_function("cursor/interned_delta_decode_64_xcts", |b| {
-        b.iter(|| black_box(cursor_walk(black_box(&set))))
+    c.bench_function("cursor/interned_delta_decode_tpcc_small", |b| {
+        b.iter(|| black_box(cursor_walk(black_box(&interned.as_set()))))
     });
 }
 
@@ -341,6 +290,6 @@ fn bench_machine_new(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_cache_walks, bench_directory, bench_machine_new, bench_machine_fetch, bench_machine_data_runs, bench_small_job, bench_cursor_decode, bench_replay_modes, bench_replay_tpcc_small
+    targets = bench_cache_walks, bench_directory, bench_machine_new, bench_machine_fetch, bench_machine_data_runs, bench_small_job, bench_cursor_decode, bench_replay_tpcc_small, bench_alg1_tpcc_small
 );
 criterion_main!(benches);

@@ -3,9 +3,9 @@
 //! number of transaction traces grows (1000 vs 10000 in the paper).
 
 use addict_bench::{header, parse_bench_args, PROFILE_SEED};
-use addict_core::find_migration_points;
+use addict_core::find_migration_points_interned;
 use addict_core::replay::ReplayConfig;
-use addict_trace::{OpKind, XctTypeId};
+use addict_trace::{InternedWorkload, OpKind, XctTypeId};
 use addict_workloads::{collect_traces, tpcc, Benchmark};
 
 fn main() {
@@ -42,11 +42,15 @@ fn main() {
     );
     for (bench, ty, label) in cases {
         let (mut engine, mut workload) = bench.setup();
-        let profile = collect_traces(&mut engine, workload.as_mut(), base, PROFILE_SEED);
-        let map = find_migration_points(&profile.xcts, cfg.sim.l1i);
+        // Every range runs on this one engine, in order, and is interned.
+        let mut collect = |seed| {
+            InternedWorkload::from_flat(&collect_traces(&mut engine, workload.as_mut(), base, seed))
+        };
+        let profile = collect(PROFILE_SEED);
+        let map = find_migration_points_interned(profile.as_set(), cfg.sim.l1i);
         // Fresh traces after the profiling window, evaluated in two sizes
         // (streamed in chunks to bound memory, like the paper's 10k runs).
-        let small = collect_traces(&mut engine, workload.as_mut(), base, PROFILE_SEED + 100);
+        let small = collect(PROFILE_SEED + 100);
         let mut printed_any = false;
         for op in [
             OpKind::Probe,
@@ -55,20 +59,15 @@ fn main() {
             OpKind::Scan,
             OpKind::Delete,
         ] {
-            let Some(s_small) = map.stability(&small.xcts, cfg.sim.l1i, ty, op) else {
+            let Some(s_small) = map.stability(small.as_set(), cfg.sim.l1i, ty, op) else {
                 continue;
             };
             // Accumulate the large set in chunks.
             let mut matched = 0.0f64;
             let mut chunks = 0usize;
             for chunk in 0..10 {
-                let t = collect_traces(
-                    &mut engine,
-                    workload.as_mut(),
-                    base,
-                    PROFILE_SEED + 200 + chunk as u64,
-                );
-                if let Some(s) = map.stability(&t.xcts, cfg.sim.l1i, ty, op) {
+                let t = collect(PROFILE_SEED + 200 + chunk as u64);
+                if let Some(s) = map.stability(t.as_set(), cfg.sim.l1i, ty, op) {
                     matched += s;
                     chunks += 1;
                 }

@@ -7,6 +7,12 @@
 //! the most frequent sequence per (transaction type, operation) becomes
 //! that operation's migration points (Section 3.1).
 //!
+//! The profile is read in its interned form. Slices are cut where the scan
+//! flushes, so each unique slice is scanned once per call and its result
+//! counted for every reference to it: the cost grows with the pool's
+//! unique slices, not with every profiled event. [`find_migration_points`]
+//! interns flat traces into a private pool first.
+//!
 //! Ties are broken deterministically (lexicographically smallest sequence)
 //! instead of the paper's "pick randomly" so runs are reproducible; the
 //! paper reports never observing ties on these workloads either.
@@ -14,8 +20,10 @@
 use std::collections::HashMap;
 
 use addict_sim::{BlockAddr, CacheGeometry, SetAssocCache};
-use addict_trace::event::FlatEvent;
-use addict_trace::{OpKind, XctTrace, XctTypeId};
+use addict_trace::event::{flatten, FlatEvent};
+use addict_trace::{
+    InternedSet, InternedTrace, OpKind, SlicePool, SliceRef, TraceEvent, XctTrace, XctTypeId,
+};
 
 /// A migration-point sequence: the eviction-causing instruction blocks of
 /// one operation execution, in order.
@@ -126,21 +134,21 @@ impl MigrationMap {
     /// traces.
     pub fn stability(
         &self,
-        traces: &[XctTrace],
+        set: InternedSet<'_>,
         l1i: CacheGeometry,
         xct: XctTypeId,
         op: OpKind,
     ) -> Option<f64> {
         let chosen = self.points(xct, op)?;
+        let of_type = || set.xcts.iter().filter(|t| t.xct_type == xct);
+        let scans = scan_slices(set.pool, of_type(), l1i);
         let mut matched = 0u64;
         let mut total = 0u64;
-        for trace in traces.iter().filter(|t| t.xct_type == xct) {
-            for (kind, seq) in per_instance_sequences(trace, l1i) {
-                if kind == op {
+        for r in of_type().flat_map(InternedTrace::slice_refs) {
+            if let Some((kind, seq, _)) = &scans[r].op {
+                if *kind == op {
                     total += 1;
-                    if &seq == chosen {
-                        matched += 1;
-                    }
+                    matched += u64::from(seq == chosen);
                 }
             }
         }
@@ -148,103 +156,105 @@ impl MigrationMap {
     }
 }
 
-/// Incremental Algorithm 1: observe profiling traces one at a time, then
-/// [`finish`](Profiler::finish) into a [`MigrationMap`].
-///
-/// Trace-at-a-time observation is what lets interned profiling stay
-/// compact: each [`InternedTrace`](addict_trace::InternedTrace) is
-/// flattened transiently, observed, and dropped, so the whole uncompressed
-/// trace set never materializes.
-#[derive(Debug)]
-pub struct Profiler {
-    map: MigrationMap,
-    l1i: CacheGeometry,
-}
-
-impl Profiler {
-    /// A profiler over the given L1-I geometry.
-    pub fn new(l1i: CacheGeometry) -> Self {
-        Profiler {
-            map: MigrationMap::default(),
-            l1i,
-        }
-    }
-
-    /// Feed one profiling trace (lines 1–16 of Algorithm 1).
-    pub fn observe(&mut self, trace: &XctTrace) {
-        let map = &mut self.map;
-        *map.type_frequency.entry(trace.xct_type).or_insert(0) += 1;
-        let (instances, wrapper) = scan_trace(trace, self.l1i);
-        *map.wrapper_instructions.entry(trace.xct_type).or_insert(0) += wrapper;
-        for (op, seq, instr) in instances {
-            *map.op_frequency.entry((trace.xct_type, op)).or_insert(0) += 1;
-            *map.op_instructions.entry((trace.xct_type, op)).or_insert(0) += instr;
-            *map.counts
-                .entry((trace.xct_type, op))
-                .or_default()
-                .entry(seq)
-                .or_insert(0) += 1;
-        }
-    }
-
-    /// Choose the winning sequences (line 17: most frequent; ties break to
-    /// the lexicographically smallest for determinism).
-    pub fn finish(self) -> MigrationMap {
-        let mut map = self.map;
-        for (key, seqs) in &map.counts {
-            let best = seqs
-                .iter()
-                .max_by(|(sa, ca), (sb, cb)| ca.cmp(cb).then_with(|| sb.cmp(sa)))
-                .map(|(s, _)| s.clone())
-                .expect("non-empty candidate set");
-            map.chosen.insert(*key, best);
-        }
-        map
-    }
-}
-
-/// Run Algorithm 1 over profiling traces with the given L1-I geometry.
+/// Run Algorithm 1 over flat profiling traces: they are interned into a
+/// private pool and profiled by [`find_migration_points_interned`].
 pub fn find_migration_points(traces: &[XctTrace], l1i: CacheGeometry) -> MigrationMap {
-    let mut p = Profiler::new(l1i);
-    for trace in traces {
-        p.observe(trace);
-    }
-    p.finish()
+    let mut pool = SlicePool::new();
+    let xcts: Vec<InternedTrace> = traces
+        .iter()
+        .map(|t| InternedTrace::intern(t, &mut pool))
+        .collect();
+    find_migration_points_interned(
+        InternedSet {
+            pool: &pool,
+            xcts: &xcts,
+        },
+        l1i,
+    )
 }
 
-/// [`find_migration_points`] over interned profiling traces: each trace is
-/// flattened transiently and observed, so memory stays bounded by one
-/// trace, not the profile set.
-pub fn find_migration_points_interned(
-    set: addict_trace::InternedSet<'_>,
-    l1i: CacheGeometry,
-) -> MigrationMap {
-    let mut p = Profiler::new(l1i);
+/// Run Algorithm 1 over interned profiling traces with the given L1-I
+/// geometry. Each unique slice is scanned once; its tallies are then
+/// added for every reference to it, trace by trace, in trace order.
+pub fn find_migration_points_interned(set: InternedSet<'_>, l1i: CacheGeometry) -> MigrationMap {
+    let scans = scan_slices(set.pool, set.xcts, l1i);
+    let mut map = MigrationMap::default();
     for trace in set.xcts {
-        p.observe(&trace.flatten(set.pool));
+        let xct = trace.xct_type;
+        *map.type_frequency.entry(xct).or_insert(0) += 1;
+        let wrapper = map.wrapper_instructions.entry(xct).or_insert(0);
+        for r in trace.slice_refs() {
+            let scan = &scans[r];
+            *wrapper += scan.wrapper;
+            let Some((op, seq, instr)) = &scan.op else {
+                continue;
+            };
+            let key = (xct, *op);
+            *map.op_frequency.entry(key).or_insert(0) += 1;
+            *map.op_instructions.entry(key).or_insert(0) += instr;
+            let counts = map.counts.entry(key).or_default();
+            match counts.get_mut(seq) {
+                Some(n) => *n += 1,
+                None => {
+                    counts.insert(seq.clone(), 1);
+                }
+            }
+        }
     }
-    p.finish()
+    // Line 17: the most frequent sequence wins; ties break to the
+    // lexicographically smallest for determinism.
+    for (key, seqs) in &map.counts {
+        let best = seqs
+            .iter()
+            .max_by(|(sa, ca), (sb, cb)| ca.cmp(cb).then_with(|| sb.cmp(sa)))
+            .map(|(s, _)| s.clone())
+            .expect("non-empty candidate set");
+        map.chosen.insert(*key, best);
+    }
+    map
 }
 
-/// The eviction sequences of every operation instance in one trace
-/// (lines 1–16 of Algorithm 1).
-pub fn per_instance_sequences(trace: &XctTrace, l1i: CacheGeometry) -> Vec<(OpKind, Sequence)> {
-    scan_trace(trace, l1i)
-        .0
-        .into_iter()
-        .map(|(op, seq, _)| (op, seq))
-        .collect()
+/// Algorithm 1's result for one slice (lines 1–16): the operation
+/// instance the slice completes, if any, and the instructions it runs
+/// outside any operation.
+#[derive(Debug, Default)]
+struct SliceScan {
+    /// `(operation, eviction sequence, instructions)` of the instance
+    /// whose `OpEnd` closes the slice.
+    op: Option<(OpKind, Sequence, u64)>,
+    /// Instructions outside any operation (the begin/commit wrapper).
+    wrapper: u64,
 }
 
-/// Full Algorithm 1 scan of one trace: per-operation eviction sequences
-/// with instruction counts, plus the wrapper (outside-operation)
-/// instruction count.
-pub fn scan_trace(trace: &XctTrace, l1i: CacheGeometry) -> (Vec<(OpKind, Sequence, u64)>, u64) {
+/// Every slice the traces reference, scanned once.
+///
+/// The interner cuts a slice before every `OpBegin` and after every
+/// `OpEnd`, and Algorithm 1 flushes its L1-I at both, so every slice
+/// starts from an empty L1-I with no operation open. Its scan is then a
+/// function of the slice alone, whichever trace references it.
+fn scan_slices<'a>(
+    pool: &SlicePool,
+    xcts: impl IntoIterator<Item = &'a InternedTrace>,
+    l1i: CacheGeometry,
+) -> HashMap<SliceRef, SliceScan> {
     let mut cache = SetAssocCache::new(l1i);
-    let mut out = Vec::new();
-    let mut wrapper = 0u64;
+    let mut scans = HashMap::new();
+    for &r in xcts.into_iter().flat_map(InternedTrace::slice_refs) {
+        scans
+            .entry(r)
+            .or_insert_with(|| scan_slice(pool.resolve(r), &mut cache));
+    }
+    scans
+}
+
+/// Scan one slice from an empty L1-I. An operation the slice opens but
+/// does not close is dropped, as a flat scan drops it when the next
+/// `OpBegin` or the end of the trace comes first.
+fn scan_slice(events: &[TraceEvent], cache: &mut SetAssocCache) -> SliceScan {
+    cache.flush();
+    let mut scan = SliceScan::default();
     let mut current: Option<(OpKind, Sequence, u64)> = None;
-    for event in trace.flat_events() {
+    for event in flatten(events) {
         match event {
             FlatEvent::XctBegin(_) | FlatEvent::XctEnd => cache.flush(),
             FlatEvent::OpBegin(op) => {
@@ -253,12 +263,12 @@ pub fn scan_trace(trace: &XctTrace, l1i: CacheGeometry) -> (Vec<(OpKind, Sequenc
             }
             FlatEvent::OpEnd(_) => {
                 cache.flush();
-                out.push(current.take().expect("OpEnd without OpBegin"));
+                scan.op = Some(current.take().expect("OpEnd without OpBegin"));
             }
             FlatEvent::Instr { block, n_instr } => {
                 match current.as_mut() {
                     Some((_, _, instr)) => *instr += u64::from(n_instr),
-                    None => wrapper += u64::from(n_instr),
+                    None => scan.wrapper += u64::from(n_instr),
                 }
                 if cache.access(block).evicted.is_some() {
                     // Line 15-16: reset the cache, mark the point.
@@ -272,13 +282,13 @@ pub fn scan_trace(trace: &XctTrace, l1i: CacheGeometry) -> (Vec<(OpKind, Sequenc
             FlatEvent::Data { .. } => {}
         }
     }
-    (out, wrapper)
+    scan
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use addict_trace::TraceEvent;
+    use addict_trace::{InternedWorkload, WorkloadTrace};
 
     const XT: XctTypeId = XctTypeId(0);
 
@@ -307,14 +317,23 @@ mod tests {
         }
     }
 
+    /// `n` copies of [`trace_with_op`], interned.
+    fn interned(n: usize, op: OpKind, base: u64, blocks: u16) -> InternedWorkload {
+        InternedWorkload::from_flat(&WorkloadTrace {
+            name: String::new(),
+            xct_type_names: Vec::new(),
+            xcts: vec![trace_with_op(op, base, blocks); n],
+        })
+    }
+
     #[test]
     fn small_op_has_no_migration_points() {
         // 6 blocks into an 8-block cache: never evicts.
         let t = trace_with_op(OpKind::Probe, 0x100, 6);
-        let seqs = per_instance_sequences(&t, tiny_l1i());
-        assert_eq!(seqs.len(), 1);
-        assert_eq!(seqs[0].0, OpKind::Probe);
-        assert!(seqs[0].1.is_empty());
+        let map = find_migration_points(&[t], tiny_l1i());
+        assert_eq!(map.frequency(XT, OpKind::Probe), 1);
+        assert_eq!(map.ops_of(XT), vec![OpKind::Probe]);
+        assert!(map.points(XT, OpKind::Probe).unwrap().is_empty());
     }
 
     #[test]
@@ -322,8 +341,8 @@ mod tests {
         // 20 sequential blocks through an 8-block cache: the 9th distinct
         // block evicts (flush, point), then every 8 blocks after that.
         let t = trace_with_op(OpKind::Insert, 0x200, 20);
-        let seqs = per_instance_sequences(&t, tiny_l1i());
-        let seq = &seqs[0].1;
+        let map = find_migration_points(&[t], tiny_l1i());
+        let seq = map.points(XT, OpKind::Insert).unwrap();
         assert_eq!(
             seq.len(),
             2,
@@ -375,13 +394,14 @@ mod tests {
             xct_type: XT,
             events,
         };
-        let seqs = per_instance_sequences(&t, tiny_l1i());
-        assert_eq!(seqs.len(), 2);
+        let map = find_migration_points(&[t], tiny_l1i());
+        let probe = map.points(XT, OpKind::Probe).unwrap();
         assert_eq!(
-            seqs[0].1, seqs[1].1,
+            Some(probe),
+            map.points(XT, OpKind::Update),
             "identical walks from a clean cache match"
         );
-        assert_eq!(seqs[0].1.len(), 1); // 12 blocks -> one overflow
+        assert_eq!(probe.len(), 1); // 12 blocks -> one overflow
     }
 
     #[test]
@@ -390,23 +410,22 @@ mod tests {
             .map(|_| trace_with_op(OpKind::Probe, 0x400, 20))
             .collect();
         let map = find_migration_points(&profile, tiny_l1i());
-        let fresh: Vec<XctTrace> = (0..5)
-            .map(|_| trace_with_op(OpKind::Probe, 0x400, 20))
-            .collect();
+        let fresh = interned(5, OpKind::Probe, 0x400, 20);
         assert_eq!(
-            map.stability(&fresh, tiny_l1i(), XT, OpKind::Probe),
+            map.stability(fresh.as_set(), tiny_l1i(), XT, OpKind::Probe),
             Some(1.0)
         );
         // Divergent traces do not match.
-        let divergent: Vec<XctTrace> = (0..4)
-            .map(|_| trace_with_op(OpKind::Probe, 0x400, 28))
-            .collect();
+        let divergent = interned(4, OpKind::Probe, 0x400, 28);
         assert_eq!(
-            map.stability(&divergent, tiny_l1i(), XT, OpKind::Probe),
+            map.stability(divergent.as_set(), tiny_l1i(), XT, OpKind::Probe),
             Some(0.0)
         );
         // Unknown op: None.
-        assert_eq!(map.stability(&fresh, tiny_l1i(), XT, OpKind::Delete), None);
+        assert_eq!(
+            map.stability(fresh.as_set(), tiny_l1i(), XT, OpKind::Delete),
+            None
+        );
     }
 
     #[test]

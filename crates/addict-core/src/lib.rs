@@ -25,9 +25,7 @@ pub mod plan;
 pub mod replay;
 pub mod sched;
 
-pub use algorithm1::{
-    find_migration_points, find_migration_points_interned, MigrationMap, Profiler,
-};
+pub use algorithm1::{find_migration_points, find_migration_points_interned, MigrationMap};
 pub use plan::{AssignmentPlan, PlanConfig};
 pub use replay::{ReplayConfig, ReplayResult};
 pub use sched::{run_scheduler, SchedulerKind};

@@ -42,9 +42,9 @@ pub struct ReplayConfig {
     pub slicc_fill_threshold: u64,
     /// Power model for the Figure 8(b) report.
     pub power: PowerModel,
-    /// Execute through the fast paths where the policy allows them: whole
-    /// instruction runs segment-granularly ([`Policy::segment_granular`])
-    /// and consecutive data accesses run-granularly
+    /// Execute through the fast paths: whole instruction runs
+    /// segment-granularly (under the [`Policy`] segment contract) and,
+    /// where the policy allows it, consecutive data accesses run-granularly
     /// ([`Policy::data_run_granular`]), private leading hits consumed
     /// without touching the coherence directory. Produces bit-identical
     /// results to per-block execution; `false` forces the per-block
@@ -158,6 +158,18 @@ pub enum Action {
 /// destination — how ADDICT gets the migration-point block fetched on its
 /// assigned core); `post` decisions run after the event completed (how
 /// miss-driven heuristics react).
+///
+/// Every policy upholds the segment contract: for **instruction events
+/// that hit in the L1-I**, `pre` and `post` both return
+/// [`Action::Continue`] and mutate no state — *except* at the single
+/// block address reported by [`Policy::watch_addr`], where `pre` is still
+/// consulted per block. Under that contract, with
+/// [`ReplayConfig::fast_paths`] on, the engine executes whole instruction
+/// runs inside the machine, consulting the policy only at watched blocks
+/// and on misses (see [`Policy::observes_misses`]), and the replay is
+/// bit-identical to per-block execution. A policy that reacts to
+/// arbitrary instruction hits replays correctly only with `fast_paths`
+/// off.
 pub trait Policy {
     /// Decide before executing `ev` on `core`.
     fn pre(
@@ -190,21 +202,6 @@ pub trait Policy {
     /// Reset per-thread state after a migration or yield completed.
     fn on_moved(&mut self, _tid: usize, _to_core: usize) {}
 
-    /// Opt into segment-granular execution (the allocation-free fast path).
-    ///
-    /// A policy returning `true` promises that, for **instruction events
-    /// that hit in the L1-I**, its `pre` and `post` both return
-    /// [`Action::Continue`] and mutate no state — *except* at the single
-    /// block address reported by [`Policy::watch_addr`], where `pre` is
-    /// still consulted per-block. Under that contract the engine executes
-    /// whole instruction runs inside the machine, consulting the policy
-    /// only at watched blocks and on misses, and the replay is
-    /// bit-identical to per-block execution. Policies that react to
-    /// arbitrary instruction hits must keep the default `false`.
-    fn segment_granular(&self) -> bool {
-        false
-    }
-
     /// The next instruction block at which `pre` must be consulted even if
     /// the fetch would hit (ADDICT's pending migration point). `None`
     /// means `pre` never acts on hits for this thread right now, so runs
@@ -214,7 +211,7 @@ pub trait Policy {
     }
 
     /// Opt into run-granular data execution (the data-side counterpart of
-    /// [`Policy::segment_granular`]).
+    /// the segment contract above).
     ///
     /// A policy returning `true` promises that, for **every data event**
     /// (hit or miss, load or store), its `pre` and `post` both return
@@ -235,7 +232,7 @@ pub trait Policy {
     /// ADDICT — whose `post` only acts on markers) return `false`, letting
     /// the machine execute entire runs, miss servicing included, without
     /// ever leaving its fast loop. Only consulted when
-    /// [`Policy::segment_granular`] is `true`.
+    /// [`ReplayConfig::fast_paths`] is on.
     fn observes_misses(&self) -> bool {
         true
     }
@@ -475,7 +472,6 @@ pub fn run_des_admitted<P: Policy>(
         &mut inflight_of_batch,
     );
 
-    let use_segment = cfg.fast_paths && policy.segment_granular();
     let stop_on_miss = policy.observes_misses();
     let use_data_runs = cfg.fast_paths && policy.data_run_granular();
     // One run buffer for the whole replay: gather grows it to the longest
@@ -550,12 +546,11 @@ pub fn run_des_admitted<P: Policy>(
         loop {
             let fetched = traces.fetch(tid, threads[tid].cursor);
 
-            // Segment-granular fast path: when the policy upholds the
-            // [`Policy::segment_granular`] contract, whole instruction runs
-            // execute inside the machine with the policy consulted only at
+            // Segment-granular fast path: under the [`Policy`] segment
+            // contract, whole instruction runs execute inside the machine with the policy consulted only at
             // watched blocks (split out of the run below) and on L1-I
             // misses. Bit-identical to the per-block path.
-            if use_segment {
+            if cfg.fast_paths {
                 if let Fetched::Run {
                     block: seg_start,
                     rem,
@@ -882,8 +877,10 @@ mod tests {
     #[test]
     fn yield_time_multiplexes_one_core() {
         let traces: Vec<XctTrace> = (0..3).map(|i| mini_trace(0, i * 100)).collect();
+        // The policy yields on an instruction hit: per-block execution only.
         let cfg = ReplayConfig {
             sim: SimConfig::paper_default().with_cores(2),
+            fast_paths: false,
             ..Default::default()
         };
         let mut machine = Machine::new(&cfg.sim);
@@ -932,8 +929,10 @@ mod tests {
     #[test]
     fn migration_moves_work_and_counts() {
         let traces = vec![mini_trace(0, 0)];
+        // The policy migrates on an instruction hit: per-block execution only.
         let cfg = ReplayConfig {
             sim: SimConfig::paper_default().with_cores(2),
+            fast_paths: false,
             ..Default::default()
         };
         let mut machine = Machine::new(&cfg.sim);

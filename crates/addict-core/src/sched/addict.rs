@@ -196,13 +196,9 @@ impl Policy for AddictPolicy<'_> {
     }
 
     // `pre` acts on instruction hits only at the thread's pending migration
-    // point, which `watch_addr` reports; `post` acts only on markers. Safe
-    // for segment execution, and — since misses trigger nothing either —
-    // whole runs (misses included) execute inside the machine.
-    fn segment_granular(&self) -> bool {
-        true
-    }
-
+    // point, which `watch_addr` reports; `post` acts only on markers. That
+    // upholds the segment contract, and — since misses trigger nothing
+    // either — whole runs (misses included) execute inside the machine.
     fn observes_misses(&self) -> bool {
         false
     }

@@ -16,12 +16,8 @@ const _: () = {
 };
 
 impl Policy for NoMovement {
-    // Never reacts to any event: trivially safe for segment execution,
-    // and whole runs (misses included) can execute inside the machine.
-    fn segment_granular(&self) -> bool {
-        true
-    }
-
+    // Never reacts to any event: whole runs (misses included) can execute
+    // inside the machine.
     fn observes_misses(&self) -> bool {
         false
     }

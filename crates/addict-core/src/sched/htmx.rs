@@ -24,7 +24,7 @@
 //!
 //! The policy acts only on `XctBegin` / `XctEnd` / `Data` events and
 //! never on instruction fetches, so it upholds the
-//! [`Policy::segment_granular`] contract trivially (instruction runs
+//! [`Policy`] segment contract trivially (instruction runs
 //! execute at full speed inside the machine); it must keep
 //! [`Policy::data_run_granular`] off because every data event feeds the
 //! conflict oracle.
@@ -186,17 +186,13 @@ impl Policy for HtmxPolicy {
                 action
             }
             // Instruction fetches and operation markers are invisible to
-            // speculation — the segment-granular purity contract.
+            // speculation — the segment contract.
             _ => Action::Continue,
         }
     }
 
     // Instruction hits and misses are never consulted: whole runs execute
     // inside the machine.
-    fn segment_granular(&self) -> bool {
-        true
-    }
-
     fn observes_misses(&self) -> bool {
         false
     }

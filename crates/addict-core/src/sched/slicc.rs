@@ -31,6 +31,8 @@ const _: () = {
     audit::<SliccPolicy>();
 };
 
+// `post` only acts on instruction *misses*, which the segment engine
+// always reports, so the segment contract holds.
 impl Policy for SliccPolicy {
     fn post(
         &mut self,
@@ -78,12 +80,6 @@ impl Policy for SliccPolicy {
 
     fn on_moved(&mut self, tid: usize, _to_core: usize) {
         self.misses_since_arrival[tid] = 0;
-    }
-
-    // `post` only acts on instruction *misses*, which the segment engine
-    // always reports: safe for segment execution.
-    fn segment_granular(&self) -> bool {
-        true
     }
 
     // SLICC chases *instruction* cache collectives: `post` ignores data

@@ -28,6 +28,8 @@ const _: () = {
     audit::<StrexPolicy>();
 };
 
+// `post` only acts on instruction *misses*, which the segment engine
+// always reports, so the segment contract holds.
 impl Policy for StrexPolicy {
     fn post(
         &mut self,
@@ -52,12 +54,6 @@ impl Policy for StrexPolicy {
 
     fn on_moved(&mut self, tid: usize, _to_core: usize) {
         self.misses_since_resume[tid] = 0;
-    }
-
-    // `post` only acts on instruction *misses*, which the segment engine
-    // always reports: safe for segment execution.
-    fn segment_granular(&self) -> bool {
-        true
     }
 
     // Data events never reach the miss counter (`post` filters them out

@@ -1,7 +1,7 @@
 //! Property-based tests for Algorithm 1, the assignment plan, and the
 //! replay engine's conservation laws.
 
-use addict_core::algorithm1::{find_migration_points, per_instance_sequences};
+use addict_core::algorithm1::find_migration_points;
 use addict_core::plan::{AssignmentPlan, PlanConfig};
 use addict_core::replay::ReplayConfig;
 use addict_core::sched::{run_scheduler, SchedulerKind};
@@ -64,14 +64,18 @@ proptest! {
         }
     }
 
-    /// Per-instance sequences are deterministic.
+    /// The scan is deterministic: profiling the same trace twice records
+    /// the same candidate sequences and choices.
     #[test]
     fn scan_is_deterministic(trace in arb_trace()) {
         let l1i = CacheGeometry::new(16 * 64, 2);
-        prop_assert_eq!(
-            per_instance_sequences(&trace, l1i),
-            per_instance_sequences(&trace, l1i)
-        );
+        let (ty, traces) = (trace.xct_type, [trace]);
+        let [a, b] = [(); 2].map(|()| find_migration_points(&traces, l1i));
+        prop_assert_eq!(a.ops_of(ty), b.ops_of(ty));
+        for op in a.ops_of(ty) {
+            prop_assert_eq!(a.candidates(ty, op), b.candidates(ty, op));
+            prop_assert_eq!(a.points(ty, op), b.points(ty, op));
+        }
     }
 
     /// Plans are well-formed for any core count: every non-fallback slot

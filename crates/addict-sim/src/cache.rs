@@ -2,8 +2,10 @@
 //!
 //! This single structure backs every cache in the simulated machine (L1-I,
 //! L1-D, private L2, shared LLC banks) and is also used standalone by
-//! ADDICT's Algorithm 1, which tracks the eviction behaviour of an empty
-//! L1-I over an instruction stream to pick migration points.
+//! ADDICT's Algorithm 1, which scans each unique interned trace slice
+//! from an empty L1-I and records the blocks whose fetch evicts a line:
+//! the candidate migration points. One cache serves a whole profiling
+//! run, flushed before every slice.
 //!
 //! Every replay builds a machine, so the layout is kept small: each way is
 //! one four-byte word that encodes the block's set-relative tag and its

@@ -43,7 +43,7 @@ use crate::set::{prefetch_ptr, DataRun, Fetched};
 
 /// A reference to one deduplicated slice in a [`SlicePool`]: `len` events
 /// starting at `pool_idx` in the backing store. 8 bytes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct SliceRef {
     /// Start offset into the pool's backing store.
     pub pool_idx: u32,
@@ -409,7 +409,7 @@ impl InternedTrace {
 
     /// Total dynamic instructions (matches `XctTrace::instructions`).
     /// Cached at intern time — O(1), never touches the pool.
-    pub fn instructions(&self, _pool: &SlicePool) -> u64 {
+    pub fn instructions(&self) -> u64 {
         self.instructions
     }
 
@@ -949,7 +949,7 @@ mod tests {
         let t = sample(0x9000);
         let it = InternedTrace::intern(&t, &mut pool);
         assert_eq!(it.flatten(&pool).events, t.events);
-        assert_eq!(it.instructions(&pool), t.instructions());
+        assert_eq!(it.instructions(), t.instructions());
         assert_eq!(it.data_accesses(), t.data_accesses());
         assert_eq!(it.n_events(), t.events.len());
     }

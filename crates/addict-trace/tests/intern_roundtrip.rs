@@ -80,7 +80,7 @@ proptest! {
             let back = it.flatten(&pool);
             prop_assert_eq!(back.xct_type, t.xct_type);
             prop_assert_eq!(&back.events, &t.events);
-            prop_assert_eq!(it.instructions(&pool), t.instructions());
+            prop_assert_eq!(it.instructions(), t.instructions());
             prop_assert_eq!(it.data_accesses(), t.data_accesses());
         }
     }
