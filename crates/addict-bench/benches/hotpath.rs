@@ -1,9 +1,9 @@
 //! Criterion microbenchmarks for the replay hot path: L1-I segment walks
 //! vs per-block cache accesses, warm data runs vs per-access data walks,
 //! building and dropping the paper-default machine (every replay builds
-//! one), the open-addressed coherence directory, and over real
-//! small-scale TPC-C traces: the interned cursor's delta-varint address
-//! decode, Baseline and ADDICT replays, and Algorithm 1 over the profile set;
+//! one), the coherence directory, and over real small-scale TPC-C
+//! traces: the interned cursor's delta-varint address decode, Baseline
+//! and ADDICT replays, and Algorithm 1 over the profile set;
 //! and the fixed costs of a small service job: a Baseline replay of its
 //! 20-transaction YCSB-B eval set, machine build and teardown included,
 //! and the serialization of its result.

@@ -48,9 +48,13 @@ fn main() {
         };
         let profile = collect(PROFILE_SEED);
         let map = find_migration_points_interned(profile.as_set(), cfg.sim.l1i);
-        // Fresh traces after the profiling window, evaluated in two sizes
-        // (streamed in chunks to bound memory, like the paper's 10k runs).
+        // Fresh traces after the profiling window, evaluated in two sizes:
+        // the large set is ten chunks (like the paper's 10k runs), and
+        // every operation is evaluated on the same sets.
         let small = collect(PROFILE_SEED + 100);
+        let large: Vec<InternedWorkload> = (0..10)
+            .map(|chunk| collect(PROFILE_SEED + 200 + chunk))
+            .collect();
         let mut printed_any = false;
         for op in [
             OpKind::Probe,
@@ -62,20 +66,15 @@ fn main() {
             let Some(s_small) = map.stability(small.as_set(), cfg.sim.l1i, ty, op) else {
                 continue;
             };
-            // Accumulate the large set in chunks.
-            let mut matched = 0.0f64;
-            let mut chunks = 0usize;
-            for chunk in 0..10 {
-                let t = collect(PROFILE_SEED + 200 + chunk as u64);
-                if let Some(s) = map.stability(t.as_set(), cfg.sim.l1i, ty, op) {
-                    matched += s;
-                    chunks += 1;
-                }
-            }
-            let s_large = if chunks > 0 {
-                matched / chunks as f64
-            } else {
+            // Average over the chunks that contain the operation.
+            let per_chunk: Vec<f64> = large
+                .iter()
+                .filter_map(|t| map.stability(t.as_set(), cfg.sim.l1i, ty, op))
+                .collect();
+            let s_large = if per_chunk.is_empty() {
                 0.0
+            } else {
+                per_chunk.iter().sum::<f64>() / per_chunk.len() as f64
             };
             println!(
                 "{:<22} {:<8} {:>11.1}% {:>11.1}%",

@@ -31,18 +31,18 @@
 //! is invisible to results. Its bytes count toward the entry's and leave with it on
 //! eviction; it holds no workload `Arc`, so it never pins the entry.
 //!
-//! Concurrency: one `Mutex` over the table plus a `Condvar`. A miss
-//! installs a *pending* slot and generates **outside the lock**; a second
-//! request for the same key meanwhile blocks on the condvar and counts as
-//! a hit once the first finishes (the work happened once — that is what
-//! the counter measures). A panicking generation clears its pending slot
-//! and wakes waiters so they can retry rather than deadlock. A map is
-//! computed outside the lock too, in the entry's `OnceLock` cell: a
-//! concurrent request for the same map waits on the cell instead of
-//! running Algorithm 1 a second time. Snapshots work the same way:
-//! concurrent misses on one benchmark wait on its snapshot's `OnceLock`,
-//! so it is populated once; a population that panics leaves the cell
-//! empty for the next miss to fill.
+//! Concurrency: one `Mutex` over the table, held only for bookkeeping,
+//! and a `OnceLock` for each thing computed once: a key's entry, its map
+//! and each snapshot. Every computation runs **outside the lock**, in its
+//! cell's initializer. The request whose initializer runs a key's
+//! generation is a miss; a request that finds the entry filled, or waits
+//! on its cell while another request generates, is a hit (the work
+//! happened once — that is what the counter measures). A panicking
+//! initializer leaves its cell empty, and a waiting (or the next) request
+//! runs it again; an empty slot nobody waits on is dropped when the
+//! residency counters are refreshed. So a concurrent request for the same
+//! map waits instead of running Algorithm 1 a second time, and concurrent
+//! misses on one benchmark populate its snapshot once.
 //!
 //! Eviction is LRU by resident bytes against a byte budget
 //! ([`TracePool::new`]): after each insert, the least-recently-used
@@ -55,7 +55,7 @@
 //! server's `/stats` endpoint.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use addict_core::algorithm1::{find_migration_points_interned, MigrationMap};
 use addict_core::replay::ReplayConfig;
@@ -188,29 +188,35 @@ pub struct CacheStats {
     pub budget_bytes: usize,
 }
 
-enum Slot {
-    /// Another request is generating this key; wait on the condvar.
-    Pending,
-    /// Resident entry.
-    Ready {
-        workload: Arc<InternedWorkload>,
-        /// The workload's resident bytes.
-        bytes: usize,
-        /// Memoized Algorithm 1 map and its resident bytes, empty until
-        /// the first [`TracePool::get_profile`] computes it.
-        map: Arc<OnceLock<(Arc<MigrationMap>, usize)>>,
-        /// Monotonic use tick for LRU ordering.
-        used: u64,
-    },
+/// A generated trace range and its memoized Algorithm 1 map.
+struct Entry {
+    workload: Arc<InternedWorkload>,
+    /// The workload's resident bytes.
+    bytes: usize,
+    /// Memoized Algorithm 1 map and its resident bytes, empty until the
+    /// first [`TracePool::get_profile`] computes it.
+    map: OnceLock<(Arc<MigrationMap>, usize)>,
+}
+
+impl Entry {
+    /// Resident bytes: the workload plus its map, once computed.
+    fn bytes(&self) -> usize {
+        self.bytes + self.map.get().map_or(0, |(_, b)| *b)
+    }
+}
+
+/// One key's entry: empty while its first request generates it (or after
+/// that generation panicked).
+#[derive(Default)]
+struct Slot {
+    cell: Arc<OnceLock<Entry>>,
+    /// Monotonic use tick for LRU ordering.
+    used: u64,
 }
 
 impl Slot {
-    /// Resident bytes: the workload plus its map, once computed.
     fn bytes(&self) -> usize {
-        match self {
-            Slot::Pending => 0,
-            Slot::Ready { bytes, map, .. } => bytes + map.get().map_or(0, |(_, b)| *b),
-        }
+        self.cell.get().map_or(0, Entry::bytes)
     }
 }
 
@@ -258,32 +264,13 @@ impl Inner {
 /// scale, bounded by a byte budget with LRU eviction.
 pub struct TracePool {
     inner: Mutex<Inner>,
-    cond: Condvar,
     budget: usize,
-    /// Fault-injection countdown: each pending generation decrements it,
-    /// and a nonzero value panics *instead of* generating — exercising
-    /// the panic-clears-pending-slot path from outside. Only chaos tests
-    /// arm it ([`TracePool::fail_next_generations`]); it is always 0 in
+    /// Fault-injection countdown: each generation decrements it, and a
+    /// nonzero value panics *instead of* generating — exercising the
+    /// panicked-generation path from outside. Only chaos tests arm it
+    /// ([`TracePool::fail_next_generations`]); it is always 0 in
     /// production, costing one relaxed load per miss.
     gen_faults: std::sync::atomic::AtomicU32,
-}
-
-/// Removes a pending slot (and wakes waiters) if generation unwinds, so
-/// a panicking engine build cannot strand other requests on the condvar.
-struct PendingGuard<'a> {
-    pool: &'a TracePool,
-    key: TraceKey,
-    armed: bool,
-}
-
-impl Drop for PendingGuard<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            let mut inner = self.pool.inner.lock().expect("trace pool lock");
-            inner.slots.remove(&self.key);
-            self.pool.cond.notify_all();
-        }
-    }
 }
 
 impl TracePool {
@@ -299,7 +286,6 @@ impl TracePool {
                 },
                 tick: 0,
             }),
-            cond: Condvar::new(),
             budget: budget_bytes,
             gen_faults: std::sync::atomic::AtomicU32::new(0),
         }
@@ -307,8 +293,8 @@ impl TracePool {
 
     /// Arm the generation fault injector: the next `n` generations panic
     /// instead of generating (chaos-test hook; see the `gen_faults`
-    /// field). The panic unwinds through [`TracePool::get`]'s pending
-    /// guard, so waiters wake and retry — exactly the code path a real
+    /// field). The panic leaves the key's cell empty, so a waiting request
+    /// takes over the generation — exactly the code path a real
     /// engine-population panic takes.
     pub fn fail_next_generations(&self, n: u32) {
         self.gen_faults
@@ -316,11 +302,11 @@ impl TracePool {
     }
 
     /// True when `key`'s traces are resident right now (an in-flight
-    /// pending generation does not count). Admission control uses this
-    /// to skip charging a job for bytes that already exist.
+    /// generation does not count). Admission control uses this to skip
+    /// charging a job for bytes that already exist.
     pub fn contains(&self, key: &TraceKey) -> bool {
         let inner = self.inner.lock().expect("trace pool lock");
-        matches!(inner.slots.get(key), Some(Slot::Ready { .. }))
+        inner.slots.get(key).is_some_and(|s| s.cell.get().is_some())
     }
 
     /// A pool that never evicts (the batch binaries' configuration — a
@@ -337,47 +323,56 @@ impl TracePool {
     /// `_threads` is ignored: one key is one engine, generated on the
     /// calling thread. Callers fetch several keys concurrently instead.
     pub fn get(&self, key: &TraceKey, _threads: usize) -> (Arc<InternedWorkload>, bool) {
+        let (_, workload, hit) = self.fetch(key);
+        (workload, hit)
+    }
+
+    /// [`get`](TracePool::get), plus the key's filled cell. The workload is
+    /// cloned before the table lock is released, so eviction sees it
+    /// pinned.
+    fn fetch(&self, key: &TraceKey) -> (Arc<OnceLock<Entry>>, Arc<InternedWorkload>, bool) {
+        let cell = {
+            let mut guard = self.inner.lock().expect("trace pool lock");
+            let inner = &mut *guard;
+            inner.tick += 1;
+            let slot = inner.slots.entry(*key).or_default();
+            slot.used = inner.tick;
+            if let Some(entry) = slot.cell.get() {
+                inner.stats.hits += 1;
+                return (Arc::clone(&slot.cell), Arc::clone(&entry.workload), true);
+            }
+            Arc::clone(&slot.cell)
+        };
+        // Outside the lock: the first request runs the initializer, and
+        // concurrent ones wait on the cell. If it panics, the cell stays
+        // empty and one waiter (or the next request) runs it again.
+        let mut generated = false;
+        let entry = cell.get_or_init(|| {
+            generated = true;
+            self.generate(key)
+        });
+        let workload = Arc::clone(&entry.workload);
+        let mut inner = self.inner.lock().expect("trace pool lock");
+        if generated {
+            inner.stats.generations += 1;
+            self.evict_over_budget(&mut inner);
+            self.refresh_residency(&mut inner);
+        } else {
+            inner.stats.hits += 1;
+        }
+        (cell, workload, !generated)
+    }
+
+    /// A miss: trace `key` on a clone of its benchmark's snapshot,
+    /// populating the snapshot first if it is empty.
+    fn generate(&self, key: &TraceKey) -> Entry {
         let snapshot = {
             let mut inner = self.inner.lock().expect("trace pool lock");
-            loop {
-                let resident = match inner.slots.get(key) {
-                    Some(Slot::Ready { workload, .. }) => Some(Some(Arc::clone(workload))),
-                    Some(Slot::Pending) => Some(None),
-                    None => None,
-                };
-                match resident {
-                    Some(Some(w)) => {
-                        inner.tick += 1;
-                        let tick = inner.tick;
-                        if let Some(Slot::Ready { used, .. }) = inner.slots.get_mut(key) {
-                            *used = tick;
-                        }
-                        inner.stats.hits += 1;
-                        return (w, true);
-                    }
-                    Some(None) => {
-                        // Another request is generating this key; wait,
-                        // then re-check — the slot is now Ready, or was
-                        // removed by a panicked generation (then we take
-                        // the miss path ourselves).
-                        inner = self.cond.wait(inner).expect("trace pool lock");
-                    }
-                    None => {
-                        inner.stats.misses += 1;
-                        inner.slots.insert(*key, Slot::Pending);
-                        break Self::snapshot_cell(&mut inner, key);
-                    }
-                }
-            }
+            inner.stats.misses += 1;
+            Self::snapshot_cell(&mut inner, key)
         };
-
-        let mut guard = PendingGuard {
-            pool: self,
-            key: *key,
-            armed: true,
-        };
-        // Chaos hook: an armed fault panics here, inside the pending
-        // guard, simulating a generation that died mid-population.
+        // Chaos hook: an armed fault panics here, simulating a generation
+        // that died mid-population.
         if self
             .gen_faults
             .fetch_update(
@@ -389,23 +384,27 @@ impl TracePool {
         {
             panic!("injected generation fault for {}", key.describe());
         }
-        let mut populated = false;
         let Snapshot { engine, runner, .. } = snapshot.get_or_init(|| {
-            populated = true;
             let (engine, runner) = if key.small {
                 key.bench.setup_small()
             } else {
                 key.bench.setup()
             };
             let bytes = engine.resident_bytes();
+            self.inner
+                .lock()
+                .expect("trace pool lock")
+                .stats
+                .populations += 1;
             Snapshot {
                 engine,
                 runner,
                 bytes,
             }
         });
-        // The copies drop at the end of this block, before the entry is
-        // published.
+        // The copies drop at the end of this block; the snapshot handle
+        // drops on return, so an evicted snapshot is freed once no miss
+        // holds it.
         let workload = Arc::new({
             let (mut engine, mut runner) = (engine.clone(), runner.clone_box());
             let mut slices = SlicePool::new();
@@ -424,31 +423,11 @@ impl TracePool {
                 xcts,
             }
         });
-        // Let go of the snapshot before eviction runs: an evicted snapshot
-        // is freed once no miss holds it.
-        drop(snapshot);
-        let bytes = workload.resident_bytes();
-        guard.armed = false;
-
-        let mut inner = self.inner.lock().expect("trace pool lock");
-        inner.stats.populations += u64::from(populated);
-        inner.tick += 1;
-        let used = inner.tick;
-        inner.slots.insert(
-            *key,
-            Slot::Ready {
-                workload: Arc::clone(&workload),
-                bytes,
-                map: Arc::default(),
-                used,
-            },
-        );
-        inner.stats.generations += 1;
-        self.evict_over_budget(&mut inner);
-        self.refresh_residency(&mut inner);
-        drop(inner);
-        self.cond.notify_all();
-        (workload, false)
+        Entry {
+            bytes: workload.resident_bytes(),
+            workload,
+            map: OnceLock::new(),
+        }
     }
 
     /// The snapshot cell of `key`'s benchmark and scale, installed empty
@@ -474,16 +453,10 @@ impl TracePool {
     /// request shares the same `Arc` until the entry is evicted. The
     /// returned bool is the trace fetch's hit flag.
     pub fn get_profile(&self, key: &TraceKey) -> (Arc<InternedWorkload>, Arc<MigrationMap>, bool) {
-        let (workload, hit) = self.get(key, 1);
-        let cell = {
-            let inner = self.inner.lock().expect("trace pool lock");
-            let Some(Slot::Ready { map, .. }) = inner.slots.get(key) else {
-                unreachable!("an entry is never evicted while borrowed");
-            };
-            Arc::clone(map)
-        };
+        let (cell, workload, hit) = self.fetch(key);
+        let entry = cell.get().expect("fetch returns a filled cell");
         let mut computed = false;
-        let (map, _) = cell.get_or_init(|| {
+        let (map, _) = entry.map.get_or_init(|| {
             computed = true;
             let l1i = ReplayConfig::paper_default().sim.l1i;
             let map = find_migration_points_interned(workload.as_set(), l1i);
@@ -520,14 +493,13 @@ impl TracePool {
             let victim = inner
                 .slots
                 .iter()
-                .filter_map(|(k, s)| match s {
-                    Slot::Ready { workload, used, .. } if Arc::strong_count(workload) == 1 => {
-                        Some((*used, *k))
-                    }
-                    _ => None,
+                .filter(|(_, s)| {
+                    s.cell
+                        .get()
+                        .is_some_and(|e| Arc::strong_count(&e.workload) == 1)
                 })
-                .min_by_key(|&(used, _)| used)
-                .map(|(_, k)| k);
+                .min_by_key(|(_, s)| s.used)
+                .map(|(k, _)| *k);
             let Some(victim) = victim else {
                 // Everything resident is in active use; nothing evictable.
                 return;
@@ -537,18 +509,24 @@ impl TracePool {
         }
     }
 
+    /// Drop empty slots no request is waiting on (left by a panicked
+    /// generation), then recount residency.
     fn refresh_residency(&self, inner: &mut Inner) {
+        inner
+            .slots
+            .retain(|_, s| s.cell.get().is_some() || Arc::strong_count(&s.cell) > 1);
         inner.stats.entries = inner
             .slots
             .values()
-            .filter(|s| matches!(s, Slot::Ready { .. }))
+            .filter(|s| s.cell.get().is_some())
             .count();
         inner.stats.pinned_entries = inner
             .slots
             .values()
-            .filter(|s| match s {
-                Slot::Ready { workload, .. } => Arc::strong_count(workload) > 1,
-                Slot::Pending => false,
+            .filter(|s| {
+                s.cell
+                    .get()
+                    .is_some_and(|e| Arc::strong_count(&e.workload) > 1)
             })
             .count();
         inner.stats.snapshot_bytes = inner.snapshot_bytes();
@@ -810,6 +788,37 @@ mod tests {
         assert_eq!(s.generations, 1, "duplicate in-flight generation");
         assert_eq!(s.misses, 1);
         assert_eq!(s.hits, 3);
+    }
+
+    #[test]
+    fn racing_requests_survive_a_panicked_generation() {
+        let pool = TracePool::unbounded();
+        let k = key(8, 3);
+        pool.fail_next_generations(1);
+        let start = std::sync::Barrier::new(4);
+        let results: Vec<_> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        pool.get(&k, 1).0
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join()).collect()
+        });
+        let survivors: Vec<_> = results.into_iter().filter_map(Result::ok).collect();
+        assert_eq!(survivors.len(), 3, "exactly one request panics");
+        for w in &survivors[1..] {
+            assert!(Arc::ptr_eq(&survivors[0], w));
+        }
+        // The panicked request and the one that took over are misses;
+        // only the second generated.
+        let s = pool.stats();
+        assert_eq!((s.generations, s.misses, s.hits), (1, 2, 2));
+        let inner = pool.inner.lock().unwrap();
+        assert_eq!(inner.slots.len(), 1);
+        assert!(inner.slots.values().all(|s| s.cell.get().is_some()));
     }
 
     fn profile_key(bench: Benchmark, n: usize) -> TraceKey {

@@ -14,11 +14,15 @@
 //! needs no coherence.
 //!
 //! The directory sits on the replay hot path (every data access consults
-//! it), so it is built for zero steady-state allocation: entries live in an
-//! open-addressed hash table (linear probing, tombstone deletion, amortized
-//! growth), and [`CoherenceAction`] reports the cores to invalidate as a
-//! [`SharerMask`] bitmask rather than a heap-allocated list — the directory
-//! assumes at most 64 cores, so one `u64` covers every sharer vector.
+//! it). Its entries live in a std `HashMap` keyed by block address and
+//! hashed with the splitmix64 finalizer (no per-map random state), so it
+//! allocates only as the map grows; [`CoherenceAction`] reports the cores
+//! to invalidate as a [`SharerMask`] bitmask rather than a heap-allocated
+//! list — the directory assumes at most 64 cores, so one `u64` covers
+//! every sharer vector.
+
+use std::collections::hash_map::{self, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::block::BlockAddr;
 
@@ -143,47 +147,40 @@ impl CoherenceAction {
 
 const NO_OWNER: u8 = u8::MAX;
 
-/// One open-addressed table slot. `state` distinguishes never-used slots
-/// (probe chains stop there) from tombstones left by deletion (probe chains
-/// continue through them).
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    block: u64,
+/// One tracked block: its sharer bitmask and modified owner
+/// (`NO_OWNER` when no core holds it modified).
+#[derive(Debug)]
+struct Entry {
     sharers: u64,
     owner: u8,
-    state: SlotState,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SlotState {
-    Empty,
-    Full,
-    Tombstone,
-}
+/// Hashes a block address with [`hash_block`]. The directory's keys are
+/// `u64`s, so `write_u64` is the only entry point `Hash` uses.
+#[derive(Default)]
+struct BlockHasher(u64);
 
-const EMPTY_SLOT: Slot = Slot {
-    block: 0,
-    sharers: 0,
-    owner: NO_OWNER,
-    state: SlotState::Empty,
-};
-
-/// Full-map directory for up to 64 cores, backed by an open-addressed hash
-/// table so `on_read` / `on_write` / `on_evict` never allocate except for
-/// amortized table growth.
-#[derive(Debug)]
-pub struct Directory {
-    slots: Vec<Slot>,
-    /// Live entries.
-    len: usize,
-    /// Dead (tombstoned) slots still occupying probe chains.
-    tombstones: usize,
-}
-
-impl Default for Directory {
-    fn default() -> Self {
-        Self::new()
+impl Hasher for BlockHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the directory hashes u64 block addresses only")
     }
+
+    #[inline]
+    fn write_u64(&mut self, block: u64) {
+        self.0 = hash_block(block);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Full-map directory for up to 64 cores: a sharer mask and modified
+/// owner per block with at least one sharer.
+#[derive(Debug, Default)]
+pub struct Directory {
+    entries: HashMap<u64, Entry, BuildHasherDefault<BlockHasher>>,
 }
 
 /// Finalizer of splitmix64: a full-avalanche multiply-shift hash, plenty
@@ -196,116 +193,19 @@ fn hash_block(block: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-const INITIAL_CAPACITY: usize = 1024;
-
 impl Directory {
     /// Empty directory.
     pub fn new() -> Self {
-        Directory {
-            slots: vec![EMPTY_SLOT; INITIAL_CAPACITY],
-            len: 0,
-            tombstones: 0,
-        }
+        Self::default()
     }
 
+    /// The entry of `block`, inserted untracked if absent.
     #[inline]
-    fn mask(&self) -> usize {
-        self.slots.len() - 1
-    }
-
-    /// Index of the slot holding `block`, if present.
-    #[inline]
-    fn find(&self, block: u64) -> Option<usize> {
-        let mask = self.mask();
-        let mut i = hash_block(block) as usize & mask;
-        loop {
-            let slot = &self.slots[i];
-            match slot.state {
-                SlotState::Empty => return None,
-                SlotState::Full if slot.block == block => return Some(i),
-                _ => i = (i + 1) & mask,
-            }
-        }
-    }
-
-    /// Index of the slot for `block`, inserting an empty entry if absent.
-    fn find_or_insert(&mut self, block: u64) -> usize {
-        // Grow before the probe so the insert below always finds room and
-        // chains stay short (max load 7/8 including tombstones).
-        if (self.len + self.tombstones + 1) * 8 > self.slots.len() * 7 {
-            self.grow();
-        }
-        let mask = self.mask();
-        let mut i = hash_block(block) as usize & mask;
-        let mut first_tombstone = None;
-        loop {
-            let slot = &self.slots[i];
-            match slot.state {
-                SlotState::Full if slot.block == block => return i,
-                SlotState::Full => {}
-                SlotState::Tombstone => {
-                    first_tombstone.get_or_insert(i);
-                }
-                SlotState::Empty => {
-                    let target = match first_tombstone {
-                        Some(t) => {
-                            self.tombstones -= 1;
-                            t
-                        }
-                        None => i,
-                    };
-                    self.slots[target] = Slot {
-                        block,
-                        sharers: 0,
-                        owner: NO_OWNER,
-                        state: SlotState::Full,
-                    };
-                    self.len += 1;
-                    return target;
-                }
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    /// Rehash into a table sized for the live entries (doubles capacity
-    /// when genuinely full; reclaims tombstones either way).
-    fn grow(&mut self) {
-        let new_cap = if (self.len + 1) * 2 > self.slots.len() {
-            self.slots.len() * 2
-        } else {
-            self.slots.len()
-        };
-        let old = std::mem::replace(&mut self.slots, vec![EMPTY_SLOT; new_cap]);
-        self.tombstones = 0;
-        let mask = self.mask();
-        for slot in old {
-            if slot.state != SlotState::Full {
-                continue;
-            }
-            let mut i = hash_block(slot.block) as usize & mask;
-            while self.slots[i].state == SlotState::Full {
-                i = (i + 1) & mask;
-            }
-            self.slots[i] = slot;
-        }
-    }
-
-    #[inline]
-    fn remove_at(&mut self, i: usize) {
-        // Tombstone accounting invariant: only a Full slot may be removed,
-        // so a block's removal increments `tombstones` exactly once — a
-        // second `on_evict` for the same (core, block) finds no slot (the
-        // probe passes through the tombstone to an Empty) and is a no-op.
-        debug_assert_eq!(self.slots[i].state, SlotState::Full);
-        self.slots[i] = Slot {
-            block: 0,
+    fn entry(&mut self, block: BlockAddr) -> &mut Entry {
+        self.entries.entry(block.0).or_insert(Entry {
             sharers: 0,
             owner: NO_OWNER,
-            state: SlotState::Tombstone,
-        };
-        self.len -= 1;
-        self.tombstones += 1;
+        })
     }
 
     /// The remote work a read by `core` requires, as a pure function of
@@ -339,8 +239,7 @@ impl Directory {
     /// After this call the directory records `core` as a sharer.
     pub fn on_read(&mut self, core: usize, block: BlockAddr) -> CoherenceAction {
         debug_assert!(core < 64);
-        let i = self.find_or_insert(block.0);
-        let entry = &mut self.slots[i];
+        let entry = self.entry(block);
         let action = Self::read_action(core, entry.owner);
         if action.supplier.is_some() {
             entry.owner = NO_OWNER;
@@ -353,8 +252,7 @@ impl Directory {
     /// `core` becomes the modified owner.
     pub fn on_write(&mut self, core: usize, block: BlockAddr) -> CoherenceAction {
         debug_assert!(core < 64);
-        let i = self.find_or_insert(block.0);
-        let entry = &mut self.slots[i];
+        let entry = self.entry(block);
         let action = Self::write_action(core, entry.sharers, entry.owner);
         entry.sharers = 1 << core;
         entry.owner = core as u8;
@@ -368,10 +266,11 @@ impl Directory {
     /// dooms any speculative window the action's victims hold open.
     pub fn peek_read(&self, core: usize, block: BlockAddr) -> CoherenceAction {
         debug_assert!(core < 64);
-        match self.find(block.0) {
-            Some(i) => Self::read_action(core, self.slots[i].owner),
-            None => CoherenceAction::default(),
-        }
+        self.entries
+            .get(&block.0)
+            .map_or_else(CoherenceAction::default, |e| {
+                Self::read_action(core, e.owner)
+            })
     }
 
     /// The exact [`CoherenceAction`] [`Directory::on_write`] would return
@@ -379,57 +278,44 @@ impl Directory {
     /// [`Directory::peek_read`]).
     pub fn peek_write(&self, core: usize, block: BlockAddr) -> CoherenceAction {
         debug_assert!(core < 64);
-        match self.find(block.0) {
-            Some(i) => {
-                let entry = &self.slots[i];
-                Self::write_action(core, entry.sharers, entry.owner)
-            }
-            None => CoherenceAction::default(),
-        }
+        self.entries
+            .get(&block.0)
+            .map_or_else(CoherenceAction::default, |e| {
+                Self::write_action(core, e.sharers, e.owner)
+            })
     }
 
     /// Core `core` evicted `block` from its L1-D (silently for clean lines,
     /// with a writeback for dirty ones — the caller models the writeback).
     pub fn on_evict(&mut self, core: usize, block: BlockAddr) {
-        if let Some(i) = self.find(block.0) {
-            let entry = &mut self.slots[i];
+        if let hash_map::Entry::Occupied(mut slot) = self.entries.entry(block.0) {
+            let entry = slot.get_mut();
             entry.sharers &= !(1 << core);
             if entry.owner as usize == core {
                 entry.owner = NO_OWNER;
             }
             if entry.sharers == 0 {
-                self.remove_at(i);
+                slot.remove();
             }
         }
     }
 
     /// Is `core` recorded as holding `block`?
     pub fn is_sharer(&self, core: usize, block: BlockAddr) -> bool {
-        self.find(block.0)
-            .is_some_and(|i| self.slots[i].sharers & (1 << core) != 0)
+        self.entries
+            .get(&block.0)
+            .is_some_and(|e| e.sharers & (1 << core) != 0)
     }
 
     /// The modified owner of `block`, if any.
     pub fn owner(&self, block: BlockAddr) -> Option<usize> {
-        let i = self.find(block.0)?;
-        let owner = self.slots[i].owner;
+        let owner = self.entries.get(&block.0)?.owner;
         (owner != NO_OWNER).then_some(owner as usize)
     }
 
     /// Number of blocks with at least one sharer (diagnostics).
     pub fn tracked_blocks(&self) -> usize {
-        self.len
-    }
-
-    /// Dead slots still occupying probe chains (diagnostics; the 7/8
-    /// load-factor rebuild reclaims them all, resetting this to 0).
-    pub fn tombstone_count(&self) -> usize {
-        self.tombstones
-    }
-
-    /// Table capacity in slots (diagnostics).
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.entries.len()
     }
 }
 
@@ -581,58 +467,28 @@ mod tests {
     }
 
     #[test]
-    fn double_evict_tombstones_exactly_once() {
+    fn double_evict_is_a_noop() {
         let mut d = Directory::new();
         d.on_read(0, B);
-        assert_eq!(d.tombstone_count(), 0);
         d.on_evict(0, B);
-        assert_eq!(d.tombstone_count(), 1);
         assert_eq!(d.tracked_blocks(), 0);
         // A duplicate evict — from either the same or another core — must
-        // be a no-op, not a second tombstone / len underflow.
+        // be a no-op, not a len underflow.
         d.on_evict(0, B);
         d.on_evict(3, B);
-        assert_eq!(d.tombstone_count(), 1);
         assert_eq!(d.tracked_blocks(), 0);
-        // Reinsertion reuses the tombstoned chain slot.
+        assert!(!d.is_sharer(0, B) && !d.is_sharer(3, B));
+        // Reinsertion tracks the block afresh.
         d.on_read(2, B);
-        assert_eq!(d.tombstone_count(), 0);
         assert_eq!(d.tracked_blocks(), 1);
+        assert!(d.is_sharer(2, B));
     }
 
     #[test]
-    fn load_factor_rebuild_resets_tombstones() {
+    fn lookups_survive_interleaved_evicts() {
         let mut d = Directory::new();
-        let cap = d.capacity();
-        // Accumulate tombstones with insert/evict churn over distinct
-        // blocks (each evict leaves a dead slot; reinsertions of *new*
-        // blocks land on empties until the chain forces reuse). Then the
-        // 7/8 load-factor trigger must rebuild and zero the count.
-        let mut max_seen = 0;
-        for b in 0..(cap as u64 * 3) {
-            d.on_read(1, BlockAddr(b));
-            d.on_evict(1, BlockAddr(b));
-            max_seen = max_seen.max(d.tombstone_count());
-            assert!(
-                (d.tracked_blocks() + d.tombstone_count()) * 8 <= d.capacity() * 7,
-                "load factor exceeded: len={} tombstones={} cap={}",
-                d.tracked_blocks(),
-                d.tombstone_count(),
-                d.capacity()
-            );
-        }
-        // The churn really did accumulate tombstones and hit the rebuild.
-        assert!(max_seen * 8 > cap * 6, "churn never stressed the table");
-        assert!(d.tombstone_count() < max_seen);
-        // A rebuild with only dead entries must not have grown the table.
-        assert_eq!(d.capacity(), cap);
-    }
-
-    #[test]
-    fn tombstone_reuse_keeps_probe_chains_intact() {
-        let mut d = Directory::new();
-        // Insert enough colliding-ish keys to build probe chains, delete
-        // some in the middle, and verify lookups still find everything.
+        // Insert keys sharing their low bits, evict every third, and
+        // verify lookups still find exactly the survivors.
         let keys: Vec<u64> = (0..512).map(|i| i * 1024 + 7).collect();
         for &k in &keys {
             d.on_read(1, BlockAddr(k));

@@ -1,14 +1,14 @@
-//! Model-based property tests for the open-addressed coherence directory:
-//! random interleavings of insert (read/write), remove (evict), and lookup
-//! are checked op-by-op against a `HashMap` reference model, together with
-//! the table's tombstone-accounting invariants (the load-factor rebuild
-//! resets tombstones; removal tombstones a block exactly once).
+//! Model-based property tests for the coherence directory: random
+//! interleavings of insert (read/write), remove (evict), and lookup are
+//! checked op-by-op against a `HashMap` reference model, and before every
+//! read or write the conflict oracle (`peek_read`/`peek_write`) must
+//! predict the action the mutating call then returns.
 //!
 //! The second proptest lifts the model to the hierarchy level and drives
 //! the **run-granular data path**: interleaved per-core access sequences
 //! execute in batches through `Hierarchy::access_data_run`, and after
-//! every batch the directory's sharer masks, modified owners, tracked
-//! count, and tombstone count must match (a) a `HashMap` + shadow-L1-D
+//! every batch the directory's sharer masks, modified owners and tracked
+//! count must match (a) a `HashMap` + shadow-L1-D
 //! model that re-implements the MESI protocol of `access_data`, and (b) a
 //! hierarchy replaying the same sequence block-at-a-time — proving the
 //! batched fast lane never lets the directory skip (or double-apply) a
@@ -131,7 +131,7 @@ fn arb_batch() -> impl Strategy<Value = (usize, Vec<DataAccess>)> {
 proptest! {
     /// After every batched `access_data_run`, the directory matches both
     /// the protocol model and a block-at-a-time hierarchy, sharer masks
-    /// and tombstones included.
+    /// included.
     #[test]
     fn batched_data_runs_keep_directory_in_model_state(
         batches in prop::collection::vec(arb_batch(), 1..60),
@@ -162,25 +162,17 @@ proptest! {
                 }
                 prop_assert_eq!(run_dir.owner(block), expected.and_then(|(_, o)| o));
             }
-            // ...and the table's aggregate shape matches the per-block
-            // hierarchy exactly: same live count, same tombstones (the
-            // batched path must trigger the identical insert/remove
-            // sequence), same load-factor invariant.
+            // ...and the live count matches the per-block hierarchy.
             prop_assert_eq!(run_dir.tracked_blocks(), model.dir.blocks.len());
             prop_assert_eq!(run_dir.tracked_blocks(), blk_dir.tracked_blocks());
-            prop_assert_eq!(run_dir.tombstone_count(), blk_dir.tombstone_count());
-            prop_assert!(
-                (run_dir.tracked_blocks() + run_dir.tombstone_count()) * 8
-                    <= run_dir.capacity() * 7
-            );
         }
     }
 }
 
 proptest! {
     /// The directory agrees with the model after every operation, action
-    /// payloads included, and the open-addressed table's load/tombstone
-    /// invariant holds throughout arbitrary churn.
+    /// payloads included, and each peek predicts the action its read or
+    /// write then returns, throughout arbitrary churn.
     #[test]
     fn directory_matches_hashmap_model(
         ops in prop::collection::vec((0usize..4, 0usize..6, 0u64..24), 1..500)
@@ -191,13 +183,17 @@ proptest! {
             let b = BlockAddr(block);
             match op {
                 0 => {
+                    let peeked = dir.peek_read(core, b);
                     let action = dir.on_read(core, b);
+                    prop_assert_eq!(peeked, action);
                     let supplier = model.on_read(core, block);
                     prop_assert_eq!(action.supplier, supplier);
                     prop_assert!(action.invalidate.is_empty(), "reads never invalidate");
                 }
                 1 => {
+                    let peeked = dir.peek_write(core, b);
                     let action = dir.on_write(core, b);
+                    prop_assert_eq!(peeked, action);
                     let (supplier, invalidate) = model.on_write(core, block);
                     prop_assert_eq!(action.supplier, supplier);
                     prop_assert_eq!(action.invalidate.0, invalidate);
@@ -217,18 +213,9 @@ proptest! {
                 expected.is_some_and(|(s, _)| s & (1 << core) != 0)
             );
             prop_assert_eq!(dir.owner(b), expected.and_then(|(_, o)| o));
-            // ...and aggregate agreement plus table invariants: live and
-            // dead slots together never exceed the 7/8 load factor, so a
-            // double-removal (which would double-count a tombstone) or a
-            // rebuild that failed to reset the count breaks here.
+            // ...and aggregate agreement: a double removal or a lost
+            // entry breaks the live count here.
             prop_assert_eq!(dir.tracked_blocks(), model.blocks.len());
-            prop_assert!(
-                (dir.tracked_blocks() + dir.tombstone_count()) * 8 <= dir.capacity() * 7,
-                "load/tombstone invariant violated: len={} tombstones={} cap={}",
-                dir.tracked_blocks(),
-                dir.tombstone_count(),
-                dir.capacity()
-            );
         }
         // Terminal sweep: every block the model knows is visible with the
         // right sharers and owner; every block it dropped is gone.
