@@ -19,12 +19,12 @@ use std::fmt::Write as _;
 use addict_bench::jsontext::JsonValue;
 use addict_bench::{
     fetch_traces, fnv64, pretty_debug_fnv64, run_grid, run_job, CancelToken, JobSpec, TraceKey,
-    TracePool, DEFAULT_GEN_CHUNK,
+    TracePool, DEFAULT_GEN_CHUNK, EVAL_SEED, PROFILE_SEED,
 };
 use addict_core::replay::ReplayConfig;
 use addict_core::sched::{run_scheduler, SchedulerKind};
 use addict_sim::SimConfig;
-use addict_trace::XctTrace;
+use addict_trace::{InternedWorkload, XctTrace};
 use addict_workloads::tpcb::TpcB;
 use addict_workloads::{collect_traces, Benchmark};
 
@@ -340,4 +340,65 @@ fn default_scale_digests_match_through_a_cloned_snapshot() {
     assert!(moved.is_empty(), "cloned-snapshot digests moved: {moved:?}");
     let s = pool.stats();
     assert_eq!((s.generations, s.populations), (12, 6), "{s:?}");
+}
+
+/// FNV-1a over the canonical interned form of `w`: every trace's Debug
+/// form (type, slice refs, encoded data bytes, counts), then the pool's
+/// `n_events`, `unique_slices` and `slices_interned`.
+fn interned_digest(w: &InternedWorkload) -> String {
+    let text = format!(
+        "{:?} events={} unique={} interned={}",
+        w.xcts,
+        w.pool.n_events(),
+        w.pool.unique_slices(),
+        w.pool.slices_interned()
+    );
+    format!("{:016x}", fnv64(text.as_bytes()))
+}
+
+/// `key interned_digest` of the profile and eval keys of TPC-B, TPC-C,
+/// TATP and YCSB-A at test scale, 12 transactions each, fetched through a
+/// trace pool. The flat trace digests above pin what was recorded; this
+/// table pins how it was laid out in the slice pool, which no in-tree
+/// comparison can anchor when it moves both of its sides.
+const INTERNED_GOLDEN: &str = "\
+tpcb/seed1/n12/small 13b0364eb3b087a1
+tpcb/seed2/n12/small ea870fdd46d7fbf0
+tpcc/seed1/n12/small a5da55554869d1e8
+tpcc/seed2/n12/small e034acabc1883610
+tatp/seed1/n12/small b01fb9f3488237f3
+tatp/seed2/n12/small 21e6eb2d746944ea
+ycsba/seed1/n12/small fd3f67dfd1cce3a7
+ycsba/seed2/n12/small 5b19c80e1e8b9fea";
+
+#[test]
+fn interned_layout_digests_match_the_committed_table() {
+    let pool = TracePool::unbounded();
+    let actual: Vec<String> = [
+        Benchmark::TpcB,
+        Benchmark::TpcC,
+        Benchmark::Tatp,
+        Benchmark::YcsbA,
+    ]
+    .into_iter()
+    .flat_map(|bench| {
+        [PROFILE_SEED, EVAL_SEED].map(|seed| TraceKey {
+            bench,
+            seed,
+            n_xcts: 12,
+            chunk: DEFAULT_GEN_CHUNK,
+            small: true,
+        })
+    })
+    .map(|key| {
+        let (w, _) = pool.get(&key, 1);
+        format!("{} {}", key.describe(), interned_digest(&w))
+    })
+    .collect();
+    assert!(
+        actual.iter().eq(INTERNED_GOLDEN.lines()),
+        "interned layout digests moved; if that is intended, replace \
+         INTERNED_GOLDEN with:\n{}",
+        actual.join("\n")
+    );
 }
