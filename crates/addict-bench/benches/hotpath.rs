@@ -12,9 +12,7 @@
 //! (`cargo run --release --bin bench`) regenerates the latest
 //! `BENCH_n.json` with the headline events/sec numbers.
 
-use addict_bench::{
-    run_job, JobSpec, TraceKey, TracePool, DEFAULT_GEN_CHUNK, EVAL_SEED, PROFILE_SEED,
-};
+use addict_bench::{run_job, JobSpec, TraceKey, TracePool, EVAL_SEED, PROFILE_SEED};
 use addict_core::algorithm1::find_migration_points_interned;
 use addict_core::replay::ReplayConfig;
 use addict_core::sched::{run_scheduler, SchedulerKind};
@@ -22,8 +20,8 @@ use addict_sim::coherence::Directory;
 use addict_sim::{BlockAddr, CacheGeometry, CoreId, Machine, SetAssocCache, SimConfig};
 use addict_trace::event::FlatEvent;
 use addict_trace::intern::InternCursor;
-use addict_trace::{DataRun, Fetched, InternedSet, InternedWorkload, TraceEvent};
-use addict_workloads::{collect_traces, Benchmark};
+use addict_trace::{DataRun, Fetched, InternedSet, TraceEvent};
+use addict_workloads::{collect_traces_interned, Benchmark};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 fn bench_cache_walks(c: &mut Criterion) {
@@ -89,14 +87,13 @@ fn bench_directory(c: &mut Criterion) {
     });
 }
 
-/// The small-scale TPC-C key a job fetches for `seed`: 400 transactions,
-/// the default generation chunk.
+/// The small-scale TPC-C key a job fetches for `seed`: 400 transactions.
 fn tpcc_small(seed: u64) -> TraceKey {
     TraceKey {
         bench: Benchmark::TpcC,
         seed,
         n_xcts: 400,
-        chunk: DEFAULT_GEN_CHUNK,
+        chunk: 0,
         small: true,
     }
 }
@@ -201,10 +198,10 @@ fn cursor_walk(set: &InternedSet<'_>) -> u64 {
 
 fn bench_cursor_decode(c: &mut Criterion) {
     let (mut engine, mut workload) = Benchmark::TpcC.setup_small();
-    let traces = collect_traces(&mut engine, workload.as_mut(), 400, EVAL_SEED);
-    let interned = InternedWorkload::from_flat(&traces);
-    // The same checksum straight off the recorded events.
-    let recorded = traces
+    let interned = collect_traces_interned(&mut engine, workload.as_mut(), 400, EVAL_SEED);
+    // The same checksum straight off the flattened events.
+    let recorded = interned
+        .flatten()
         .xcts
         .iter()
         .flat_map(|t| &t.events)

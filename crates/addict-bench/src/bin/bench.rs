@@ -25,19 +25,19 @@
 //! the HTMX scheduler's speculation outcomes.
 //!
 //! The interned profile and evaluation traces come from a trace pool,
-//! whose misses run the **streamed pipeline**
-//! (`collect_traces_interned_chunked`: trace → intern → retire flat
-//! traces, chunk by chunk), and `--scaling` appends the
-//! trace-memory-vs-throughput ladder: streamed generation and interned
-//! replay at 400 / 10k / 100k / ... up to `--xcts`, with per-rung
-//! footprint, events/s and peak RSS — the million-transaction run the
-//! flat path cannot hold in memory.
+//! whose misses trace a clone of a populated engine with a recorder that
+//! interns each slice as it closes (`collect_traces_interned`), and
+//! `--scaling` appends the trace-memory-vs-throughput ladder: interned
+//! generation and replay at 400 / 10k / 100k / ... up to `--xcts`, with
+//! per-rung footprint, events/s and peak RSS — the million-transaction
+//! run the flat form cannot hold in memory.
 //!
 //! Determinism guards run on every invocation (CI's `--smoke` included)
 //! and can fail the process:
-//! * the streamed, delta-encoded eval workload must **decode back
-//!   bit-identical** to an independent flat `collect_traces` on a fresh
-//!   engine (the `--xcts 2000` TPC-B step of CI's `release-gates` job),
+//! * the pool's delta-encoded eval workload, traced on a clone of the
+//!   benchmark's populated snapshot, must **decode back bit-identical** to
+//!   a flat `collect_traces` on a freshly populated engine (the
+//!   `--xcts 2000` TPC-B step of CI's `release-gates` job),
 //! * per_block and fast execution must produce bit-identical simulation
 //!   output (a speedup can never be bought with accuracy) — the YCSB-A
 //!   data-run step of CI's `release-gates` job,
@@ -61,8 +61,7 @@ use std::time::Instant;
 
 use addict_bench::job::total_events_interned;
 use addict_bench::{
-    fetch_traces, parse_bench_args, run_grid, run_job, CancelToken, JobSpec, TracePool,
-    DEFAULT_GEN_CHUNK, EVAL_SEED,
+    fetch_traces, parse_bench_args, run_grid, run_job, CancelToken, JobSpec, TracePool, EVAL_SEED,
 };
 use addict_core::algorithm1::MigrationMap;
 use addict_core::replay::{ReplayConfig, ReplayResult};
@@ -71,7 +70,7 @@ use addict_trace::{InternedWorkload, WorkloadTrace};
 use addict_workloads::{collect_traces, Benchmark};
 
 /// The flat evaluation reference: `n` eval-seed traces of `bench` on a
-/// fresh engine, independent of the trace pool.
+/// freshly populated engine, independent of the trace pool's snapshot.
 fn flat_eval(bench: Benchmark, n: usize) -> WorkloadTrace {
     let (mut engine, mut workload) = bench.setup();
     collect_traces(&mut engine, workload.as_mut(), n, EVAL_SEED)
@@ -86,21 +85,21 @@ fn peak_rss_bytes() -> Option<u64> {
     Some(kb * 1024)
 }
 
-/// Assert the streamed trace→intern pipeline's decoded form is
-/// bit-identical to the flat-collected workload — the runtime
-/// decoded-vs-flat gate (CI's `release-gates` job runs it at `--xcts 2000`).
+/// Assert the pool's interned workload decodes bit-identical to the
+/// flat-collected one — the runtime decoded-vs-flat gate (CI's
+/// `release-gates` job runs it at `--xcts 2000`).
 fn assert_decodes_to(interned: &InternedWorkload, flat: &WorkloadTrace, what: &str) {
     let decoded = interned.flatten();
     assert_eq!(
         decoded.xcts.len(),
         flat.xcts.len(),
-        "{what}: streamed pipeline trace count diverged"
+        "{what}: interned trace count diverged"
     );
     for (i, (d, f)) in decoded.xcts.iter().zip(&flat.xcts).enumerate() {
         assert_eq!(d.xct_type, f.xct_type, "{what}: trace {i} type diverged");
         assert_eq!(
             d.events, f.events,
-            "{what}: streamed+decoded trace {i} diverged from flat"
+            "{what}: decoded trace {i} diverged from flat"
         );
     }
 }
@@ -222,7 +221,7 @@ fn main() {
         })
         .collect();
     eprintln!(
-        "bench: streamed pipeline (chunk {DEFAULT_GEN_CHUNK}) decoded bit-identical to flat generation for {}",
+        "bench: pool traces decoded bit-identical to fresh-engine generation for {}",
         bench_names.join(", ")
     );
 
@@ -233,7 +232,7 @@ fn main() {
     out.push_str("{\n");
     let _ = write!(
         out,
-        "  \"artifact\": \"BENCH_11\",\n  \"nproc\": {nproc},\n  \"n_xcts\": {n},\n  \"n_cores\": {},\n  \"reps_best_of\": {reps},\n  \"gen_chunk\": {DEFAULT_GEN_CHUNK},\n  \"workloads\": [\n",
+        "  \"artifact\": \"BENCH_11\",\n  \"nproc\": {nproc},\n  \"n_xcts\": {n},\n  \"n_cores\": {},\n  \"reps_best_of\": {reps},\n  \"workloads\": [\n",
         cfg.sim.n_cores
     );
 
@@ -601,7 +600,7 @@ fn scaling_section(
         .chain([args.n_xcts])
         .collect();
     eprintln!(
-        "bench: scaling ladder {rungs:?} for {} (streamed pipeline, chunk {DEFAULT_GEN_CHUNK}, profile fixed at {} traces)",
+        "bench: scaling ladder {rungs:?} for {} (profile fixed at {} traces)",
         bench.name(),
         p0.interned.xcts.len()
     );
@@ -611,7 +610,7 @@ fn scaling_section(
     };
     let _ = write!(
         out,
-        "  \"scaling\": {{\n    \"workload\": \"{}\",\n    \"gen_chunk\": {DEFAULT_GEN_CHUNK},\n    \"rungs\": [\n",
+        "  \"scaling\": {{\n    \"workload\": \"{}\",\n    \"rungs\": [\n",
         bench.name()
     );
     for (ri, &rung) in rungs.iter().enumerate() {
@@ -632,8 +631,8 @@ fn scaling_section(
         );
         // Rungs that fit flat get the full decoded-vs-flat gate before
         // any timing; beyond that the equivalence is carried by these
-        // gated rungs plus chunk-invariance (the pipeline's output does
-        // not depend on scale, only on the transaction stream).
+        // gated rungs (the recorder's output does not depend on scale,
+        // only on the transaction stream).
         let verified = rung <= 10_000;
         if verified {
             let flat = flat_eval(bench, rung);

@@ -6,7 +6,7 @@ use addict_bench::{header, parse_bench_args, PROFILE_SEED};
 use addict_core::find_migration_points_interned;
 use addict_core::replay::ReplayConfig;
 use addict_trace::{InternedWorkload, OpKind, XctTypeId};
-use addict_workloads::{collect_traces, tpcc, Benchmark};
+use addict_workloads::{collect_traces_interned, tpcc, Benchmark};
 
 fn main() {
     // Scaled defaults: the paper profiles on 1000 and validates on up to
@@ -42,10 +42,9 @@ fn main() {
     );
     for (bench, ty, label) in cases {
         let (mut engine, mut workload) = bench.setup();
-        // Every range runs on this one engine, in order, and is interned.
-        let mut collect = |seed| {
-            InternedWorkload::from_flat(&collect_traces(&mut engine, workload.as_mut(), base, seed))
-        };
+        // Every range runs on this one engine, in order.
+        let mut collect =
+            |seed| collect_traces_interned(&mut engine, workload.as_mut(), base, seed);
         let profile = collect(PROFILE_SEED);
         let map = find_migration_points_interned(profile.as_set(), cfg.sim.l1i);
         // Fresh traces after the profiling window, evaluated in two sizes:

@@ -4,12 +4,13 @@
 //! engine and tracing N transactions costs seconds to minutes, while
 //! replaying the resulting interned set costs milliseconds to seconds.
 //! A resident server amortizes that: the first job generating
-//! `(benchmark, seed, n_xcts, chunk, small)` pays for it, every later
-//! job reuses the shared [`InternedWorkload`] behind an `Arc`.
+//! `(benchmark, seed, n_xcts, small)` pays for it, every later job
+//! reuses the shared [`InternedWorkload`] behind an `Arc`.
 //!
 //! A miss is the one trace-generation path of the harness: a copy of the
 //! benchmark's populated storage engine traced by
-//! [`collect_traces_interned_chunked`] into a private slice pool. The
+//! [`collect_traces_interned`], whose recorder interns into a private
+//! slice pool. The
 //! job layer, the server, `fig5`–`fig9`, `ablation` and `bench` all fetch
 //! their interned traces here.
 //!
@@ -60,20 +61,15 @@ use std::sync::{Arc, Mutex, OnceLock};
 use addict_core::algorithm1::{find_migration_points_interned, MigrationMap};
 use addict_core::replay::ReplayConfig;
 use addict_storage::Engine;
-use addict_trace::{InternedWorkload, SlicePool};
-use addict_workloads::{collect_traces_interned_chunked, Benchmark, WorkloadRunner};
+use addict_trace::InternedWorkload;
+use addict_workloads::{collect_traces_interned, Benchmark, WorkloadRunner};
 
-/// Default recorder-drain granularity of a [`TraceKey`]: large enough to
-/// amortize the per-drain engine round trip, small enough that a chunk of
-/// flat traces stays a rounding error next to the interned set it feeds.
-pub const DEFAULT_GEN_CHUNK: usize = 64;
-
-/// Cache identity of one generated trace range. Two jobs agreeing on all
-/// five fields replay byte-identical traces (generation is a pure
-/// function of the key: a freshly populated engine, or a clone of one,
-/// and a freshly seeded transaction stream, with `chunk` changing only
-/// peak memory — `tests/trace_determinism.rs`), so sharing the interned
-/// set is invisible to results.
+/// Cache identity of one generated trace range. Two jobs agreeing on
+/// `bench`, `seed`, `n_xcts` and `small` replay byte-identical traces
+/// (generation is a pure function of them: a freshly populated engine, or
+/// a clone of one, and a freshly seeded transaction stream —
+/// `tests/trace_determinism.rs`), so sharing the interned set is
+/// invisible to results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TraceKey {
     /// Benchmark to build and trace.
@@ -82,7 +78,9 @@ pub struct TraceKey {
     pub seed: u64,
     /// Transactions to trace.
     pub n_xcts: usize,
-    /// Generation→interning drain granularity.
+    /// Ignored by generation, which has no drain granularity any more;
+    /// every key in this workspace sets 0. Kept only until `jobbench/`,
+    /// which reads it, changes with the next benchmark revision.
     pub chunk: usize,
     /// Reduced test-scale population.
     pub small: bool,
@@ -407,21 +405,7 @@ impl TracePool {
         // holds it.
         let workload = Arc::new({
             let (mut engine, mut runner) = (engine.clone(), runner.clone_box());
-            let mut slices = SlicePool::new();
-            let xcts = collect_traces_interned_chunked(
-                &mut engine,
-                runner.as_mut(),
-                key.n_xcts,
-                key.seed,
-                &mut slices,
-                key.chunk,
-            );
-            InternedWorkload {
-                name: runner.name().to_owned(),
-                xct_type_names: runner.xct_type_names(),
-                pool: Arc::new(slices),
-                xcts,
-            }
+            collect_traces_interned(&mut engine, runner.as_mut(), key.n_xcts, key.seed)
         });
         Entry {
             bytes: workload.resident_bytes(),
@@ -566,7 +550,7 @@ mod tests {
             bench: Benchmark::TpcB,
             seed,
             n_xcts: n,
-            chunk: 4,
+            chunk: 0,
             small: true,
         }
     }
@@ -680,7 +664,7 @@ mod tests {
                             bench,
                             seed,
                             n_xcts,
-                            chunk: DEFAULT_GEN_CHUNK,
+                            chunk: 0,
                             small,
                         });
                     }
@@ -725,7 +709,7 @@ mod tests {
                 bench: Benchmark::TpcC,
                 seed: 2,
                 n_xcts: n,
-                chunk: 64,
+                chunk: 0,
                 small: false,
             }
             .estimated_resident_bytes()
@@ -742,7 +726,7 @@ mod tests {
             bench: Benchmark::TpcB,
             seed: crate::EVAL_SEED,
             n_xcts: 61_081_934_018_905_801,
-            chunk: 64,
+            chunk: 0,
             small: false,
         };
         assert_eq!(k.estimated_resident_bytes(), usize::MAX);
@@ -826,7 +810,7 @@ mod tests {
             bench,
             seed: crate::PROFILE_SEED,
             n_xcts: n,
-            chunk: DEFAULT_GEN_CHUNK,
+            chunk: 0,
             small: true,
         }
     }
@@ -959,21 +943,12 @@ mod tests {
         } else {
             key.bench.setup()
         };
-        let mut slices = SlicePool::new();
-        let xcts = collect_traces_interned_chunked(
+        canon(&collect_traces_interned(
             &mut engine,
             runner.as_mut(),
             key.n_xcts,
             key.seed,
-            &mut slices,
-            key.chunk,
-        );
-        canon(&InternedWorkload {
-            name: runner.name().to_owned(),
-            xct_type_names: runner.xct_type_names(),
-            pool: Arc::new(slices),
-            xcts,
-        })
+        ))
     }
 
     #[test]

@@ -240,8 +240,6 @@ pub struct JobSpec {
     /// Batch sizes to sweep for the batching schedulers; empty = the
     /// paper default (one grid point per benchmark × scheduler).
     pub batch_sizes: Vec<usize>,
-    /// Generation→interning drain granularity (0 = batch interning).
-    pub chunk: usize,
     /// Use the reduced test-scale populations (`setup_small`).
     pub small: bool,
     /// Evaluation-trace seed (profiling always uses [`PROFILE_SEED`]).
@@ -256,8 +254,7 @@ pub struct JobSpec {
 
 impl JobSpec {
     /// The smallest useful job: one benchmark, all five schedulers, the
-    /// paper-default config, [`DEFAULT_GEN_CHUNK`](crate::DEFAULT_GEN_CHUNK)
-    /// streaming.
+    /// paper-default config.
     pub fn new(benchmarks: Vec<Benchmark>, n_xcts: usize) -> Self {
         JobSpec {
             benchmarks,
@@ -265,7 +262,6 @@ impl JobSpec {
             n_xcts,
             threads: 1,
             batch_sizes: Vec::new(),
-            chunk: crate::DEFAULT_GEN_CHUNK,
             small: false,
             seed: EVAL_SEED,
             deadline_ms: 0,
@@ -390,13 +386,12 @@ impl JobSpec {
             .collect();
         let batches: Vec<String> = self.batch_sizes.iter().map(usize::to_string).collect();
         format!(
-            "{{\"benchmarks\":[{}],\"schedulers\":[{}],\"n_xcts\":{},\"threads\":{},\"batch_sizes\":[{}],\"chunk\":{},\"small\":{},\"seed\":{},\"deadline_ms\":{}}}",
+            "{{\"benchmarks\":[{}],\"schedulers\":[{}],\"n_xcts\":{},\"threads\":{},\"batch_sizes\":[{}],\"small\":{},\"seed\":{},\"deadline_ms\":{}}}",
             benches.join(","),
             scheds.join(","),
             self.n_xcts,
             self.threads,
             batches.join(","),
-            self.chunk,
             self.small,
             self.seed,
             self.deadline_ms
@@ -474,12 +469,6 @@ impl JobSpec {
                         })
                         .collect::<Result<_, _>>()?;
                 }
-                "chunk" => {
-                    spec.chunk = value
-                        .as_u64("chunk")
-                        .map_err(|e| SpecError::new("chunk", e))?
-                        as usize;
-                }
                 "small" => {
                     spec.small = value
                         .as_bool("small")
@@ -523,7 +512,7 @@ impl JobSpec {
             bench,
             seed: PROFILE_SEED,
             n_xcts: self.n_xcts,
-            chunk: self.chunk,
+            chunk: 0,
             small: self.small,
         }
     }
@@ -534,7 +523,7 @@ impl JobSpec {
             bench,
             seed: self.seed,
             n_xcts: self.n_xcts,
-            chunk: self.chunk,
+            chunk: 0,
             small: self.small,
         }
     }
@@ -1224,7 +1213,6 @@ mod tests {
         s.schedulers = vec![SchedulerKind::Baseline, SchedulerKind::Addict];
         s.threads = 2;
         s.batch_sizes = vec![2, 16];
-        s.chunk = 7;
         s.small = true;
         s.seed = 5;
         s
@@ -1325,6 +1313,16 @@ mod tests {
             let err = JobSpec::from_json(doc).unwrap_err();
             assert_eq!(err.field, field, "{doc} gave {err:?}");
         }
+    }
+
+    #[test]
+    fn spec_json_rejects_chunk_as_an_unknown_field() {
+        // Generation has no drain granularity: a spec an older build
+        // wrote, which still names one, is refused.
+        let err = JobSpec::from_json("{\"benchmarks\":[\"tpcb\"],\"n_xcts\":60,\"chunk\":64}")
+            .unwrap_err();
+        assert_eq!(err.field, "spec");
+        assert_eq!(err.message, "unknown job field \"chunk\"");
     }
 
     #[test]

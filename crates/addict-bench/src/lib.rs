@@ -29,9 +29,11 @@
 //! deterministic: seed 1 profiles, seed 2 evaluates, matching the paper's
 //! disjoint trace ranges.
 //!
-//! Traces come from one path: a fresh storage engine traced by
-//! `collect_traces` (`fig1`–`fig4`, and `bench`'s flat reference) or,
-//! interned, by a [`TracePool`] miss (one engine per [`TraceKey`]).
+//! Traces come from one path: a storage engine whose recorder interns as
+//! it traces, driven by `collect_traces_interned` — on a fresh engine in
+//! `fig4`, on a clone of a populated snapshot in a [`TracePool`] miss
+//! (one generation per [`TraceKey`]). `fig1`–`fig3` and `bench`'s
+//! independent reference read the flattened form, `collect_traces`.
 //! Every grid fetches its interned traces and Algorithm 1's migration
 //! maps (memoized per profile entry in the pool) through one prologue,
 //! [`fetch_traces`], and replays through
@@ -47,7 +49,7 @@ pub mod sweep;
 
 use addict_workloads::Benchmark;
 
-pub use cache::{CacheStats, TraceKey, TracePool, DEFAULT_GEN_CHUNK};
+pub use cache::{CacheStats, TraceKey, TracePool};
 pub use job::{
     fetch_traces, fnv64, pretty_debug_fnv64, run_job, run_job_with, summary_rows, BenchTraces,
     CancelToken, Interrupt, JobError, JobPoint, JobResult, JobSpec, SpecError, SummaryRow,
@@ -212,7 +214,7 @@ mod tests {
     use addict_core::find_migration_points;
     use addict_core::replay::ReplayConfig;
     use addict_core::sched::{run_scheduler, SchedulerKind};
-    use addict_workloads::collect_traces;
+    use addict_workloads::{collect_traces, collect_traces_interned};
 
     #[test]
     fn norm_guards_zero() {
@@ -383,8 +385,7 @@ mod tests {
         // A miniature end-to-end run of the harness plumbing.
         let (mut engine, mut workload) = Benchmark::TpcB.setup_small();
         let profile = collect_traces(&mut engine, workload.as_mut(), 20, PROFILE_SEED);
-        let eval = collect_traces(&mut engine, workload.as_mut(), 20, EVAL_SEED);
-        let eval = addict_trace::InternedWorkload::from_flat(&eval);
+        let eval = collect_traces_interned(&mut engine, workload.as_mut(), 20, EVAL_SEED);
         let cfg = ReplayConfig::paper_default();
         let map = find_migration_points(&profile.xcts, cfg.sim.l1i);
         let results: Vec<_> = SchedulerKind::ALL

@@ -19,7 +19,7 @@ use std::fmt::Write as _;
 use addict_bench::jsontext::JsonValue;
 use addict_bench::{
     fetch_traces, fnv64, pretty_debug_fnv64, run_grid, run_job, CancelToken, JobSpec, TraceKey,
-    TracePool, DEFAULT_GEN_CHUNK, EVAL_SEED, PROFILE_SEED,
+    TracePool, EVAL_SEED, PROFILE_SEED,
 };
 use addict_core::replay::ReplayConfig;
 use addict_core::sched::{run_scheduler, SchedulerKind};
@@ -324,7 +324,7 @@ fn default_scale_digests_match_through_a_cloned_snapshot() {
         bench,
         seed,
         n_xcts,
-        chunk: DEFAULT_GEN_CHUNK,
+        chunk: 0,
         small: false,
     };
     let moved: Vec<String> = run_grid(&DEFAULT_SCALE_GOLDEN, 2, |_, &(bench, golden)| {
@@ -386,7 +386,7 @@ fn interned_layout_digests_match_the_committed_table() {
             bench,
             seed,
             n_xcts: 12,
-            chunk: DEFAULT_GEN_CHUNK,
+            chunk: 0,
             small: true,
         })
     })

@@ -13,8 +13,8 @@ use addict_core::find_migration_points;
 use addict_core::replay::{ReplayConfig, ReplayResult};
 use addict_core::sched::{run_scheduler, SchedulerKind};
 use addict_sim::SimConfig;
-use addict_trace::{InternedSet, InternedWorkload};
-use addict_workloads::{collect_traces, Benchmark};
+use addict_trace::InternedSet;
+use addict_workloads::{collect_traces, collect_traces_interned, Benchmark};
 
 /// One grid point: a scheduler and config over one trace set and its map.
 type Point<'a> = (
@@ -51,8 +51,7 @@ fn serialize(results: &[ReplayResult]) -> Vec<u8> {
 fn sweep_is_bit_identical_across_thread_counts() {
     let (mut engine, mut workload) = Benchmark::TpcB.setup_small();
     let profile = collect_traces(&mut engine, workload.as_mut(), 24, PROFILE_SEED);
-    let eval = collect_traces(&mut engine, workload.as_mut(), 24, EVAL_SEED);
-    let interned = InternedWorkload::from_flat(&eval);
+    let interned = collect_traces_interned(&mut engine, workload.as_mut(), 24, EVAL_SEED);
     let cfg = ReplayConfig::paper_default();
     let map = find_migration_points(&profile.xcts, cfg.sim.l1i);
     let set = interned.as_set();
@@ -123,8 +122,7 @@ fn spec_driven_sweep_is_bit_identical_across_thread_counts() {
     for bench in [Benchmark::Tatp, Benchmark::YcsbB] {
         let (mut engine, mut workload) = bench.setup_small();
         let profile = collect_traces(&mut engine, workload.as_mut(), 24, PROFILE_SEED);
-        let eval = collect_traces(&mut engine, workload.as_mut(), 24, EVAL_SEED);
-        let interned = InternedWorkload::from_flat(&eval);
+        let interned = collect_traces_interned(&mut engine, workload.as_mut(), 24, EVAL_SEED);
         let map = find_migration_points(&profile.xcts, cfg.sim.l1i);
         inputs.push((bench, interned, map));
     }

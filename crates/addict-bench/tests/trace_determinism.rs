@@ -1,14 +1,13 @@
 //! Trace generation is a pure function of its [`TraceKey`]: a freshly
 //! populated storage engine, or a clone of one, traced from a freshly
-//! seeded transaction stream. The
-//! drain granularity (`chunk`) only bounds memory, a trace-pool fetch
-//! equals a direct collection, the interned set flattens to the flat
-//! `collect_traces` of a fresh engine, and fetching many keys at once
-//! never changes what any of them contains.
+//! seeded transaction stream. A trace-pool fetch equals a direct
+//! collection, the recorder's interned set equals interning its own
+//! flattened form afterwards, and fetching many keys at once never
+//! changes what any of them contains.
 
-use addict_bench::{run_grid, TraceKey, TracePool, DEFAULT_GEN_CHUNK, EVAL_SEED, PROFILE_SEED};
-use addict_trace::{InternedWorkload, SlicePool};
-use addict_workloads::{collect_traces, collect_traces_interned_chunked, Benchmark};
+use addict_bench::{run_grid, TraceKey, TracePool, EVAL_SEED, PROFILE_SEED};
+use addict_trace::InternedWorkload;
+use addict_workloads::{collect_traces, collect_traces_interned, Benchmark};
 
 /// Profile and eval keys of TPC-B, TPC-C, TATP and YCSB-A side by side,
 /// at test scale: the contract is layout-independent.
@@ -25,32 +24,17 @@ fn keys() -> Vec<TraceKey> {
             bench,
             seed,
             n_xcts: 12,
-            chunk: DEFAULT_GEN_CHUNK,
+            chunk: 0,
             small: true,
         })
     })
     .collect()
 }
 
-/// `key`'s traces collected directly on a fresh engine, drained every
-/// `chunk` transactions.
-fn collect_interned(key: &TraceKey, chunk: usize) -> InternedWorkload {
+/// `key`'s traces collected directly on a fresh engine.
+fn collect_interned(key: &TraceKey) -> InternedWorkload {
     let (mut engine, mut workload) = key.bench.setup_small();
-    let mut pool = SlicePool::new();
-    let xcts = collect_traces_interned_chunked(
-        &mut engine,
-        workload.as_mut(),
-        key.n_xcts,
-        key.seed,
-        &mut pool,
-        chunk,
-    );
-    InternedWorkload {
-        name: workload.name().to_owned(),
-        xct_type_names: workload.xct_type_names(),
-        pool: pool.into(),
-        xcts,
-    }
+    collect_traces_interned(&mut engine, workload.as_mut(), key.n_xcts, key.seed)
 }
 
 /// Canonical bytes of an interned set: names, every trace's slice refs
@@ -68,33 +52,24 @@ fn canon(w: &InternedWorkload) -> String {
 }
 
 #[test]
-fn interned_generation_is_chunk_size_invariant() {
-    // Draining the recorder after every transaction (chunk 1), at an odd
-    // stride (7), at the default (64), or only once at the end (0 =
-    // batch) gives byte-identical interned sets: pool layout, slice refs
-    // and delta-encoded data bytes alike.
-    for key in keys() {
-        let reference = canon(&collect_interned(&key, 0));
-        for chunk in [1, 7, 64] {
-            assert_eq!(
-                reference,
-                canon(&collect_interned(&key, chunk)),
-                "{} changed at chunk {chunk}",
-                key.describe()
-            );
-        }
-    }
-}
-
-#[test]
 fn interned_generation_flattens_to_flat_generation() {
+    // The recorder's interned set flattens to what `collect_traces`
+    // returns on a fresh engine, and interning that flat form afterwards
+    // lays the pool out exactly as the recorder did.
     for key in keys() {
         let (mut engine, mut workload) = key.bench.setup_small();
         let flat = collect_traces(&mut engine, workload.as_mut(), key.n_xcts, key.seed);
+        let recorded = collect_interned(&key);
         assert_eq!(
-            format!("{:?}", collect_interned(&key, DEFAULT_GEN_CHUNK).flatten()),
+            format!("{:?}", recorded.flatten()),
             format!("{flat:?}"),
             "{} lost information in interning",
+            key.describe()
+        );
+        assert_eq!(
+            canon(&recorded),
+            canon(&InternedWorkload::from_flat(&flat)),
+            "{} recorder layout diverged from interning after",
             key.describe()
         );
     }
@@ -110,7 +85,7 @@ fn each_range_matches_direct_sequential_collection() {
         assert!(!hit);
         assert_eq!(
             canon(&fetched),
-            canon(&collect_interned(&key, key.chunk)),
+            canon(&collect_interned(&key)),
             "{} pool fetch diverged from direct collection",
             key.describe()
         );

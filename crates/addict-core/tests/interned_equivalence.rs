@@ -14,10 +14,8 @@ use addict_core::algorithm1::{find_migration_points_interned, MigrationMap, Sequ
 use addict_core::replay::ReplayConfig;
 use addict_sim::{BlockAddr, CacheGeometry, SetAssocCache};
 use addict_trace::event::FlatEvent;
-use addict_trace::{
-    InternedWorkload, OpKind, SlicePool, TraceEvent, WorkloadTrace, XctTrace, XctTypeId,
-};
-use addict_workloads::{collect_traces, collect_traces_interned_chunked, Benchmark};
+use addict_trace::{InternedWorkload, OpKind, TraceEvent, WorkloadTrace, XctTrace, XctTypeId};
+use addict_workloads::{collect_traces, collect_traces_interned, Benchmark};
 use proptest::prelude::*;
 
 fn small_eval(bench: Benchmark, n: usize) -> (WorkloadTrace, WorkloadTrace) {
@@ -243,23 +241,23 @@ fn assert_matches_flat(profile: &[XctTrace], eval: &[XctTrace], l1i: CacheGeomet
     );
 }
 
-/// Interning while collecting (the at-scale path that never materializes
-/// the flat set) produces the identical interned form — same traces, same
-/// order, same pool layout — as collecting flat and interning after.
+/// Interning while recording (the recorder cuts and interns each slice
+/// as it closes, so the flat set never exists) produces the identical
+/// interned form — same traces, same order, same pool layout — as
+/// interning the flattened traces afterwards.
 #[test]
 fn collect_interned_matches_collect_then_intern() {
     let (mut engine, mut workload) = Benchmark::TpcC.setup_small();
-    let mut pool = SlicePool::new();
-    let streamed =
-        collect_traces_interned_chunked(&mut engine, workload.as_mut(), 24, 7, &mut pool, 1);
+    let recorded = collect_traces_interned(&mut engine, workload.as_mut(), 24, 7);
+    let pool = &recorded.pool;
 
     let (mut engine2, mut workload2) = Benchmark::TpcC.setup_small();
     let flat = collect_traces(&mut engine2, workload2.as_mut(), 24, 7);
     let batch = InternedWorkload::from_flat(&flat);
 
-    assert_eq!(streamed.len(), batch.xcts.len());
-    for (a, b) in streamed.iter().zip(&batch.xcts) {
-        assert_eq!(a, b, "streamed interning diverged from batch interning");
+    assert_eq!(recorded.xcts.len(), batch.xcts.len());
+    for (a, b) in recorded.xcts.iter().zip(&batch.xcts) {
+        assert_eq!(a, b, "recorder interning diverged from batch interning");
     }
     assert_eq!(pool.n_events(), batch.pool.n_events());
     assert_eq!(pool.unique_slices(), batch.pool.unique_slices());

@@ -19,8 +19,10 @@ use addict_core::algorithm1::find_migration_points;
 use addict_core::replay::{ReplayConfig, ReplayResult};
 use addict_core::sched::{run_scheduler, SchedulerKind};
 use addict_sim::{BlockAddr, SimConfig};
-use addict_trace::{InternedWorkload, OpKind, TraceEvent, WorkloadTrace, XctTrace, XctTypeId};
-use addict_workloads::{collect_traces, Benchmark};
+use addict_trace::{
+    InternedTrace, InternedWorkload, OpKind, TraceEvent, WorkloadTrace, XctTrace, XctTypeId,
+};
+use addict_workloads::{collect_traces, collect_traces_interned, Benchmark};
 use proptest::prelude::*;
 
 /// The two execution modes (`ReplayConfig::fast_paths`). `false` is the
@@ -194,10 +196,9 @@ fn data_run_matrix_is_byte_identical_on_all_benchmarks() {
     for bench in Benchmark::ALL {
         let (mut engine, mut workload) = bench.setup_small();
         let profile = collect_traces(&mut engine, workload.as_mut(), 24, 1);
-        let eval = collect_traces(&mut engine, workload.as_mut(), 24, 2);
-        let interned = InternedWorkload::from_flat(&eval);
+        let interned = collect_traces_interned(&mut engine, workload.as_mut(), 24, 2);
         let iset = interned.as_set();
-        let trace_data_events: u64 = eval.xcts.iter().map(XctTrace::data_accesses).sum();
+        let trace_data_events: u64 = interned.xcts.iter().map(InternedTrace::data_accesses).sum();
         let cfg = ReplayConfig {
             sim: SimConfig::paper_default().with_cores(8),
             ..ReplayConfig::paper_default()

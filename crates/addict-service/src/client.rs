@@ -373,7 +373,7 @@ mod tests {
     #[test]
     fn table_renders_one_row_per_point() {
         let doc = r#"{
-  "spec": {"benchmarks":["tpcb"],"schedulers":["baseline"],"n_xcts":2,"threads":1,"batch_sizes":[],"chunk":64,"small":true,"seed":2,"deadline_ms":0},
+  "spec": {"benchmarks":["tpcb"],"schedulers":["baseline"],"n_xcts":2,"threads":1,"batch_sizes":[],"small":true,"seed":2,"deadline_ms":0},
   "points": [
     { "workload": "TPC-B", "scheduler": "Baseline", "batch_size": null, "n_xcts": 2, "events": 100, "instructions": 900, "total_cycles": 1234.5, "avg_latency_cycles": 10.0, "l1i_mpki": 7.25, "l1d_mpki": 1.0, "llc_mpki": 0.5, "switches_per_ki": 0.125, "overhead_fraction": 0, "result_fnv64": "00000000deadbeef" },
     { "workload": "TPC-B", "scheduler": "ADDICT", "batch_size": 8, "n_xcts": 2, "events": 100, "instructions": 900, "total_cycles": 900.0, "avg_latency_cycles": 9.0, "l1i_mpki": 3.5, "l1d_mpki": 1.0, "llc_mpki": 0.5, "switches_per_ki": 0.25, "overhead_fraction": 0.01, "result_fnv64": "00000000deadbeef" }

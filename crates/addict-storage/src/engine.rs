@@ -19,7 +19,7 @@ use std::collections::HashMap;
 
 use addict_trace::codemap::{CodeMap, Routine};
 use addict_trace::layout;
-use addict_trace::{OpKind, TraceRecorder, XctTrace, XctTypeId};
+use addict_trace::{InternedTrace, OpKind, SlicePool, TraceRecorder, XctTypeId};
 
 use crate::btree::{PathStep, SmoStats};
 use crate::bufferpool::BufferPool;
@@ -98,8 +98,12 @@ impl Engine {
         self.rec.set_enabled(on);
     }
 
-    /// Drain the traces recorded so far.
-    pub fn take_traces(&mut self) -> Vec<XctTrace> {
+    /// Drain the traces recorded so far, in completion order, with the
+    /// slice pool they were interned into.
+    ///
+    /// # Panics
+    /// Panics if a transaction is still open.
+    pub fn take_traces(&mut self) -> (Vec<InternedTrace>, SlicePool) {
         self.rec.take_traces()
     }
 
@@ -139,8 +143,8 @@ impl Engine {
 
     /// Approximate heap bytes of the engine's state: the catalog's heaps
     /// and trees, the buffer pool and the lock manager. The recorder is
-    /// not counted: it holds traces only between a transaction and the
-    /// next drain.
+    /// not counted: it is empty in a populated engine, and what a traced
+    /// run records leaves with [`Engine::take_traces`].
     pub fn resident_bytes(&self) -> usize {
         self.catalog.resident_bytes() + self.bp.resident_bytes() + self.locks.resident_bytes()
     }
@@ -859,7 +863,13 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use addict_trace::TraceEvent;
+    use addict_trace::{TraceEvent, XctTrace};
+
+    /// Drain `e`'s traces in flat form.
+    fn take_flat(e: &mut Engine) -> Vec<XctTrace> {
+        let (xcts, pool) = e.take_traces();
+        xcts.iter().map(|t| t.flatten(&pool)).collect()
+    }
 
     fn engine() -> Engine {
         Engine::new(EngineConfig {
@@ -900,7 +910,7 @@ mod tests {
         let x = e.begin(XctTypeId(7));
         e.index_probe(x, i, 1).unwrap();
         e.commit(x).unwrap();
-        let traces = e.take_traces();
+        let traces = take_flat(&mut e);
         assert_eq!(traces.len(), 1);
         let t = &traces[0];
         assert_eq!(t.xct_type, XctTypeId(7));
@@ -986,7 +996,7 @@ mod tests {
             e.insert_tuple(x, t, &[], &big).unwrap();
         }
         e.commit(x).unwrap();
-        let traces = e.take_traces();
+        let traces = take_flat(&mut e);
         let map = addict_trace::CodeMap::global();
         let mut alloc_walks = 0;
         for ev in &traces[0].events {
@@ -1009,7 +1019,7 @@ mod tests {
             e.insert_tuple(x, t, &[(i, k)], b"r").unwrap();
         }
         e.commit(x).unwrap();
-        let traces = e.take_traces();
+        let traces = take_flat(&mut e);
         let map = addict_trace::CodeMap::global();
         let saw_smo = traces[0].events.iter().any(|ev| {
             matches!(ev, TraceEvent::Instr { block, .. }
@@ -1073,7 +1083,10 @@ mod tests {
     #[test]
     fn untraced_population_leaves_no_traces() {
         let (mut e, _, _) = populated(50);
-        assert!(e.take_traces().is_empty(), "population must not be traced");
+        assert!(
+            e.take_traces().0.is_empty(),
+            "population must not be traced"
+        );
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //!   slices (data-access block addresses blanked, since those vary per
 //!   transaction even when control flow repeats);
 //! * [`SliceRef`] — an 8-byte reference `{ pool_idx, len }` into the pool;
+//! * [`TraceBuilder`] — cuts a trace into slices as it is recorded and
+//!   interns each one as it closes;
 //! * [`InternedTrace`] — a trace as a compact `Vec<SliceRef>` plus the
 //!   per-trace varying parts: the data-access block addresses, in stream
 //!   order, delta-varint encoded against per-region running bases (see
@@ -88,7 +90,7 @@ fn hash_slice(events: &[TraceEvent]) -> u64 {
 /// sets share one pool) reference this single backing store, so replaying
 /// N traces touches the pool's few hundred distinct slices instead of N
 /// private event vectors.
-#[derive(Debug, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct SlicePool {
     /// The contiguous backing store of canonical events.
     events: Vec<TraceEvent>,
@@ -321,46 +323,94 @@ fn decode_addr_mut(data: &[u8], off: &mut usize, last: &mut [u64; DELTA_REGIONS]
     addr
 }
 
-impl InternedTrace {
-    /// Intern `trace` into `pool`. Slices split at operation boundaries:
-    /// a slice ends right before every `OpBegin` and right after every
-    /// `OpEnd`, so op bodies — the unit that repeats across instances —
-    /// land as single pool entries.
-    pub fn intern(trace: &XctTrace, pool: &mut SlicePool) -> InternedTrace {
-        let mut slices = Vec::new();
-        let mut data = Vec::new();
-        let mut n_data = 0u32;
-        let mut last = DELTA_BASES;
-        let mut canon: Vec<TraceEvent> = Vec::new();
-        for e in &trace.events {
-            if matches!(e, TraceEvent::OpBegin { .. }) && !canon.is_empty() {
-                slices.push(pool.intern(&canon));
-                canon.clear();
-            }
-            if let TraceEvent::Data { block, .. } = e {
-                encode_addr(block.0, &mut last, &mut data);
-                n_data += 1;
-            }
-            canon.push(canonical(e));
-            if matches!(e, TraceEvent::OpEnd { .. }) {
-                slices.push(pool.intern(&canon));
-                canon.clear();
-            }
+/// Builds one [`InternedTrace`] event by event, interning each slice into
+/// a [`SlicePool`] as soon as it closes. The one slicing routine: the
+/// recorder drives it while a transaction runs, and
+/// [`InternedTrace::intern`] drives it over a recorded flat trace.
+///
+/// A slice ends right before every `OpBegin` and right after every
+/// `OpEnd`, so op bodies — the unit that repeats across instances — land
+/// as single pool entries. Data addresses go to the trace's delta-encoded
+/// side table (see [`encode_addr`]) and are blanked in the slice.
+#[derive(Debug, Clone)]
+pub struct TraceBuilder {
+    xct_type: XctTypeId,
+    slices: Vec<SliceRef>,
+    /// The open slice, canonical form.
+    canon: Vec<TraceEvent>,
+    data: Vec<u8>,
+    n_data: u32,
+    last: [u64; DELTA_REGIONS],
+    instructions: u64,
+}
+
+impl TraceBuilder {
+    /// An empty trace of type `xct_type`.
+    pub fn new(xct_type: XctTypeId) -> Self {
+        TraceBuilder {
+            xct_type,
+            slices: Vec::new(),
+            canon: Vec::new(),
+            data: Vec::new(),
+            n_data: 0,
+            last: DELTA_BASES,
+            instructions: 0,
         }
-        if !canon.is_empty() {
-            slices.push(pool.intern(&canon));
+    }
+
+    /// Append `e`, interning the slice it closes (if any) into `pool`.
+    pub fn push(&mut self, e: TraceEvent, pool: &mut SlicePool) {
+        match e {
+            TraceEvent::OpBegin { .. } => self.cut(pool),
+            TraceEvent::Data { block, .. } => {
+                encode_addr(block.0, &mut self.last, &mut self.data);
+                self.n_data += 1;
+            }
+            TraceEvent::Instr { n_blocks, ipb, .. } => {
+                self.instructions += u64::from(n_blocks) * u64::from(ipb);
+            }
+            _ => {}
         }
+        self.canon.push(canonical(&e));
+        if matches!(e, TraceEvent::OpEnd { .. }) {
+            self.cut(pool);
+        }
+    }
+
+    /// Intern the open slice, if it holds any event.
+    fn cut(&mut self, pool: &mut SlicePool) {
+        if !self.canon.is_empty() {
+            self.slices.push(pool.intern(&self.canon));
+            self.canon.clear();
+        }
+    }
+
+    /// Close the last slice and return the trace.
+    pub fn finish(mut self, pool: &mut SlicePool) -> InternedTrace {
+        self.cut(pool);
         // Traces live for the whole run at million-transaction scale:
         // trade the one-off realloc for exact-fit allocations.
-        slices.shrink_to_fit();
-        data.shrink_to_fit();
+        self.slices.shrink_to_fit();
+        self.data.shrink_to_fit();
         InternedTrace {
-            xct_type: trace.xct_type,
-            slices,
-            data,
-            n_data,
-            instructions: trace.instructions(),
+            xct_type: self.xct_type,
+            slices: self.slices,
+            data: self.data,
+            n_data: self.n_data,
+            instructions: self.instructions,
         }
+    }
+}
+
+impl InternedTrace {
+    /// Intern a recorded flat `trace` into `pool` (see [`TraceBuilder`]
+    /// for where slices split).
+    pub fn intern(trace: &XctTrace, pool: &mut SlicePool) -> InternedTrace {
+        let mut builder = TraceBuilder::new(trace.xct_type);
+        for &e in &trace.events {
+            builder.push(e, pool);
+        }
+        builder.finish(pool)
     }
 
     /// Reconstruct the flat trace, bit-identical to what was interned.

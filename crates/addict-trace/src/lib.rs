@@ -14,7 +14,8 @@
 //! * a [`recorder`] is threaded through the *real* storage engine
 //!   (`addict-storage`): as the engine executes a transaction, every routine
 //!   it enters emits its block walk, and every page/structure it touches
-//!   emits data-block events. Code-path variety (index-vs-no-index inserts,
+//!   emits data-block events, interned into a slice pool as they are
+//!   recorded. Code-path variety (index-vs-no-index inserts,
 //!   page allocations, structural modifications) therefore emerges from the
 //!   engine's actual control flow, exactly the property ADDICT exploits;
 //! * [`event`] defines the portable trace format with transaction and
@@ -43,6 +44,7 @@ pub use event::{OpKind, TraceEvent, WorkloadTrace, XctTrace, XctTypeId};
 pub use footprint::Footprint;
 pub use intern::{
     InternFootprint, InternedSet, InternedTrace, InternedWorkload, SlicePool, SliceRef,
+    TraceBuilder,
 };
 pub use recorder::TraceRecorder;
 pub use set::{DataRun, Fetched};

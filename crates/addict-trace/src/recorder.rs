@@ -3,7 +3,11 @@
 //!
 //! Several transactions may be open at once (the engine interleaves them on
 //! one thread, as callers of a storage manager do); each gets its own event
-//! stream, keyed by a caller-chosen `u64` handle. The engine *switches* the
+//! stream, keyed by a caller-chosen `u64` handle. A stream is never stored
+//! flat: each transaction's [`TraceBuilder`] cuts it into slices and
+//! interns every slice into the recorder's [`SlicePool`] as it closes, so
+//! an op body the workload repeats is stored once however many
+//! transactions record it. The engine *switches* the
 //! recorder to a transaction before emitting events for it — mirroring how
 //! Pin attributes trace events to the thread executing them.
 //!
@@ -24,11 +28,12 @@ use std::collections::HashMap;
 use addict_sim::BlockAddr;
 
 use crate::codemap::{CodeMap, Routine};
-use crate::event::{OpKind, TraceEvent, XctTrace, XctTypeId};
+use crate::event::{OpKind, TraceEvent, XctTypeId};
+use crate::intern::{InternedTrace, SlicePool, TraceBuilder};
 
 #[derive(Debug, Clone)]
 struct OpenTrace {
-    trace: XctTrace,
+    builder: TraceBuilder,
     op_open: Option<OpKind>,
 }
 
@@ -38,7 +43,9 @@ pub struct TraceRecorder {
     enabled: bool,
     open: HashMap<u64, OpenTrace>,
     current: Option<u64>,
-    finished: Vec<XctTrace>,
+    /// Every slice recorded since the last [`TraceRecorder::take_traces`].
+    pool: SlicePool,
+    finished: Vec<InternedTrace>,
 }
 
 impl TraceRecorder {
@@ -48,6 +55,7 @@ impl TraceRecorder {
             enabled: true,
             open: HashMap::new(),
             current: None,
+            pool: SlicePool::new(),
             finished: Vec::new(),
         }
     }
@@ -81,15 +89,12 @@ impl TraceRecorder {
         if !self.enabled {
             return;
         }
-        let mut trace = XctTrace {
-            xct_type,
-            events: Vec::with_capacity(4096),
-        };
-        trace.events.push(TraceEvent::XctBegin { xct_type });
+        let mut builder = TraceBuilder::new(xct_type);
+        builder.push(TraceEvent::XctBegin { xct_type }, &mut self.pool);
         let prev = self.open.insert(
             handle,
             OpenTrace {
-                trace,
+                builder,
                 op_open: None,
             },
         );
@@ -128,16 +133,17 @@ impl TraceRecorder {
             open.op_open.is_none(),
             "end_xct with an operation still open"
         );
-        open.trace.events.push(TraceEvent::XctEnd);
-        self.finished.push(open.trace);
+        open.builder.push(TraceEvent::XctEnd, &mut self.pool);
+        self.finished.push(open.builder.finish(&mut self.pool));
         if self.current == Some(handle) {
             self.current = None;
         }
     }
 
-    fn cur(&mut self) -> Option<&mut OpenTrace> {
-        let handle = self.current?;
-        self.open.get_mut(&handle)
+    /// The current transaction and the pool it records into.
+    fn cur(&mut self) -> Option<(&mut OpenTrace, &mut SlicePool)> {
+        let open = self.open.get_mut(&self.current?)?;
+        Some((open, &mut self.pool))
     }
 
     /// Enter a database operation on the current transaction.
@@ -145,10 +151,10 @@ impl TraceRecorder {
         if !self.enabled {
             return;
         }
-        let open = self.cur().expect("begin_op outside a transaction");
+        let (open, pool) = self.cur().expect("begin_op outside a transaction");
         assert!(open.op_open.is_none(), "operations do not nest");
         open.op_open = Some(op);
-        open.trace.events.push(TraceEvent::OpBegin { op });
+        open.builder.push(TraceEvent::OpBegin { op }, pool);
     }
 
     /// Exit the open database operation on the current transaction.
@@ -156,9 +162,9 @@ impl TraceRecorder {
         if !self.enabled {
             return;
         }
-        let open = self.cur().expect("end_op outside a transaction");
+        let (open, pool) = self.cur().expect("end_op outside a transaction");
         let op = open.op_open.take().expect("end_op without begin_op");
-        open.trace.events.push(TraceEvent::OpEnd { op });
+        open.builder.push(TraceEvent::OpEnd { op }, pool);
     }
 
     /// Emit the full block walk of `routine`.
@@ -217,12 +223,17 @@ impl TraceRecorder {
         let base = map.base(routine).0;
         let ipb = map.instrs_per_block(routine);
         let n = u16::try_from(to - from).expect("routine regions fit u16 blocks");
-        let Some(open) = self.cur() else { return };
-        open.trace.events.push(TraceEvent::Instr {
-            block: BlockAddr(base + from),
-            n_blocks: n,
-            ipb,
-        });
+        let Some((open, pool)) = self.cur() else {
+            return;
+        };
+        open.builder.push(
+            TraceEvent::Instr {
+                block: BlockAddr(base + from),
+                n_blocks: n,
+                ipb,
+            },
+            pool,
+        );
     }
 
     /// Emit one data access on the current transaction.
@@ -231,8 +242,10 @@ impl TraceRecorder {
         if !self.enabled {
             return;
         }
-        let Some(open) = self.cur() else { return };
-        open.trace.events.push(TraceEvent::Data { block, write });
+        let Some((open, pool)) = self.cur() else {
+            return;
+        };
+        open.builder.push(TraceEvent::Data { block, write }, pool);
     }
 
     /// Number of completed traces held.
@@ -245,9 +258,18 @@ impl TraceRecorder {
         self.finished.is_empty()
     }
 
-    /// Drain the completed traces (in completion order).
-    pub fn take_traces(&mut self) -> Vec<XctTrace> {
-        std::mem::take(&mut self.finished)
+    /// Drain the completed traces (in completion order) and the pool
+    /// their slices live in; the recorder starts a fresh pool.
+    ///
+    /// # Panics
+    /// Panics if any transaction is open: its slices so far live in the
+    /// pool being handed out.
+    pub fn take_traces(&mut self) -> (Vec<InternedTrace>, SlicePool) {
+        assert!(self.open.is_empty(), "take_traces with open transactions");
+        (
+            std::mem::take(&mut self.finished),
+            std::mem::take(&mut self.pool),
+        )
     }
 }
 
@@ -261,6 +283,13 @@ impl Default for TraceRecorder {
 mod tests {
     use super::*;
     use crate::codemap::CodeMap;
+    use crate::event::XctTrace;
+
+    /// Drain `r` and flatten its traces.
+    fn take_flat(r: &mut TraceRecorder) -> Vec<XctTrace> {
+        let (xcts, pool) = r.take_traces();
+        xcts.iter().map(|t| t.flatten(&pool)).collect()
+    }
 
     #[test]
     fn records_a_bracketed_transaction() {
@@ -271,7 +300,7 @@ mod tests {
         r.data(BlockAddr(0x9999), false);
         r.end_op();
         r.end_xct(1);
-        let traces = r.take_traces();
+        let traces = take_flat(&mut r);
         assert_eq!(traces.len(), 1);
         let t = &traces[0];
         assert_eq!(t.xct_type, XctTypeId(3));
@@ -287,30 +316,79 @@ mod tests {
 
     #[test]
     fn interleaved_transactions_keep_separate_streams() {
+        // Two open transactions whose ops and data accesses interleave,
+        // both running the same probe body on different records.
         let mut r = TraceRecorder::new();
         r.begin_xct(1, XctTypeId(0));
-        r.begin_xct(2, XctTypeId(1));
-        // Events for 2 (current after begin), then switch back to 1.
-        r.data(BlockAddr(200), false);
-        r.switch_to(1);
         r.data(BlockAddr(100), false);
-        r.data(BlockAddr(101), false);
+        r.begin_xct(2, XctTypeId(1));
+        r.begin_op(OpKind::Probe);
+        r.exec(Routine::FindKey);
+        r.switch_to(1);
+        r.begin_op(OpKind::Probe);
+        r.exec(Routine::FindKey);
+        r.data(BlockAddr(0x9000), false);
         r.switch_to(2);
-        r.data(BlockAddr(201), true);
+        r.data(BlockAddr(0xa000), false);
+        r.end_op();
+        r.switch_to(1);
+        r.end_op();
+        r.switch_to(2);
+        r.data(BlockAddr(200), true);
         r.end_xct(2);
         r.end_xct(1);
-        let traces = r.take_traces();
-        assert_eq!(traces.len(), 2);
+
+        let map = CodeMap::global();
+        let probe = |addr: u64| {
+            [
+                TraceEvent::OpBegin { op: OpKind::Probe },
+                TraceEvent::Instr {
+                    block: map.base(Routine::FindKey),
+                    n_blocks: map.n_blocks(Routine::FindKey) as u16,
+                    ipb: map.instrs_per_block(Routine::FindKey),
+                },
+                TraceEvent::Data {
+                    block: BlockAddr(addr),
+                    write: false,
+                },
+                TraceEvent::OpEnd { op: OpKind::Probe },
+            ]
+        };
+        let mut first = vec![TraceEvent::XctBegin {
+            xct_type: XctTypeId(1),
+        }];
+        first.extend(probe(0xa000));
+        first.extend([
+            TraceEvent::Data {
+                block: BlockAddr(200),
+                write: true,
+            },
+            TraceEvent::XctEnd,
+        ]);
+        let mut second = vec![
+            TraceEvent::XctBegin {
+                xct_type: XctTypeId(0),
+            },
+            TraceEvent::Data {
+                block: BlockAddr(100),
+                write: false,
+            },
+        ];
+        second.extend(probe(0x9000));
+        second.push(TraceEvent::XctEnd);
+
         // Completion order: 2 first.
-        assert_eq!(traces[0].xct_type, XctTypeId(1));
-        assert_eq!(traces[0].data_accesses(), 2);
-        assert_eq!(traces[1].xct_type, XctTypeId(0));
-        assert_eq!(traces[1].data_accesses(), 2);
-        // No cross-contamination.
-        assert!(traces[1].events.iter().all(|e| !matches!(
-            e,
-            TraceEvent::Data { block, .. } if block.0 >= 200
-        )));
+        let (xcts, pool) = r.take_traces();
+        assert_eq!(xcts.len(), 2);
+        assert_eq!(xcts[0].flatten(&pool).events, first);
+        assert_eq!(xcts[0].xct_type, XctTypeId(1));
+        assert_eq!(xcts[1].flatten(&pool).events, second);
+        assert_eq!(xcts[1].xct_type, XctTypeId(0));
+        // The probe body both recorded is one pool entry: three slices
+        // each, five distinct.
+        assert_eq!(xcts[0].slice_refs()[1], xcts[1].slice_refs()[1]);
+        assert_eq!(pool.slices_interned(), 6);
+        assert_eq!(pool.unique_slices(), 5);
     }
 
     #[test]
@@ -321,7 +399,7 @@ mod tests {
             r.exec_part(Routine::BtreeTraverse, part, 3);
         }
         r.end_xct(0);
-        let t = &r.take_traces()[0];
+        let t = &take_flat(&mut r)[0];
         let map = CodeMap::global();
         let base = map.base(Routine::BtreeTraverse).0;
         let n = map.n_blocks(Routine::BtreeTraverse);
@@ -343,7 +421,9 @@ mod tests {
         r.exec(Routine::FindKey);
         r.data(BlockAddr(1), true);
         r.end_xct(5);
-        assert!(r.take_traces().is_empty());
+        let (xcts, pool) = r.take_traces();
+        assert!(xcts.is_empty());
+        assert_eq!(pool.n_events(), 0);
     }
 
     #[test]
@@ -377,10 +457,27 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "operation still open")]
+    fn end_xct_with_open_operation_rejected() {
+        let mut r = TraceRecorder::new();
+        r.begin_xct(1, XctTypeId(0));
+        r.begin_op(OpKind::Probe);
+        r.end_xct(1);
+    }
+
+    #[test]
     #[should_panic(expected = "unknown handle")]
     fn switch_to_unknown_handle_rejected() {
         let mut r = TraceRecorder::new();
         r.switch_to(42);
+    }
+
+    #[test]
+    #[should_panic(expected = "open transactions")]
+    fn take_traces_with_open_transaction_rejected() {
+        let mut r = TraceRecorder::new();
+        r.begin_xct(1, XctTypeId(0));
+        r.take_traces();
     }
 
     #[test]
@@ -391,8 +488,8 @@ mod tests {
             r.end_xct(i);
         }
         assert_eq!(r.len(), 5);
-        let traces = r.take_traces();
-        assert_eq!(traces.len(), 5);
+        let (xcts, _) = r.take_traces();
+        assert_eq!(xcts.len(), 5);
         assert!(r.is_empty());
     }
 }

@@ -48,8 +48,10 @@ pub mod tpcc;
 pub mod tpce;
 pub mod ycsb;
 
+use std::sync::Arc;
+
 use addict_storage::{Engine, StorageResult};
-use addict_trace::{InternedTrace, SlicePool, WorkloadTrace, XctTypeId};
+use addict_trace::{InternedTrace, InternedWorkload, SlicePool, WorkloadTrace, XctTypeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -220,71 +222,63 @@ const _: () = {
     shared::<Box<dyn WorkloadRunner>>();
 };
 
-/// Run `n` transactions of the mix and collect their traces.
+/// Run `n` transactions of the mix and collect their traces in interned
+/// form. The recorder interns each slice as it closes, so the flat trace
+/// set never exists and the pool holds each distinct op body once.
 ///
-/// The engine's recorder must be enabled (it is after `setup`). The run is
-/// deterministic in `seed`.
+/// The engine's recorder must be enabled (it is after `setup`) and hold
+/// no open transaction. The run is deterministic in `seed`.
+pub fn collect_traces_interned(
+    engine: &mut Engine,
+    workload: &mut dyn WorkloadRunner,
+    n: usize,
+    seed: u64,
+) -> InternedWorkload {
+    let mut rng = StdRng::seed_from_u64(seed);
+    for i in 0..n {
+        workload
+            .run_one(engine, &mut rng)
+            .unwrap_or_else(|e| panic!("transaction {i} of {} failed: {e}", workload.name()));
+    }
+    let (xcts, pool) = engine.take_traces();
+    InternedWorkload {
+        name: workload.name().to_owned(),
+        xct_type_names: workload.xct_type_names(),
+        pool: Arc::new(pool),
+        xcts,
+    }
+}
+
+/// [`collect_traces_interned`], flattened: the form the Section 2
+/// characterization (`addict-analysis`) reads.
 pub fn collect_traces(
     engine: &mut Engine,
     workload: &mut dyn WorkloadRunner,
     n: usize,
     seed: u64,
 ) -> WorkloadTrace {
-    let mut rng = StdRng::seed_from_u64(seed);
-    for i in 0..n {
-        workload
-            .run_one(engine, &mut rng)
-            .unwrap_or_else(|e| panic!("transaction {i} of {} failed: {e}", workload.name()));
-    }
-    WorkloadTrace {
-        name: workload.name().to_owned(),
-        xct_type_names: workload.xct_type_names(),
-        xcts: engine.take_traces(),
-    }
+    collect_traces_interned(engine, workload, n, seed).flatten()
 }
 
-/// Run `n` transactions of the mix and intern their traces into `pool`
-/// **as they complete**: run `chunk` transactions, drain their flat traces
-/// from the recorder, intern them, repeat. The uncompressed trace set
-/// never materializes — peak flat-trace memory is bounded by one chunk
-/// plus the deduplicated pool, however large `n` grows. Larger chunks
-/// amortize the recorder drain; `chunk == 0` means "drain once at the
-/// end" (the unbounded batch shape, for comparison runs).
+/// [`collect_traces_interned`] with the traces' slices moved into `pool`,
+/// which must be fresh; `chunk` is ignored. Kept only until
+/// `jobbench/`, which calls it, changes with the next benchmark revision.
 ///
-/// Bit-identical to `collect_traces` followed by
-/// [`InternedTrace::intern`] over each trace (same traces, same order,
-/// same pool layout), and **independent of `chunk`** (asserted by
-/// `addict-bench`'s `trace_determinism` test). Deterministic in `seed`.
-/// Several collections (profile + eval) may intern into one shared pool.
+/// # Panics
+/// Panics if `pool` already holds slices.
+#[doc(hidden)]
 pub fn collect_traces_interned_chunked(
     engine: &mut Engine,
     workload: &mut dyn WorkloadRunner,
     n: usize,
     seed: u64,
     pool: &mut SlicePool,
-    chunk: usize,
+    _chunk: usize,
 ) -> Vec<InternedTrace> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut xcts = Vec::with_capacity(n);
-    let mut pending = 0usize;
-    for i in 0..n {
-        workload
-            .run_one(engine, &mut rng)
-            .unwrap_or_else(|e| panic!("transaction {i} of {} failed: {e}", workload.name()));
-        pending += 1;
-        if pending == chunk {
-            for trace in engine.take_traces() {
-                xcts.push(InternedTrace::intern(&trace, pool));
-            }
-            pending = 0;
-        }
-    }
-    if pending > 0 {
-        for trace in engine.take_traces() {
-            xcts.push(InternedTrace::intern(&trace, pool));
-        }
-    }
-    xcts
+    assert_eq!(pool.slices_interned(), 0, "the pool must be fresh");
+    let w = collect_traces_interned(engine, workload, n, seed);
+    *pool = Arc::into_inner(w.pool).expect("a new collection's pool is unshared");
+    w.xcts
 }
 
 /// Draw a transaction type from a cumulative-percentage mix table.
@@ -297,6 +291,14 @@ pub(crate) fn pick_mix(rng: &mut StdRng, cumulative: &[(u32, XctTypeId)]) -> Xct
         }
     }
     cumulative.last().expect("mix table non-empty").1
+}
+
+/// Drain `engine`'s traces in flat form (the workload modules' tests
+/// inspect single transactions event by event).
+#[cfg(test)]
+pub(crate) fn take_flat(engine: &mut Engine) -> Vec<addict_trace::XctTrace> {
+    let (xcts, pool) = engine.take_traces();
+    xcts.iter().map(|t| t.flatten(&pool)).collect()
 }
 
 #[cfg(test)]

@@ -240,7 +240,7 @@ mod tests {
             let ty = w.run_one(&mut e, &mut rng).unwrap();
             counts[ty.0 as usize] += 1;
         }
-        assert_eq!(e.take_traces().len(), 1_000);
+        assert_eq!(crate::take_flat(&mut e).len(), 1_000);
         // Read-only types 0/1/2 are ~80% of the mix.
         let reads = counts[0] + counts[1] + counts[2];
         assert!(
@@ -275,7 +275,7 @@ mod tests {
             for _ in 0..50 {
                 w.run_one(&mut e, &mut rng).unwrap();
             }
-            e.take_traces()
+            crate::take_flat(&mut e)
         };
         let (a, b, c) = (run(9), run(9), run(10));
         assert_eq!(a.len(), b.len());

@@ -141,7 +141,7 @@ mod tests {
             assert_eq!(w.run_one(&mut e, &mut rng).unwrap(), ACCOUNT_UPDATE);
         }
         assert_eq!(rows(&e, w.history), 20);
-        let traces = e.take_traces();
+        let traces = crate::take_flat(&mut e);
         assert_eq!(traces.len(), 20);
         // Every AccountUpdate: 3 probes, 3 updates, 1 insert.
         for t in &traces {
@@ -189,7 +189,7 @@ mod tests {
             for _ in 0..10 {
                 w.run_one(&mut e, &mut rng).unwrap();
             }
-            e.take_traces()
+            crate::take_flat(&mut e)
         };
         let a = run(42);
         let b = run(42);
@@ -213,7 +213,7 @@ mod tests {
         w.run_one(&mut e, &mut rng).unwrap();
         let map = CodeMap::global();
         // Inside the insert op span, no CreateIndexEntry blocks.
-        for t in &e.take_traces() {
+        for t in &crate::take_flat(&mut e) {
             for (op, range) in t.op_slices() {
                 if op != OpKind::Insert {
                     continue;

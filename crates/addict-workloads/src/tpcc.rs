@@ -555,7 +555,7 @@ mod tests {
         w.new_order(&mut e, &mut rng).unwrap();
         let orders_after = e.catalog().table(w.order.id).unwrap().heap.n_records();
         assert_eq!(orders_after, orders_before + 1);
-        let traces = e.take_traces();
+        let traces = crate::take_flat(&mut e);
         let ops = traces[0].op_slices();
         let probes = ops.iter().filter(|(k, _)| *k == OpKind::Probe).count();
         let updates = ops.iter().filter(|(k, _)| *k == OpKind::Update).count();
@@ -576,7 +576,7 @@ mod tests {
             e.catalog().table(w.history).unwrap().heap.n_records(),
             hist_before + 1
         );
-        let traces = e.take_traces();
+        let traces = crate::take_flat(&mut e);
         let ops = traces[0].op_slices();
         assert_eq!(ops.iter().filter(|(k, _)| *k == OpKind::Insert).count(), 1);
         assert_eq!(ops.iter().filter(|(k, _)| *k == OpKind::Update).count(), 3);
@@ -590,7 +590,7 @@ mod tests {
         w.delivery(&mut e, &mut rng).unwrap();
         let no_after = e.catalog().table(w.new_order.id).unwrap().heap.n_records();
         assert!(no_after < no_before, "delivery must consume new orders");
-        let traces = e.take_traces();
+        let traces = crate::take_flat(&mut e);
         let deletes = traces[0]
             .op_slices()
             .iter()
@@ -605,7 +605,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         w.order_status(&mut e, &mut rng).unwrap();
         w.stock_level(&mut e, &mut rng).unwrap();
-        let traces = e.take_traces();
+        let traces = crate::take_flat(&mut e);
         for t in &traces {
             for (op, _) in t.op_slices() {
                 assert!(
@@ -629,7 +629,7 @@ mod tests {
             let ty = w.run_one(&mut e, &mut rng).unwrap();
             counts[ty.0 as usize] += 1;
         }
-        let traces = e.take_traces();
+        let traces = crate::take_flat(&mut e);
         assert_eq!(traces.len(), 60);
         // NewOrder and Payment dominate.
         assert!(counts[0] + counts[1] > 40, "{counts:?}");

@@ -684,7 +684,7 @@ mod tests {
         let (mut e, mut w) = small();
         let mut rng = StdRng::seed_from_u64(1);
         w.trade_status(&mut e, &mut rng).unwrap();
-        let traces = e.take_traces();
+        let traces = crate::take_flat(&mut e);
         let ops = traces[0].op_slices();
         assert!(ops
             .iter()
@@ -715,7 +715,7 @@ mod tests {
         let (mut e, mut w) = small();
         let mut rng = StdRng::seed_from_u64(3);
         w.market_feed(&mut e, &mut rng).unwrap();
-        let traces = e.take_traces();
+        let traces = crate::take_flat(&mut e);
         let updates = traces[0]
             .op_slices()
             .iter()
@@ -733,7 +733,7 @@ mod tests {
             let ty = w.run_one(&mut e, &mut rng).unwrap();
             counts[ty.0 as usize] += 1;
         }
-        let traces = e.take_traces();
+        let traces = crate::take_flat(&mut e);
         assert_eq!(traces.len(), 500);
         // TradeStatus (19%) clearly beats the rare types.
         assert!(counts[TRADE_STATUS.0 as usize] > 60, "{counts:?}");
@@ -751,7 +751,7 @@ mod tests {
         let (mut e, mut w) = small();
         let mut rng = StdRng::seed_from_u64(5);
         w.customer_position(&mut e, &mut rng).unwrap();
-        let traces = e.take_traces();
+        let traces = crate::take_flat(&mut e);
         let scans = traces[0]
             .op_slices()
             .iter()

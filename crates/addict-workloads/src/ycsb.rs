@@ -196,7 +196,7 @@ mod tests {
         for _ in 0..300 {
             w.run_one(&mut e, &mut rng).unwrap();
         }
-        let traces = e.take_traces();
+        let traces = crate::take_flat(&mut e);
         assert_eq!(traces.len(), 300);
         // One logical operation per transaction (an update is the
         // probe+update pair).

@@ -110,6 +110,7 @@ fn runner_consumes_no_hidden_randomness() {
     for _ in 0..25 {
         w2.run_one(&mut e2, &mut rng).unwrap();
     }
-    let manual = e2.take_traces();
+    let (xcts, pool) = e2.take_traces();
+    let manual: Vec<_> = xcts.iter().map(|t| t.flatten(&pool)).collect();
     assert_bit_identical(&via_collect, &manual, "TATP manual drive");
 }

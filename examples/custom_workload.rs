@@ -15,16 +15,17 @@
 //!
 //! Run with: `cargo run --release --example custom_workload`
 
-use addict::core::find_migration_points;
+use addict::core::find_migration_points_interned;
 use addict::core::replay::ReplayConfig;
 use addict::core::sched::{run_scheduler, SchedulerKind};
 use addict::storage::{Engine, EngineConfig};
-use addict::trace::{InternedWorkload, WorkloadTrace, XctTypeId};
+use addict::trace::{InternedSet, XctTypeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const PRODUCE: XctTypeId = XctTypeId(0);
 const CONSUME: XctTypeId = XctTypeId(1);
+const TYPE_NAMES: [&str; 2] = ["Produce", "Consume"];
 
 fn main() {
     let mut e = Engine::new(EngineConfig::default());
@@ -84,19 +85,24 @@ fn main() {
         }
     }
 
-    let trace = WorkloadTrace {
-        name: "msgqueue".into(),
-        xct_type_names: vec!["Produce".into(), "Consume".into()],
-        xcts: e.take_traces(),
-    };
-    println!("traced {} custom transactions", trace.xcts.len());
+    // The recorder interned every trace into one slice pool as it ran.
+    let (xcts, pool) = e.take_traces();
+    println!("traced {} custom transactions", xcts.len());
 
     // Profile on the first half, evaluate on the second.
-    let mid = trace.xcts.len() / 2;
+    let mid = xcts.len() / 2;
+    let profile = InternedSet {
+        pool: &pool,
+        xcts: &xcts[..mid],
+    };
+    let eval = InternedSet {
+        pool: &pool,
+        xcts: &xcts[mid..],
+    };
     let cfg = ReplayConfig::paper_default();
-    let map = find_migration_points(&trace.xcts[..mid], cfg.sim.l1i);
+    let map = find_migration_points_interned(profile, cfg.sim.l1i);
     for ty in map.xct_types() {
-        println!("\n{} migration plan:", trace.type_name(ty));
+        println!("\n{} migration plan:", TYPE_NAMES[usize::from(ty.0)]);
         for op in map.ops_of(ty) {
             println!(
                 "  {:<7} invoked {:>4}x, {} migration point(s)",
@@ -107,14 +113,8 @@ fn main() {
         }
     }
 
-    // Replay walks the interned form of the evaluation half.
-    let eval = InternedWorkload::from_flat(&WorkloadTrace {
-        name: trace.name.clone(),
-        xct_type_names: trace.xct_type_names.clone(),
-        xcts: trace.xcts[mid..].to_vec(),
-    });
-    let base = run_scheduler(SchedulerKind::Baseline, &eval.as_set(), Some(&map), &cfg);
-    let addict = run_scheduler(SchedulerKind::Addict, &eval.as_set(), Some(&map), &cfg);
+    let base = run_scheduler(SchedulerKind::Baseline, &eval, Some(&map), &cfg);
+    let addict = run_scheduler(SchedulerKind::Addict, &eval, Some(&map), &cfg);
     println!(
         "\nBaseline: {:.2e} cycles, {:.1} L1-I mpki | ADDICT: {:.2e} cycles, {:.1} L1-I mpki",
         base.total_cycles,

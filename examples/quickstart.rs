@@ -9,11 +9,11 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use addict::core::find_migration_points;
+use addict::core::find_migration_points_interned;
 use addict::core::replay::ReplayConfig;
 use addict::core::sched::{run_scheduler, SchedulerKind};
-use addict::trace::{InternedWorkload, OpKind};
-use addict::workloads::{collect_traces, Benchmark};
+use addict::trace::OpKind;
+use addict::workloads::{collect_traces_interned, Benchmark};
 
 fn main() {
     // 1. Schema + population (untraced), then the workload runner.
@@ -21,19 +21,22 @@ fn main() {
     let (mut engine, mut workload) = Benchmark::TpcC.setup();
 
     // 2. Profiling traces: every instruction-block walk and data-block
-    //    access of 200 transactions, bracketed by operation markers.
-    let profile = collect_traces(&mut engine, workload.as_mut(), 200, 1);
+    //    access of 200 transactions, bracketed by operation markers and
+    //    interned as they are recorded (each distinct event slice is
+    //    stored once).
+    let profile = collect_traces_interned(&mut engine, workload.as_mut(), 200, 1);
+    let instructions: u64 = profile.xcts.iter().map(|t| t.instructions()).sum();
     println!(
         "profiled {} transactions, {:.1}M instructions",
         profile.xcts.len(),
-        profile.instructions() as f64 / 1e6
+        instructions as f64 / 1e6
     );
 
     // 3. Algorithm 1: migration points per (transaction type, operation).
     let cfg = ReplayConfig::paper_default();
-    let map = find_migration_points(&profile.xcts, cfg.sim.l1i);
+    let map = find_migration_points_interned(profile.as_set(), cfg.sim.l1i);
     for ty in map.xct_types() {
-        let name = profile.type_name(ty);
+        let name = &profile.xct_type_names[usize::from(ty.0)];
         for op in map.ops_of(ty) {
             let points = map.points(ty, op).map_or(0, Vec::len);
             println!(
@@ -43,9 +46,8 @@ fn main() {
         }
     }
 
-    // 4. Fresh traces, interned (the form replay walks: each distinct
-    //    event slice stored once) and replayed under Baseline and ADDICT.
-    let eval = InternedWorkload::from_flat(&collect_traces(&mut engine, workload.as_mut(), 200, 2));
+    // 4. Fresh traces, replayed under Baseline and ADDICT.
+    let eval = collect_traces_interned(&mut engine, workload.as_mut(), 200, 2);
     let baseline = run_scheduler(SchedulerKind::Baseline, &eval.as_set(), Some(&map), &cfg);
     let addict = run_scheduler(SchedulerKind::Addict, &eval.as_set(), Some(&map), &cfg);
 

@@ -3,11 +3,10 @@
 //!
 //! Run with: `cargo run --release --example scheduler_comparison [n_xcts]`
 
-use addict::core::find_migration_points;
+use addict::core::find_migration_points_interned;
 use addict::core::replay::ReplayConfig;
 use addict::core::sched::{run_scheduler, SchedulerKind};
-use addict::trace::InternedWorkload;
-use addict::workloads::{collect_traces, Benchmark};
+use addict::workloads::{collect_traces_interned, Benchmark};
 
 fn main() {
     let n = std::env::args()
@@ -15,10 +14,10 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(300);
     let (mut engine, mut workload) = Benchmark::TpcE.setup();
-    let profile = collect_traces(&mut engine, workload.as_mut(), n, 1);
-    let eval = InternedWorkload::from_flat(&collect_traces(&mut engine, workload.as_mut(), n, 2));
+    let profile = collect_traces_interned(&mut engine, workload.as_mut(), n, 1);
+    let eval = collect_traces_interned(&mut engine, workload.as_mut(), n, 2);
     let cfg = ReplayConfig::paper_default();
-    let map = find_migration_points(&profile.xcts, cfg.sim.l1i);
+    let map = find_migration_points_interned(profile.as_set(), cfg.sim.l1i);
 
     println!(
         "{:<9} {:>11} {:>9} {:>9} {:>9} {:>10} {:>8} {:>8}",

@@ -8,7 +8,7 @@ use addict::core::replay::ReplayConfig;
 use addict::core::sched::{run_scheduler, SchedulerKind};
 use addict::sim::SimConfig;
 use addict::trace::{InternedWorkload, WorkloadTrace};
-use addict::workloads::{collect_traces, Benchmark};
+use addict::workloads::{collect_traces, collect_traces_interned, Benchmark};
 
 fn pipeline(
     bench: Benchmark,
@@ -16,7 +16,7 @@ fn pipeline(
 ) -> (WorkloadTrace, InternedWorkload, MigrationMap, ReplayConfig) {
     let (mut engine, mut workload) = bench.setup_small();
     let profile = collect_traces(&mut engine, workload.as_mut(), n, 1);
-    let eval = InternedWorkload::from_flat(&collect_traces(&mut engine, workload.as_mut(), n, 2));
+    let eval = collect_traces_interned(&mut engine, workload.as_mut(), n, 2);
     let cfg = ReplayConfig {
         sim: SimConfig::paper_default().with_cores(8),
         ..ReplayConfig::paper_default()
@@ -113,8 +113,7 @@ fn deep_hierarchy_shrinks_addicts_advantage() {
     let (_, eval, map, _) = {
         let (mut engine, mut workload) = Benchmark::TpcB.setup_small();
         let profile = collect_traces(&mut engine, workload.as_mut(), 64, 1);
-        let eval =
-            InternedWorkload::from_flat(&collect_traces(&mut engine, workload.as_mut(), 64, 2));
+        let eval = collect_traces_interned(&mut engine, workload.as_mut(), 64, 2);
         let cfg = ReplayConfig::paper_default();
         let map = find_migration_points(&profile.xcts, cfg.sim.l1i);
         ((), eval, map, ())
@@ -146,7 +145,7 @@ fn batch_size_sweep_is_monotonic_enough() {
     // reduction is roughly flat.
     let (mut engine, mut workload) = Benchmark::TpcB.setup_small();
     let profile = collect_traces(&mut engine, workload.as_mut(), 48, 1);
-    let eval = InternedWorkload::from_flat(&collect_traces(&mut engine, workload.as_mut(), 96, 2));
+    let eval = collect_traces_interned(&mut engine, workload.as_mut(), 96, 2);
     let base_cfg = ReplayConfig::paper_default();
     let map = find_migration_points(&profile.xcts, base_cfg.sim.l1i);
     let cycles: Vec<f64> = [2usize, 16]
