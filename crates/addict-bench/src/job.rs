@@ -974,8 +974,9 @@ pub struct BenchTraces {
 /// ([`TracePool::get_profile`], memoized per entry: a warm job runs no
 /// Algorithm 1, a cold one profiles its benchmarks in parallel) — and
 /// the token is polled before each claim: a cancelled job never starts
-/// another engine population (an in-flight generation finishes — it may
-/// be shared with concurrent jobs via the pool's pending slot). One
+/// another engine population (an in-flight generation finishes — a
+/// concurrent job requesting the same key waits on that key's
+/// `OnceLock` and shares it). One
 /// `traces <id>: …` line per benchmark goes to `progress`. The profile
 /// sets' pins drop on return; only the eval sets stay in use.
 pub fn fetch_traces(

@@ -13,9 +13,11 @@
 //! ([`InternedSet`]): one `fetch` per step (event plus run geometry in a
 //! single trace read), whole instruction runs executed segment-granularly
 //! inside the machine, and consecutive data accesses executed
-//! run-granularly ([`Policy::data_run_granular`]). Flat
-//! [`XctTrace`](addict_trace::XctTrace)s are the recording format; they
-//! replay once interned ([`InternedWorkload::from_flat`](addict_trace::InternedWorkload::from_flat)).
+//! run-granularly ([`Policy::data_run_granular`]). It is also the
+//! recording format: the storage engine's recorder interns each slice as
+//! it closes, so a collected workload replays as it was recorded. A flat
+//! [`XctTrace`](addict_trace::XctTrace) (a hand-built test trace, say)
+//! replays once interned ([`InternedWorkload::from_flat`](addict_trace::InternedWorkload::from_flat)).
 
 use std::collections::VecDeque;
 

@@ -4,7 +4,7 @@
 //! over the `addict-bench` job layer. The batch binaries pay trace
 //! generation — seconds to minutes of storage-engine population — on
 //! every invocation; a resident server pays it once per
-//! `(benchmark, seed, n_xcts, chunking)` and serves every later job from
+//! `(benchmark, seed, n_xcts, small)` and serves every later job from
 //! the shared in-memory [`TracePool`](addict_bench::TracePool).
 //!
 //! The crate adds **no** evaluation logic of its own: jobs parse into

@@ -352,10 +352,20 @@ fn restart_recovers_dumped_results() {
     let bytes = poll_job(addr, id, |_| {}).expect("result");
     shutdown(addr).expect("POST /shutdown");
     join.join().expect("serve thread").expect("serve returns");
+    // A result an older build dumped still names the retired `chunk`
+    // spec field: its spec no longer parses, so recovery skips it.
+    let stale = id + 1000;
+    let old = bytes.replacen("\"small\":", "\"chunk\":64,\"small\":", 1);
+    assert_ne!(old, bytes, "the dumped spec names `small`");
+    std::fs::write(dump.join(format!("job_{stale}.json")), old).expect("write stale dump");
 
     // Second life, same dump dir: the result is pollable at its old id
     // before any new work runs, and the listing/status agree it's done.
     let (addr, _handle, join) = spawn(config);
+    assert!(
+        job_result(addr, stale).is_err(),
+        "a dump whose spec names \"chunk\" must be skipped"
+    );
     assert_eq!(
         job_result(addr, id).expect("recovered result"),
         bytes,

@@ -331,7 +331,7 @@ fn decode_addr_mut(data: &[u8], off: &mut usize, last: &mut [u64; DELTA_REGIONS]
 /// A slice ends right before every `OpBegin` and right after every
 /// `OpEnd`, so op bodies — the unit that repeats across instances — land
 /// as single pool entries. Data addresses go to the trace's delta-encoded
-/// side table (see [`encode_addr`]) and are blanked in the slice.
+/// side table (see `encode_addr`) and are blanked in the slice.
 #[derive(Debug, Clone)]
 pub struct TraceBuilder {
     xct_type: XctTypeId,
@@ -388,14 +388,16 @@ impl TraceBuilder {
     /// Close the last slice and return the trace.
     pub fn finish(mut self, pool: &mut SlicePool) -> InternedTrace {
         self.cut(pool);
-        // Traces live for the whole run at million-transaction scale:
-        // trade the one-off realloc for exact-fit allocations.
-        self.slices.shrink_to_fit();
-        self.data.shrink_to_fit();
+        // Traces live for the whole run at million-transaction scale, so
+        // copy them into exact-fit allocations. Shrinking the grown
+        // buffers in place instead leaves each one where it grew, among
+        // the engine's short-lived allocations: 100,000 default-scale
+        // TPC-B transactions peaked at 71.7 MB that way and 58.4 MB
+        // copied (glibc malloc, Linux x86-64).
         InternedTrace {
             xct_type: self.xct_type,
-            slices: self.slices,
-            data: self.data,
+            slices: self.slices.to_vec(),
+            data: self.data.to_vec(),
             n_data: self.n_data,
             instructions: self.instructions,
         }
