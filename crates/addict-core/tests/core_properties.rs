@@ -6,6 +6,7 @@ use addict_core::plan::{AssignmentPlan, PlanConfig};
 use addict_core::replay::ReplayConfig;
 use addict_core::sched::{run_scheduler, SchedulerKind};
 use addict_sim::{BlockAddr, CacheGeometry, SimConfig};
+use addict_trace::event::FlatEvent;
 use addict_trace::{InternedWorkload, OpKind, TraceEvent, WorkloadTrace, XctTrace, XctTypeId};
 use proptest::prelude::*;
 
@@ -143,7 +144,11 @@ proptest! {
             prop_assert!(r.total_cycles.is_finite() && r.total_cycles >= 0.0);
             prop_assert!(r.avg_latency_cycles.is_finite() && r.avg_latency_cycles >= 0.0);
             // L1-I accesses: one per block visit, across all schedulers.
-            let visits: u64 = traces.iter().map(|t| t.instr_accesses()).sum();
+            let visits = traces
+                .iter()
+                .flat_map(XctTrace::flat_events)
+                .filter(|e| matches!(e, FlatEvent::Instr { .. }))
+                .count() as u64;
             prop_assert_eq!(r.stats.l1i_accesses(), visits);
         }
     }

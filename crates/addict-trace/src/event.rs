@@ -168,17 +168,6 @@ impl XctTrace {
             .sum()
     }
 
-    /// Number of instruction-block accesses (after run expansion).
-    pub fn instr_accesses(&self) -> u64 {
-        self.events
-            .iter()
-            .map(|e| match e {
-                TraceEvent::Instr { n_blocks, .. } => u64::from(*n_blocks),
-                _ => 0,
-            })
-            .sum()
-    }
-
     /// Iterate block-granular events.
     pub fn flat_events(&self) -> impl Iterator<Item = FlatEvent> + '_ {
         flatten(&self.events)
@@ -238,16 +227,6 @@ pub struct WorkloadTrace {
 }
 
 impl WorkloadTrace {
-    /// Name of a transaction type.
-    pub fn type_name(&self, id: XctTypeId) -> &str {
-        &self.xct_type_names[id.0 as usize]
-    }
-
-    /// Total dynamic instructions across all traces.
-    pub fn instructions(&self) -> u64 {
-        self.xcts.iter().map(XctTrace::instructions).sum()
-    }
-
     /// Traces of one transaction type.
     pub fn of_type(&self, id: XctTypeId) -> impl Iterator<Item = &XctTrace> {
         self.xcts.iter().filter(move |x| x.xct_type == id)
@@ -301,7 +280,6 @@ mod tests {
     fn counters() {
         let t = sample();
         assert_eq!(t.instructions(), 10 + 12 + 8);
-        assert_eq!(t.instr_accesses(), 4);
         assert_eq!(t.data_accesses(), 2);
     }
 
@@ -370,8 +348,6 @@ mod tests {
         };
         assert_eq!(w.of_type(XctTypeId(0)).count(), 2);
         assert_eq!(w.of_type(XctTypeId(1)).count(), 1);
-        assert_eq!(w.type_name(XctTypeId(1)), "b");
-        assert_eq!(w.instructions(), 60);
     }
 
     #[test]

@@ -165,15 +165,6 @@ impl SlicePool {
         self.slices_interned
     }
 
-    /// Dedup ratio: slices interned per distinct slice stored.
-    pub fn dedup_ratio(&self) -> f64 {
-        if self.unique_slices == 0 {
-            1.0
-        } else {
-            self.slices_interned as f64 / self.unique_slices as f64
-        }
-    }
-
     /// Resident bytes of the backing store.
     pub fn backing_bytes(&self) -> usize {
         self.events.len() * std::mem::size_of::<TraceEvent>()
@@ -202,18 +193,6 @@ pub struct InternedTrace {
     /// per call and turns the dispatch pre-pass into an O(total events)
     /// scan of the whole workload.
     instructions: u64,
-}
-
-/// Blank the per-trace varying part of a data event.
-#[inline]
-fn canonical(e: &TraceEvent) -> TraceEvent {
-    match *e {
-        TraceEvent::Data { write, .. } => TraceEvent::Data {
-            block: BlockAddr(0),
-            write,
-        },
-        e => e,
-    }
 }
 
 /// Regions of the delta codec: `min(addr >> 24, 7)`, which lines the
@@ -359,19 +338,20 @@ impl TraceBuilder {
     }
 
     /// Append `e`, interning the slice it closes (if any) into `pool`.
-    pub fn push(&mut self, e: TraceEvent, pool: &mut SlicePool) {
-        match e {
+    pub fn push(&mut self, mut e: TraceEvent, pool: &mut SlicePool) {
+        match &mut e {
             TraceEvent::OpBegin { .. } => self.cut(pool),
             TraceEvent::Data { block, .. } => {
                 encode_addr(block.0, &mut self.last, &mut self.data);
                 self.n_data += 1;
+                *block = BlockAddr(0);
             }
             TraceEvent::Instr { n_blocks, ipb, .. } => {
-                self.instructions += u64::from(n_blocks) * u64::from(ipb);
+                self.instructions += u64::from(*n_blocks) * u64::from(*ipb);
             }
             _ => {}
         }
-        self.canon.push(canonical(&e));
+        self.canon.push(e);
         if matches!(e, TraceEvent::OpEnd { .. }) {
             self.cut(pool);
         }
@@ -1016,7 +996,7 @@ mod tests {
         let b = InternedTrace::intern(&sample(0xf300), &mut pool);
         assert_eq!(pool.n_events(), before, "no new pool events");
         assert_eq!(a.slices, b.slices, "identical slice refs");
-        assert_eq!(pool.dedup_ratio(), 2.0);
+        assert_eq!((pool.slices_interned(), pool.unique_slices()), (6, 3));
         // Yet both flatten to their own data addresses.
         assert_ne!(a.flatten(&pool).events, b.flatten(&pool).events);
     }

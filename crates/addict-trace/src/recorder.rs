@@ -146,6 +146,13 @@ impl TraceRecorder {
         Some((open, &mut self.pool))
     }
 
+    /// Append `e` to the current transaction (dropped if none is current).
+    fn push(&mut self, e: TraceEvent) {
+        if let Some((open, pool)) = self.cur() {
+            open.builder.push(e, pool);
+        }
+    }
+
     /// Enter a database operation on the current transaction.
     pub fn begin_op(&mut self, op: OpKind) {
         if !self.enabled {
@@ -223,17 +230,11 @@ impl TraceRecorder {
         let base = map.base(routine).0;
         let ipb = map.instrs_per_block(routine);
         let n = u16::try_from(to - from).expect("routine regions fit u16 blocks");
-        let Some((open, pool)) = self.cur() else {
-            return;
-        };
-        open.builder.push(
-            TraceEvent::Instr {
-                block: BlockAddr(base + from),
-                n_blocks: n,
-                ipb,
-            },
-            pool,
-        );
+        self.push(TraceEvent::Instr {
+            block: BlockAddr(base + from),
+            n_blocks: n,
+            ipb,
+        });
     }
 
     /// Emit one data access on the current transaction.
@@ -242,20 +243,7 @@ impl TraceRecorder {
         if !self.enabled {
             return;
         }
-        let Some((open, pool)) = self.cur() else {
-            return;
-        };
-        open.builder.push(TraceEvent::Data { block, write }, pool);
-    }
-
-    /// Number of completed traces held.
-    pub fn len(&self) -> usize {
-        self.finished.len()
-    }
-
-    /// True when no completed traces are held.
-    pub fn is_empty(&self) -> bool {
-        self.finished.is_empty()
+        self.push(TraceEvent::Data { block, write });
     }
 
     /// Drain the completed traces (in completion order) and the pool
@@ -310,7 +298,11 @@ mod tests {
         ));
         assert!(matches!(t.events.last(), Some(TraceEvent::XctEnd)));
         let map = CodeMap::global();
-        assert_eq!(t.instr_accesses(), map.n_blocks(Routine::FindKey));
+        let instr_blocks = t
+            .flat_events()
+            .filter(|e| matches!(e, crate::event::FlatEvent::Instr { .. }))
+            .count();
+        assert_eq!(instr_blocks as u64, map.n_blocks(Routine::FindKey));
         assert_eq!(t.data_accesses(), 1);
     }
 
@@ -432,11 +424,11 @@ mod tests {
         r.set_enabled(false);
         r.begin_xct(1, XctTypeId(0));
         r.end_xct(1);
-        assert!(r.is_empty());
+        assert!(r.take_traces().0.is_empty());
         r.set_enabled(true);
         r.begin_xct(2, XctTypeId(0));
         r.end_xct(2);
-        assert_eq!(r.len(), 1);
+        assert_eq!(r.take_traces().0.len(), 1);
     }
 
     #[test]
@@ -487,9 +479,8 @@ mod tests {
             r.begin_xct(i, XctTypeId(i as u16));
             r.end_xct(i);
         }
-        assert_eq!(r.len(), 5);
         let (xcts, _) = r.take_traces();
         assert_eq!(xcts.len(), 5);
-        assert!(r.is_empty());
+        assert!(r.take_traces().0.is_empty());
     }
 }
