@@ -103,7 +103,7 @@ impl MachineStats {
     /// (one `access_data` per event) and on the run-granular path alike
     /// (fast-lane hits and coherent-path accesses each count once) — the
     /// single-source guarantee that keeps `l1d_mpki` honest. Tested against
-    /// `XctTrace::data_accesses()` per workload in
+    /// the traces' own `Data`-event count per workload in
     /// `addict-core/tests/segment_equivalence.rs`.
     pub fn data_accesses(&self) -> u64 {
         self.l1d_accesses()

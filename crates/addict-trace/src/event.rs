@@ -173,14 +173,6 @@ impl XctTrace {
         flatten(&self.events)
     }
 
-    /// Number of data accesses.
-    pub fn data_accesses(&self) -> u64 {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::Data { .. }))
-            .count() as u64
-    }
-
     /// Iterate over the operations in the trace: `(kind, event range)`.
     /// The range covers the events strictly between `OpBegin` and `OpEnd`.
     pub fn op_slices(&self) -> Vec<(OpKind, std::ops::Range<usize>)> {
@@ -280,7 +272,6 @@ mod tests {
     fn counters() {
         let t = sample();
         assert_eq!(t.instructions(), 10 + 12 + 8);
-        assert_eq!(t.data_accesses(), 2);
     }
 
     #[test]

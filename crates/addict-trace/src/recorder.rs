@@ -60,14 +60,6 @@ impl TraceRecorder {
         }
     }
 
-    /// A recorder that drops everything (for untraced engine runs).
-    pub fn disabled() -> Self {
-        TraceRecorder {
-            enabled: false,
-            ..Self::new()
-        }
-    }
-
     /// Turn capturing on or off (population runs are untraced).
     ///
     /// # Panics
@@ -303,7 +295,11 @@ mod tests {
             .filter(|e| matches!(e, crate::event::FlatEvent::Instr { .. }))
             .count();
         assert_eq!(instr_blocks as u64, map.n_blocks(Routine::FindKey));
-        assert_eq!(t.data_accesses(), 1);
+        let data = t
+            .events
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::Data { .. }));
+        assert_eq!(data.count(), 1);
     }
 
     #[test]
@@ -408,7 +404,8 @@ mod tests {
 
     #[test]
     fn disabled_recorder_is_a_noop() {
-        let mut r = TraceRecorder::disabled();
+        let mut r = TraceRecorder::new();
+        r.set_enabled(false);
         r.begin_xct(5, XctTypeId(0));
         r.exec(Routine::FindKey);
         r.data(BlockAddr(1), true);
