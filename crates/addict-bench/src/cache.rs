@@ -10,9 +10,8 @@
 //! A miss is the one trace-generation path of the harness: a copy of the
 //! benchmark's populated storage engine traced by
 //! [`collect_traces_interned`], whose recorder interns into a private
-//! slice pool. The
-//! job layer, the server, `fig5`–`fig9`, `ablation` and `bench` all fetch
-//! their interned traces here.
+//! slice pool. The job layer, the server, `fig5`–`fig9`, `ablation` and
+//! `bench` all fetch their interned traces here.
 //!
 //! Population takes no seed, so the pool populates each `(benchmark,
 //! small)` once (`setup`/`setup_small`) and keeps the engine and runner
