@@ -575,12 +575,12 @@ fn htm_section(out: &mut String, prepared: &[Prepared], reference_results: &[Vec
     out.push_str("    ]\n  }");
 }
 
-/// The `--scaling` ladder: streamed generate→intern→replay of the first
+/// The `--scaling` ladder: interned generation and replay of the first
 /// selected benchmark at 400 / 10k / 100k / ... up to `--xcts`
 /// transactions, recording per-rung trace memory, generation and replay
 /// wall time, events/s per scheduler, and the process's peak RSS. The
 /// flat trace set never materializes — each rung's eval exists only in
-/// streamed interned form (at 1M TPC-B transactions the flat form alone
+/// interned form (at 1M TPC-B transactions the flat form alone
 /// would be ~4 GB of events) — and rungs small enough to afford a flat
 /// reference (≤ 10k) are decoded against it bit-identically, and replayed
 /// per-block against the fast paths, before being timed.

@@ -77,9 +77,10 @@ pub struct TraceKey {
     pub seed: u64,
     /// Transactions to trace.
     pub n_xcts: usize,
-    /// Ignored by generation, which has no drain granularity any more;
-    /// every key in this workspace sets 0. Kept only until `jobbench/`,
-    /// which reads it, changes with the next benchmark revision.
+    /// Ignored: the recorder interns as it traces, so generation has no
+    /// granularity to set, and every key in this workspace sets 0. Kept
+    /// only until `jobbench/`, which reads it, changes with the next
+    /// benchmark revision.
     pub chunk: usize,
     /// Reduced test-scale population.
     pub small: bool,
