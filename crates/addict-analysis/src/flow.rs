@@ -11,8 +11,10 @@ use std::collections::BTreeSet;
 
 use addict_sim::BlockAddr;
 use addict_trace::codemap::{CodeMap, Routine};
-use addict_trace::{Footprint, OpKind, WorkloadTrace};
+use addict_trace::{InternedWorkload, OpKind};
 use serde::{Deserialize, Serialize};
+
+use crate::footprint::{op_instances, Footprint};
 
 /// One measured edge of Figure 1.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -44,14 +46,11 @@ fn closure_blocks(footprint: &BTreeSet<BlockAddr>, r: Routine) -> usize {
 
 /// Union instruction footprint of all instances of `op` in the trace
 /// (Figure 1 measures over 1000 transactions of the TPC-C mix).
-fn op_footprint(trace: &WorkloadTrace, op: OpKind) -> BTreeSet<BlockAddr> {
+fn op_footprint(trace: &InternedWorkload, op: OpKind) -> BTreeSet<BlockAddr> {
     let mut union = BTreeSet::new();
     for xct in &trace.xcts {
-        for (kind, range) in xct.op_slices() {
-            if kind == op {
-                let fp = Footprint::of_events(&xct.events[range]);
-                union.extend(fp.instr);
-            }
+        for events in op_instances(xct, &trace.pool, op) {
+            union.extend(Footprint::of_events(events).instr);
         }
     }
     union
@@ -59,7 +58,7 @@ fn op_footprint(trace: &WorkloadTrace, op: OpKind) -> BTreeSet<BlockAddr> {
 
 /// The Figure 1 edges of one operation, measured over the trace. Returns
 /// an empty vector when the operation never ran.
-pub fn op_flow(trace: &WorkloadTrace, op: OpKind) -> Vec<FlowEdge> {
+pub fn op_flow(trace: &InternedWorkload, op: OpKind) -> Vec<FlowEdge> {
     use Routine::*;
     let fp = op_footprint(trace, op);
     if fp.is_empty() {
@@ -192,10 +191,10 @@ pub fn op_flow(trace: &WorkloadTrace, op: OpKind) -> Vec<FlowEdge> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use addict_trace::{TraceEvent, XctTrace, XctTypeId};
+    use addict_trace::{TraceEvent, WorkloadTrace, XctTrace, XctTypeId};
 
     /// Build a trace whose probe op walks the full FindKey closure.
-    fn synthetic_probe_trace() -> WorkloadTrace {
+    fn synthetic_probe_trace() -> InternedWorkload {
         let map = CodeMap::global();
         let mut events = vec![TraceEvent::XctBegin {
             xct_type: XctTypeId(0),
@@ -220,14 +219,14 @@ mod tests {
         }
         events.push(TraceEvent::OpEnd { op: OpKind::Probe });
         events.push(TraceEvent::XctEnd);
-        WorkloadTrace {
+        InternedWorkload::from_flat(&WorkloadTrace {
             name: "synthetic".into(),
             xct_type_names: vec!["T".into()],
             xcts: vec![XctTrace {
                 xct_type: XctTypeId(0),
                 events,
             }],
-        }
+        })
     }
 
     #[test]
@@ -275,14 +274,14 @@ mod tests {
         });
         events.push(TraceEvent::OpEnd { op: OpKind::Probe });
         events.push(TraceEvent::XctEnd);
-        let w = WorkloadTrace {
+        let w = InternedWorkload::from_flat(&WorkloadTrace {
             name: "s".into(),
             xct_type_names: vec!["T".into()],
             xcts: vec![XctTrace {
                 xct_type: XctTypeId(0),
                 events,
             }],
-        };
+        });
         let edges = op_flow(&w, OpKind::Probe);
         let lookup = &edges[0];
         // 4 of (64 + 4) blocks ~ 5.9%.

@@ -1,15 +1,16 @@
 //! Footprint extraction: the unique instruction and data blocks touched by
 //! a span of trace events, plus per-block access counts.
 //!
-//! These are the primitives the Section 2 characterization (crate
-//! `addict-analysis`) builds on: Figure 2 compares footprints *across*
-//! instances, Figure 3 counts accesses *within* one instance.
+//! These are the primitives the Section 2 characterization builds on:
+//! Figure 2 compares footprints *across* instances, Figure 3 counts
+//! accesses *within* one instance. An instance is a whole transaction
+//! (all of a trace's decoded slices) or one operation (one slice that
+//! opens with `OpBegin`).
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use addict_sim::BlockAddr;
-
-use crate::event::TraceEvent;
+use addict_trace::{InternedTrace, OpKind, SlicePool, TraceEvent};
 
 /// The unique blocks touched by some span of execution, split by kind.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -22,40 +23,24 @@ pub struct Footprint {
 
 impl Footprint {
     /// Footprint of a span of events.
-    pub fn of_events(events: &[TraceEvent]) -> Self {
+    pub fn of_events(events: impl IntoIterator<Item = TraceEvent>) -> Self {
         let mut fp = Footprint::default();
         for e in events {
             match e {
                 TraceEvent::Instr {
                     block, n_blocks, ..
                 } => {
-                    for i in 0..u64::from(*n_blocks) {
+                    for i in 0..u64::from(n_blocks) {
                         fp.instr.insert(BlockAddr(block.0 + i));
                     }
                 }
                 TraceEvent::Data { block, .. } => {
-                    fp.data.insert(*block);
+                    fp.data.insert(block);
                 }
                 _ => {}
             }
         }
         fp
-    }
-
-    /// Union with another footprint.
-    pub fn union(&mut self, other: &Footprint) {
-        self.instr.extend(other.instr.iter().copied());
-        self.data.extend(other.data.iter().copied());
-    }
-
-    /// Instruction footprint in bytes.
-    pub fn instr_bytes(&self) -> u64 {
-        self.instr.len() as u64 * 64
-    }
-
-    /// Data footprint in bytes.
-    pub fn data_bytes(&self) -> u64 {
-        self.data.len() as u64 * 64
     }
 }
 
@@ -71,39 +56,42 @@ pub struct AccessCounts {
 
 impl AccessCounts {
     /// Count accesses in a span of events.
-    pub fn of_events(events: &[TraceEvent]) -> Self {
+    pub fn of_events(events: impl IntoIterator<Item = TraceEvent>) -> Self {
         let mut c = AccessCounts::default();
         for e in events {
             match e {
                 TraceEvent::Instr {
                     block, n_blocks, ..
                 } => {
-                    for i in 0..u64::from(*n_blocks) {
+                    for i in 0..u64::from(n_blocks) {
                         *c.instr.entry(BlockAddr(block.0 + i)).or_insert(0) += 1;
                     }
                 }
-                TraceEvent::Data { block, .. } => *c.data.entry(*block).or_insert(0) += 1,
+                TraceEvent::Data { block, .. } => *c.data.entry(block).or_insert(0) += 1,
                 _ => {}
             }
         }
         c
     }
+}
 
-    /// Merge counts from another span.
-    pub fn merge(&mut self, other: &AccessCounts) {
-        for (&b, &n) in &other.instr {
-            *self.instr.entry(b).or_insert(0) += n;
-        }
-        for (&b, &n) in &other.data {
-            *self.data.entry(b).or_insert(0) += n;
-        }
-    }
+/// The instances of `op` in one trace, decoded. The interner cuts a slice
+/// before every `OpBegin` and after every `OpEnd`, so each slice that opens
+/// with `OpBegin { op }` is exactly one instance, markers included.
+pub(crate) fn op_instances<'a>(
+    trace: &'a InternedTrace,
+    pool: &'a SlicePool,
+    op: OpKind,
+) -> impl Iterator<Item = Vec<TraceEvent>> + 'a {
+    trace
+        .decode_slices(pool)
+        .filter(move |s| s.first() == Some(&TraceEvent::OpBegin { op }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{OpKind, XctTypeId};
+    use addict_trace::XctTypeId;
 
     fn events() -> Vec<TraceEvent> {
         vec![
@@ -140,45 +128,22 @@ mod tests {
 
     #[test]
     fn footprint_deduplicates() {
-        let fp = Footprint::of_events(&events());
+        let fp = Footprint::of_events(events());
         assert_eq!(fp.instr.len(), 2);
         assert_eq!(fp.data.len(), 2);
-        assert_eq!(fp.instr_bytes(), 128);
-        assert_eq!(fp.data_bytes(), 128);
-    }
-
-    #[test]
-    fn union_accumulates() {
-        let mut a = Footprint::of_events(&events());
-        let b = Footprint::of_events(&[TraceEvent::Instr {
-            block: BlockAddr(99),
-            n_blocks: 1,
-            ipb: 1,
-        }]);
-        a.union(&b);
-        assert_eq!(a.instr.len(), 3);
     }
 
     #[test]
     fn counts_accumulate_per_block() {
-        let c = AccessCounts::of_events(&events());
+        let c = AccessCounts::of_events(events());
         assert_eq!(c.instr[&BlockAddr(10)], 2);
         assert_eq!(c.instr[&BlockAddr(11)], 1);
         assert_eq!(c.data[&BlockAddr(100)], 2);
     }
 
     #[test]
-    fn merge_sums_counts() {
-        let mut a = AccessCounts::of_events(&events());
-        let b = AccessCounts::of_events(&events());
-        a.merge(&b);
-        assert_eq!(a.instr[&BlockAddr(10)], 4);
-        assert_eq!(a.data[&BlockAddr(101)], 2);
-    }
-
-    #[test]
     fn empty_span_is_empty() {
-        let fp = Footprint::of_events(&[]);
+        let fp = Footprint::of_events([]);
         assert!(fp.instr.is_empty() && fp.data.is_empty());
     }
 }

@@ -10,8 +10,10 @@
 use std::collections::HashMap;
 
 use addict_sim::BlockAddr;
-use addict_trace::{Footprint, OpKind, WorkloadTrace, XctTypeId};
+use addict_trace::{InternedWorkload, OpKind, XctTypeId};
 use serde::{Deserialize, Serialize};
+
+use crate::footprint::{op_instances, Footprint};
 
 /// Which instances to compare.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,32 +81,22 @@ impl OverlapHistogram {
 }
 
 /// Collect the per-instance footprints for a scope.
-fn instance_footprints(trace: &WorkloadTrace, scope: OverlapScope) -> Vec<Footprint> {
+fn instance_footprints(trace: &InternedWorkload, scope: OverlapScope) -> Vec<Footprint> {
+    let (ty, op) = match scope {
+        OverlapScope::Mix => (None, None),
+        OverlapScope::XctType(ty) => (Some(ty), None),
+        OverlapScope::Op(op) => (None, Some(op)),
+        OverlapScope::OpInType(ty, op) => (Some(ty), Some(op)),
+    };
+    let pool = &trace.pool;
     let mut out = Vec::new();
     for xct in &trace.xcts {
-        match scope {
-            OverlapScope::Mix => out.push(Footprint::of_events(&xct.events)),
-            OverlapScope::XctType(ty) => {
-                if xct.xct_type == ty {
-                    out.push(Footprint::of_events(&xct.events));
-                }
-            }
-            OverlapScope::Op(op) => {
-                for (kind, range) in xct.op_slices() {
-                    if kind == op {
-                        out.push(Footprint::of_events(&xct.events[range]));
-                    }
-                }
-            }
-            OverlapScope::OpInType(ty, op) => {
-                if xct.xct_type == ty {
-                    for (kind, range) in xct.op_slices() {
-                        if kind == op {
-                            out.push(Footprint::of_events(&xct.events[range]));
-                        }
-                    }
-                }
-            }
+        if ty.is_some_and(|ty| xct.xct_type != ty) {
+            continue;
+        }
+        match op {
+            None => out.push(Footprint::of_events(xct.decode_slices(pool).flatten())),
+            Some(op) => out.extend(op_instances(xct, pool, op).map(Footprint::of_events)),
         }
     }
     out
@@ -113,7 +105,7 @@ fn instance_footprints(trace: &WorkloadTrace, scope: OverlapScope) -> Vec<Footpr
 /// Compute the instruction and data overlap histograms for a scope.
 /// Returns `None` when the scope has no instances.
 pub fn overlap_histogram(
-    trace: &WorkloadTrace,
+    trace: &InternedWorkload,
     scope: OverlapScope,
 ) -> Option<(OverlapHistogram, OverlapHistogram)> {
     let footprints = instance_footprints(trace, scope);
@@ -140,7 +132,7 @@ pub fn overlap_histogram(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use addict_trace::{TraceEvent, XctTrace};
+    use addict_trace::{TraceEvent, WorkloadTrace, XctTrace};
 
     fn xct(ty: u16, instr_base: u64, data_base: u64) -> XctTrace {
         XctTrace {
@@ -175,7 +167,7 @@ mod tests {
         }
     }
 
-    fn workload() -> WorkloadTrace {
+    fn flat_workload() -> WorkloadTrace {
         WorkloadTrace {
             name: "test".into(),
             xct_type_names: vec!["A".into(), "B".into()],
@@ -183,6 +175,10 @@ mod tests {
                 .map(|i| xct(0, 0x1000 + i * 0x100, 0xA000 + i))
                 .collect(),
         }
+    }
+
+    fn workload() -> InternedWorkload {
+        InternedWorkload::from_flat(&flat_workload())
     }
 
     #[test]
@@ -211,19 +207,20 @@ mod tests {
 
     #[test]
     fn single_instance_is_all_common() {
-        let w = WorkloadTrace {
+        let w = InternedWorkload::from_flat(&WorkloadTrace {
             name: "one".into(),
             xct_type_names: vec!["A".into()],
             xcts: vec![xct(0, 0x1000, 0xA000)],
-        };
+        });
         let (instr, _) = overlap_histogram(&w, OverlapScope::Mix).unwrap();
         assert!((instr.buckets[4] - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn scopes_filter_instances() {
-        let mut w = workload();
-        w.xcts.push(xct(1, 0x5000, 0xB000));
+        let mut flat = flat_workload();
+        flat.xcts.push(xct(1, 0x5000, 0xB000));
+        let w = InternedWorkload::from_flat(&flat);
         let (i_all, _) = overlap_histogram(&w, OverlapScope::Mix).unwrap();
         assert_eq!(i_all.instances, 11);
         let (i_a, _) = overlap_histogram(&w, OverlapScope::XctType(XctTypeId(0))).unwrap();

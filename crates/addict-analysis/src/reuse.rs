@@ -10,9 +10,10 @@
 use std::collections::HashMap;
 
 use addict_sim::BlockAddr;
-use addict_trace::footprint::AccessCounts;
-use addict_trace::{OpKind, WorkloadTrace, XctTypeId};
+use addict_trace::{InternedWorkload, OpKind, XctTypeId};
 use serde::{Deserialize, Serialize};
+
+use crate::footprint::{op_instances, AccessCounts};
 
 /// One block's position on the Figure 3 plot.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -63,22 +64,17 @@ impl ReuseProfile {
 /// AccountUpdate panel; `op = Some(..)` analyzes operation instances, as
 /// its insert-tuple panel).
 pub fn reuse_profile(
-    trace: &WorkloadTrace,
+    trace: &InternedWorkload,
     ty: XctTypeId,
     op: Option<OpKind>,
 ) -> Option<ReuseProfile> {
     // Per-instance access counts.
+    let pool = &trace.pool;
     let mut counts: Vec<AccessCounts> = Vec::new();
-    for xct in trace.of_type(ty) {
+    for xct in trace.xcts.iter().filter(|x| x.xct_type == ty) {
         match op {
-            None => counts.push(AccessCounts::of_events(&xct.events)),
-            Some(kind) => {
-                for (k, range) in xct.op_slices() {
-                    if k == kind {
-                        counts.push(AccessCounts::of_events(&xct.events[range]));
-                    }
-                }
-            }
+            None => counts.push(AccessCounts::of_events(xct.decode_slices(pool).flatten())),
+            Some(op) => counts.extend(op_instances(xct, pool, op).map(AccessCounts::of_events)),
         }
     }
     if counts.is_empty() {
@@ -122,12 +118,12 @@ pub fn reuse_profile(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use addict_trace::{TraceEvent, XctTrace};
+    use addict_trace::{TraceEvent, WorkloadTrace, XctTrace};
 
     /// Instances share block 0x100 (touched 3x each) and touch a private
     /// block once.
-    fn workload(n: u64) -> WorkloadTrace {
-        WorkloadTrace {
+    fn workload(n: u64) -> InternedWorkload {
+        InternedWorkload::from_flat(&WorkloadTrace {
             name: "t".into(),
             xct_type_names: vec!["A".into()],
             xcts: (0..n)
@@ -175,7 +171,7 @@ mod tests {
                     ],
                 })
                 .collect(),
-        }
+        })
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 
 use addict_sim::BlockAddr;
-use addict_trace::{layout, TraceEvent, WorkloadTrace};
+use addict_trace::{layout, InternedWorkload, TraceEvent};
 use serde::Serialize;
 
 /// The data regions of the synthetic address space.
@@ -112,18 +112,18 @@ impl RegionStats {
 }
 
 /// Classify every data access of a workload trace by region.
-pub fn data_sources(trace: &WorkloadTrace) -> HashMap<DataRegion, RegionStats> {
+pub fn data_sources(trace: &InternedWorkload) -> HashMap<DataRegion, RegionStats> {
     let mut per_block: HashMap<BlockAddr, (u64, u64, usize)> = HashMap::new(); // (accesses, reads, xcts)
     for xct in &trace.xcts {
         let mut seen = std::collections::HashSet::new();
-        for ev in &xct.events {
+        for ev in xct.decode_slices(&trace.pool).flatten() {
             if let TraceEvent::Data { block, write } = ev {
-                let e = per_block.entry(*block).or_insert((0, 0, 0));
+                let e = per_block.entry(block).or_insert((0, 0, 0));
                 e.0 += 1;
-                if !*write {
+                if !write {
                     e.1 += 1;
                 }
-                if seen.insert(*block) {
+                if seen.insert(block) {
                     e.2 += 1;
                 }
             }
@@ -149,9 +149,9 @@ pub fn data_sources(trace: &WorkloadTrace) -> HashMap<DataRegion, RegionStats> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use addict_trace::{OpKind, XctTrace, XctTypeId};
+    use addict_trace::{OpKind, WorkloadTrace, XctTrace, XctTypeId};
 
-    fn workload() -> WorkloadTrace {
+    fn workload() -> InternedWorkload {
         let mut xcts = Vec::new();
         for i in 0..10u64 {
             xcts.push(XctTrace {
@@ -181,11 +181,11 @@ mod tests {
                 ],
             });
         }
-        WorkloadTrace {
+        InternedWorkload::from_flat(&WorkloadTrace {
             name: "t".into(),
             xct_type_names: vec!["A".into()],
             xcts,
-        }
+        })
     }
 
     #[test]

@@ -34,9 +34,11 @@
 //!
 //! Determinism guards run on every invocation (CI's `--smoke` included)
 //! and can fail the process:
-//! * the pool's delta-encoded eval workload, traced on a clone of the
-//!   benchmark's populated snapshot, must **decode back bit-identical** to
-//!   a flat `collect_traces` on a freshly populated engine (the
+//! * the pool's eval workload, traced on a clone of the benchmark's
+//!   populated snapshot, must be **laid out identically** to a
+//!   `collect_traces_interned` on a freshly populated engine — per trace
+//!   the type, slice refs and encoded data bytes, and the events each ref
+//!   resolves to — so the two decode to the same events (the
 //!   `--xcts 2000` TPC-B step of CI's `release-gates` job),
 //! * per_block and fast execution must produce bit-identical simulation
 //!   output (a speedup can never be bought with accuracy) — the YCSB-A
@@ -66,14 +68,14 @@ use addict_bench::{
 use addict_core::algorithm1::MigrationMap;
 use addict_core::replay::{ReplayConfig, ReplayResult};
 use addict_core::sched::{run_scheduler, SchedulerKind};
-use addict_trace::{InternedWorkload, WorkloadTrace};
-use addict_workloads::{collect_traces, Benchmark};
+use addict_trace::InternedWorkload;
+use addict_workloads::{collect_traces_interned, Benchmark};
 
-/// The flat evaluation reference: `n` eval-seed traces of `bench` on a
-/// freshly populated engine, independent of the trace pool's snapshot.
-fn flat_eval(bench: Benchmark, n: usize) -> WorkloadTrace {
+/// The evaluation reference: `n` eval-seed traces of `bench` recorded on
+/// a freshly populated engine, independent of the trace pool's snapshot.
+fn fresh_eval(bench: Benchmark, n: usize) -> InternedWorkload {
     let (mut engine, mut workload) = bench.setup();
-    collect_traces(&mut engine, workload.as_mut(), n, EVAL_SEED)
+    collect_traces_interned(&mut engine, workload.as_mut(), n, EVAL_SEED)
 }
 
 /// Peak resident set size of this process so far (Linux `VmHWM`), if the
@@ -85,22 +87,27 @@ fn peak_rss_bytes() -> Option<u64> {
     Some(kb * 1024)
 }
 
-/// Assert the pool's interned workload decodes bit-identical to the
-/// flat-collected one — the runtime decoded-vs-flat gate (CI's
-/// `release-gates` job runs it at `--xcts 2000`).
-fn assert_decodes_to(interned: &InternedWorkload, flat: &WorkloadTrace, what: &str) {
-    let decoded = interned.flatten();
+/// Assert the pool's interned workload is laid out exactly as the fresh
+/// engine's: per trace the type, slice refs and encoded data bytes, and
+/// the events each ref resolves to. Each side interned into a private
+/// pool, so equal layouts decode to equal events — the runtime
+/// pool-vs-fresh gate (CI's `release-gates` job runs it at `--xcts 2000`).
+fn assert_same_layout(pooled: &InternedWorkload, fresh: &InternedWorkload, what: &str) {
     assert_eq!(
-        decoded.xcts.len(),
-        flat.xcts.len(),
-        "{what}: interned trace count diverged"
+        pooled.xcts.len(),
+        fresh.xcts.len(),
+        "{what}: trace count diverged"
     );
-    for (i, (d, f)) in decoded.xcts.iter().zip(&flat.xcts).enumerate() {
-        assert_eq!(d.xct_type, f.xct_type, "{what}: trace {i} type diverged");
-        assert_eq!(
-            d.events, f.events,
-            "{what}: decoded trace {i} diverged from flat"
-        );
+    for (i, (p, f)) in pooled.xcts.iter().zip(&fresh.xcts).enumerate() {
+        // Trace equality covers the type, slice refs and data bytes.
+        assert!(p == f, "{what}: trace {i} layout diverged");
+        for &r in p.slice_refs() {
+            assert_eq!(
+                pooled.pool.resolve(r),
+                fresh.pool.resolve(r),
+                "{what}: trace {i} slice {r:?} events diverged"
+            );
+        }
     }
 }
 
@@ -198,20 +205,20 @@ fn main() {
         args.threads
     );
     // Every benchmark's profile and eval keys fetch from a trace pool in
-    // one parallel wave (one private storage engine per key); the flat
-    // eval references follow in a second wave. Each pool eval must decode
-    // back bit-identical to its flat reference: the runtime
-    // decoded-vs-flat gate.
+    // one parallel wave (one private storage engine per key); the fresh
+    // engines' eval references follow in a second wave. Each pool eval
+    // must be laid out exactly as its fresh reference: the runtime
+    // pool-vs-fresh gate.
     let mut spec = JobSpec::new(args.benchmarks.clone(), n);
     spec.threads = args.threads;
     let sets = fetch_traces(&spec, &TracePool::unbounded(), &|_| {}, &CancelToken::new())
         .expect("an un-armed token never fires");
-    let flat = run_grid(&args.benchmarks, args.threads, |_, &b| flat_eval(b, n));
+    let fresh = run_grid(&args.benchmarks, args.threads, |_, &b| fresh_eval(b, n));
     let prepared: Vec<Prepared> = sets
         .into_iter()
-        .zip(flat)
+        .zip(fresh)
         .map(|(set, eval)| {
-            assert_decodes_to(&set.eval, &eval, set.bench.name());
+            assert_same_layout(&set.eval, &eval, set.bench.name());
             Prepared {
                 bench: set.bench,
                 map: set.map,
@@ -221,7 +228,7 @@ fn main() {
         })
         .collect();
     eprintln!(
-        "bench: pool traces decoded bit-identical to fresh-engine generation for {}",
+        "bench: pool traces laid out identically to fresh-engine generation for {}",
         bench_names.join(", ")
     );
 
@@ -581,9 +588,10 @@ fn htm_section(out: &mut String, prepared: &[Prepared], reference_results: &[Vec
 /// wall time, events/s per scheduler, and the process's peak RSS. The
 /// flat trace set never materializes — each rung's eval exists only in
 /// interned form (at 1M TPC-B transactions the flat form alone
-/// would be ~4 GB of events) — and rungs small enough to afford a flat
-/// reference (≤ 10k) are decoded against it bit-identically, and replayed
-/// per-block against the fast paths, before being timed.
+/// would be ~4 GB of events) — and rungs small enough to afford a second,
+/// fresh-engine recording (≤ 10k) are checked against it layout for
+/// layout, and replayed per-block against the fast paths, before being
+/// timed.
 fn scaling_section(
     out: &mut String,
     args: &addict_bench::BenchArgs,
@@ -629,14 +637,14 @@ fn scaling_section(
             fp.resident_bytes() / rung.max(1),
             fp.address_reduction()
         );
-        // Rungs that fit flat get the full decoded-vs-flat gate before
-        // any timing; beyond that the equivalence is carried by these
-        // gated rungs (the recorder's output does not depend on scale,
-        // only on the transaction stream).
+        // Rungs that afford a second recording get the pool-vs-fresh
+        // gate before any timing; beyond that the equivalence is carried
+        // by these gated rungs (the recorder's output does not depend on
+        // scale, only on the transaction stream).
         let verified = rung <= 10_000;
         if verified {
-            let flat = flat_eval(bench, rung);
-            assert_decodes_to(&iw, &flat, &format!("{} scaling@{rung}", bench.name()));
+            let fresh = fresh_eval(bench, rung);
+            assert_same_layout(&iw, &fresh, &format!("{} scaling@{rung}", bench.name()));
             for kind in SchedulerKind::ALL {
                 let reference = run_scheduler(kind, &iset, Some(&p0.map), &per_block_cfg);
                 let fast = run_scheduler(kind, &iset, Some(&p0.map), cfg);
@@ -647,7 +655,7 @@ fn scaling_section(
                 );
             }
             eprintln!(
-                "bench: scaling @ {rung} decoded bit-identical to flat; fast replay bit-identical to per-block"
+                "bench: scaling @ {rung} laid out identically to a fresh engine's; fast replay bit-identical to per-block"
             );
         }
         // Small rungs take best-of like the fixed-size matrix; big rungs

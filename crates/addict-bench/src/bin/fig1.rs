@@ -5,7 +5,7 @@
 use addict_analysis::op_flow;
 use addict_bench::{header, parse_bench_args, PROFILE_SEED};
 use addict_trace::OpKind;
-use addict_workloads::{collect_traces, Benchmark};
+use addict_workloads::{collect_traces_interned, Benchmark};
 
 fn main() {
     let args = parse_bench_args(1000);
@@ -22,7 +22,7 @@ fn main() {
         n,
     );
     let (mut engine, mut workload) = Benchmark::TpcC.setup();
-    let trace = collect_traces(&mut engine, workload.as_mut(), n, PROFILE_SEED);
+    let trace = collect_traces_interned(&mut engine, workload.as_mut(), n, PROFILE_SEED);
 
     for op in [
         OpKind::Probe,

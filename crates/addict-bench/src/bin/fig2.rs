@@ -4,8 +4,8 @@
 
 use addict_analysis::{overlap_histogram, OverlapHistogram, OverlapScope};
 use addict_bench::{header, parse_bench_args, PROFILE_SEED};
-use addict_trace::{OpKind, WorkloadTrace, XctTypeId};
-use addict_workloads::{collect_traces, tpcc, tpce, Benchmark};
+use addict_trace::{InternedWorkload, OpKind};
+use addict_workloads::{collect_traces_interned, tpcc, tpce, Benchmark};
 
 fn row(label: &str, h: Option<(OverlapHistogram, OverlapHistogram)>) {
     let Some((i, d)) = h else {
@@ -44,16 +44,16 @@ fn row(label: &str, h: Option<(OverlapHistogram, OverlapHistogram)>) {
     );
 }
 
-fn pies(trace: &WorkloadTrace, scopes: &[(&str, OverlapScope)]) {
+fn pies(trace: &InternedWorkload, scopes: &[(&str, OverlapScope)]) {
     for (label, scope) in scopes {
         row(label, overlap_histogram(trace, *scope));
     }
 }
 
 /// `n` profiling-seed traces of `bench` on a fresh engine.
-fn trace(bench: Benchmark, n: usize) -> WorkloadTrace {
+fn trace(bench: Benchmark, n: usize) -> InternedWorkload {
     let (mut engine, mut workload) = bench.setup();
-    collect_traces(&mut engine, workload.as_mut(), n, PROFILE_SEED)
+    collect_traces_interned(&mut engine, workload.as_mut(), n, PROFILE_SEED)
 }
 
 fn main() {
@@ -154,5 +154,4 @@ fn main() {
         .map(|(_, d)| d.common_share(0.9) * 100.0)
         .unwrap_or(0.0);
     println!("\nSummary: TradeStatus same-type instr overlap {ts_overlap:.1}% | TPC-C mix data >=90% common {mix_data:.1}%");
-    let _ = XctTypeId(0);
 }

@@ -6,7 +6,7 @@ use addict_analysis::{reuse_profile, ReusePoint};
 use addict_bench::{header, parse_bench_args, PROFILE_SEED};
 use addict_trace::OpKind;
 use addict_workloads::tpcb::ACCOUNT_UPDATE;
-use addict_workloads::{collect_traces, Benchmark};
+use addict_workloads::{collect_traces_interned, Benchmark};
 
 fn summarize(title: &str, points: &[ReusePoint]) {
     // Bucket the x-axis (commonality) as the figure's left-to-right order.
@@ -60,7 +60,7 @@ fn main() {
         n,
     );
     let (mut engine, mut workload) = Benchmark::TpcB.setup();
-    let trace = collect_traces(&mut engine, workload.as_mut(), n, PROFILE_SEED);
+    let trace = collect_traces_interned(&mut engine, workload.as_mut(), n, PROFILE_SEED);
 
     println!("\nAccountUpdate transaction:");
     let p = reuse_profile(&trace, ACCOUNT_UPDATE, None).expect("traces present");

@@ -30,10 +30,12 @@
 //! disjoint trace ranges.
 //!
 //! Traces come from one path: a storage engine whose recorder interns as
-//! it traces, driven by `collect_traces_interned` — on a fresh engine in
-//! `fig4`, on a clone of a populated snapshot in a [`TracePool`] miss
-//! (one generation per [`TraceKey`]). `fig1`–`fig3` and `bench`'s
-//! independent reference read the flattened form, `collect_traces`.
+//! it traces, driven by `collect_traces_interned` — on a clone of a
+//! populated snapshot in a [`TracePool`] miss (one generation per
+//! [`TraceKey`]), and on a fresh engine in `fig1`–`fig4` and in `bench`'s
+//! reference, whose layout the pool's must match exactly. No production
+//! path flattens a trace: the Section 2 analyses behind `fig1`–`fig3`
+//! decode the interned slices.
 //! Every grid fetches its interned traces and Algorithm 1's migration
 //! maps (memoized per profile entry in the pool) through one prologue,
 //! [`fetch_traces`], and replays through
@@ -211,10 +213,10 @@ pub fn header(artifact: &str, what: &str, n: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use addict_core::find_migration_points;
+    use addict_core::find_migration_points_interned;
     use addict_core::replay::ReplayConfig;
     use addict_core::sched::{run_scheduler, SchedulerKind};
-    use addict_workloads::{collect_traces, collect_traces_interned};
+    use addict_workloads::collect_traces_interned;
 
     #[test]
     fn norm_guards_zero() {
@@ -356,9 +358,9 @@ mod tests {
         // A 0-transaction run must flow through every figure's arithmetic
         // as clean zeros, never NaN (empty-trace guard satellite).
         let (mut engine, mut workload) = Benchmark::TpcB.setup_small();
-        let profile = collect_traces(&mut engine, workload.as_mut(), 10, PROFILE_SEED);
+        let profile = collect_traces_interned(&mut engine, workload.as_mut(), 10, PROFILE_SEED);
         let cfg = ReplayConfig::paper_default();
-        let map = find_migration_points(&profile.xcts, cfg.sim.l1i);
+        let map = find_migration_points_interned(profile.as_set(), cfg.sim.l1i);
         let pool = addict_trace::SlicePool::new();
         let empty = addict_trace::InternedSet {
             pool: &pool,
@@ -384,10 +386,10 @@ mod tests {
     fn small_pipeline_end_to_end() {
         // A miniature end-to-end run of the harness plumbing.
         let (mut engine, mut workload) = Benchmark::TpcB.setup_small();
-        let profile = collect_traces(&mut engine, workload.as_mut(), 20, PROFILE_SEED);
+        let profile = collect_traces_interned(&mut engine, workload.as_mut(), 20, PROFILE_SEED);
         let eval = collect_traces_interned(&mut engine, workload.as_mut(), 20, EVAL_SEED);
         let cfg = ReplayConfig::paper_default();
-        let map = find_migration_points(&profile.xcts, cfg.sim.l1i);
+        let map = find_migration_points_interned(profile.as_set(), cfg.sim.l1i);
         let results: Vec<_> = SchedulerKind::ALL
             .iter()
             .map(|&kind| run_scheduler(kind, &eval.as_set(), Some(&map), &cfg))

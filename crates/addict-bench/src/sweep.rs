@@ -38,7 +38,7 @@ use std::sync::Mutex;
 use addict_core::algorithm1::MigrationMap;
 use addict_core::replay::{ReplayConfig, ReplayResult};
 use addict_core::sched::SchedulerKind;
-use addict_trace::{InternedSet, XctTrace};
+use addict_trace::InternedSet;
 use addict_workloads::Benchmark;
 
 // Compile-time audit: everything a sweep shares across threads, or moves
@@ -49,7 +49,6 @@ const _: () = {
     shared::<ReplayConfig>();
     shared::<ReplayResult>();
     shared::<MigrationMap>();
-    shared::<XctTrace>();
     shared::<InternedSet<'_>>();
     shared::<SchedulerKind>();
     shared::<Benchmark>();

@@ -26,7 +26,7 @@ use addict_core::sched::{run_scheduler, SchedulerKind};
 use addict_sim::SimConfig;
 use addict_trace::{InternedWorkload, XctTrace};
 use addict_workloads::tpcb::TpcB;
-use addict_workloads::{collect_traces, Benchmark};
+use addict_workloads::{collect_traces_interned, Benchmark};
 
 /// The committed table: `benchmark scheduler result_fnv64` per line for
 /// the small job, `config benchmark scheduler digest` per line for the
@@ -197,7 +197,9 @@ fn small_trace_digests_match_the_committed_table() {
         .iter()
         .map(|b| {
             let (mut engine, mut workload) = b.setup_small();
-            let traces = collect_traces(&mut engine, workload.as_mut(), N_XCTS, TRACE_SEED);
+            let traces =
+                collect_traces_interned(&mut engine, workload.as_mut(), N_XCTS, TRACE_SEED)
+                    .flatten();
             format!("{} {}", b.id(), trace_digest(&traces.xcts))
         })
         .collect();
@@ -214,7 +216,11 @@ fn small_trace_digests_match_the_committed_table() {
 /// implementation; each rewrite since has had to reproduce them.
 fn tpcb_digest(scale: (u64, u64, u64), n: usize, seed: u64) -> String {
     let (mut engine, mut workload) = TpcB::setup(scale.0, scale.1, scale.2);
-    trace_digest(&collect_traces(&mut engine, &mut workload, n, seed).xcts)
+    trace_digest(
+        &collect_traces_interned(&mut engine, &mut workload, n, seed)
+            .flatten()
+            .xcts,
+    )
 }
 
 /// TPC-B at the `setup_small` scale, over several seeds.
@@ -267,12 +273,13 @@ fn default_scale_golden(bench: Benchmark) -> &'static str {
 /// `bench`'s default-scale traces, collected on a freshly populated engine.
 fn default_scale_digest(bench: Benchmark) -> String {
     let (mut engine, mut workload) = bench.setup();
-    let traces = collect_traces(
+    let traces = collect_traces_interned(
         &mut engine,
         workload.as_mut(),
         DEFAULT_SCALE_XCTS,
         DEFAULT_SCALE_SEED,
-    );
+    )
+    .flatten();
     trace_digest(&traces.xcts)
 }
 

@@ -9,12 +9,12 @@
 
 use addict_bench::{run_grid, EVAL_SEED, PROFILE_SEED};
 use addict_core::algorithm1::MigrationMap;
-use addict_core::find_migration_points;
+use addict_core::find_migration_points_interned;
 use addict_core::replay::{ReplayConfig, ReplayResult};
 use addict_core::sched::{run_scheduler, SchedulerKind};
 use addict_sim::SimConfig;
 use addict_trace::InternedSet;
-use addict_workloads::{collect_traces, collect_traces_interned, Benchmark};
+use addict_workloads::{collect_traces_interned, Benchmark};
 
 /// One grid point: a scheduler and config over one trace set and its map.
 type Point<'a> = (
@@ -50,10 +50,10 @@ fn serialize(results: &[ReplayResult]) -> Vec<u8> {
 #[test]
 fn sweep_is_bit_identical_across_thread_counts() {
     let (mut engine, mut workload) = Benchmark::TpcB.setup_small();
-    let profile = collect_traces(&mut engine, workload.as_mut(), 24, PROFILE_SEED);
+    let profile = collect_traces_interned(&mut engine, workload.as_mut(), 24, PROFILE_SEED);
     let interned = collect_traces_interned(&mut engine, workload.as_mut(), 24, EVAL_SEED);
     let cfg = ReplayConfig::paper_default();
-    let map = find_migration_points(&profile.xcts, cfg.sim.l1i);
+    let map = find_migration_points_interned(profile.as_set(), cfg.sim.l1i);
     let set = interned.as_set();
 
     // A grid spanning every scheduler in both execution modes (every point
@@ -121,9 +121,9 @@ fn spec_driven_sweep_is_bit_identical_across_thread_counts() {
     let mut inputs = Vec::new();
     for bench in [Benchmark::Tatp, Benchmark::YcsbB] {
         let (mut engine, mut workload) = bench.setup_small();
-        let profile = collect_traces(&mut engine, workload.as_mut(), 24, PROFILE_SEED);
+        let profile = collect_traces_interned(&mut engine, workload.as_mut(), 24, PROFILE_SEED);
         let interned = collect_traces_interned(&mut engine, workload.as_mut(), 24, EVAL_SEED);
-        let map = find_migration_points(&profile.xcts, cfg.sim.l1i);
+        let map = find_migration_points_interned(profile.as_set(), cfg.sim.l1i);
         inputs.push((bench, interned, map));
     }
 

@@ -7,7 +7,7 @@
 
 use addict_bench::{run_grid, TraceKey, TracePool, EVAL_SEED, PROFILE_SEED};
 use addict_trace::InternedWorkload;
-use addict_workloads::{collect_traces, collect_traces_interned, Benchmark};
+use addict_workloads::{collect_traces_interned, Benchmark};
 
 /// Profile and eval keys of TPC-B, TPC-C, TATP and YCSB-A side by side,
 /// at test scale: the contract is layout-independent.
@@ -53,12 +53,13 @@ fn canon(w: &InternedWorkload) -> String {
 
 #[test]
 fn interned_generation_flattens_to_flat_generation() {
-    // The recorder's interned set flattens to what `collect_traces`
-    // returns on a fresh engine, and interning that flat form afterwards
-    // lays the pool out exactly as the recorder did.
+    // The recorder's interned set flattens to what a second fresh engine
+    // records, flattened, and interning that flat form afterwards lays the
+    // pool out exactly as the recorder did.
     for key in keys() {
         let (mut engine, mut workload) = key.bench.setup_small();
-        let flat = collect_traces(&mut engine, workload.as_mut(), key.n_xcts, key.seed);
+        let flat =
+            collect_traces_interned(&mut engine, workload.as_mut(), key.n_xcts, key.seed).flatten();
         let recorded = collect_interned(&key);
         assert_eq!(
             format!("{:?}", recorded.flatten()),
@@ -104,7 +105,7 @@ fn generation_is_bit_identical_across_thread_counts() {
             let (mut engine, mut workload) = k.bench.setup_small();
             format!(
                 "{:?}",
-                collect_traces(&mut engine, workload.as_mut(), k.n_xcts, k.seed)
+                collect_traces_interned(&mut engine, workload.as_mut(), k.n_xcts, k.seed).flatten()
             )
         })
     };

@@ -10,8 +10,7 @@
 //! The profile is read in its interned form. Slices are cut where the scan
 //! flushes, so each unique slice is scanned once per call and its result
 //! counted for every reference to it: the cost grows with the pool's
-//! unique slices, not with every profiled event. [`find_migration_points`]
-//! interns flat traces into a private pool first.
+//! unique slices, not with every profiled event.
 //!
 //! Ties are broken deterministically (lexicographically smallest sequence)
 //! instead of the paper's "pick randomly" so runs are reproducible; the
@@ -22,7 +21,7 @@ use std::collections::HashMap;
 use addict_sim::{BlockAddr, CacheGeometry, SetAssocCache};
 use addict_trace::event::{flatten, FlatEvent};
 use addict_trace::{
-    InternedSet, InternedTrace, OpKind, SlicePool, SliceRef, TraceEvent, XctTrace, XctTypeId,
+    InternedSet, InternedTrace, OpKind, SlicePool, SliceRef, TraceEvent, XctTypeId,
 };
 
 /// A migration-point sequence: the eviction-causing instruction blocks of
@@ -156,21 +155,13 @@ impl MigrationMap {
     }
 }
 
-/// Run Algorithm 1 over flat profiling traces: they are interned into a
-/// private pool and profiled by [`find_migration_points_interned`].
-pub fn find_migration_points(traces: &[XctTrace], l1i: CacheGeometry) -> MigrationMap {
-    let mut pool = SlicePool::new();
-    let xcts: Vec<InternedTrace> = traces
-        .iter()
-        .map(|t| InternedTrace::intern(t, &mut pool))
-        .collect();
-    find_migration_points_interned(
-        InternedSet {
-            pool: &pool,
-            xcts: &xcts,
-        },
-        l1i,
-    )
+/// Run Algorithm 1 over flat test traces, interned into a private pool.
+#[cfg(test)]
+pub(crate) fn find_migration_points(
+    traces: &[addict_trace::XctTrace],
+    l1i: CacheGeometry,
+) -> MigrationMap {
+    find_migration_points_interned(crate::replay::interned(traces).as_set(), l1i)
 }
 
 /// Run Algorithm 1 over interned profiling traces with the given L1-I
@@ -288,7 +279,7 @@ fn scan_slice(events: &[TraceEvent], cache: &mut SetAssocCache) -> SliceScan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use addict_trace::{InternedWorkload, WorkloadTrace};
+    use addict_trace::{InternedWorkload, WorkloadTrace, XctTrace};
 
     const XT: XctTypeId = XctTypeId(0);
 

@@ -83,7 +83,7 @@ impl Default for ReplayConfig {
 }
 
 // Thread-safety audit: the parallel sweep engine (addict-bench) shares
-// replay configs and trace slices across worker threads by reference and
+// replay configs and migration maps across worker threads by reference and
 // sends results back to the collecting thread. These types hold plain
 // owned data — keep them that way, or sweeps stop compiling here first.
 const _: () = {
@@ -93,7 +93,6 @@ const _: () = {
     shared::<Action>();
     shared::<Admission>();
     shared::<Cluster>();
-    shared::<addict_trace::XctTrace>();
     shared::<crate::algorithm1::MigrationMap>();
 };
 

@@ -1,7 +1,7 @@
 //! Property-based tests for Algorithm 1, the assignment plan, and the
 //! replay engine's conservation laws.
 
-use addict_core::algorithm1::find_migration_points;
+use addict_core::algorithm1::{find_migration_points_interned, MigrationMap};
 use addict_core::plan::{AssignmentPlan, PlanConfig};
 use addict_core::replay::ReplayConfig;
 use addict_core::sched::{run_scheduler, SchedulerKind};
@@ -9,6 +9,16 @@ use addict_sim::{BlockAddr, CacheGeometry, SimConfig};
 use addict_trace::event::FlatEvent;
 use addict_trace::{InternedWorkload, OpKind, TraceEvent, WorkloadTrace, XctTrace, XctTypeId};
 use proptest::prelude::*;
+
+/// Algorithm 1 over generated flat traces, interned into a private pool.
+fn find_migration_points(traces: &[XctTrace], l1i: CacheGeometry) -> MigrationMap {
+    let profile = InternedWorkload::from_flat(&WorkloadTrace {
+        name: String::new(),
+        xct_type_names: Vec::new(),
+        xcts: traces.to_vec(),
+    });
+    find_migration_points_interned(profile.as_set(), l1i)
+}
 
 /// A generated transaction: per op, a walk length (blocks).
 fn arb_trace() -> impl Strategy<Value = XctTrace> {

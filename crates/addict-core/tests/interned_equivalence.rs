@@ -15,13 +15,13 @@ use addict_core::replay::ReplayConfig;
 use addict_sim::{BlockAddr, CacheGeometry, SetAssocCache};
 use addict_trace::event::FlatEvent;
 use addict_trace::{InternedWorkload, OpKind, TraceEvent, WorkloadTrace, XctTrace, XctTypeId};
-use addict_workloads::{collect_traces, collect_traces_interned, Benchmark};
+use addict_workloads::{collect_traces_interned, Benchmark};
 use proptest::prelude::*;
 
 fn small_eval(bench: Benchmark, n: usize) -> (WorkloadTrace, WorkloadTrace) {
     let (mut engine, mut workload) = bench.setup_small();
-    let profile = collect_traces(&mut engine, workload.as_mut(), n, 1);
-    let eval = collect_traces(&mut engine, workload.as_mut(), n, 2);
+    let profile = collect_traces_interned(&mut engine, workload.as_mut(), n, 1).flatten();
+    let eval = collect_traces_interned(&mut engine, workload.as_mut(), n, 2).flatten();
     (profile, eval)
 }
 
@@ -252,7 +252,7 @@ fn collect_interned_matches_collect_then_intern() {
     let pool = &recorded.pool;
 
     let (mut engine2, mut workload2) = Benchmark::TpcC.setup_small();
-    let flat = collect_traces(&mut engine2, workload2.as_mut(), 24, 7);
+    let flat = collect_traces_interned(&mut engine2, workload2.as_mut(), 24, 7).flatten();
     let batch = InternedWorkload::from_flat(&flat);
 
     assert_eq!(recorded.xcts.len(), batch.xcts.len());

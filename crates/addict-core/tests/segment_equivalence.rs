@@ -15,14 +15,14 @@
 //! per-event path adds), so even floating-point totals match exactly. Any
 //! divergence is a bug in a fast path, not rounding.
 
-use addict_core::algorithm1::find_migration_points;
+use addict_core::algorithm1::find_migration_points_interned;
 use addict_core::replay::{ReplayConfig, ReplayResult};
 use addict_core::sched::{run_scheduler, SchedulerKind};
 use addict_sim::{BlockAddr, SimConfig};
 use addict_trace::{
     InternedTrace, InternedWorkload, OpKind, TraceEvent, WorkloadTrace, XctTrace, XctTypeId,
 };
-use addict_workloads::{collect_traces, collect_traces_interned, Benchmark};
+use addict_workloads::{collect_traces_interned, Benchmark};
 use proptest::prelude::*;
 
 /// The two execution modes (`ReplayConfig::fast_paths`). `false` is the
@@ -63,15 +63,19 @@ fn assert_identical(fast: &ReplayResult, reference: &ReplayResult, what: &str) {
     assert_eq!(fast.instructions, reference.instructions);
 }
 
-/// Run one scheduler in both modes over the interned `traces` and assert
-/// the fast paths reproduce the reference path bit-for-bit.
-fn assert_equivalent(kind: SchedulerKind, traces: &[XctTrace], cfg: &ReplayConfig) {
-    let map = find_migration_points(traces, cfg.sim.l1i);
-    let eval = InternedWorkload::from_flat(&WorkloadTrace {
+/// Generated flat traces, interned into a private pool.
+fn interned(traces: &[XctTrace]) -> InternedWorkload {
+    InternedWorkload::from_flat(&WorkloadTrace {
         name: String::new(),
         xct_type_names: Vec::new(),
         xcts: traces.to_vec(),
-    });
+    })
+}
+
+/// Run one scheduler in both modes over `eval`, profiled on itself, and
+/// assert the fast paths reproduce the reference path bit-for-bit.
+fn assert_equivalent(kind: SchedulerKind, eval: &InternedWorkload, cfg: &ReplayConfig) {
+    let map = find_migration_points_interned(eval.as_set(), cfg.sim.l1i);
     let [reference, fast] = MODES.map(|fast_paths| {
         run_scheduler(
             kind,
@@ -142,8 +146,9 @@ proptest! {
             ..ReplayConfig::paper_default()
         }
         .with_batch_size(cores);
+        let eval = interned(&traces);
         for kind in SchedulerKind::ALL {
-            assert_equivalent(kind, &traces, &cfg);
+            assert_equivalent(kind, &eval, &cfg);
         }
     }
 
@@ -156,8 +161,9 @@ proptest! {
         let mut sim = SimConfig::paper_default().with_cores(4);
         sim.l1i_next_line_prefetch = true;
         let cfg = ReplayConfig { sim, ..ReplayConfig::paper_default() }.with_batch_size(4);
+        let eval = interned(&traces);
         for kind in SchedulerKind::ALL {
-            assert_equivalent(kind, &traces, &cfg);
+            assert_equivalent(kind, &eval, &cfg);
         }
     }
 }
@@ -167,14 +173,14 @@ proptest! {
 #[test]
 fn tpcc_segment_replay_is_bit_identical() {
     let (mut engine, mut workload) = Benchmark::TpcC.setup_small();
-    let eval = collect_traces(&mut engine, workload.as_mut(), 48, 2);
+    let eval = collect_traces_interned(&mut engine, workload.as_mut(), 48, 2);
     let cfg = ReplayConfig {
         sim: SimConfig::paper_default().with_cores(8),
         ..ReplayConfig::paper_default()
     }
     .with_batch_size(8);
     for kind in SchedulerKind::ALL {
-        assert_equivalent(kind, &eval.xcts, &cfg);
+        assert_equivalent(kind, &eval, &cfg);
     }
 }
 
@@ -195,7 +201,7 @@ fn serialize(r: &ReplayResult) -> Vec<u8> {
 fn data_run_matrix_is_byte_identical_on_all_benchmarks() {
     for bench in Benchmark::ALL {
         let (mut engine, mut workload) = bench.setup_small();
-        let profile = collect_traces(&mut engine, workload.as_mut(), 24, 1);
+        let profile = collect_traces_interned(&mut engine, workload.as_mut(), 24, 1);
         let interned = collect_traces_interned(&mut engine, workload.as_mut(), 24, 2);
         let iset = interned.as_set();
         let trace_data_events: u64 = interned.xcts.iter().map(InternedTrace::data_accesses).sum();
@@ -204,7 +210,7 @@ fn data_run_matrix_is_byte_identical_on_all_benchmarks() {
             ..ReplayConfig::paper_default()
         }
         .with_batch_size(8);
-        let map = find_migration_points(&profile.xcts, cfg.sim.l1i);
+        let map = find_migration_points_interned(profile.as_set(), cfg.sim.l1i);
         for kind in SchedulerKind::ALL {
             let [reference, fast] = MODES.map(|fast_paths| {
                 run_scheduler(kind, &iset, Some(&map), &with_fast_paths(&cfg, fast_paths))
@@ -232,14 +238,13 @@ fn data_run_matrix_is_byte_identical_on_all_benchmarks() {
 #[test]
 fn replay_is_deterministic_across_runs() {
     let (mut engine, mut workload) = Benchmark::TpcC.setup_small();
-    let eval = collect_traces(&mut engine, workload.as_mut(), 32, 2);
+    let interned = collect_traces_interned(&mut engine, workload.as_mut(), 32, 2);
     let cfg = ReplayConfig {
         sim: SimConfig::paper_default().with_cores(6),
         ..ReplayConfig::paper_default()
     }
     .with_batch_size(6);
-    let map = find_migration_points(&eval.xcts, cfg.sim.l1i);
-    let interned = InternedWorkload::from_flat(&eval);
+    let map = find_migration_points_interned(interned.as_set(), cfg.sim.l1i);
     for kind in SchedulerKind::ALL {
         let a = run_scheduler(kind, &interned.as_set(), Some(&map), &cfg);
         let b = run_scheduler(kind, &interned.as_set(), Some(&map), &cfg);

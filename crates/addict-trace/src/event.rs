@@ -218,13 +218,6 @@ pub struct WorkloadTrace {
     pub xcts: Vec<XctTrace>,
 }
 
-impl WorkloadTrace {
-    /// Traces of one transaction type.
-    pub fn of_type(&self, id: XctTypeId) -> impl Iterator<Item = &XctTrace> {
-        self.xcts.iter().filter(move |x| x.xct_type == id)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,24 +314,6 @@ mod tests {
         assert!(inner
             .iter()
             .all(|e| matches!(e, TraceEvent::Instr { .. } | TraceEvent::Data { .. })));
-    }
-
-    #[test]
-    fn workload_type_filters() {
-        let w = WorkloadTrace {
-            name: "test".into(),
-            xct_type_names: vec!["a".into(), "b".into()],
-            xcts: vec![
-                sample(),
-                XctTrace {
-                    xct_type: XctTypeId(1),
-                    events: vec![],
-                },
-                sample(),
-            ],
-        };
-        assert_eq!(w.of_type(XctTypeId(0)).count(), 2);
-        assert_eq!(w.of_type(XctTypeId(1)).count(), 1);
     }
 
     #[test]

@@ -29,9 +29,11 @@
 //! Slices split at **operation boundaries** (`OpBegin` starts a new slice,
 //! `OpEnd` ends one): op bodies are the unit the paper shows repeating
 //! across instances, and measured on TPC-C they dedup ~35x at this
-//! granularity. Interning is lossless — [`InternedTrace::flatten`]
-//! reproduces the original event sequence bit-for-bit, and the round-trip
-//! is property-tested in `tests/intern_roundtrip.rs`.
+//! granularity. [`InternedTrace::decode_slices`] walks a trace back out
+//! slice by slice with its real data addresses. Interning is lossless —
+//! [`InternedTrace::flatten`], that walk concatenated, reproduces the
+//! original event sequence bit-for-bit, and the round-trip is
+//! property-tested in `tests/intern_roundtrip.rs`.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -395,26 +397,44 @@ impl InternedTrace {
         builder.finish(pool)
     }
 
-    /// Reconstruct the flat trace, bit-identical to what was interned.
-    pub fn flatten(&self, pool: &SlicePool) -> XctTrace {
-        let mut events = Vec::with_capacity(self.slices.iter().map(|r| r.len as usize).sum());
+    /// Decode the trace one slice at a time: each item is a slice's
+    /// events with their real data addresses. [`Self::flatten`] and the
+    /// Section 2 analyses read traces through it; replay walks
+    /// [`InternedSet`]'s cursor instead. A slice that opens with `OpBegin`
+    /// is exactly one operation instance, both markers included (see
+    /// [`TraceBuilder`]).
+    ///
+    /// # Panics
+    /// Panics at the end of the walk unless the slices consumed the data
+    /// stream exactly.
+    pub fn decode_slices<'a>(
+        &'a self,
+        pool: &'a SlicePool,
+    ) -> impl Iterator<Item = Vec<TraceEvent>> + 'a {
+        let mut refs = self.slices.iter();
         let mut off = 0usize;
         let mut last = DELTA_BASES;
-        for &r in &self.slices {
-            for e in pool.resolve(r) {
-                events.push(match *e {
-                    TraceEvent::Data { write, .. } => TraceEvent::Data {
-                        block: BlockAddr(decode_addr_mut(&self.data, &mut off, &mut last)),
-                        write,
-                    },
-                    e => e,
-                });
-            }
-        }
-        assert_eq!(off, self.data.len(), "data stream exhausted exactly");
+        std::iter::from_fn(move || {
+            let Some(&r) = refs.next() else {
+                assert_eq!(off, self.data.len(), "data stream exhausted exactly");
+                return None;
+            };
+            let decoded = pool.resolve(r).iter().map(|&e| match e {
+                TraceEvent::Data { write, .. } => TraceEvent::Data {
+                    block: BlockAddr(decode_addr_mut(&self.data, &mut off, &mut last)),
+                    write,
+                },
+                e => e,
+            });
+            Some(decoded.collect())
+        })
+    }
+
+    /// Reconstruct the flat trace, bit-identical to what was interned.
+    pub fn flatten(&self, pool: &SlicePool) -> XctTrace {
         XctTrace {
             xct_type: self.xct_type,
-            events,
+            events: self.decode_slices(pool).flatten().collect(),
         }
     }
 

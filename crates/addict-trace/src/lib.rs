@@ -21,19 +21,18 @@
 //! * [`event`] defines the portable trace format with transaction and
 //!   operation entry/exit markers — the "indicators" Algorithm 1 takes as
 //!   input;
-//! * [`footprint`] computes the per-instance instruction/data footprints
-//!   the Section 2 characterization is built on;
 //! * [`intern`] stores traces in a deduplicated, arena-backed form —
 //!   repeated event slices interned once into a shared [`SlicePool`] —
 //!   so the replay working set scales with *distinct code paths*, not
 //!   trace count; its [`InternedSet`] view is the one trace layout the
-//!   replay engine walks;
+//!   replay engine walks, and [`InternedTrace::decode_slices`] decodes a
+//!   trace slice by slice for the Section 2 characterization
+//!   (`addict-analysis`) and the flat test oracle;
 //! * [`set`] holds the cursor's replay-facing value types, [`Fetched`]
 //!   and [`DataRun`].
 
 pub mod codemap;
 pub mod event;
-pub mod footprint;
 pub mod intern;
 pub mod layout;
 pub mod recorder;
@@ -41,7 +40,6 @@ pub mod set;
 
 pub use codemap::{CodeMap, Routine};
 pub use event::{OpKind, TraceEvent, WorkloadTrace, XctTrace, XctTypeId};
-pub use footprint::Footprint;
 pub use intern::{
     InternFootprint, InternedSet, InternedTrace, InternedWorkload, SlicePool, SliceRef,
     TraceBuilder,

@@ -51,7 +51,7 @@ pub mod ycsb;
 use std::sync::Arc;
 
 use addict_storage::{Engine, StorageResult};
-use addict_trace::{InternedTrace, InternedWorkload, SlicePool, WorkloadTrace, XctTypeId};
+use addict_trace::{InternedTrace, InternedWorkload, SlicePool, XctTypeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -247,17 +247,6 @@ pub fn collect_traces_interned(
         pool: Arc::new(pool),
         xcts,
     }
-}
-
-/// [`collect_traces_interned`], flattened: the form the Section 2
-/// characterization (`addict-analysis`) reads.
-pub fn collect_traces(
-    engine: &mut Engine,
-    workload: &mut dyn WorkloadRunner,
-    n: usize,
-    seed: u64,
-) -> WorkloadTrace {
-    collect_traces_interned(engine, workload, n, seed).flatten()
 }
 
 /// [`collect_traces_interned`] with the traces' slices moved into `pool`,

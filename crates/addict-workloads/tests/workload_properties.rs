@@ -4,9 +4,9 @@
 //! contract at the runner boundary. Bit-for-bit trace content is pinned by
 //! the golden trace digests in `addict-bench/tests/golden_digests.rs`.
 
-use addict_trace::XctTrace;
+use addict_trace::{OpKind, TraceEvent, XctTrace};
 use addict_workloads::tpcb::TpcB;
-use addict_workloads::{collect_traces, Benchmark, WorkloadRunner};
+use addict_workloads::{collect_traces_interned, Benchmark, WorkloadRunner};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -41,7 +41,9 @@ fn registry_benchmarks_are_deterministic() {
     ] {
         let run = |seed: u64| {
             let (mut e, mut w) = bench.setup_small();
-            collect_traces(&mut e, w.as_mut(), 30, seed).xcts
+            collect_traces_interned(&mut e, w.as_mut(), 30, seed)
+                .flatten()
+                .xcts
         };
         assert_bit_identical(&run(11), &run(11), bench.name());
         let (a, c) = (run(11), run(12));
@@ -59,7 +61,9 @@ fn registry_benchmarks_are_deterministic() {
 #[test]
 fn tatp_transactions_are_short() {
     let (mut e, mut w) = Benchmark::Tatp.setup_small();
-    let traces = collect_traces(&mut e, w.as_mut(), 200, 3).xcts;
+    let traces = collect_traces_interned(&mut e, w.as_mut(), 200, 3)
+        .flatten()
+        .xcts;
     let mut op_counts: Vec<usize> = traces.iter().map(|t| t.op_slices().len()).collect();
     op_counts.sort_unstable();
     let median = op_counts[op_counts.len() / 2];
@@ -77,12 +81,14 @@ fn tatp_transactions_are_short() {
 fn ycsb_zipfian_concentrates_data_accesses() {
     use std::collections::HashMap;
     let (mut e, mut w) = Benchmark::YcsbA.setup_small();
-    let traces = collect_traces(&mut e, w.as_mut(), 200, 5).xcts;
+    let traces = collect_traces_interned(&mut e, w.as_mut(), 200, 5)
+        .flatten()
+        .xcts;
     let mut by_block: HashMap<u64, usize> = HashMap::new();
     let mut total = 0usize;
     for t in &traces {
         for ev in &t.events {
-            if let addict_trace::TraceEvent::Data { block, .. } = ev {
+            if let TraceEvent::Data { block, .. } = ev {
                 *by_block.entry(block.0).or_default() += 1;
                 total += 1;
             }
@@ -96,14 +102,16 @@ fn ycsb_zipfian_concentrates_data_accesses() {
     );
 }
 
-/// Seed-stream check at the boundary the runner owns: `collect_traces`
-/// hands one `StdRng` to the runner for the whole stream, and the runner
-/// must consume exactly its own draws (no hidden draws), so a
-/// manually-driven run reproduces `collect_traces`.
+/// Seed-stream check at the boundary the runner owns:
+/// `collect_traces_interned` hands one `StdRng` to the runner for the
+/// whole stream, and the runner must consume exactly its own draws (no
+/// hidden draws), so a manually-driven run reproduces it.
 #[test]
 fn runner_consumes_no_hidden_randomness() {
     let (mut e1, mut w1) = Benchmark::Tatp.setup_small();
-    let via_collect = collect_traces(&mut e1, w1.as_mut(), 25, 9).xcts;
+    let via_collect = collect_traces_interned(&mut e1, w1.as_mut(), 25, 9)
+        .flatten()
+        .xcts;
 
     let (mut e2, mut w2) = Benchmark::Tatp.setup_small();
     let mut rng = StdRng::seed_from_u64(9);
@@ -113,4 +121,39 @@ fn runner_consumes_no_hidden_randomness() {
     let (xcts, pool) = e2.take_traces();
     let manual: Vec<_> = xcts.iter().map(|t| t.flatten(&pool)).collect();
     assert_bit_identical(&via_collect, &manual, "TATP manual drive");
+}
+
+/// The Section 2 analyses take an operation instance to be one slice that
+/// opens with `OpBegin`. On every benchmark those slices are, in order and
+/// by kind, exactly the flat trace's `op_slices`, and each decodes to its
+/// `op_slices` range between the two markers.
+#[test]
+fn op_instances_are_the_slices_opening_with_op_begin() {
+    for bench in Benchmark::ALL {
+        let (mut e, mut w) = bench.setup_small();
+        let traced = collect_traces_interned(&mut e, w.as_mut(), 40, 13);
+        let mut n_ops = 0;
+        for (i, t) in traced.xcts.iter().enumerate() {
+            let flat = t.flatten(&traced.pool);
+            let ops = flat.op_slices();
+            let instances: Vec<(OpKind, Vec<TraceEvent>)> = t
+                .decode_slices(&traced.pool)
+                .filter_map(|s| match s.first() {
+                    Some(&TraceEvent::OpBegin { op }) => Some((op, s)),
+                    _ => None,
+                })
+                .collect();
+            let what = format!("{} transaction {i}", bench.name());
+            assert_eq!(instances.len(), ops.len(), "{what}: op count");
+            for ((kind, slice), (op, range)) in instances.iter().zip(&ops) {
+                assert_eq!(kind, op, "{what}: op kind");
+                let mut want = vec![TraceEvent::OpBegin { op: *op }];
+                want.extend_from_slice(&flat.events[range.clone()]);
+                want.push(TraceEvent::OpEnd { op: *op });
+                assert_eq!(slice, &want, "{what}: {op:?} instance events");
+            }
+            n_ops += ops.len();
+        }
+        assert!(n_ops > 0, "{}: no operations traced", bench.name());
+    }
 }

@@ -8,11 +8,11 @@ use addict::analysis::reuse::ReuseProfile;
 use addict::analysis::{overlap_histogram, reuse_profile, OverlapScope};
 use addict::trace::OpKind;
 use addict::workloads::tpcb::ACCOUNT_UPDATE;
-use addict::workloads::{collect_traces, Benchmark};
+use addict::workloads::{collect_traces_interned, Benchmark};
 
 fn main() {
     let (mut engine, mut workload) = Benchmark::TpcB.setup();
-    let trace = collect_traces(&mut engine, workload.as_mut(), 500, 7);
+    let trace = collect_traces_interned(&mut engine, workload.as_mut(), 500, 7);
     println!("traced {} AccountUpdate transactions\n", trace.xcts.len());
 
     // --- Figure 2 style overlap ---------------------------------------

@@ -3,26 +3,31 @@
 //! the paper's qualitative claims asserted as invariants.
 
 use addict::core::algorithm1::MigrationMap;
-use addict::core::find_migration_points;
+use addict::core::find_migration_points_interned;
 use addict::core::replay::ReplayConfig;
 use addict::core::sched::{run_scheduler, SchedulerKind};
 use addict::sim::SimConfig;
-use addict::trace::{InternedWorkload, WorkloadTrace};
-use addict::workloads::{collect_traces, collect_traces_interned, Benchmark};
+use addict::trace::InternedWorkload;
+use addict::workloads::{collect_traces_interned, Benchmark};
 
 fn pipeline(
     bench: Benchmark,
     n: usize,
-) -> (WorkloadTrace, InternedWorkload, MigrationMap, ReplayConfig) {
+) -> (
+    InternedWorkload,
+    InternedWorkload,
+    MigrationMap,
+    ReplayConfig,
+) {
     let (mut engine, mut workload) = bench.setup_small();
-    let profile = collect_traces(&mut engine, workload.as_mut(), n, 1);
+    let profile = collect_traces_interned(&mut engine, workload.as_mut(), n, 1);
     let eval = collect_traces_interned(&mut engine, workload.as_mut(), n, 2);
     let cfg = ReplayConfig {
         sim: SimConfig::paper_default().with_cores(8),
         ..ReplayConfig::paper_default()
     }
     .with_batch_size(8);
-    let map = find_migration_points(&profile.xcts, cfg.sim.l1i);
+    let map = find_migration_points_interned(profile.as_set(), cfg.sim.l1i);
     (profile, eval, map, cfg)
 }
 
@@ -78,7 +83,7 @@ fn tpcc_pipeline_covers_all_five_operations() {
         assert!(seen.contains(&op), "{op:?} never profiled");
     }
     // Every trace is well-formed: begins/ends and balanced op markers.
-    for xct in &profile.xcts {
+    for xct in &profile.flatten().xcts {
         let ops = xct.op_slices(); // panics (debug) on unbalanced markers
         assert!(!ops.is_empty() || xct.instructions() > 0);
     }
@@ -90,6 +95,7 @@ fn tpce_readonly_share_and_replay() {
     // ~77% of the mix is read-only (probe/scan only).
     use addict::trace::OpKind;
     let readonly = profile
+        .flatten()
         .xcts
         .iter()
         .filter(|x| {
@@ -112,10 +118,10 @@ fn deep_hierarchy_shrinks_addicts_advantage() {
     // on-chip cheaply, so ADDICT's gain over Baseline narrows.
     let (_, eval, map, _) = {
         let (mut engine, mut workload) = Benchmark::TpcB.setup_small();
-        let profile = collect_traces(&mut engine, workload.as_mut(), 64, 1);
+        let profile = collect_traces_interned(&mut engine, workload.as_mut(), 64, 1);
         let eval = collect_traces_interned(&mut engine, workload.as_mut(), 64, 2);
         let cfg = ReplayConfig::paper_default();
-        let map = find_migration_points(&profile.xcts, cfg.sim.l1i);
+        let map = find_migration_points_interned(profile.as_set(), cfg.sim.l1i);
         ((), eval, map, ())
     };
     let gain = |sim: SimConfig| {
@@ -144,10 +150,10 @@ fn batch_size_sweep_is_monotonic_enough() {
     // Section 4.5: larger batches improve ADDICT's execution time; L1-I
     // reduction is roughly flat.
     let (mut engine, mut workload) = Benchmark::TpcB.setup_small();
-    let profile = collect_traces(&mut engine, workload.as_mut(), 48, 1);
+    let profile = collect_traces_interned(&mut engine, workload.as_mut(), 48, 1);
     let eval = collect_traces_interned(&mut engine, workload.as_mut(), 96, 2);
     let base_cfg = ReplayConfig::paper_default();
-    let map = find_migration_points(&profile.xcts, base_cfg.sim.l1i);
+    let map = find_migration_points_interned(profile.as_set(), base_cfg.sim.l1i);
     let cycles: Vec<f64> = [2usize, 16]
         .iter()
         .map(|&b| {

@@ -2,35 +2,35 @@
 //! traces respect the code map, the address-space layout, and the
 //! Section 2 characterization invariants.
 
-use addict::analysis::{overlap_histogram, OverlapScope};
+use addict::analysis::{overlap_histogram, Footprint, OverlapScope};
 use addict::trace::{layout, CodeMap, TraceEvent};
-use addict::workloads::{collect_traces, Benchmark};
+use addict::workloads::{collect_traces_interned, Benchmark};
 
 #[test]
 fn traces_stay_inside_the_declared_address_spaces() {
     let (mut engine, mut workload) = Benchmark::TpcC.setup_small();
-    let trace = collect_traces(&mut engine, workload.as_mut(), 40, 3);
+    let trace = collect_traces_interned(&mut engine, workload.as_mut(), 40, 3);
     let map = CodeMap::global();
     for xct in &trace.xcts {
-        for ev in &xct.events {
+        for ev in xct.decode_slices(&trace.pool).flatten() {
             match ev {
                 TraceEvent::Instr {
                     block, n_blocks, ..
                 } => {
                     // Every instruction block belongs to a registered
                     // routine, and runs never cross region boundaries.
-                    let first = map.routine_of(*block).expect("instr outside code map");
+                    let first = map.routine_of(block).expect("instr outside code map");
                     let last = map
-                        .routine_of(addict::sim::BlockAddr(block.0 + u64::from(*n_blocks) - 1))
+                        .routine_of(addict::sim::BlockAddr(block.0 + u64::from(n_blocks) - 1))
                         .expect("run end outside code map");
                     assert_eq!(first, last, "run crosses routine boundary");
                 }
                 TraceEvent::Data { block, .. } => {
                     assert!(
-                        layout::is_page(*block) || layout::is_service(*block),
+                        layout::is_page(block) || layout::is_service(block),
                         "data block {block} outside data regions"
                     );
-                    assert!(!layout::is_code(*block), "data access hit code space");
+                    assert!(!layout::is_code(block), "data access hit code space");
                 }
                 _ => {}
             }
@@ -43,7 +43,7 @@ fn instruction_overlap_dwarfs_data_overlap() {
     // The paper's core observation (Section 2.2): same-type transactions
     // share most instructions and almost no data.
     let (mut engine, mut workload) = Benchmark::TpcB.setup_small();
-    let trace = collect_traces(&mut engine, workload.as_mut(), 60, 4);
+    let trace = collect_traces_interned(&mut engine, workload.as_mut(), 60, 4);
     let (instr, data) = overlap_histogram(&trace, OverlapScope::Mix).expect("instances");
     let instr_common = instr.common_share(0.9);
     let data_common = data.common_share(0.9);
@@ -65,12 +65,12 @@ fn transaction_footprint_exceeds_l1i() {
     // The premise of the whole paper: one transaction's instruction
     // footprint does not fit a 32 KB (512-block) L1-I.
     let (mut engine, mut workload) = Benchmark::TpcC.setup_small();
-    let trace = collect_traces(&mut engine, workload.as_mut(), 20, 5);
+    let trace = collect_traces_interned(&mut engine, workload.as_mut(), 20, 5);
     let big = trace
         .xcts
         .iter()
         .filter(|x| {
-            let fp = addict::trace::Footprint::of_events(&x.events);
+            let fp = Footprint::of_events(x.decode_slices(&trace.pool).flatten());
             fp.instr.len() > 512
         })
         .count();
@@ -92,7 +92,7 @@ fn engine_state_survives_the_full_mix() {
     // Run every TPC-C transaction type repeatedly and verify the engine's
     // structural invariants via its own accessors.
     let (mut engine, mut workload) = Benchmark::TpcC.setup_small();
-    let trace = collect_traces(&mut engine, workload.as_mut(), 120, 6);
+    let trace = collect_traces_interned(&mut engine, workload.as_mut(), 120, 6);
     assert_eq!(trace.xcts.len(), 120);
     // No locks leak across committed transactions.
     assert_eq!(engine.locks().n_locked(), 0, "locks leaked");
